@@ -164,8 +164,15 @@ def monomial_module(
     return InverseSystemModule(gens, field, label=f"monomial-r{r}-e{e}-t{t}-s{seed}")
 
 
-FAMILY_NAMES = ("sharp", "truncated-gorenstein-conic", "random-dense",
-                "random-sparse", "monomial")
+# family -> the parameters a manifest line may give it
+FAMILY_PARAMS = {
+    "sharp": ("t", "p", "e"),
+    "truncated-gorenstein-conic": ("s", "e"),
+    "random-dense": ("r", "e", "t"),
+    "random-sparse": ("r", "e", "t", "density"),
+    "monomial": ("r", "e", "t"),
+}
+FAMILY_NAMES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)

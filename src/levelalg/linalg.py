@@ -76,8 +76,7 @@ class Subspace:
         return len(self.basis)
 
 
-def _rref_mod_np(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    a = np.array(rows, dtype=np.int64) % p
+def _rref_mod_np(a: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
     nr, nc = a.shape
     pivots: list[int] = []
     r = 0
@@ -98,7 +97,7 @@ def _rref_mod_np(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[i
             a = (a - np.outer(col, a[r])) % p
         pivots.append(c)
         r += 1
-    return [[int(x) for x in a[k]] for k in range(r)], pivots
+    return a[:r].tolist(), pivots
 
 
 def _rref_mod_py(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -180,31 +179,51 @@ def _rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return basis, pivots
 
 
-def _rref(rows: Sequence[Sequence[Scalar]], field: FieldSpec):
+def _rref(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
+    """RREF basis rows and pivot columns of a sequence of rows or a 2-D array.
+
+    Rational rows may be integers: only the row space is read.
+    """
+    if not len(rows):
+        return [], []
+    if field.is_modular and field.prime <= _INT64_PRIME_LIMIT:
+        a = np.asarray(rows, dtype=np.int64) % field.prime
+        return _rref_mod_np(a[a.any(axis=1)], field.prime)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
     rows = [list(r) for r in rows if any(r)]
     if not rows:
         return [], []
     if field.is_modular:
-        if field.prime <= _INT64_PRIME_LIMIT:
-            return _rref_mod_np(rows, field.prime)
         return _rref_mod_py(rows, field.prime)
     return _rref_frac(rows)
 
 
+def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """The rows of a·rows in exact Python scalars, reduced over GF(p)."""
+    w = np.array(a, dtype=object).dot(rows)
+    return w % field.prime if field.is_modular else w
+
+
+def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
+    """Row space of a sequence of rows or a 2-D array."""
+    basis, pivots = _rref(rows, field)
+    return Subspace(ambient, tuple(map(tuple, basis)), tuple(pivots), field)
+
+
+def _rank(rows, field: FieldSpec) -> int:
+    """Rank of a sequence of rows or a 2-D array."""
+    return len(_rref(rows, field)[1])
+
+
 def rank(m: Matrix) -> int:
     """Rank of the matrix over its field."""
-    return len(_rref(m.entries, m.field)[1])
+    return _rank(m.entries, m.field)
 
 
 def row_space(m: Matrix) -> Subspace:
     """Row space of the matrix as a canonically based subspace."""
-    basis, pivots = _rref(m.entries, m.field)
-    return Subspace(
-        ambient=m.cols,
-        basis=tuple(tuple(row) for row in basis),
-        pivots=tuple(pivots),
-        field=m.field,
-    )
+    return _span(m.entries, m.cols, m.field)
 
 
 def zero_subspace(ambient: int, field: FieldSpec) -> Subspace:
@@ -223,11 +242,7 @@ def _check_pair(a: Subspace, b: Subspace) -> None:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Smallest subspace containing both arguments."""
     _check_pair(a, b)
-    stacked = list(a.basis) + list(b.basis)
-    if not stacked:
-        return zero_subspace(a.ambient, a.field)
-    basis, pivots = _rref(stacked, a.field)
-    return Subspace(a.ambient, tuple(tuple(r) for r in basis), tuple(pivots), a.field)
+    return _span(a.basis + b.basis, a.ambient, a.field)
 
 
 def _nullspace(rows: list[list[Scalar]], cols: int, field: FieldSpec):
@@ -257,36 +272,13 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     _check_pair(a, b)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient, a.field)
-    field = a.field
-    stacked = []
-    for k in range(a.ambient):
-        row = [a.basis[i][k] for i in range(a.dim)]
-        row += [field.neg(b.basis[j][k]) for j in range(b.dim)]
-        stacked.append(row)
-    null = _nullspace(stacked, a.dim + b.dim, field)
+    basis = np.array(a.basis, dtype=object)
+    stacked = np.vstack([basis, -np.array(b.basis, dtype=object)]).T
+    null = _nullspace(stacked, a.dim + b.dim, a.field)
     if not null:
         return zero_subspace(a.ambient, a.field)
-    vecs = []
-    if field.is_modular:
-        p = field.prime
-        for z in null:
-            x = z[: a.dim]
-            vecs.append(
-                [
-                    sum(x[i] * a.basis[i][k] for i in range(a.dim)) % p
-                    for k in range(a.ambient)
-                ]
-            )
-    else:
-        for z in null:
-            x = z[: a.dim]
-            vecs.append(
-                [
-                    sum((x[i] * a.basis[i][k] for i in range(a.dim)), Fraction(0))
-                    for k in range(a.ambient)
-                ]
-            )
-    return row_space(Matrix.from_rows(vecs, field, cols=a.ambient))
+    x = np.array([z[: a.dim] for z in null], dtype=object)
+    return _span(_combine(x, basis, a.field), a.ambient, a.field)
 
 
 def relative_dim(a: Subspace, b: Subspace) -> int:

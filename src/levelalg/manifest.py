@@ -9,8 +9,9 @@ One instance per line: a family name followed by key=value pairs, e.g.
 Blank lines and '#' comments are skipped. Recognized per-instance keys
 beyond the family parameters: c (comma list, default all of 1..t-1),
 trials, seed (default derived from the run seed and the line index),
-label, identities (on/off). A whole run is reproducible from the manifest
-text and the run seed.
+label, identities (on/off). Any other key, or a family parameter the
+family cannot build, is a ManifestError with the line number. A whole run
+is reproducible from the manifest text and the run seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .modules import (
     relative_intersection_dim,
     remix_generators,
 )
-from .families import FAMILY_NAMES, FamilySpec, build_family
+from .families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec, build_family
 
 
 class ManifestError(ValueError):
@@ -80,7 +81,7 @@ class RunSummary:
         }
 
 
-_CONTROL_KEYS = {"c", "trials", "seed", "label", "identities"}
+_CONTROL_KEYS = ("c", "trials", "seed", "label", "identities")
 
 
 def parse_manifest(text: str) -> ExperimentManifest:
@@ -122,6 +123,11 @@ def parse_manifest(text: str) -> ExperimentManifest:
                 if value not in ("on", "off"):
                     raise ManifestError("identities must be on or off", lineno)
                 identities = value == "on"
+            elif key not in FAMILY_PARAMS[family]:
+                known = ", ".join(FAMILY_PARAMS[family] + _CONTROL_KEYS)
+                raise ManifestError(
+                    f"unknown key {key!r} for {family}; known: {known}", lineno
+                )
             elif key == "density":
                 try:
                     params[key] = float(value)
@@ -210,7 +216,10 @@ def run_manifest(
     id_passed = id_failed = 0
     for index, inst in enumerate(manifest.instances):
         inst_seed = inst.seed if inst.seed is not None else derive_seed(seed, index)
-        m = build_family(inst.spec, field, seed=inst_seed)
+        try:
+            m = build_family(inst.spec, field, seed=inst_seed)
+        except ValueError as exc:
+            raise ManifestError(str(exc), inst.line) from exc
         if inst.label:
             m = type(m)(m.generators, m.field, label=inst.label)
         t = m.type

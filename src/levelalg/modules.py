@@ -19,11 +19,13 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from .fields import FieldSpec, Scalar
+import numpy as np
+
+from .fields import FieldSpec
 from .linalg import (
-    Matrix,
     Subspace,
-    rank,
+    _combine,
+    _rank,
     relative_dim,
     subspace_intersection,
     subspace_sum,
@@ -32,12 +34,14 @@ from .polynomials import (
     DerivativeAction,
     Form,
     FormParseError,
+    catalecticant_rows,
+    coefficient_rows,
     derivative_space,
+    form_from_row,
     parse_form,
-    space_dim,
 )
 
-COEFF_RANGE = 10**6  # random coefficients are drawn from [1, 10^6]
+COEFF_RANGE = 10**6  # bound of the random coefficients; see random_coefficient
 
 
 class DependentGeneratorsError(ValueError):
@@ -63,9 +67,10 @@ def derive_seed(*parts) -> int:
 
 
 def random_coefficient(rng: random.Random, field: FieldSpec) -> int:
-    """Nonzero integer coefficient: [1, 10^6] modular, [-10^6, 10^6] rational."""
+    """Nonzero integer coefficient: [1, min(10^6, p-1)] over GF(p), so that
+    it is nonzero modulo p too, and [-10^6, 10^6] over Q."""
     if field.is_modular:
-        return rng.randint(1, COEFF_RANGE)
+        return rng.randint(1, min(COEFF_RANGE, field.prime - 1))
     while True:
         v = rng.randint(-COEFF_RANGE, COEFF_RANGE)
         if v:
@@ -95,9 +100,8 @@ class InverseSystemModule:
             raise ValueError(
                 f"modulus {self.field.prime} must exceed the socle degree {g0.degree}"
             )
-        vecs = [g.coefficient_vector() for g in self.generators]
-        cols = space_dim(g0.num_vars, g0.degree)
-        if rank(Matrix.from_rows(vecs, self.field, cols=cols)) != len(self.generators):
+        coeffs = coefficient_rows(self.generators, integral=True)
+        if _rank(coeffs, self.field) != len(self.generators):
             raise DependentGeneratorsError(
                 f"{len(self.generators)} generators span a smaller space"
             )
@@ -126,12 +130,25 @@ class QuotientSample:
     h: tuple[int, ...]
 
 
+def _graded_ranks(coeffs: np.ndarray, m: InverseSystemModule) -> tuple[int, ...]:
+    """h-vector of the module generated by the forms with coefficient rows
+    `coeffs` in the ring of m: catalecticant ranks from degree 0 to e."""
+    e = m.socle_degree
+    return tuple(
+        _rank(
+            catalecticant_rows(
+                coeffs, m.num_vars, e, e - u, DerivativeAction.CONTRACT, m.field
+            ),
+            m.field,
+        )
+        for u in range(e + 1)
+    )
+
+
 @lru_cache(maxsize=4096)
 def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
     """Dimensions of the graded pieces, from degree 0 to the socle degree."""
-    return tuple(
-        derivative_space(m.generators, u).dim for u in range(m.socle_degree + 1)
-    )
+    return _graded_ranks(coefficient_rows(m.generators, integral=True), m)
 
 
 @lru_cache(maxsize=16384)
@@ -139,21 +156,14 @@ def _single_spaces(m: InverseSystemModule, u: int) -> tuple[Subspace, ...]:
     return tuple(derivative_space([g], u) for g in m.generators)
 
 
-def _combine_forms(
-    generators: tuple[Form, ...], coeffs, field: FieldSpec
-) -> Form:
-    g0 = generators[0]
-    acc: dict[tuple[int, ...], Scalar] = {}
-    zero = field.zero()
-    for coeff, g in zip(coeffs, generators):
-        c = field.reduce(coeff)
-        if c == zero:
-            continue
-        for exps, val in g.terms.items():
-            cur = acc.get(exps, zero)
-            acc[exps] = field.add(cur, field.mul(c, val))
-    acc = {m: v for m, v in acc.items() if v != zero}
-    return Form(g0.num_vars, g0.degree, field, acc)
+def _random_matrix(
+    seed: int, label: str, attempt: int, rows: int, cols: int, field: FieldSpec
+) -> tuple[tuple[int, ...], ...]:
+    rng = random.Random(derive_seed(seed, label, attempt))
+    return tuple(
+        tuple(random_coefficient(rng, field) for _ in range(cols))
+        for _ in range(rows)
+    )
 
 
 def sample_generic_quotient(
@@ -164,10 +174,11 @@ def sample_generic_quotient(
 ) -> QuotientSample:
     """Submodule generated by c random combinations of the generators.
 
-    Draws a c-by-t integer matrix with nonzero random entries and retries
-    (up to 100 derived attempts) until the combinations are independent.
-    An explicit `coefficients` matrix skips the sampling; a 0/1 selection
-    matrix, for instance, picks out a plain subset of the generators.
+    Draws a c-by-t integer matrix A with nonzero random entries and retries
+    (up to 100 derived attempts) until the combinations W = A·F are
+    independent; h is then read off the catalecticants of W. An explicit
+    `coefficients` matrix skips the sampling; a 0/1 selection matrix, for
+    instance, picks out a plain subset of the generators.
     """
     t = m.type
     if not 1 <= c <= t - 1:
@@ -176,24 +187,19 @@ def sample_generic_quotient(
         rows = tuple(tuple(int(x) for x in row) for row in coefficients)
         if len(rows) != c or any(len(r) != t for r in rows):
             raise ValueError(f"coefficient matrix must be {c}x{t}")
-        forms = tuple(_combine_forms(m.generators, row, m.field) for row in rows)
-        sub = InverseSystemModule(forms, m.field, label=f"{m.label}/type{c}")
-        return QuotientSample(m, c, rows, seed, h_vector(sub))
-    for attempt in range(100):
-        rng = random.Random(derive_seed(seed, "quotient", attempt))
-        rows = tuple(
-            tuple(random_coefficient(rng, m.field) for _ in range(t))
-            for _ in range(c)
+        draws = [rows]
+    else:
+        draws = (
+            _random_matrix(seed, "quotient", attempt, c, t, m.field)
+            for attempt in range(100)
         )
-        mat = Matrix.from_rows(rows, m.field, cols=t)
-        if rank(mat) != c:
-            continue
-        forms = tuple(_combine_forms(m.generators, row, m.field) for row in rows)
-        try:
-            sub = InverseSystemModule(forms, m.field, label=f"{m.label}/type{c}")
-        except DependentGeneratorsError:
-            continue
-        return QuotientSample(m, c, rows, seed, h_vector(sub))
+    coeffs = coefficient_rows(m.generators, integral=True)
+    for rows in draws:
+        w = _combine(rows, coeffs, m.field)
+        if _rank(w, m.field) == c:
+            return QuotientSample(m, c, rows, seed, _graded_ranks(w, m))
+    if coefficients is not None:
+        raise DependentGeneratorsError(f"{c} combinations span a smaller space")
     raise DegenerateSampleError(
         f"no independent {c}-of-{t} combination found in 100 attempts"
     )
@@ -231,14 +237,16 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
     the module (hence its h-vector) untouched.
     """
     t = m.type
+    coeffs = coefficient_rows(m.generators)
     for attempt in range(100):
-        rng = random.Random(derive_seed(seed, "remix", attempt))
-        rows = [
-            [random_coefficient(rng, m.field) for _ in range(t)] for _ in range(t)
-        ]
-        if rank(Matrix.from_rows(rows, m.field, cols=t)) != t:
+        a = _random_matrix(seed, "remix", attempt, t, t, m.field)
+        w = _combine(a, coeffs, m.field)
+        if _rank(w, m.field) != t:
             continue
-        forms = tuple(_combine_forms(m.generators, row, m.field) for row in rows)
+        forms = tuple(
+            form_from_row(row, m.num_vars, m.socle_degree, m.field)
+            for row in w.tolist()
+        )
         return InverseSystemModule(forms, m.field, label=m.label)
     raise DegenerateSampleError("no invertible re-mix found in 100 attempts")
 

@@ -4,6 +4,14 @@ operator monomials on them by partial differentiation or by contraction.
 Monomials are bare exponent tuples. Within a fixed degree they are ordered
 graded reverse-lexicographically with y1 > y2 > ..., so index 0 is always
 y1^d; the (monomial -> column index) maps are cached per (num_vars, degree).
+
+Both actions are one gather. The operator x^a sends y^(a+b) to y^b, so the
+row of x^a in a catalecticant reads the form's dense coefficients at the
+indices of a+b, for every monomial b of the lower degree. Those indices
+are cached per (num_vars, degree, operator degree, action), and every
+catalecticant row in the package, apply_operator included, is built from
+that table. Differentiation only adds the falling-factorial weight
+prod_k (a_k + b_k)! / b_k! of each entry; contraction has no weights.
 """
 
 from __future__ import annotations
@@ -12,10 +20,12 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, perm
+from math import comb, gcd, lcm, perm, prod
+
+import numpy as np
 
 from .fields import FieldSpec, Scalar
-from .linalg import Matrix, Subspace, row_space
+from .linalg import Matrix, Subspace, _span
 
 Exponents = tuple[int, ...]
 
@@ -67,30 +77,6 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponents, ...]:
 @lru_cache(maxsize=None)
 def monomial_index(num_vars: int, degree: int) -> dict[Exponents, int]:
     return {m: i for i, m in enumerate(monomials_of_degree(num_vars, degree))}
-
-
-def _divisors_of_degree(exps: Exponents, degree: int) -> list[Exponents]:
-    """All exponent vectors a <= exps componentwise with total degree `degree`."""
-    n = len(exps)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + exps[i]
-    out: list[Exponents] = []
-    acc: list[int] = []
-
-    def rec(idx: int, rem: int) -> None:
-        if rem > suffix[idx]:
-            return
-        if idx == n:
-            out.append(tuple(acc))
-            return
-        for k in range(min(exps[idx], rem), -1, -1):
-            acc.append(k)
-            rec(idx + 1, rem - k)
-            acc.pop()
-
-    rec(0, degree)
-    return out
 
 
 class Form:
@@ -318,30 +304,18 @@ def apply_operator(
     Differentiation multiplies by falling factorials; contraction just
     lowers exponents with coefficient 1. Either way a term not divisible
     by the operator dies. The result is a Form of degree deg - |op|,
-    possibly zero.
+    possibly zero: the row of op in the catalecticant of the form.
     """
     i = sum(op)
     if len(op) != form.num_vars:
         raise ParameterMismatchError(
             f"operator has {len(op)} variables, form has {form.num_vars}"
         )
-    if i > form.degree:
-        raise ValueError(f"operator degree {i} exceeds form degree {form.degree}")
-    field = form.field
-    out: dict[Exponents, Scalar] = {}
-    for exps, coeff in form.terms.items():
-        if all(b >= a for b, a in zip(exps, op)):
-            target = tuple(b - a for b, a in zip(exps, op))
-            if action is DerivativeAction.DIFFERENTIATE:
-                factor = 1
-                for b, a in zip(exps, op):
-                    factor *= perm(b, a)
-                c = field.mul(coeff, field.reduce(factor))
-                if c != field.zero():
-                    out[target] = c
-            else:
-                out[target] = coeff
-    return Form(form.num_vars, form.degree - i, field, out)
+    k = monomial_index(form.num_vars, i).get(tuple(op))
+    if k is None:
+        raise ValueError(f"negative exponent in operator {op}")
+    row = catalecticant([form], i, action).entries[k]
+    return form_from_row(row, form.num_vars, form.degree - i, form.field)
 
 
 def _check_family(forms) -> tuple[int, int, FieldSpec]:
@@ -360,6 +334,69 @@ def _check_family(forms) -> tuple[int, int, FieldSpec]:
     return first.num_vars, first.degree, first.field
 
 
+def coefficient_rows(forms, integral: bool = False) -> np.ndarray:
+    """Dense coefficient vectors of the forms, one row each, as an array of
+    exact Python scalars: arithmetic on it cannot overflow, and only the
+    elimination converts to int64. `integral` scales rational rows by one
+    common denominator to integers, which keeps ranks and row spaces but
+    not the values.
+    """
+    _, _, field = _check_family(forms)
+    rows = [f.coefficient_vector() for f in forms]
+    if integral and not field.is_modular:
+        den = lcm(*(x.denominator for row in rows for x in row))
+        rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return np.array(rows, dtype=object)
+
+
+def form_from_row(row, num_vars: int, degree: int, field: FieldSpec) -> Form:
+    """The Form whose dense coefficients, in monomial order, are `row`."""
+    monos = monomials_of_degree(num_vars, degree)
+    return Form(num_vars, degree, field, {m: c for m, c in zip(monos, row) if c})
+
+
+@lru_cache(maxsize=None)
+def _gather_table(
+    num_vars: int, degree: int, i: int, action: DerivativeAction
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Where each catalecticant entry comes from, and its weight.
+
+    Entry (op, m), for a degree-i operator op and a degree-(degree-i)
+    monomial m, is the index of op*m among the degree-`degree` monomials.
+    The weights are prod_k perm(op_k + m_k, op_k), Python ints, for
+    DIFFERENTIATE and None for CONTRACT.
+    """
+    index = monomial_index(num_vars, degree)
+    ops = monomials_of_degree(num_vars, i)
+    monos = monomials_of_degree(num_vars, degree - i)
+    products = [[tuple(a + b for a, b in zip(op, m)) for m in monos] for op in ops]
+    table = np.array([[index[x] for x in row] for row in products], dtype=np.intp)
+    if action is DerivativeAction.CONTRACT:
+        return table, None
+    weights = [[prod(map(perm, x, op)) for x in row] for op, row in zip(ops, products)]
+    return table, np.array(weights, dtype=object)
+
+
+def catalecticant_rows(
+    coeffs: np.ndarray,
+    num_vars: int,
+    degree: int,
+    i: int,
+    action: DerivativeAction,
+    field: FieldSpec,
+) -> np.ndarray:
+    """Catalecticant of the forms whose coefficient rows are `coeffs`.
+
+    One row per (form, degree-i operator) pair, in form order then
+    operator order, gathered from `coeffs` through the cached table.
+    """
+    table, weights = _gather_table(num_vars, degree, i, action)
+    rows = coeffs[:, table]
+    if weights is not None:
+        rows = rows * weights % field.prime if field.is_modular else rows * weights
+    return rows.reshape(-1, table.shape[1])
+
+
 def catalecticant(
     forms, i: int, action: DerivativeAction = DerivativeAction.CONTRACT
 ) -> Matrix:
@@ -372,51 +409,19 @@ def catalecticant(
     num_vars, degree, field = _check_family(forms)
     if not 0 <= i <= degree:
         raise ValueError(f"operator degree {i} out of range 0..{degree}")
-    ops = monomials_of_degree(num_vars, i)
-    cols = space_dim(num_vars, degree - i)
-    idx = monomial_index(num_vars, degree - i)
-    zero = field.zero()
-    rows = []
-    for f in forms:
-        for op in ops:
-            g = apply_operator(op, f, action)
-            vec = [zero] * cols
-            for exps, coeff in g.terms.items():
-                vec[idx[exps]] = coeff
-            rows.append(vec)
-    return Matrix.from_rows(rows, field, cols=cols)
+    coeffs = coefficient_rows(forms)
+    rows = catalecticant_rows(coeffs, num_vars, degree, i, action, field)
+    return Matrix.from_rows(rows.tolist(), field, cols=rows.shape[1])
 
 
 def derivative_space(
     forms, u: int, action: DerivativeAction = DerivativeAction.CONTRACT
 ) -> Subspace:
-    """Degree-u subspace spanned by all order-(e-u) derivatives of the forms.
-
-    Equals the row space of catalecticant(forms, e-u); computed here from
-    the operators that actually divide some term, skipping the zero rows.
-    """
+    """Degree-u subspace spanned by all order-(e-u) derivatives of the forms:
+    the row space of catalecticant(forms, e-u)."""
     num_vars, degree, field = _check_family(forms)
     if not 0 <= u <= degree:
         raise ValueError(f"degree {u} out of range 0..{degree}")
-    i = degree - u
-    cols = space_dim(num_vars, u)
-    idx = monomial_index(num_vars, u)
-    op_order = monomial_index(num_vars, i)
-    zero = field.zero()
-    rows = []
-    for f in forms:
-        ops: set[Exponents] = set()
-        for exps in f.terms:
-            ops.update(_divisors_of_degree(exps, i))
-        for op in sorted(ops, key=op_order.get):
-            g = apply_operator(op, f, action)
-            if g.terms:
-                vec = [zero] * cols
-                for exps, coeff in g.terms.items():
-                    vec[idx[exps]] = coeff
-                rows.append(vec)
-    if not rows:
-        from .linalg import zero_subspace
-
-        return zero_subspace(cols, field)
-    return row_space(Matrix.from_rows(rows, field, cols=cols))
+    coeffs = coefficient_rows(forms, integral=True)
+    rows = catalecticant_rows(coeffs, num_vars, degree, degree - u, action, field)
+    return _span(rows, rows.shape[1], field)

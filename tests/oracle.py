@@ -1,0 +1,169 @@
+"""Reference builders for the catalecticant kernel, kept as test oracles.
+
+The package builds every catalecticant row by gathering dense coefficient
+rows through a cached index table, and draws a quotient sample as the
+rows of A·F. These are the slower constructions it replaced: operators
+act on a form term by term, derivative spaces are built operator by
+operator from the monomials that divide some term, and a quotient sample
+combines Form objects and takes the h-vector of the module they span.
+"""
+
+import random
+from math import perm
+
+from levelalg.linalg import Matrix, rank, row_space, zero_subspace
+from levelalg.modules import (
+    DegenerateSampleError,
+    DependentGeneratorsError,
+    derive_seed,
+    random_coefficient,
+)
+from levelalg.polynomials import (
+    DerivativeAction,
+    Form,
+    monomial_index,
+    monomials_of_degree,
+    space_dim,
+)
+
+CONT = DerivativeAction.CONTRACT
+
+
+def divisors_of_degree(exps, degree):
+    """All exponent vectors a <= exps componentwise with total degree `degree`."""
+    n = len(exps)
+    suffix = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + exps[i]
+    out = []
+    acc = []
+
+    def rec(idx, rem):
+        if rem > suffix[idx]:
+            return
+        if idx == n:
+            out.append(tuple(acc))
+            return
+        for k in range(min(exps[idx], rem), -1, -1):
+            acc.append(k)
+            rec(idx + 1, rem - k)
+            acc.pop()
+
+    rec(0, degree)
+    return out
+
+
+def apply_operator(op, form, action=CONT):
+    """x^op acting on each term of the form in turn."""
+    field = form.field
+    out = {}
+    for exps, coeff in form.terms.items():
+        if all(b >= a for b, a in zip(exps, op)):
+            target = tuple(b - a for b, a in zip(exps, op))
+            if action is DerivativeAction.DIFFERENTIATE:
+                factor = 1
+                for b, a in zip(exps, op):
+                    factor *= perm(b, a)
+                c = field.mul(coeff, field.reduce(factor))
+                if c != field.zero():
+                    out[target] = c
+            else:
+                out[target] = coeff
+    return Form(form.num_vars, form.degree - sum(op), field, out)
+
+
+def _dense(form):
+    idx = monomial_index(form.num_vars, form.degree)
+    vec = [form.field.zero()] * len(idx)
+    for exps, coeff in form.terms.items():
+        vec[idx[exps]] = coeff
+    return vec
+
+
+def catalecticant(forms, i, action=CONT):
+    """One apply_operator call per (form, degree-i operator) pair."""
+    f0 = forms[0]
+    rows = [
+        _dense(apply_operator(op, f, action))
+        for f in forms
+        for op in monomials_of_degree(f0.num_vars, i)
+    ]
+    return Matrix.from_rows(rows, f0.field, cols=space_dim(f0.num_vars, f0.degree - i))
+
+
+def derivative_space(forms, u, action=CONT):
+    """Row space of the nonzero derivatives by operators dividing some term."""
+    f0 = forms[0]
+    i = f0.degree - u
+    op_order = monomial_index(f0.num_vars, i)
+    rows = []
+    for f in forms:
+        ops = set()
+        for exps in f.terms:
+            ops.update(divisors_of_degree(exps, i))
+        for op in sorted(ops, key=op_order.get):
+            g = apply_operator(op, f, action)
+            if g.terms:
+                rows.append(_dense(g))
+    cols = space_dim(f0.num_vars, u)
+    if not rows:
+        return zero_subspace(cols, f0.field)
+    return row_space(Matrix.from_rows(rows, f0.field, cols=cols))
+
+
+def h_vector(forms):
+    return tuple(derivative_space(forms, u).dim for u in range(forms[0].degree + 1))
+
+
+def combine_forms(generators, coeffs, field):
+    """The Form sum_j coeffs[j] * generators[j], accumulated term by term."""
+    g0 = generators[0]
+    acc = {}
+    zero = field.zero()
+    for coeff, g in zip(coeffs, generators):
+        c = field.reduce(coeff)
+        if c == zero:
+            continue
+        for exps, val in g.terms.items():
+            acc[exps] = field.add(acc.get(exps, zero), field.mul(c, val))
+    return Form(g0.num_vars, g0.degree, field, acc)
+
+
+def _independent(forms, field):
+    rows = [f.coefficient_vector() for f in forms]
+    return rank(Matrix.from_rows(rows, field)) == len(forms)
+
+
+def sample_generic_quotient(m, c, seed=0, coefficients=None):
+    """(coefficients, h) of a quotient sample, drawn as the package draws it."""
+    t = m.type
+    if coefficients is not None:
+        draws = [tuple(tuple(int(x) for x in row) for row in coefficients)]
+    else:
+        draws = []
+        for attempt in range(100):
+            rng = random.Random(derive_seed(seed, "quotient", attempt))
+            draws.append(tuple(
+                tuple(random_coefficient(rng, m.field) for _ in range(t))
+                for _ in range(c)
+            ))
+    for rows in draws:
+        if rank(Matrix.from_rows(rows, m.field, cols=t)) != c:
+            continue
+        forms = [combine_forms(m.generators, row, m.field) for row in rows]
+        if _independent(forms, m.field):
+            return rows, h_vector(forms)
+    if coefficients is not None:
+        raise DependentGeneratorsError("dependent combinations")
+    raise DegenerateSampleError("no independent combination in 100 attempts")
+
+
+def remix_generators(m, seed=0):
+    """The generators a re-mix with this seed produces, combined term by term."""
+    t = m.type
+    for attempt in range(100):
+        rng = random.Random(derive_seed(seed, "remix", attempt))
+        rows = [[random_coefficient(rng, m.field) for _ in range(t)] for _ in range(t)]
+        if rank(Matrix.from_rows(rows, m.field, cols=t)) == t:
+            return tuple(combine_forms(m.generators, row, m.field) for row in rows)
+    raise DegenerateSampleError("no invertible re-mix in 100 attempts")

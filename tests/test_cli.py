@@ -247,6 +247,29 @@ def test_verify_bad_manifest(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path / "ghost.txt")]) == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sharp t=1 p=1 e=3",
+        "random-dense r=2 e=1 t=5",
+        "random-sparse r=3 e=3 t=2 density=2",
+    ],
+)
+def test_verify_bad_family_parameters_exit_two(tmp_path, capsys, line):
+    f = tmp_path / "bad.txt"
+    f.write_text(line + "\n")
+    assert cli.main(["verify", str(f)]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_verify_unknown_key_exits_two(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text("sharp t=3 e=3 bogus=4 c=1\n")
+    assert cli.main(["verify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "bogus" in err
+
+
 def test_verify_exit_code_on_violation(manifest_file, capsys, monkeypatch):
     # force the summary to report a violation: the exit code must flip
     from levelalg.manifest import RunSummary

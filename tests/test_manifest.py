@@ -2,7 +2,7 @@
 
 import pytest
 
-from levelalg.families import FamilySpec
+from levelalg.families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec
 from levelalg.fields import FieldSpec
 from levelalg.manifest import (
     ManifestError,
@@ -64,6 +64,25 @@ def test_parse_manifest_errors():
         parse_manifest("sharp t=3 e=3 identities=maybe\n")
     with pytest.raises(ManifestError, match="bad density"):
         parse_manifest("random-sparse r=3 e=3 t=2 density=thin\n")
+    with pytest.raises(ManifestError, match="unknown key 'bogus'") as err:
+        parse_manifest("sharp t=3 e=3\nsharp t=3 e=3 bogus=4 c=1\n")
+    assert err.value.line == 2
+    with pytest.raises(ManifestError, match="unknown key 'density'"):
+        parse_manifest("random-dense r=3 e=3 t=2 density=0.5\n")
+
+
+def test_family_parameter_table_covers_every_family():
+    assert set(FAMILY_PARAMS) == set(FAMILY_NAMES)
+    for family, keys in FAMILY_PARAMS.items():
+        line = family + " " + " ".join(f"{k}=1" for k in keys)
+        assert parse_manifest(line).instances[0].spec.family == family
+
+
+def test_run_manifest_family_errors_carry_the_line():
+    man = parse_manifest("sharp t=3 e=3 c=1\n\nsharp t=1 p=1 e=3\n")
+    with pytest.raises(ManifestError, match="need type") as err:
+        run_manifest(man, MOD)
+    assert err.value.line == 3
 
 
 def test_run_manifest_counts():

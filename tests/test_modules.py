@@ -8,10 +8,11 @@ small catalecticant blocks, computed by hand in the comments.
 import random
 from fractions import Fraction
 
+import oracle
 import pytest
 
-from levelalg.families import sharp_family
-from levelalg.fields import FieldSpec
+from levelalg.families import random_module, sharp_family
+from levelalg.fields import DEFAULT_PRIME, FieldSpec
 from levelalg.modules import (
     DegenerateSampleError,
     DependentGeneratorsError,
@@ -25,6 +26,7 @@ from levelalg.modules import (
     intersection_dim,
     module_to_text,
     parse_module_file,
+    random_coefficient,
     relative_intersection_dim,
     remix_generators,
     sample_generic_quotient,
@@ -33,6 +35,16 @@ from levelalg.polynomials import Form, parse_form
 
 MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
+BIG = FieldSpec.modular(4294967311)
+
+# three cubics whose coefficients reduce to just below the default prime
+NEGATIVE_TEXT = """\
+vars: 3
+degree: 3
+F1: -y1^3 - 2*y1^2*y2 - y2^3 - 3*y1*y2*y3
+F2: -y1^3 - y1*y2^2 - 5*y3^3 - y1*y2*y3
+F3: -2*y1^3 - y2^3 - y1*y3^2 - 7*y1*y2*y3
+"""
 
 
 def _mono(num_vars, exps, field=MOD):
@@ -198,6 +210,78 @@ def test_empirical_h_monotone_in_trials_and_bounded_by_parent():
     assert all(b <= hh for b, hh in zip(more, h))
     assert more[0] == 1
     assert more[-1] == 2
+
+
+def test_h_vector_matches_oracle():
+    for field in (MOD, RAT, BIG):
+        for k in range(6):
+            m = random_module(3, 4, 3, 0.5, k, field)
+            assert h_vector(m) == oracle.h_vector(m.generators)
+
+
+def test_seeded_samples_match_the_oracle():
+    # the same retry sequence, coefficients and h as combining Forms and
+    # taking the h-vector of the module they span; c = t-1 included
+    cases = [
+        (random_module(3, 4, 4, 0.5, 3, MOD), (1, 2, 3)),
+        (random_module(4, 3, 3, 0.4, 8, RAT), (1, 2)),
+        (random_module(3, 3, 3, 0.6, 2, BIG), (1, 2)),
+        (random_module(3, 3, 3, 0.6, 2, FieldSpec.modular(97)), (1, 2)),
+        (sharp_family(t=4, p=1, e=3, field=MOD), (1, 3)),
+        (parse_module_file(NEGATIVE_TEXT), (1, 2)),
+    ]
+    for m, cs in cases:
+        for c in cs:
+            for seed in range(4):
+                s = sample_generic_quotient(m, c, seed=seed)
+                assert (s.coefficients, s.h) == oracle.sample_generic_quotient(
+                    m, c, seed=seed
+                )
+
+
+def test_explicit_coefficients_agree_across_fields():
+    # -1 reduces to p-1 and the generators' entries sit just below p too,
+    # so an int64 product A·V of these would wrap around
+    for coefficients in ([[-1, 1, 0], [0, -1, 1]], [[-1, -2, -3], [-4, -5, -7]]):
+        h = {}
+        for field in (MOD, RAT, BIG):
+            m = parse_module_file(NEGATIVE_TEXT, field_override=field)
+            h[field] = sample_generic_quotient(m, 2, coefficients=coefficients).h
+            assert h[field] == oracle.sample_generic_quotient(
+                m, 2, coefficients=coefficients
+            )[1]
+        assert h[MOD] == h[RAT] == h[BIG]
+    # the second row is twice the first, which a wrapped int64 sum would hide
+    m = parse_module_file(NEGATIVE_TEXT)
+    with pytest.raises(DependentGeneratorsError):
+        sample_generic_quotient(m, 2, coefficients=[[-1, -1, -1], [-2, -2, -2]])
+
+
+def test_remix_over_rationals_is_exactly_the_combination():
+    gens = (
+        Form(2, 3, RAT, {(3, 0): Fraction(1, 2), (1, 2): Fraction(-3, 7)}),
+        Form(2, 3, RAT, {(2, 1): Fraction(5, 3), (0, 3): 1}),
+        Form(2, 3, RAT, {(1, 2): Fraction(2, 9), (0, 3): Fraction(-1, 4)}),
+    )
+    m = InverseSystemModule(gens, RAT)
+    for seed in range(3):
+        assert remix_generators(m, seed).generators == oracle.remix_generators(m, seed)
+
+
+def test_random_coefficient_never_zero_modulo_a_small_prime():
+    rng = random.Random(5)
+    draws = [random_coefficient(rng, FieldSpec.modular(97)) for _ in range(5000)]
+    assert all(1 <= x <= 96 for x in draws)
+    assert len(set(draws)) == 96
+    assert {random_coefficient(rng, FieldSpec.modular(2)) for _ in range(50)} == {1}
+
+
+def test_random_coefficient_default_prime_draws_unchanged():
+    rng, ref = random.Random(11), random.Random(11)
+    field = FieldSpec.modular(DEFAULT_PRIME)
+    assert [random_coefficient(rng, field) for _ in range(1000)] == [
+        ref.randint(1, 10**6) for _ in range(1000)
+    ]
 
 
 def test_remix_preserves_module():

@@ -1,7 +1,9 @@
 """Monomial order, form parsing, operator actions, catalecticants."""
 
 import random
+from fractions import Fraction
 
+import oracle
 import pytest
 
 from levelalg.fields import FieldSpec
@@ -22,6 +24,8 @@ from levelalg.polynomials import (
 
 MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
+# a prime above isqrt(2**63 - 1), forcing the Python-int kernel
+BIG = FieldSpec.modular(4294967311)
 DIFF = DerivativeAction.DIFFERENTIATE
 CONT = DerivativeAction.CONTRACT
 
@@ -215,6 +219,8 @@ def test_operator_degree_and_arity_errors():
         apply_operator((4,), f)
     with pytest.raises(ParameterMismatchError):
         apply_operator((1, 0), f)
+    with pytest.raises(ValueError, match="negative"):
+        apply_operator((2, -1), Form(2, 3, MOD, {(3, 0): 1}))
 
 
 def test_operator_composition_seeded():
@@ -322,23 +328,40 @@ def test_derivative_space_three_quadric_generators():
     assert derivative_space(gens, 1).dim == 4
 
 
+def _random_coefficient(rng, field):
+    if field is RAT:
+        return Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 6))
+    if field is BIG:
+        return rng.randint(1, field.prime - 1)
+    return rng.randint(1, 9)
+
+
 def test_derivative_space_matches_catalecticant_row_space():
     rng = random.Random(2024)
-    for trial in range(25):
+    for field in [MOD, RAT, BIG] * 25:
         n = rng.randint(2, 3)
         d = rng.randint(2, 4)
         monos = monomials_of_degree(n, d)
         forms = []
         for _ in range(rng.randint(1, 3)):
             terms = {
-                m: rng.randint(1, 9)
+                m: _random_coefficient(rng, field)
                 for m in rng.sample(monos, rng.randint(1, len(monos)))
             }
-            forms.append(Form(n, d, MOD, terms))
+            forms.append(Form(n, d, field, terms))
         for u in range(d + 1):
             for action in (DIFF, CONT):
                 s = derivative_space(forms, u, action)
-                assert s == row_space(catalecticant(forms, d - u, action))
+                cat = catalecticant(forms, d - u, action)
+                assert s == row_space(cat)
+                # the gather against the per-operator, per-term oracle
+                assert s == oracle.derivative_space(forms, u, action)
+                assert cat == oracle.catalecticant(forms, d - u, action)
+                for op in monomials_of_degree(n, d - u):
+                    for f in forms:
+                        assert apply_operator(op, f, action) == oracle.apply_operator(
+                            op, f, action
+                        )
 
 
 def test_actions_agree_on_monomial_forms():
