@@ -1,24 +1,29 @@
 """Exact dense linear algebra over GF(p) or the rationals.
 
 Everything here is about row spaces: ranks, reduced bases, sums,
-intersections and relative dimensions. Reduction always produces the
-reduced row echelon form with first-nonzero-column pivoting, so a row
-space has exactly one stored basis and identical inputs yield identical
-output, bit for bit. All functions are pure; Matrix and Subspace are
-immutable and safe to share between threads.
+intersections and relative dimensions. A Subspace is always stored as
+its reduced row echelon form with first-nonzero-column pivoting, so a
+row space has exactly one stored basis and identical inputs yield
+identical output, bit for bit. All functions are pure; Matrix and
+Subspace are immutable and safe to share between threads.
 
-The modular kernel runs on int64 numpy arrays (valid because the default
-modulus is below isqrt(2**63), so a product of two reduced entries never
-overflows). The rational kernel clears rows to coprime integers, runs a
-fraction-free forward pass, and only touches Fraction on the compact
-echelon, which keeps exact arithmetic affordable.
+Each field has one forward elimination, and ranks, relative dimensions
+and intersections stop after it; only a canonical basis pays for the
+back-substitution. Over GF(p) the forward pass runs on int64 numpy arrays
+(valid because the default modulus is below isqrt(2**63), so a product of
+two reduced entries never overflows), or on object arrays of Python ints
+for larger primes. Over Q it is fraction-free: rows are scaled to
+integers and stay integers, each eliminated row divided by its content,
+and Fraction appears only in the back-substitution of a canonical basis.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import reduce
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -76,71 +81,43 @@ class Subspace:
         return len(self.basis)
 
 
-def _rref_mod_np(a: np.ndarray, p: int) -> tuple[list[list[int]], list[int]]:
+def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Forward pass over GF(p) on an int64 array, or on an object array of
+    Python ints for primes whose squares overflow int64: each pivot is
+    scaled to 1 and cleared below only."""
     nr, nc = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        if np.any(col):
-            a = (a - np.outer(col, a[r])) % p
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1 :, c]
+        if below.any():
+            a[r + 1 :, c:] = (a[r + 1 :, c:] - np.outer(below, a[r, c:])) % p
         pivots.append(c)
         r += 1
-    return a[:r].tolist(), pivots
+    return a[:r], pivots
 
 
-def _rref_mod_py(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    # fallback for moduli whose squares overflow int64
-    mat = [[x % p for x in row] for row in rows]
-    nc = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == len(mat):
-            break
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        prow = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], prow)]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+def _clear_row(row: Sequence[int | Fraction]) -> list[int]:
+    """The row times the lcm of its denominators: integers, same span."""
+    den = lcm(*{x.denominator for x in row})
+    if den == 1:
+        return list(map(int, row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // gcd(den, d)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    mat = [_clear_row(row) for row in rows]
+def _echelon_int(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward pass over the integers: a row below a pivot
+    becomes pivot * row - lead * pivot row, divided by its content, so
+    entries stay small and no Fraction is built."""
     nc = len(mat[0]) if mat else 0
     pivots: list[int] = []
     r = 0
@@ -157,46 +134,50 @@ def _rref_frac(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
             li = mat[i][c]
             if li:
                 new = [pl * x - li * y for x, y in zip(mat[i], prow)]
-                g = 0
-                for v in new:
-                    g = gcd(g, v)
-                if g > 1:
-                    new = [v // g for v in new]
-                mat[i] = new
+                # reduce, not gcd(*new): the argument tuple per row showed
+                # in peak memory
+                g = reduce(gcd, new, 0)
+                mat[i] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    basis = [[Fraction(v) for v in mat[k]] for k in range(r)]
-    for k in range(r):
-        lead = basis[k][pivots[k]]
-        if lead != 1:
-            basis[k] = [x / lead for x in basis[k]]
-    for k in range(r - 1, -1, -1):
-        c = pivots[k]
-        for j in range(k):
-            f = basis[j][c]
-            if f:
-                basis[j] = [x - f * y for x, y in zip(basis[j], basis[k])]
-    return basis, pivots
+    return mat[:r], pivots
+
+
+def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
+    """Forward elimination of a sequence of rows or a 2-D array.
+
+    Returns the nonzero rows of an echelon form as a new 2-D array with
+    the input's column count, and their pivot columns. Over GF(p) each
+    pivot is 1; over Q the rows are integers (each input row is scaled to
+    integers first, which keeps the row space).
+    """
+    if not len(rows):
+        return np.zeros((0, 0), dtype=object), []
+    if field.is_modular:
+        p = field.prime
+        dtype = np.int64 if p <= _INT64_PRIME_LIMIT else object
+        return _echelon_mod(np.array(rows, dtype=dtype) % p, p)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    mat, pivots = _echelon_int([_clear_row(row) for row in rows if any(row)])
+    return np.array(mat, dtype=object).reshape(len(mat), len(rows[0])), pivots
 
 
 def _rref(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
-    """RREF basis rows and pivot columns of a sequence of rows or a 2-D array.
-
-    Rational rows may be integers: only the row space is read.
-    """
-    if not len(rows):
+    """RREF basis rows, as lists of field scalars, and pivot columns: the
+    forward pass, then each pivot scaled to 1 and cleared above."""
+    a, pivots = _echelon(rows, field)
+    if not pivots:
         return [], []
-    if field.is_modular and field.prime <= _INT64_PRIME_LIMIT:
-        a = np.asarray(rows, dtype=np.int64) % field.prime
-        return _rref_mod_np(a[a.any(axis=1)], field.prime)
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return [], []
-    if field.is_modular:
-        return _rref_mod_py(rows, field.prime)
-    return _rref_frac(rows)
+    if not field.is_modular:
+        a = a / np.array([Fraction(a[k, c]) for k, c in enumerate(pivots)])[:, None]
+    for k in range(len(pivots) - 1, 0, -1):
+        col = a[:k, pivots[k]]
+        if col.any():
+            a[:k] = a[:k] - np.outer(col, a[k])
+            if field.is_modular:
+                a[:k] %= field.prime
+    return a.tolist(), pivots
 
 
 def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -212,8 +193,8 @@ def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
 
 
 def _rank(rows, field: FieldSpec) -> int:
-    """Rank of a sequence of rows or a 2-D array."""
-    return len(_rref(rows, field)[1])
+    """Rank of a sequence of rows or a 2-D array: the forward pass alone."""
+    return len(_echelon(rows, field)[1])
 
 
 def rank(m: Matrix) -> int:
@@ -245,47 +226,39 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return _span(a.basis + b.basis, a.ambient, a.field)
 
 
-def _nullspace(rows: list[list[Scalar]], cols: int, field: FieldSpec):
-    """Basis of the right null space {x : rows @ x = 0}."""
-    basis, pivots = _rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    out = []
-    zero = field.zero()
-    one = field.one()
-    for f in free:
-        v = [zero] * cols
-        v[f] = one
-        for k, pc in enumerate(pivots):
-            v[pc] = field.neg(basis[k][f])
-        out.append(v)
-    return out
+def _meet(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Echelon rows spanning row space(a) ∩ row space(b) (Zassenhaus).
+
+    The row space of [[a, a], [b, 0]] is {(x·a + y·b, x·a)}. Its echelon
+    rows whose left half is zero therefore have right halves x·a = -y·b,
+    and those right halves are an echelon basis of the intersection.
+    """
+    k, n = a.shape
+    z = np.zeros((k + len(b), 2 * n), dtype=a.dtype)
+    z[:k, :n] = z[:k, n:] = a
+    z[k:, :n] = b
+    rows, pivots = _echelon(z, field)
+    return rows[bisect_left(pivots, n) :, n:]
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, via the null space of the stacked coefficient system.
-
-    A vector lies in both row spaces iff it is x @ A = y @ B for some
-    coefficient vectors x, y; these are the null vectors of the ambient-by-
-    (dim a + dim b) system [A^T | -B^T].
-    """
+    """Intersection, by the Zassenhaus algorithm: one forward elimination
+    of the stacked bases [[A, A], [B, 0]], whose rows with a zero left half
+    span the intersection in their right half."""
     _check_pair(a, b)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient, a.field)
-    basis = np.array(a.basis, dtype=object)
-    stacked = np.vstack([basis, -np.array(b.basis, dtype=object)]).T
-    null = _nullspace(stacked, a.dim + b.dim, a.field)
-    if not null:
-        return zero_subspace(a.ambient, a.field)
-    x = np.array([z[: a.dim] for z in null], dtype=object)
-    return _span(_combine(x, basis, a.field), a.ambient, a.field)
+    rows = _meet(
+        np.array(a.basis, dtype=object), np.array(b.basis, dtype=object), a.field
+    )
+    return _span(rows, a.ambient, a.field)
 
 
 def relative_dim(a: Subspace, b: Subspace) -> int:
     """dim a - dim(a intersect b), i.e. the dimension of a modulo b.
 
-    Computed as dim(a + b) - dim b, which is the same number by the
-    Grassmann identity and needs a single elimination.
+    Computed as rank(a + b) - dim b, which is the same number by the
+    Grassmann identity and needs a single forward elimination.
     """
     _check_pair(a, b)
-    return subspace_sum(a, b).dim - b.dim
+    return _rank(a.basis + b.basis, a.field) - b.dim

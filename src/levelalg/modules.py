@@ -16,27 +16,20 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, reduce
-from itertools import combinations
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import (
-    Subspace,
-    _combine,
-    _rank,
-    relative_dim,
-    subspace_intersection,
-    subspace_sum,
-)
+from .linalg import _combine, _echelon, _meet, _rank
 from .polynomials import (
     DerivativeAction,
     Form,
     FormParseError,
     catalecticant_rows,
     coefficient_rows,
-    derivative_space,
     form_from_row,
     parse_form,
 )
@@ -151,9 +144,37 @@ def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
     return _graded_ranks(coefficient_rows(m.generators, integral=True), m)
 
 
+def _derivative_rows(
+    coeffs: np.ndarray, num_vars: int, e: int, u: int, field: FieldSpec
+) -> tuple[np.ndarray, ...]:
+    """Echelon rows of the degree-u derivative space of each form whose
+    coefficient row is in `coeffs`."""
+    return tuple(
+        _echelon(
+            catalecticant_rows(
+                coeffs[j : j + 1], num_vars, e, e - u, DerivativeAction.CONTRACT, field
+            ),
+            field,
+        )[0]
+        for j in range(len(coeffs))
+    )
+
+
 @lru_cache(maxsize=16384)
-def _single_spaces(m: InverseSystemModule, u: int) -> tuple[Subspace, ...]:
-    return tuple(derivative_space([g], u) for g in m.generators)
+def _single_spaces(m: InverseSystemModule, u: int) -> tuple[np.ndarray, ...]:
+    """Each generator's degree-u echelon rows; shared, so never written to."""
+    coeffs = coefficient_rows(m.generators, integral=True)
+    return _derivative_rows(coeffs, m.num_vars, m.socle_degree, u, m.field)
+
+
+def _meet_all(spaces, field: FieldSpec) -> np.ndarray:
+    """Echelon rows spanning the intersection of the spaces' row spaces."""
+    inter = spaces[0]
+    for rows in spaces[1:]:
+        if not len(inter):
+            break
+        inter = _meet(inter, rows, field)
+    return inter
 
 
 def _random_matrix(
@@ -237,14 +258,18 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
     the module (hence its h-vector) untouched.
     """
     t = m.type
-    coeffs = coefficient_rows(m.generators)
+    # den·F in integers, den the common denominator coefficient_rows clears
+    coeffs = coefficient_rows(m.generators, integral=True)
+    den = lcm(*(x.denominator for g in m.generators for x in g.terms.values()))
     for attempt in range(100):
         a = _random_matrix(seed, "remix", attempt, t, t, m.field)
         w = _combine(a, coeffs, m.field)
         if _rank(w, m.field) != t:
             continue
         forms = tuple(
-            form_from_row(row, m.num_vars, m.socle_degree, m.field)
+            form_from_row(
+                [Fraction(x, den) for x in row], m.num_vars, m.socle_degree, m.field
+            )
             for row in w.tolist()
         )
         return InverseSystemModule(forms, m.field, label=m.label)
@@ -266,8 +291,10 @@ def intersection_dim(forms, u: int) -> int:
     e = family[0].degree
     if not 1 <= u <= e - 1:
         raise ValueError(f"degree u={u} out of range 1..{e - 1}")
-    spaces = [derivative_space([f], u) for f in family]
-    return reduce(subspace_intersection, spaces).dim
+    f0 = family[0]
+    coeffs = coefficient_rows(family, integral=True)
+    spaces = _derivative_rows(coeffs, f0.num_vars, e, u, f0.field)
+    return len(_meet_all(spaces, f0.field))
 
 
 def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
@@ -276,19 +303,28 @@ def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
     Pairs count positive, triples negative, and so on; for generically
     chosen generators this equals t * H_u(generic Gorenstein quotient)
     minus h_u. Use remix_generators first when that identity is wanted.
+
+    The subsets are walked depth-first in lexicographic order, each
+    intersection being its parent's meet with one more generator, so every
+    subset of two or more costs one meet. A subtree is pruned once its
+    intersection is 0, since every superset then contributes 0.
     """
     _check_degree(m, u)
     t = m.type
     if t < 2:
         raise ValueError("inclusion-exclusion needs at least two generators")
     spaces = _single_spaces(m, u)
-    total = 0
-    for q in range(2, t + 1):
-        sign = 1 if q % 2 == 0 else -1
-        for subset in combinations(range(t), q):
-            inter = reduce(subspace_intersection, (spaces[j] for j in subset))
-            total += sign * inter.dim
-    return total
+
+    def walk(inter: np.ndarray, last: int, q: int) -> int:
+        # signed dims of inter (a q-fold meet) met with generators after last
+        total = 0
+        for j in range(last + 1, t):
+            meet = _meet(inter, spaces[j], m.field)
+            if len(meet):
+                total += (-1) ** (q + 1) * len(meet) + walk(meet, j, q + 1)
+        return total
+
+    return sum(walk(spaces[i], i, 1) for i in range(t - 1))
 
 
 def relative_intersection_dim(
@@ -311,11 +347,12 @@ def relative_intersection_dim(
     if len(set(subset)) != q or any(not 0 <= j < t for j in subset):
         raise ValueError(f"subset {subset} is not {q} distinct indices below {t}")
     spaces = _single_spaces(m, u)
-    inter = reduce(subspace_intersection, (spaces[j] for j in subset))
+    inter = _meet_all([spaces[j] for j in subset], m.field)
     rest = [spaces[j] for j in range(t) if j not in subset]
-    if not rest:
-        return inter.dim
-    return relative_dim(inter, reduce(subspace_sum, rest))
+    if not rest or not len(inter):
+        return len(inter)
+    rest = np.vstack(rest)
+    return _rank(np.vstack([inter, rest]), m.field) - _rank(rest, m.field)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Reference builders for the catalecticant kernel, kept as test oracles.
+"""Reference constructions the package replaced, kept as test oracles.
 
 The package builds every catalecticant row by gathering dense coefficient
 rows through a cached index table, and draws a quotient sample as the
@@ -6,12 +6,21 @@ rows of A·F. These are the slower constructions it replaced: operators
 act on a form term by term, derivative spaces are built operator by
 operator from the monomials that divide some term, and a quotient sample
 combines Form objects and takes the h-vector of the module they span.
+
+The overlap statistics are likewise rebuilt the old way. The package
+intersects by one Zassenhaus elimination in integer echelon rows and walks
+the generator subsets depth-first; here an intersection comes from the
+null space of the stacked bases, reduced by a separate Gauss-Jordan loop
+in field arithmetic, and every generator subset is intersected from
+scratch.
 """
 
 import random
+from functools import lru_cache, reduce
+from itertools import combinations
 from math import perm
 
-from levelalg.linalg import Matrix, rank, row_space, zero_subspace
+from levelalg.linalg import Matrix, Subspace, rank, row_space, zero_subspace
 from levelalg.modules import (
     DegenerateSampleError,
     DependentGeneratorsError,
@@ -167,3 +176,83 @@ def remix_generators(m, seed=0):
         if rank(Matrix.from_rows(rows, m.field, cols=t)) == t:
             return tuple(combine_forms(m.generators, row, m.field) for row in rows)
     raise DegenerateSampleError("no invertible re-mix in 100 attempts")
+
+
+# ------------------------------------------------------- overlap statistics
+
+
+def span(rows, ambient, field):
+    """Gauss-Jordan on Python scalars: the canonical Subspace of the rows."""
+    p = field.prime  # None over Q
+    mat = [[field.reduce(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ambient):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, p) if p else 1 / mat[r][c]
+        prow = mat[r] = [x * inv % p if p else x * inv for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if i != r and f:
+                mat[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(row, prow)]
+        pivots.append(c)
+    basis = tuple(map(tuple, mat[: len(pivots)]))
+    return Subspace(ambient, basis, tuple(pivots), field)
+
+
+def nullspace(rows, cols, field):
+    """Basis of the right null space {x : rows @ x = 0}."""
+    s = span(rows, cols, field)
+    out = []
+    for f in sorted(set(range(cols)) - set(s.pivots)):
+        v = [field.zero()] * cols
+        v[f] = field.one()
+        for k, pc in enumerate(s.pivots):
+            v[pc] = field.neg(s.basis[k][f])
+        out.append(v)
+    return out
+
+
+def subspace_intersection(a, b):
+    """a ∩ b as the vectors x·A with x·A = y·B: (x, y) runs over the null
+    space of the ambient-by-(dim a + dim b) system [A^T | -B^T]."""
+    field = a.field
+    if a.dim == 0 or b.dim == 0:
+        return zero_subspace(a.ambient, field)
+    system = [
+        [row[i] for row in a.basis] + [field.neg(row[i]) for row in b.basis]
+        for i in range(a.ambient)
+    ]
+    rows = [
+        [sum(xk * row[i] for xk, row in zip(x, a.basis)) for i in range(a.ambient)]
+        for x in nullspace(system, a.dim + b.dim, field)
+    ]
+    return span(rows, a.ambient, field)
+
+
+@lru_cache(maxsize=None)
+def _spaces(m, u):
+    return tuple(derivative_space([g], u) for g in m.generators)
+
+
+def inclusion_exclusion_sum(m, u):
+    """Signed intersection dimensions, every subset intersected from scratch."""
+    spaces = _spaces(m, u)
+    return sum(
+        (-1) ** q * reduce(subspace_intersection, (spaces[j] for j in subset)).dim
+        for q in range(2, m.type + 1)
+        for subset in combinations(range(m.type), q)
+    )
+
+
+def relative_intersection_dim(m, q, u, subset=None):
+    """dim of the subset's intersection modulo the span of the others."""
+    spaces = _spaces(m, u)
+    subset = tuple(range(q)) if subset is None else tuple(subset)
+    inter = reduce(subspace_intersection, (spaces[j] for j in subset))
+    rest = [row for j in range(m.type) if j not in subset for row in spaces[j].basis]
+    ambient, field = inter.ambient, m.field
+    return span(inter.basis + tuple(rest), ambient, field).dim - span(rest, ambient, field).dim

@@ -3,20 +3,28 @@
 The independent oracle here is rank-by-minors: the rank of a small matrix
 is the largest k such that some k-by-k submatrix has nonzero determinant,
 with the determinant computed by cofactor expansion over the rationals and
-reduced into the field. Slow but unarguable for the sizes used.
+reduced into the field. Slow but unarguable for the sizes used. The
+property tests add sympy's rank over Q, and the intersection is checked
+against the null-space construction kept in tests/oracle.py.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import oracle
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from levelalg.fields import FieldSpec
 from levelalg.linalg import (
     AmbientMismatchError,
     Matrix,
     Subspace,
+    _rank,
+    _rref,
+    _span,
     rank,
     relative_dim,
     row_space,
@@ -241,3 +249,75 @@ def test_big_prime_kernel_matches_default_kernel_ranks():
         assert rank(Matrix.from_rows(rows, BIG)) == rank(
             Matrix.from_rows(rows, RAT)
         )
+
+
+def test_intersection_matches_the_null_space_oracle():
+    rng = random.Random(4242)
+    for trial in range(90):
+        field = (MOD, RAT, BIG)[trial % 3]
+        ambient = rng.randint(1, 7)
+
+        def entry():
+            if field is RAT:
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            return rng.randint(-3, 3)
+
+        def rows(k):
+            return [[entry() for _ in range(ambient)] for _ in range(k)]
+
+        shared = rows(rng.randint(0, 2))
+
+        def space():
+            picked = shared + rows(rng.randint(0, ambient))
+            return row_space(Matrix.from_rows(picked, field, cols=ambient))
+
+        a, b = space(), space()
+        assert subspace_intersection(a, b) == oracle.subspace_intersection(a, b)
+
+
+# ------------------------------------------------------ property tests
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+FIELDS = st.sampled_from([MOD, RAT, BIG])
+
+
+@st.composite
+def _int_rows(draw):
+    cols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-5, 5), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+@PROPERTY
+@given(rows=_int_rows(), field=FIELDS)
+def test_forward_rank_equals_rref_rank(rows, field):
+    assert _rank(rows, field) == len(_rref(rows, field)[1])
+
+
+@PROPERTY
+@given(rows=_int_rows())
+def test_rational_rank_equals_sympy(rows):
+    assert _rank(rows, RAT) == sympy.Matrix(rows).rank()
+
+
+@st.composite
+def _subspace_pairs(draw):
+    ambient = draw(st.integers(1, 6))
+    field = draw(FIELDS)
+    row = st.lists(st.integers(-4, 4), min_size=ambient, max_size=ambient)
+    shared = draw(st.lists(row, max_size=2))
+
+    def space():
+        rows = shared + draw(st.lists(row, max_size=ambient))
+        return row_space(Matrix.from_rows(rows, field, cols=ambient))
+
+    return space(), space()
+
+
+@PROPERTY
+@given(pair=_subspace_pairs())
+def test_intersection_is_canonical_and_satisfies_grassmann(pair):
+    a, b = pair
+    inter = subspace_intersection(a, b)
+    assert _span(inter.basis, inter.ambient, inter.field) == inter
+    assert subspace_sum(a, b).dim + inter.dim == a.dim + b.dim

@@ -380,6 +380,28 @@ def test_relative_intersection_subset_independence_on_remix():
         assert len(vals) == 1
 
 
+OVERLAP_CASES = (
+    lambda field: sharp_family(t=5, p=1, e=3, field=field),
+    lambda field: remix_generators(sharp_family(t=6, p=1, e=3, field=field), seed=6),
+    lambda field: remix_generators(sharp_family(t=7, p=1, e=3, field=field), seed=7),
+    lambda field: remix_generators(random_module(2, 5, 5, 0.5, 5, field), seed=1),
+)
+
+
+@pytest.mark.parametrize("field", [MOD, RAT, BIG], ids=["gfp", "q", "bigp"])
+def test_overlap_statistics_match_the_subset_oracle(field):
+    for build in OVERLAP_CASES:
+        m = build(field)
+        for u in range(1, m.socle_degree):
+            want = oracle.inclusion_exclusion_sum(m, u)
+            assert inclusion_exclusion_sum(m, u) == want, (m.label, m.type, u)
+            for q in range(1, m.type + 1):
+                got = relative_intersection_dim(m, q, u)
+                assert got == oracle.relative_intersection_dim(m, q, u), (m.type, u, q)
+            # with q = t nothing is modded out: the plain t-fold intersection
+            assert intersection_dim(m.generators, u) == got
+
+
 def test_relative_intersection_validation():
     m = InverseSystemModule((_mono(2, (3, 0)), _mono(2, (0, 3))), MOD)
     with pytest.raises(ValueError):
