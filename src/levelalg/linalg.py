@@ -7,14 +7,16 @@ row space has exactly one stored basis and identical inputs yield
 identical output, bit for bit. All functions are pure; Matrix and
 Subspace are immutable and safe to share between threads.
 
-Each field has one forward elimination, and ranks, relative dimensions
-and intersections stop after it; only a canonical basis pays for the
-back-substitution. Over GF(p) the forward pass runs on int64 numpy arrays
-(valid because the default modulus is below isqrt(2**63), so a product of
-two reduced entries never overflows), or on object arrays of Python ints
-for larger primes. Over Q it is fraction-free: rows are scaled to
-integers and stay integers, each eliminated row divided by its content,
-and Fraction appears only in the back-substitution of a canonical basis.
+Each field has one forward elimination, which intersections stop after;
+only a canonical basis pays for the back-substitution. Ranks and relative
+dimensions need no echelon rows: over GF(p) a whole stack of matrices is
+ranked side by side (`_ranks`), over Q by the forward pass. Over GF(p)
+both run on int64 numpy arrays (valid because the default modulus is
+below isqrt(2**63), so a product of two reduced entries never overflows),
+or on object arrays of Python ints for larger primes. Over Q elimination
+is fraction-free: rows are scaled to integers and stay integers, each
+eliminated row divided by its content, and Fraction appears only in the
+back-substitution of a canonical basis.
 """
 
 from __future__ import annotations
@@ -192,9 +194,43 @@ def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
     return Subspace(ambient, tuple(map(tuple, basis)), tuple(pivots), field)
 
 
+def _ranks(stack, field: FieldSpec) -> list[int]:
+    """Ranks of a sequence of equally shaped matrices (or a 3-D array).
+
+    Over GF(p) the matrices are eliminated side by side along their shorter
+    side: step k takes the first nonzero entry piv of line k of each matrix
+    and replaces the matrix by (piv·a - col ⊗ line) mod p, which clears the
+    line and the pivot's column and lowers the rank by exactly one. A zero
+    line leaves its matrix as it is (piv = 1, col ⊗ line = 0), and a line
+    that is zero in every matrix is skipped. Over Q each matrix gets the
+    fraction-free forward pass.
+    """
+    if not field.is_modular:
+        return [len(_echelon(a, field)[1]) for a in stack]
+    p = field.prime
+    a = np.array(stack, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
+    if a.size == 0:
+        return [0] * len(a)
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    ranks = np.zeros(len(a), dtype=np.int64)
+    k = np.arange(len(a))
+    for _ in range(a.shape[1]):
+        line, a = a[:, 0], a[:, 1:]
+        j = (line != 0).argmax(1)
+        piv = line[k, j]
+        found = piv != 0
+        if not found.any():
+            continue
+        ranks += found
+        piv[~found] = 1
+        a = (piv[:, None, None] * a - a[k, :, j][:, :, None] * line[:, None, :]) % p
+    return ranks.tolist()
+
+
 def _rank(rows, field: FieldSpec) -> int:
-    """Rank of a sequence of rows or a 2-D array: the forward pass alone."""
-    return len(_echelon(rows, field)[1])
+    """Rank of a sequence of rows or a 2-D array."""
+    return _ranks([rows], field)[0]
 
 
 def rank(m: Matrix) -> int:

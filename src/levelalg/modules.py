@@ -8,7 +8,9 @@ socle degree e always contributes dim = number of generators, the type.
 
 Randomized operations (generic quotients, generator re-mixing) are fully
 reproducible: every draw comes from a Mersenne Twister seeded through a
-sha256 counter derivation of the caller's seed.
+sha256 counter derivation of the caller's seed. A quotient sample is the
+rows of W = A·F, never a new module; the trials of one quotient type are
+drawn side by side and ranked as one stack per degree.
 """
 
 from __future__ import annotations
@@ -17,13 +19,13 @@ import hashlib
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _combine, _echelon, _meet, _rank
+from .linalg import _combine, _echelon, _meet, _rank, _ranks
 from .polynomials import (
     DerivativeAction,
     Form,
@@ -93,11 +95,18 @@ class InverseSystemModule:
             raise ValueError(
                 f"modulus {self.field.prime} must exceed the socle degree {g0.degree}"
             )
-        coeffs = coefficient_rows(self.generators, integral=True)
-        if _rank(coeffs, self.field) != len(self.generators):
+        if _rank(self._coeffs, self.field) != len(self.generators):
             raise DependentGeneratorsError(
                 f"{len(self.generators)} generators span a smaller space"
             )
+
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        """The generators' coefficient rows, over Q scaled by one common
+        denominator to integers; built once, shared and read-only."""
+        rows = coefficient_rows(self.generators, integral=True)
+        rows.flags.writeable = False
+        return rows
 
     @property
     def num_vars(self) -> int:
@@ -123,25 +132,31 @@ class QuotientSample:
     h: tuple[int, ...]
 
 
-def _graded_ranks(coeffs: np.ndarray, m: InverseSystemModule) -> tuple[int, ...]:
-    """h-vector of the module generated by the forms with coefficient rows
-    `coeffs` in the ring of m: catalecticant ranks from degree 0 to e."""
+def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]]:
+    """h-vectors of the modules generated by each w[k], c independent
+    coefficient rows in the ring of m: one stacked rank per inner degree.
+    h_0 = 1 and h_e = c need none, and for one form h_u = h_{e-u}, since
+    its contraction catalecticants C_{e-u} and C_u are transposes."""
+    k, c, _ = w.shape
     e = m.socle_degree
-    return tuple(
-        _rank(
-            catalecticant_rows(
-                coeffs, m.num_vars, e, e - u, DerivativeAction.CONTRACT, m.field
-            ),
-            m.field,
+    h = np.ones((k, e + 1), dtype=np.int64)
+    h[:, e] = c
+    top = e // 2 if c == 1 else e - 1
+    forms = w.reshape(k * c, -1)
+    for u in range(1, top + 1):
+        rows = catalecticant_rows(
+            forms, m.num_vars, e, e - u, DerivativeAction.CONTRACT, m.field
         )
-        for u in range(e + 1)
-    )
+        h[:, u] = _ranks(rows.reshape(k, -1, rows.shape[1]), m.field)
+    for u in range(top + 1, e):
+        h[:, u] = h[:, e - u]
+    return [tuple(row) for row in h.tolist()]
 
 
 @lru_cache(maxsize=4096)
 def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
     """Dimensions of the graded pieces, from degree 0 to the socle degree."""
-    return _graded_ranks(coefficient_rows(m.generators, integral=True), m)
+    return _graded_ranks(m._coeffs[None], m)[0]
 
 
 def _derivative_rows(
@@ -163,18 +178,19 @@ def _derivative_rows(
 @lru_cache(maxsize=16384)
 def _single_spaces(m: InverseSystemModule, u: int) -> tuple[np.ndarray, ...]:
     """Each generator's degree-u echelon rows; shared, so never written to."""
-    coeffs = coefficient_rows(m.generators, integral=True)
-    return _derivative_rows(coeffs, m.num_vars, m.socle_degree, u, m.field)
+    return _derivative_rows(m._coeffs, m.num_vars, m.socle_degree, u, m.field)
 
 
-def _meet_all(spaces, field: FieldSpec) -> np.ndarray:
-    """Echelon rows spanning the intersection of the spaces' row spaces."""
-    inter = spaces[0]
-    for rows in spaces[1:]:
-        if not len(inter):
-            break
-        inter = _meet(inter, rows, field)
-    return inter
+@lru_cache(maxsize=16384)
+def _subset_meet(m: InverseSystemModule, u: int, subset: tuple[int, ...]) -> np.ndarray:
+    """Echelon rows of the intersection of the subset's degree-u spaces, met
+    onto the cached meet of subset[:-1]: the prefixes of one subset share
+    their meets. Shared, so never written to."""
+    spaces = _single_spaces(m, u)
+    if len(subset) == 1:
+        return spaces[subset[0]]
+    inter = _subset_meet(m, u, subset[:-1])
+    return _meet(inter, spaces[subset[-1]], m.field) if len(inter) else inter
 
 
 def _random_matrix(
@@ -187,6 +203,37 @@ def _random_matrix(
     )
 
 
+def _check_type(m: InverseSystemModule, c: int) -> None:
+    if not 1 <= c <= m.type - 1:
+        raise ValueError(f"quotient type {c} out of range 1..{m.type - 1}")
+
+
+def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
+    """One random type-c quotient per seed, all drawn and ranked together.
+
+    Round k draws attempt k of every trial not yet accepted and accepts
+    those whose combinations W = A·F have rank c, in one stacked rank; so
+    each trial sees the attempts 0, 1, ... it would see alone. The h-vectors
+    of the accepted W are then one stacked rank per degree.
+    """
+    t = m.type
+    draws: dict[int, tuple] = {}
+    for attempt in range(100):
+        pending = [k for k in range(len(seeds)) if k not in draws]
+        if not pending:
+            break
+        a = [_random_matrix(seeds[k], "quotient", attempt, c, t, m.field) for k in pending]
+        ranks = _ranks(_combine(a, m._coeffs, m.field), m.field)
+        draws.update((k, rows) for k, rows, r in zip(pending, a, ranks) if r == c)
+    if len(draws) < len(seeds):
+        raise DegenerateSampleError(
+            f"no independent {c}-of-{t} combination found in 100 attempts"
+        )
+    accepted = [draws[k] for k in range(len(seeds))]
+    hs = _graded_ranks(_combine(accepted, m._coeffs, m.field), m)
+    return [QuotientSample(m, c, *x) for x in zip(accepted, seeds, hs)]
+
+
 def sample_generic_quotient(
     m: InverseSystemModule,
     c: int,
@@ -196,46 +243,36 @@ def sample_generic_quotient(
     """Submodule generated by c random combinations of the generators.
 
     Draws a c-by-t integer matrix A with nonzero random entries and retries
-    (up to 100 derived attempts) until the combinations W = A·F are
-    independent; h is then read off the catalecticants of W. An explicit
-    `coefficients` matrix skips the sampling; a 0/1 selection matrix, for
-    instance, picks out a plain subset of the generators.
+    (up to 100 derived attempts, attempt k seeded by derive_seed(seed,
+    "quotient", k)) until the combinations W = A·F are independent; h is
+    then read off the catalecticants of W. An explicit `coefficients`
+    matrix skips the sampling; a 0/1 selection matrix, for instance, picks
+    out a plain subset of the generators.
     """
-    t = m.type
-    if not 1 <= c <= t - 1:
-        raise ValueError(f"quotient type {c} out of range 1..{t - 1}")
-    if coefficients is not None:
-        rows = tuple(tuple(int(x) for x in row) for row in coefficients)
-        if len(rows) != c or any(len(r) != t for r in rows):
-            raise ValueError(f"coefficient matrix must be {c}x{t}")
-        draws = [rows]
-    else:
-        draws = (
-            _random_matrix(seed, "quotient", attempt, c, t, m.field)
-            for attempt in range(100)
-        )
-    coeffs = coefficient_rows(m.generators, integral=True)
-    for rows in draws:
-        w = _combine(rows, coeffs, m.field)
-        if _rank(w, m.field) == c:
-            return QuotientSample(m, c, rows, seed, _graded_ranks(w, m))
-    if coefficients is not None:
+    _check_type(m, c)
+    if coefficients is None:
+        return _samples(m, c, [seed])[0]
+    rows = tuple(tuple(int(x) for x in row) for row in coefficients)
+    if len(rows) != c or any(len(r) != m.type for r in rows):
+        raise ValueError(f"coefficient matrix must be {c}x{m.type}")
+    w = _combine([rows], m._coeffs, m.field)
+    if _ranks(w, m.field)[0] != c:
         raise DependentGeneratorsError(f"{c} combinations span a smaller space")
-    raise DegenerateSampleError(
-        f"no independent {c}-of-{t} combination found in 100 attempts"
-    )
+    return QuotientSample(m, c, rows, seed, _graded_ranks(w, m)[0])
 
 
 def generic_quotient_trials(
     m: InverseSystemModule, c: int, trials: int = 5, seed: int = 0
 ) -> list[QuotientSample]:
-    """Independent quotient samples with per-trial derived seeds."""
+    """Independent quotient samples with per-trial derived seeds.
+
+    Trial k equals sample_generic_quotient(m, c, derive_seed(seed, "trial",
+    k)), bit for bit, but all trials are drawn and ranked side by side.
+    """
+    _check_type(m, c)
     if trials < 1:
         raise ValueError("need at least one trial")
-    return [
-        sample_generic_quotient(m, c, seed=derive_seed(seed, "trial", k))
-        for k in range(trials)
-    ]
+    return _samples(m, c, [derive_seed(seed, "trial", k) for k in range(trials)])
 
 
 def empirical_generic_h(
@@ -258,12 +295,11 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
     the module (hence its h-vector) untouched.
     """
     t = m.type
-    # den·F in integers, den the common denominator coefficient_rows clears
-    coeffs = coefficient_rows(m.generators, integral=True)
+    # den·F in integers, den the common denominator m._coeffs clears
     den = lcm(*(x.denominator for g in m.generators for x in g.terms.values()))
     for attempt in range(100):
         a = _random_matrix(seed, "remix", attempt, t, t, m.field)
-        w = _combine(a, coeffs, m.field)
+        w = _combine(a, m._coeffs, m.field)
         if _rank(w, m.field) != t:
             continue
         forms = tuple(
@@ -293,8 +329,11 @@ def intersection_dim(forms, u: int) -> int:
         raise ValueError(f"degree u={u} out of range 1..{e - 1}")
     f0 = family[0]
     coeffs = coefficient_rows(family, integral=True)
-    spaces = _derivative_rows(coeffs, f0.num_vars, e, u, f0.field)
-    return len(_meet_all(spaces, f0.field))
+    inter, *rest = _derivative_rows(coeffs, f0.num_vars, e, u, f0.field)
+    for rows in rest:
+        if len(inter):
+            inter = _meet(inter, rows, f0.field)
+    return len(inter)
 
 
 def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
@@ -347,7 +386,7 @@ def relative_intersection_dim(
     if len(set(subset)) != q or any(not 0 <= j < t for j in subset):
         raise ValueError(f"subset {subset} is not {q} distinct indices below {t}")
     spaces = _single_spaces(m, u)
-    inter = _meet_all([spaces[j] for j in subset], m.field)
+    inter = _subset_meet(m, u, subset)
     rest = [spaces[j] for j in range(t) if j not in subset]
     if not rest or not len(inter):
         return len(inter)

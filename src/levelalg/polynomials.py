@@ -20,7 +20,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, perm, prod
+from math import comb, factorial, gcd, lcm
 
 import numpy as np
 
@@ -366,15 +366,22 @@ def _gather_table(
     The weights are prod_k perm(op_k + m_k, op_k), Python ints, for
     DIFFERENTIATE and None for CONTRACT.
     """
-    index = monomial_index(num_vars, degree)
-    ops = monomials_of_degree(num_vars, i)
-    monos = monomials_of_degree(num_vars, degree - i)
-    products = [[tuple(a + b for a, b in zip(op, m)) for m in monos] for op in ops]
-    table = np.array([[index[x] for x in row] for row in products], dtype=np.intp)
+    ops = np.array(monomials_of_degree(num_vars, i)).reshape(-1, num_vars)
+    monos = np.array(monomials_of_degree(num_vars, degree - i)).reshape(-1, num_vars)
+    x = ops[:, None, :] + monos[None, :, :]
+    # In the monomial order the monomials before x are, for each k >= 2,
+    # those that agree with x in y_(k+1)..y_r and have a smaller y_k:
+    # space_dim(k, s_k) - space_dim(k, s_(k-1)) of them, s_k = x_1 + ... + x_k.
+    s = x.cumsum(-1)
+    dims = np.array(
+        [[space_dim(k, d) for d in range(degree + 1)] for k in range(1, num_vars + 1)]
+    )
+    k = np.arange(1, num_vars)
+    table = (dims[k, s[..., 1:]] - dims[k, s[..., :-1]]).sum(-1)
     if action is DerivativeAction.CONTRACT:
         return table, None
-    weights = [[prod(map(perm, x, op)) for x in row] for op, row in zip(ops, products)]
-    return table, np.array(weights, dtype=object)
+    fact = np.array([factorial(n) for n in range(degree + 1)], dtype=object)
+    return table, fact[x].prod(-1) // fact[monos].prod(-1)
 
 
 def catalecticant_rows(

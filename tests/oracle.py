@@ -5,7 +5,10 @@ rows through a cached index table, and draws a quotient sample as the
 rows of A·F. These are the slower constructions it replaced: operators
 act on a form term by term, derivative spaces are built operator by
 operator from the monomials that divide some term, and a quotient sample
-combines Form objects and takes the h-vector of the module they span.
+combines Form objects and takes the h-vector of the module they span,
+one trial at a time and one rank per degree. The index table itself is
+rebuilt entry by entry from exponent tuples, where the package computes
+it with numpy from a closed-form rank of each monomial.
 
 The overlap statistics are likewise rebuilt the old way. The package
 intersects by one Zassenhaus elimination in integer echelon rows and walks
@@ -18,7 +21,9 @@ scratch.
 import random
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import perm
+from math import perm, prod
+
+import numpy as np
 
 from levelalg.linalg import Matrix, Subspace, rank, row_space, zero_subspace
 from levelalg.modules import (
@@ -36,6 +41,20 @@ from levelalg.polynomials import (
 )
 
 CONT = DerivativeAction.CONTRACT
+
+
+def gather_table(num_vars, degree, i, action):
+    """polynomials._gather_table built entry by entry: the index of op*m
+    among the degree-`degree` monomials, and prod_k perm(op_k + m_k, op_k)."""
+    index = monomial_index(num_vars, degree)
+    ops = monomials_of_degree(num_vars, i)
+    monos = monomials_of_degree(num_vars, degree - i)
+    products = [[tuple(a + b for a, b in zip(op, m)) for m in monos] for op in ops]
+    table = np.array([[index[x] for x in row] for row in products], dtype=np.intp)
+    if action is CONT:
+        return table, None
+    weights = [[prod(map(perm, x, op)) for x in row] for op, row in zip(ops, products)]
+    return table, np.array(weights, dtype=object)
 
 
 def divisors_of_degree(exps, degree):

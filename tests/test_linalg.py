@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import oracle
 import pytest
 import sympy
@@ -22,7 +23,9 @@ from levelalg.linalg import (
     AmbientMismatchError,
     Matrix,
     Subspace,
+    _echelon,
     _rank,
+    _ranks,
     _rref,
     _span,
     rank,
@@ -298,6 +301,53 @@ def test_forward_rank_equals_rref_rank(rows, field):
 @given(rows=_int_rows())
 def test_rational_rank_equals_sympy(rows):
     assert _rank(rows, RAT) == sympy.Matrix(rows).rank()
+
+
+def _forward_ranks(stack, field):
+    return [len(_echelon(a, field)[1]) for a in stack]
+
+
+@st.composite
+def _stacks(draw):
+    # a small prime too, where ranks differ from those over Q
+    field = draw(st.sampled_from([MOD, RAT, BIG, FieldSpec.modular(3)]))
+    k, n, m = draw(st.integers(0, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    # mostly zeros, so that some lines are zero in some matrices only
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    cells = draw(st.lists(entries, min_size=k * n * m, max_size=k * n * m))
+    return np.array(cells, dtype=object).reshape(k, n, m), field
+
+
+@PROPERTY
+@given(case=_stacks())
+def test_stacked_ranks_equal_forward_ranks(case):
+    stack, field = case
+    assert _ranks(stack, field) == _forward_ranks(stack, field)
+
+
+def test_stacked_ranks_edge_shapes():
+    rng = random.Random(31)
+    for field in (MOD, RAT, BIG, FieldSpec.modular(7)):
+        assert _ranks([], field) == []
+        assert _ranks(np.zeros((3, 4, 5), dtype=np.int64), field) == [0, 0, 0]
+        assert _ranks(np.zeros((2, 0, 3), dtype=np.int64), field) == [0, 0]
+        assert _ranks([[[0, 0, 2]], [[0, 0, 0]], [[1, 5, 0]]], field) == [1, 0, 1]
+        assert _ranks([[[0], [0], [3]], [[0], [0], [0]]], field) == [1, 0]
+        # a zero first line in one matrix only
+        assert _ranks([[[0, 0], [1, 0]], [[1, 0], [0, 1]]], field) == [1, 2]
+        # one zero matrix in a stack of full-rank ones
+        stack = [[[rng.randint(1, 6) if i == j else 0 for j in range(4)]
+                  for i in range(4)] for _ in range(3)]
+        stack[1] = [[0] * 4] * 4
+        assert _ranks(stack, field) == [4, 0, 4]
+    # entries just below p: products of unreduced entries leave int64
+    p = MOD.prime
+    for _ in range(10):
+        stack = [[[p - rng.randint(1, 1000) for _ in range(6)] for _ in range(5)]
+                 for _ in range(3)]
+        stack[2][4] = [(2 * x) % p for x in stack[2][0]]
+        assert _ranks(stack, MOD) == _forward_ranks(np.array(stack), MOD)
+        assert _ranks(stack, MOD)[2] == 4
 
 
 @st.composite

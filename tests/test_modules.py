@@ -7,6 +7,7 @@ small catalecticant blocks, computed by hand in the comments.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import oracle
 import pytest
@@ -31,7 +32,8 @@ from levelalg.modules import (
     remix_generators,
     sample_generic_quotient,
 )
-from levelalg.polynomials import Form, parse_form
+from levelalg.linalg import rank
+from levelalg.polynomials import Form, catalecticant, parse_form
 
 MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
@@ -239,6 +241,84 @@ def test_seeded_samples_match_the_oracle():
                 )
 
 
+def _first_draw(m, c, seed):
+    rng = random.Random(derive_seed(seed, "quotient", 0))
+    return tuple(
+        tuple(random_coefficient(rng, m.field) for _ in range(m.type))
+        for _ in range(c)
+    )
+
+
+def test_batched_trials_match_the_oracle_per_trial():
+    # trial k is drawn as the oracle draws seed derive_seed(seed, "trial", k)
+    # alone; over GF(3) the trials need different numbers of retries
+    gf3 = random_module(3, 2, 3, 0.7, 4, FieldSpec.modular(3))
+    cases = [
+        (random_module(3, 4, 4, 0.5, 3, MOD), (1, 3)),
+        (random_module(4, 3, 3, 0.4, 8, RAT), (2,)),
+        (random_module(3, 3, 3, 0.6, 2, BIG), (1,)),
+        (gf3, (1, 2)),
+    ]
+    for m, cs in cases:
+        for c in cs:
+            for seed in range(2):
+                samples = generic_quotient_trials(m, c, trials=6, seed=seed)
+                assert len(samples) == 6
+                for k, s in enumerate(samples):
+                    trial_seed = derive_seed(seed, "trial", k)
+                    assert s.seed == trial_seed
+                    assert (s.coefficients, s.h) == oracle.sample_generic_quotient(
+                        m, c, seed=trial_seed
+                    )
+    retried = {
+        s.coefficients != _first_draw(gf3, 2, s.seed)
+        for s in generic_quotient_trials(gf3, 2, trials=8, seed=0)
+    }
+    assert retried == {True, False}
+
+
+def test_known_and_mirrored_h_entries_equal_computed_ranks():
+    # h_0, h_e and, for one form, h_u = h_(e-u) are not ranked; compare
+    # every entry with the rank of the catalecticant of the combined forms
+    def ranks(forms):
+        e = forms[0].degree
+        return tuple(rank(catalecticant(forms, e - u)) for u in range(e + 1))
+
+    asymmetric = False
+    for field in (MOD, RAT, BIG):
+        for k in range(3):
+            m = random_module(3, 5, 3, 0.5, k, field)
+            single = InverseSystemModule(m.generators[:1], field)
+            assert h_vector(m) == ranks(m.generators)
+            assert h_vector(single) == ranks(single.generators)
+            for c in (1, 2):
+                for s in generic_quotient_trials(m, c, trials=3, seed=k):
+                    forms = [
+                        oracle.combine_forms(m.generators, row, field)
+                        for row in s.coefficients
+                    ]
+                    assert s.h == ranks(forms), (c, s.h)
+                    asymmetric |= s.h[1:-1] != s.h[-2:0:-1]
+    assert asymmetric
+
+
+def test_module_coefficient_rows_are_built_once_and_read_only():
+    gens = (
+        Form(2, 3, RAT, {(3, 0): Fraction(1, 2), (1, 2): Fraction(-3, 7)}),
+        Form(2, 3, RAT, {(2, 1): Fraction(5, 3), (0, 3): 1}),
+    )
+    m = InverseSystemModule(gens, RAT)
+    rows = m._coeffs
+    assert rows is m._coeffs
+    assert not rows.flags.writeable
+    assert rows.tolist() == [[21, 0, -18, 0], [0, 70, 0, 42]]
+    h_vector(m)
+    sample_generic_quotient(m, 1, seed=3)
+    remix_generators(m, seed=3)
+    assert m._coeffs is rows
+    assert rows.tolist() == [[21, 0, -18, 0], [0, 70, 0, 42]]
+
+
 def test_explicit_coefficients_agree_across_fields():
     # -1 reduces to p-1 and the generators' entries sit just below p too,
     # so an int64 product A·V of these would wrap around
@@ -400,6 +480,26 @@ def test_overlap_statistics_match_the_subset_oracle(field):
                 assert got == oracle.relative_intersection_dim(m, q, u), (m.type, u, q)
             # with q = t nothing is modded out: the plain t-fold intersection
             assert intersection_dim(m.generators, u) == got
+
+
+def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
+    # monomial generators are far from generic, so the subset (and the order
+    # in which its spaces are met) changes the value
+    for field in (MOD, RAT, BIG):
+        gens = tuple(
+            _mono(3, exps, field)
+            for exps in ((3, 0, 0), (1, 2, 0), (0, 3, 0), (2, 0, 1), (0, 1, 2))
+        )
+        m = InverseSystemModule(gens, field)
+        for u in (1, 2):
+            for q in range(1, m.type + 1):
+                for subset in combinations(range(m.type), q):
+                    for order in (subset, subset[::-1]):
+                        assert relative_intersection_dim(
+                            m, q, u, subset=order
+                        ) == oracle.relative_intersection_dim(m, q, u, subset=order)
+    # the first two and the last two generators give different values
+    assert {relative_intersection_dim(m, 2, 2, s) for s in ((0, 1), (1, 2))} == {0, 1}
 
 
 def test_relative_intersection_validation():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import oracle
 import pytest
 
@@ -13,6 +14,7 @@ from levelalg.polynomials import (
     Form,
     FormParseError,
     ParameterMismatchError,
+    _gather_table,
     apply_operator,
     catalecticant,
     derivative_space,
@@ -362,6 +364,24 @@ def test_derivative_space_matches_catalecticant_row_space():
                         assert apply_operator(op, f, action) == oracle.apply_operator(
                             op, f, action
                         )
+
+
+def test_gather_table_matches_the_oracle():
+    # (40, 2) and (64, 1): many variables at a low degree
+    shapes = [(r, e) for r in range(1, 5) for e in range(1, 7)] + [(40, 2), (64, 1)]
+    for r, e in shapes:
+        for i in range(e + 1):
+            for action in (DIFF, CONT):
+                table, weights = _gather_table(r, e, i, action)
+                want_table, want_weights = oracle.gather_table(r, e, i, action)
+                assert table.dtype == want_table.dtype
+                assert np.array_equal(table, want_table), (r, e, i)
+                if action is CONT:
+                    assert weights is None
+                    continue
+                assert weights.dtype == object
+                assert all(type(w) is int for w in weights.flat)
+                assert np.array_equal(weights, want_weights), (r, e, i)
 
 
 def test_actions_agree_on_monomial_forms():
