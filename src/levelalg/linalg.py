@@ -7,14 +7,17 @@ row space has exactly one stored basis and identical inputs yield
 identical output, bit for bit. All functions are pure; Matrix and
 Subspace are immutable and safe to share between threads.
 
-Each field has one forward elimination, which intersections stop after;
-only a canonical basis pays for the back-substitution. Ranks and relative
-dimensions need no echelon rows: over GF(p) a whole stack of matrices is
-ranked side by side (`_ranks`), over Q by the forward pass. Over GF(p)
-both run on int64 numpy arrays (valid because the default modulus is
-below isqrt(2**63), so a product of two reduced entries never overflows),
-or on object arrays of Python ints for larger primes. Over Q elimination
-is fraction-free: rows are scaled to integers and stay integers, each
+Over GF(p), ranks and intersections share one stacked elimination,
+`_line_steps`: a stack of equally shaped matrices is eliminated side by
+side, one line per step, so the quotient trials of one type are ranked
+together (`_ranks`) and a whole level of generator subsets is intersected
+together (`_meets`, by Zassenhaus). Only canonical bases (`_rref`) and the
+echelon rows of single generators take the column-by-column forward pass,
+`_echelon_mod`. All of these run on int64 numpy arrays (valid because the
+default modulus is below isqrt(2**63), so a product of two reduced entries
+never overflows), or on object arrays of Python ints for larger primes.
+Over Q every rank, intersection and basis starts from one fraction-free
+forward pass: rows are scaled to integers and stay integers, each
 eliminated row divided by its content, and Fraction appears only in the
 back-substitution of a canonical basis.
 """
@@ -194,16 +197,37 @@ def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
     return Subspace(ambient, tuple(map(tuple, basis)), tuple(pivots), field)
 
 
+def _line_steps(a: np.ndarray, p: int):
+    """Eliminate a stack of equally shaped matrices over GF(p), one line of
+    each per step, all side by side.
+
+    Step k yields line k of every matrix as the earlier steps left it, the
+    column j of its first nonzero entry and whether it has one. The lines
+    below then become (piv·row - row[j]·line) mod p, piv = line[j], which
+    zeroes column j under the line and keeps the row space. A zero line
+    leaves its matrix as it is (piv = 1, row[j]·line = 0), and a step whose
+    line is zero in every matrix changes nothing. Entries stay below p, so
+    products stay below p² and int64 holds them for p <= _INT64_PRIME_LIMIT.
+    """
+    k = np.arange(len(a))
+    for _ in range(a.shape[1]):
+        line, a = a[:, 0], a[:, 1:]
+        j = (line != 0).argmax(1)
+        piv = line[k, j]
+        found = piv != 0
+        yield line, j, found
+        if a.shape[1] and found.any():
+            piv[~found] = 1
+            a = (piv[:, None, None] * a - a[k, :, j][:, :, None] * line[:, None, :]) % p
+
+
 def _ranks(stack, field: FieldSpec) -> list[int]:
     """Ranks of a sequence of equally shaped matrices (or a 3-D array).
 
     Over GF(p) the matrices are eliminated side by side along their shorter
-    side: step k takes the first nonzero entry piv of line k of each matrix
-    and replaces the matrix by (piv·a - col ⊗ line) mod p, which clears the
-    line and the pivot's column and lowers the rank by exactly one. A zero
-    line leaves its matrix as it is (piv = 1, col ⊗ line = 0), and a line
-    that is zero in every matrix is skipped. Over Q each matrix gets the
-    fraction-free forward pass.
+    side by `_line_steps`: every nonzero line lowers the rank of what is
+    left by exactly one. Over Q each matrix gets the fraction-free forward
+    pass.
     """
     if not field.is_modular:
         return [len(_echelon(a, field)[1]) for a in stack]
@@ -214,17 +238,8 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
     if a.shape[1] > a.shape[2]:
         a = a.transpose(0, 2, 1)
     ranks = np.zeros(len(a), dtype=np.int64)
-    k = np.arange(len(a))
-    for _ in range(a.shape[1]):
-        line, a = a[:, 0], a[:, 1:]
-        j = (line != 0).argmax(1)
-        piv = line[k, j]
-        found = piv != 0
-        if not found.any():
-            continue
+    for _, _, found in _line_steps(a, p):
         ranks += found
-        piv[~found] = 1
-        a = (piv[:, None, None] * a - a[k, :, j][:, :, None] * line[:, None, :]) % p
     return ranks.tolist()
 
 
@@ -262,19 +277,52 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return _span(a.basis + b.basis, a.ambient, a.field)
 
 
-def _meet(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Echelon rows spanning row space(a) ∩ row space(b) (Zassenhaus).
+def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
+    """Rows spanning row space(a) ∩ row space(b), for each pair (a, b) of
+    2-D arrays with equal column counts (Zassenhaus).
 
-    The row space of [[a, a], [b, 0]] is {(x·a + y·b, x·a)}. Its echelon
-    rows whose left half is zero therefore have right halves x·a = -y·b,
-    and those right halves are an echelon basis of the intersection.
+    The row space of Z = [[a, a], [b, 0]] is {(x·a + y·b, x·a)}, and its
+    vectors with a zero left half have right halves x·a = -y·b, which run
+    over the intersection. The pairs are grouped by shape and each group's
+    Z stacked. Over GF(p) the rows of each stack are eliminated in order by
+    `_line_steps`, and the lines whose first nonzero entry lies in the
+    right half are kept: their left halves are zero and their right halves
+    are a basis of the intersection. For, the nonzero lines are a basis of
+    row(Z); in a combination of them, take the first line with a left-half
+    pivot: every earlier line has its pivot in the right half, so it is
+    zero on the whole left half, and every later line is zero at that pivot
+    column, so the combination's left half cannot vanish. Over Q each Z
+    gets the fraction-free forward pass, whose rows with a right-half pivot
+    are the same kind of basis.
     """
-    k, n = a.shape
-    z = np.zeros((k + len(b), 2 * n), dtype=a.dtype)
-    z[:k, :n] = z[:k, n:] = a
-    z[k:, :n] = b
-    rows, pivots = _echelon(z, field)
-    return rows[bisect_left(pivots, n) :, n:]
+    out: list = [None] * len(pairs)
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        groups.setdefault((a.shape, b.shape), []).append(i)
+    p = field.prime
+    dtype = np.int64 if field.is_modular and p <= _INT64_PRIME_LIMIT else object
+    for ((ka, n), (kb, _)), idx in groups.items():
+        z = np.zeros((len(idx), ka + kb, 2 * n), dtype=dtype)
+        z[:, :ka, :n] = z[:, :ka, n:] = [pairs[i][0] for i in idx]
+        z[:, ka:, :n] = [pairs[i][1] for i in idx]
+        if not field.is_modular:
+            for i, zi in zip(idx, z):
+                rows, pivots = _echelon(zi, field)
+                out[i] = rows[bisect_left(pivots, n) :, n:]
+            continue
+        kept: list[list[np.ndarray]] = [[] for _ in idx]
+        for line, j, found in _line_steps(z % p, p):
+            g = (found & (j >= n)).nonzero()[0]
+            for gi, row in zip(g.tolist(), line[g, n:]):
+                kept[gi].append(row)
+        for i, rows in zip(idx, kept):
+            out[i] = np.array(rows, dtype=dtype).reshape(len(rows), n)
+    return out
+
+
+def _meet(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """Rows spanning row space(a) ∩ row space(b): `_meets` of one pair."""
+    return _meets([(a, b)], field)[0]
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

@@ -25,7 +25,7 @@ from math import lcm
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _combine, _echelon, _meet, _rank, _ranks
+from .linalg import _combine, _echelon, _meet, _meets, _rank, _ranks
 from .polynomials import (
     DerivativeAction,
     Form,
@@ -183,7 +183,7 @@ def _single_spaces(m: InverseSystemModule, u: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=16384)
 def _subset_meet(m: InverseSystemModule, u: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Echelon rows of the intersection of the subset's degree-u spaces, met
+    """Rows spanning the intersection of the subset's degree-u spaces, met
     onto the cached meet of subset[:-1]: the prefixes of one subset share
     their meets. Shared, so never written to."""
     spaces = _single_spaces(m, u)
@@ -302,11 +302,11 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
         w = _combine(a, m._coeffs, m.field)
         if _rank(w, m.field) != t:
             continue
+        rows = w.tolist()
+        if den > 1:
+            rows = [[Fraction(x, den) for x in row] for row in rows]
         forms = tuple(
-            form_from_row(
-                [Fraction(x, den) for x in row], m.num_vars, m.socle_degree, m.field
-            )
-            for row in w.tolist()
+            form_from_row(row, m.num_vars, m.socle_degree, m.field) for row in rows
         )
         return InverseSystemModule(forms, m.field, label=m.label)
     raise DegenerateSampleError("no invertible re-mix found in 100 attempts")
@@ -343,27 +343,29 @@ def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
     chosen generators this equals t * H_u(generic Gorenstein quotient)
     minus h_u. Use remix_generators first when that identity is wanted.
 
-    The subsets are walked depth-first in lexicographic order, each
-    intersection being its parent's meet with one more generator, so every
-    subset of two or more costs one meet. A subtree is pruned once its
-    intersection is 0, since every superset then contributes 0.
+    The subsets are walked level by level in lexicographic order. Level q
+    holds the rows of each q-subset's intersection with a nonzero result,
+    and its children, the subset plus one generator after its last, are
+    all met in one stacked `_meets` call. A zero intersection is dropped,
+    since every superset then contributes 0, and a level is freed once its
+    children are built.
     """
     _check_degree(m, u)
     t = m.type
     if t < 2:
         raise ValueError("inclusion-exclusion needs at least two generators")
     spaces = _single_spaces(m, u)
-
-    def walk(inter: np.ndarray, last: int, q: int) -> int:
-        # signed dims of inter (a q-fold meet) met with generators after last
-        total = 0
-        for j in range(last + 1, t):
-            meet = _meet(inter, spaces[j], m.field)
-            if len(meet):
-                total += (-1) ** (q + 1) * len(meet) + walk(meet, j, q + 1)
-        return total
-
-    return sum(walk(spaces[i], i, 1) for i in range(t - 1))
+    level = list(zip(spaces, range(t)))
+    total, sign = 0, 1
+    while level:
+        children = [
+            (k, j) for k, (_, last) in enumerate(level) for j in range(last + 1, t)
+        ]
+        meets = _meets([(level[k][0], spaces[j]) for k, j in children], m.field)
+        level = [(meet, j) for meet, (_, j) in zip(meets, children) if len(meet)]
+        total += sign * sum(len(meet) for meet, _ in level)
+        sign = -sign
+    return total
 
 
 def relative_intersection_dim(

@@ -11,21 +11,31 @@ rebuilt entry by entry from exponent tuples, where the package computes
 it with numpy from a closed-form rank of each monomial.
 
 The overlap statistics are likewise rebuilt the old way. The package
-intersects by one Zassenhaus elimination in integer echelon rows and walks
-the generator subsets depth-first; here an intersection comes from the
-null space of the stacked bases, reduced by a separate Gauss-Jordan loop
-in field arithmetic, and every generator subset is intersected from
-scratch.
+meets whole levels of generator subsets in one stacked Zassenhaus
+elimination and walks the subsets level by level; here an intersection
+comes from the null space of the stacked bases, reduced by a separate
+Gauss-Jordan loop in field arithmetic, and every generator subset is
+intersected from scratch. `zassenhaus` keeps the one-pair intersection the
+stacked one replaced: a column-by-column forward pass of one Zassenhaus
+matrix.
 """
 
 import random
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import perm, prod
 
 import numpy as np
 
-from levelalg.linalg import Matrix, Subspace, rank, row_space, zero_subspace
+from levelalg.linalg import (
+    Matrix,
+    Subspace,
+    _echelon,
+    rank,
+    row_space,
+    zero_subspace,
+)
 from levelalg.modules import (
     DegenerateSampleError,
     DependentGeneratorsError,
@@ -250,6 +260,18 @@ def subspace_intersection(a, b):
         for x in nullspace(system, a.dim + b.dim, field)
     ]
     return span(rows, a.ambient, field)
+
+
+def zassenhaus(a, b, field):
+    """Echelon rows spanning row(a) ∩ row(b): the forward pass of
+    [[a, a], [b, 0]], pivot by pivot column, and the right halves of the
+    rows whose pivot lies in the right half."""
+    k, n = a.shape
+    z = np.zeros((k + len(b), 2 * n), dtype=object)
+    z[:k, :n] = z[:k, n:] = a
+    z[k:, :n] = b
+    rows, pivots = _echelon(z, field)
+    return rows[bisect_left(pivots, n) :, n:]
 
 
 @lru_cache(maxsize=None)

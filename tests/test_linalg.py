@@ -24,6 +24,7 @@ from levelalg.linalg import (
     Matrix,
     Subspace,
     _echelon,
+    _meets,
     _rank,
     _ranks,
     _rref,
@@ -371,3 +372,51 @@ def test_intersection_is_canonical_and_satisfies_grassmann(pair):
     inter = subspace_intersection(a, b)
     assert _span(inter.basis, inter.ambient, inter.field) == inter
     assert subspace_sum(a, b).dim + inter.dim == a.dim + b.dim
+
+
+MEET_FIELDS = [MOD, FieldSpec.modular(3), BIG, RAT]
+
+
+@st.composite
+def _meet_cases(draw):
+    field = draw(st.sampled_from(MEET_FIELDS))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+
+    def matrix(k, n):
+        cells = draw(st.lists(entries, min_size=k * n, max_size=k * n))
+        rows = np.array(cells, dtype=object).reshape(k, n)
+        if k > 1 and draw(st.booleans()):
+            rows[-1] = 2 * rows[0]
+        return rows
+
+    pairs = []
+    # several pairs of each of several shapes, so that one stack holds
+    # matrices whose lines are zero at different steps
+    for _ in range(draw(st.integers(0, 3))):
+        ka, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(["random", "equal", "shared"]))
+        kb = ka if kind == "equal" else draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(1, 3))):
+            a = matrix(ka, n)
+            if kind == "equal":
+                b = a.copy()
+            elif kind == "shared":
+                b = np.vstack([a[:1], matrix(kb - 1, n)])
+            else:
+                b = matrix(kb, n)
+            pairs.append((a, b))
+    return pairs, field
+
+
+@PROPERTY
+@given(case=_meet_cases())
+def test_stacked_meets_span_the_pairwise_zassenhaus_meets(case):
+    pairs, field = case
+    got = _meets(pairs, field)
+    assert len(got) == len(pairs)
+    for rows, (a, b) in zip(got, pairs):
+        n = a.shape[1]
+        want = oracle.zassenhaus(a, b, field)
+        assert rows.shape == (len(want), n)
+        assert _span(rows, n, field) == _span(want, n, field)
+    assert _meets([], field) == []

@@ -7,11 +7,15 @@ small catalecticant blocks, computed by hand in the comments.
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import oracle
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from levelalg import modules
+from levelalg.combinatorics import is_o_sequence
 from levelalg.families import random_module, sharp_family
 from levelalg.fields import DEFAULT_PRIME, FieldSpec
 from levelalg.modules import (
@@ -33,7 +37,13 @@ from levelalg.modules import (
     sample_generic_quotient,
 )
 from levelalg.linalg import rank
-from levelalg.polynomials import Form, catalecticant, parse_form
+from levelalg.polynomials import (
+    Form,
+    catalecticant,
+    form_from_row,
+    monomials_of_degree,
+    parse_form,
+)
 
 MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
@@ -502,6 +512,38 @@ def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
     assert {relative_intersection_dim(m, 2, 2, s) for s in ((0, 1), (1, 2))} == {0, 1}
 
 
+def test_stacked_walk_meets_exactly_the_subsets_with_a_nonzero_parent(monkeypatch):
+    # a subset is met only when its lexicographic parent (the subset less
+    # its largest index) has a nonzero intersection
+    met = []
+    stacked = modules._meets
+
+    def counting(pairs, field):
+        met.extend(pairs)
+        return stacked(pairs, field)
+
+    monkeypatch.setattr(modules, "_meets", counting)
+    cases = (
+        # no intersection vanishes: all 247 subsets of two or more, per degree
+        (remix_generators(sharp_family(t=8, p=1, e=3, field=MOD), seed=8), 494),
+        # in degree 3 some pairs already meet in 0: 26 + 26 + 10 of 3 * 26
+        (random_module(3, 4, 5, 0.8, 2, MOD), 62),
+    )
+    for m, count in cases:
+        met.clear()
+        expected = 0
+        for u in range(1, m.socle_degree):
+            inclusion_exclusion_sum(m, u)
+            spaces = oracle._spaces(m, u)
+            expected += sum(
+                1
+                for q in range(2, m.type + 1)
+                for subset in combinations(range(m.type), q)
+                if reduce(oracle.subspace_intersection, (spaces[j] for j in subset[:-1])).dim
+            )
+        assert len(met) == expected == count
+
+
 def test_relative_intersection_validation():
     m = InverseSystemModule((_mono(2, (3, 0)), _mono(2, (0, 3))), MOD)
     with pytest.raises(ValueError):
@@ -624,3 +666,50 @@ def test_module_text_round_trip_rational_negatives():
     again = parse_module_file(module_to_text(m))
     assert again.generators == m.generators
     assert h_vector(again) == h_vector(m)
+
+
+# ------------------------------------------------------ property tests
+
+# the settings of the linalg property tests
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def _small_modules(draw):
+    """The same integer generators over GF(p) and over Q: r <= 3, e <= 4,
+    t <= 4, coefficients in [-5, 5]; r, e >= 2, so that most examples have
+    inner degrees and room for two generators."""
+    r, e = draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    n = len(monomials_of_degree(r, e))
+    t = draw(st.integers(1, min(4, n)))
+    row = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=t, max_size=t))
+    pair = []
+    for field in (MOD, RAT):
+        try:
+            forms = tuple(form_from_row(x, r, e, field) for x in rows)
+            pair.append(InverseSystemModule(forms, field))
+        except DependentGeneratorsError:
+            assume(False)
+    return pair
+
+
+@PROPERTY
+@given(pair=_small_modules())
+def test_small_modules_agree_across_fields_and_give_o_sequences(pair):
+    mp, mq = pair
+    e = mp.socle_degree
+    assert h_vector(mp) == h_vector(mq)
+    if mp.type >= 2:
+        for u in range(1, e):
+            assert inclusion_exclusion_sum(mp, u) == inclusion_exclusion_sum(mq, u)
+    for m in pair:
+        assert is_o_sequence(h_vector(m)).ok
+        if m.type < 2:
+            continue
+        for s in generic_quotient_trials(m, 1, trials=2, seed=e):
+            form = oracle.combine_forms(m.generators, s.coefficients[0], m.field)
+            # every entry ranked, the mirrored half included
+            h = tuple(rank(catalecticant([form], e - u)) for u in range(e + 1))
+            assert s.h == h == h[::-1]
+            assert is_o_sequence(h).ok
