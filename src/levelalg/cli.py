@@ -95,8 +95,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; one that is not UTF-8 raises OSError, naming
+    the path, like one that cannot be read: both are input errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _load_module(path: str, rational: bool):
-    text = Path(path).read_text()
+    text = _read_text(path)
     override = FieldSpec.rational() if rational else None
     return parse_module_file(text, field_override=override)
 
@@ -175,11 +184,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        text = Path(args.manifest).read_text()
-    except OSError as exc:
-        print(f"levelalg verify: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    text = _read_text(args.manifest)
     field = FieldSpec.rational() if args.rational else FieldSpec.modular()
     manifest = parse_manifest(text)
     summary, reports = run_manifest(manifest, field=field, seed=args.seed)
@@ -247,7 +252,10 @@ def _cmd_combinatorics(args) -> int:
         return EXIT_OK
     if args.expand is not None:
         try:
-            n, i = _parse_int_list(args.expand, "--expand")
+            pair = _parse_int_list(args.expand, "--expand")
+            if len(pair) != 2:
+                raise ValueError(f"malformed --expand: expected N,I, got {args.expand!r}")
+            n, i = pair
             exp = macaulay_expansion(n, i)
         except ValueError as exc:
             print(f"levelalg combinatorics: {exc}", file=sys.stderr)
@@ -283,10 +291,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ModuleFileError, ManifestError) as exc:
-        print(f"levelalg {args.command}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (ModuleFileError, ManifestError, OSError) as exc:
         print(f"levelalg {args.command}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DegenerateSampleError as exc:

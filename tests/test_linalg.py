@@ -1,4 +1,4 @@
-"""Exact rank, row space, sum, intersection, relative dimension.
+"""Exact rank, row space, sum and intersection.
 
 The independent oracle here is rank-by-minors: the rank of a small matrix
 is the largest k such that some k-by-k submatrix has nonzero determinant,
@@ -23,14 +23,13 @@ from levelalg.linalg import (
     AmbientMismatchError,
     Matrix,
     Subspace,
-    _echelon,
+    _bases,
     _meets,
     _rank,
     _ranks,
     _rref,
     _span,
     rank,
-    relative_dim,
     row_space,
     subspace_intersection,
     subspace_sum,
@@ -198,23 +197,6 @@ def test_grassmann_identity_seeded():
         assert subspace_sum(i, b).dim == b.dim
 
 
-def test_relative_dim():
-    full = row_space(Matrix.from_rows([[1, 0], [0, 1]], MOD))
-    line = row_space(Matrix.from_rows([[1, 1]], MOD))
-    assert relative_dim(full, full) == 0
-    assert relative_dim(full, zero_subspace(2, MOD)) == 2
-    assert relative_dim(full, line) == 1
-    # Grassmann consistency: dim a - dim(a cap b)
-    rng = random.Random(5)
-    for _ in range(30):
-        rows_a = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
-        rows_b = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)]
-        a = row_space(Matrix.from_rows(rows_a, MOD, cols=4))
-        b = row_space(Matrix.from_rows(rows_b, MOD, cols=4))
-        inter = subspace_intersection(a, b)
-        assert relative_dim(a, b) == a.dim - inter.dim
-
-
 def test_modular_rank_agrees_with_rational_on_corpus():
     rng = random.Random(2718)
     for _ in range(40):
@@ -228,7 +210,7 @@ def test_modular_rank_agrees_with_rational_on_corpus():
 def test_ambient_mismatch_raises():
     a = row_space(Matrix.from_rows([[1, 0]], MOD))
     b = row_space(Matrix.from_rows([[1, 0, 0]], MOD))
-    for op in (subspace_sum, subspace_intersection, relative_dim):
+    for op in (subspace_sum, subspace_intersection):
         with pytest.raises(AmbientMismatchError):
             op(a, b)
     c = row_space(Matrix.from_rows([[1, 0]], RAT))
@@ -305,7 +287,7 @@ def test_rational_rank_equals_sympy(rows):
 
 
 def _forward_ranks(stack, field):
-    return [len(_echelon(a, field)[1]) for a in stack]
+    return [len(oracle.echelon(a, field)[1]) for a in stack]
 
 
 @st.composite
@@ -420,3 +402,38 @@ def test_stacked_meets_span_the_pairwise_zassenhaus_meets(case):
         assert rows.shape == (len(want), n)
         assert _span(rows, n, field) == _span(want, n, field)
     assert _meets([], field) == []
+
+
+@st.composite
+def _basis_stacks(draw):
+    field = draw(st.sampled_from(MEET_FIELDS))
+    k, short = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    long = draw(st.integers(short + 1, 7))
+    # tall, wide and square
+    rows, cols = draw(st.sampled_from([(long, short), (short, long), (short, short)]))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    size = k * rows * cols
+    cells = draw(st.lists(entries, min_size=size, max_size=size))
+    stack = np.array(cells, dtype=object).reshape(k, rows, cols)
+    for a in stack:
+        kind = draw(st.sampled_from(["random", "zero", "deficient"]))
+        if kind == "zero":
+            a[:] = 0
+        elif kind == "deficient" and rows > 1:
+            # the last row is a combination of the first two
+            a[-1] = 2 * a[0] - a[min(1, rows - 2)]
+    return stack, field
+
+
+@PROPERTY
+@given(case=_basis_stacks())
+def test_stacked_bases_span_the_column_pass_rows(case):
+    stack, field = case
+    got = _bases(stack, field)
+    assert len(got) == len(stack)
+    for rows, a in zip(got, stack):
+        n = a.shape[1]
+        want = oracle.echelon(a, field)[0]
+        assert rows.shape == (len(want), n)
+        assert len(oracle.echelon(rows, field)[1]) == len(rows)
+        assert _span(rows, n, field) == _span(want, n, field)

@@ -28,7 +28,6 @@ from levelalg.modules import (
     generic_quotient_trials,
     h_vector,
     inclusion_exclusion_sum,
-    intersection_dim,
     module_to_text,
     parse_module_file,
     random_coefficient,
@@ -394,38 +393,33 @@ def test_remix_preserves_module():
 
 
 def test_intersection_dim_disjoint_powers():
-    a = _mono(2, (3, 0))
-    b = _mono(2, (0, 3))
-    assert intersection_dim([a, b], 1) == 0
-    assert intersection_dim([a, b], 2) == 0
+    # with q = t nothing is modded out: the plain t-fold intersection
+    m = InverseSystemModule((_mono(2, (3, 0)), _mono(2, (0, 3))), MOD)
+    assert relative_intersection_dim(m, 2, 1) == 0
+    assert relative_intersection_dim(m, 2, 2) == 0
 
 
 def test_intersection_dim_shared_derivatives():
-    a = _mono(2, (2, 1))
-    b = _mono(2, (1, 2))
+    m = InverseSystemModule((_mono(2, (2, 1)), _mono(2, (1, 2))), MOD)
     # degree-2 pieces are {y1y2, y1^2} and {y2^2, y1y2}: they share y1y2
-    assert intersection_dim([a, b], 2) == 1
+    assert relative_intersection_dim(m, 2, 2) == 1
     # degree-1 pieces are both the full span {y1, y2}
-    assert intersection_dim([a, b], 1) == 2
+    assert relative_intersection_dim(m, 2, 1) == 2
 
 
 def test_intersection_dim_single_form_and_ranges():
-    a = _mono(2, (2, 1))
-    assert intersection_dim([a], 2) == 2
+    m = InverseSystemModule((_mono(2, (2, 1)),), MOD)
+    assert relative_intersection_dim(m, 1, 2) == 2
     with pytest.raises(ValueError):
-        intersection_dim([a], 0)
+        relative_intersection_dim(m, 1, 0)
     with pytest.raises(ValueError):
-        intersection_dim([a], 3)
-    with pytest.raises(ValueError):
-        intersection_dim([], 1)
+        relative_intersection_dim(m, 1, 3)
 
 
 def test_inclusion_exclusion_pair_case():
-    a = _mono(2, (3, 0))
-    b = _mono(2, (0, 3))
-    m = InverseSystemModule((a, b), MOD)
+    m = InverseSystemModule((_mono(2, (3, 0)), _mono(2, (0, 3))), MOD)
     for u in (1, 2):
-        assert inclusion_exclusion_sum(m, u) == intersection_dim([a, b], u)
+        assert inclusion_exclusion_sum(m, u) == relative_intersection_dim(m, 2, u)
         assert inclusion_exclusion_sum(m, u) == 0
 
 
@@ -454,7 +448,7 @@ def test_relative_intersection_dim_cases():
     b = _mono(2, (0, 3))
     m = InverseSystemModule((a, b), MOD)
     # q = t: plain intersection, no complement to mod out
-    assert relative_intersection_dim(m, 2, 1) == intersection_dim([a, b], 1)
+    assert relative_intersection_dim(m, 2, 1) == 0
     # single generator modulo the other: spans y1 vs y2, nothing collapses
     assert relative_intersection_dim(m, 1, 1) == 1
     assert relative_intersection_dim(m, 1, 1, subset=(1,)) == 1
@@ -488,8 +482,6 @@ def test_overlap_statistics_match_the_subset_oracle(field):
             for q in range(1, m.type + 1):
                 got = relative_intersection_dim(m, q, u)
                 assert got == oracle.relative_intersection_dim(m, q, u), (m.type, u, q)
-            # with q = t nothing is modded out: the plain t-fold intersection
-            assert intersection_dim(m.generators, u) == got
 
 
 def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
