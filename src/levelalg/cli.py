@@ -210,6 +210,11 @@ def _cmd_verify(args) -> int:
                 f"{r.label} c={r.c}: bound {' '.join(map(str, r.bound))} | "
                 f"empirical {' '.join(map(str, r.empirical))} [{status}]"
             )
+        for f in summary.identity_failures:
+            lines.append(
+                f"{f.label} u={f.u}: identity {f.identity} FAILED "
+                f"(lhs {f.lhs}, rhs {f.rhs})"
+            )
         s = summary
         lines.append(
             f"instances={s.instances} satisfied={s.satisfied} violated={s.violated} "

@@ -16,9 +16,13 @@ Zassenhaus); `_rref` is its one-matrix pass and a back-substitution. It
 runs on int64 arrays (valid because the default modulus is below
 isqrt(2**63)), or on object arrays of Python ints for larger primes.
 Over Q every rank, intersection and basis starts from one fraction-free
-forward pass: rows are scaled to integers and stay integers, each
-eliminated row divided by its content, and Fraction appears only in the
-back-substitution of a canonical basis.
+forward pass on integer rows, each eliminated row divided by its content.
+The kernels take integer rows only: every row the pipeline builds is one
+(the generators' coefficient rows are cleared to integers once, and
+catalecticants, combinations, meets and bases keep that). Fractions enter
+only through Matrix and Subspace, and are cleared there, once per row, by
+`_clear_row` (in `_rref`, `rank` and `subspace_intersection`); Fraction
+appears again only in the back-substitution of a canonical basis.
 """
 
 from __future__ import annotations
@@ -128,8 +132,12 @@ def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
     Returns the nonzero rows of an echelon form as a new 2-D array with
     the input's column count, and their pivot columns. Over GF(p) they are
     the nonzero lines of `_line_steps`, sorted by their distinct leading
-    columns and scaled to pivot 1; over Q they are integers (each input
-    row is scaled to integers first, which keeps the row space).
+    columns and scaled to pivot 1. Over Q the rows must be integers,
+    Python ints or an integer array (which is read through `.tolist()`,
+    so no fixed-width scalar reaches the big-integer arithmetic); the
+    nonzero ones go to `_echelon_int` as they are, and so do the echelon
+    rows it returns. Rows with Fraction entries are cleared by the public
+    callers before they get here.
     """
     if not len(rows):
         return np.zeros((0, 0), dtype=object), []
@@ -145,13 +153,18 @@ def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
         return mat.reshape(len(lines), a.shape[1]), [c for c, _ in lines]
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
-    mat, pivots = _echelon_int([_clear_row(row) for row in rows if any(row)])
+    mat, pivots = _echelon_int([row for row in rows if any(row)])
     return np.array(mat, dtype=object).reshape(len(mat), len(rows[0])), pivots
 
 
 def _rref(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
     """RREF basis rows, as lists of field scalars, and pivot columns: the
-    forward pass, then each pivot scaled to 1 and cleared above."""
+    forward pass, then each pivot scaled to 1 and cleared above. Over Q
+    the rows may hold Fractions; each is cleared to integers first."""
+    if not field.is_modular:
+        if isinstance(rows, np.ndarray):
+            rows = rows.tolist()
+        rows = [_clear_row(row) for row in rows]
     a, pivots = _echelon(rows, field)
     if not pivots:
         return [], []
@@ -260,7 +273,9 @@ def _rank(rows, field: FieldSpec) -> int:
 
 def rank(m: Matrix) -> int:
     """Rank of the matrix over its field."""
-    return _rank(m.entries, m.field)
+    if m.field.is_modular:
+        return _rank(m.entries, m.field)
+    return _rank([_clear_row(row) for row in m.entries], m.field)
 
 
 def row_space(m: Matrix) -> Subspace:
@@ -342,7 +357,9 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     _check_pair(a, b)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient, a.field)
-    rows = _meet(
-        np.array(a.basis, dtype=object), np.array(b.basis, dtype=object), a.field
-    )
+    a_rows, b_rows = a.basis, b.basis
+    if not a.field.is_modular:
+        a_rows = [_clear_row(row) for row in a_rows]
+        b_rows = [_clear_row(row) for row in b_rows]
+    rows = _meet(np.array(a_rows, dtype=object), np.array(b_rows, dtype=object), a.field)
     return _span(rows, a.ambient, a.field)

@@ -17,17 +17,16 @@ is reproducible from the manifest text and the run seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import VerificationReport, verify_instance
 from .combinatorics import binomial
 from .fields import FieldSpec
 from .modules import (
+    _overlap,
     derive_seed,
     empirical_generic_h,
     h_vector,
-    inclusion_exclusion_sum,
-    relative_intersection_dim,
     remix_generators,
 )
 from .families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec, build_family
@@ -58,6 +57,18 @@ class ExperimentManifest:
 
 
 @dataclass(frozen=True)
+class IdentityFailure:
+    """One failed identity check: the instance's label, the degree u, the
+    identity (type-count, recount or overlap-bound) and its two sides."""
+
+    label: str
+    u: int
+    identity: str
+    lhs: int
+    rhs: int
+
+
+@dataclass(frozen=True)
 class RunSummary:
     instances: int
     satisfied: int
@@ -67,18 +78,20 @@ class RunSummary:
     identity_checks_failed: int
     wall_time: float
     seed: int
+    identity_failures: tuple[IdentityFailure, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "instances": self.instances,
             "satisfied": self.satisfied,
             "violated": self.violated,
             "tightInstances": self.tight_instances,
             "identityChecksPassed": self.identity_checks_passed,
             "identityChecksFailed": self.identity_checks_failed,
-            "wallTime": round(self.wall_time, 3),
-            "seed": self.seed,
         }
+        if self.identity_failures:
+            out["identityFailures"] = [asdict(f) for f in self.identity_failures]
+        return out | {"wallTime": round(self.wall_time, 3), "seed": self.seed}
 
 
 _CONTROL_KEYS = ("c", "trials", "seed", "label", "identities")
@@ -165,40 +178,39 @@ class InstanceResult:
     identity_failed: int
 
 
-def _identity_checks(m, trials: int, seed: int) -> tuple[int, int]:
-    """Count the per-degree identity checks on re-mixed generators.
+def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailure]]:
+    """Run the per-degree identity checks on re-mixed generators; returns
+    the number passed and a record of each failure.
 
     Three checks per inner degree u: the type-count identity
     sum = t*H_u - h_u, the subset recount sum = sum_j (j-1) C(t,j) D_u(j),
-    and the overlap lower bound H_u >= h_{e-u} - sum.
+    and the overlap lower bound H_u >= h_{e-u} - sum. The sum and every
+    D_u(j) come from one `_overlap` walk per degree.
     """
     t = m.type
     e = m.socle_degree
     if t < 2 or e < 2:
-        return 0, 0
+        return 0, []
     g = remix_generators(m, derive_seed(seed, "identity-mix"))
     h = h_vector(m)
     emp = empirical_generic_h(m, 1, trials=trials, seed=derive_seed(seed, "identity-emp"))
-    passed = failed = 0
+    passed = 0
+    failures: list[IdentityFailure] = []
     for u in range(1, e):
-        sigma = inclusion_exclusion_sum(g, u)
-        if sigma == t * emp[u] - h[u]:
-            passed += 1
-        else:
-            failed += 1
-        recount = sum(
-            (j - 1) * binomial(t, j) * relative_intersection_dim(g, j, u)
-            for j in range(2, t + 1)
-        )
-        if sigma == recount:
-            passed += 1
-        else:
-            failed += 1
-        if emp[u] >= h[e - u] - sigma:
-            passed += 1
-        else:
-            failed += 1
-    return passed, failed
+        sigma, dims = _overlap(g, u)
+        type_count = t * emp[u] - h[u]
+        recount = sum((j - 1) * binomial(t, j) * d for j, d in enumerate(dims, start=2))
+        bound = h[e - u] - sigma
+        for identity, lhs, rhs, ok in (
+            ("type-count", sigma, type_count, sigma == type_count),
+            ("recount", sigma, recount, sigma == recount),
+            ("overlap-bound", emp[u], bound, emp[u] >= bound),
+        ):
+            if ok:
+                passed += 1
+            else:
+                failures.append(IdentityFailure(m.label, u, identity, lhs, rhs))
+    return passed, failures
 
 
 def run_manifest(
@@ -213,7 +225,8 @@ def run_manifest(
     start = time.monotonic()
     reports: list[VerificationReport] = []
     satisfied = violated = tight_instances = 0
-    id_passed = id_failed = 0
+    id_passed = 0
+    id_failures: list[IdentityFailure] = []
     for index, inst in enumerate(manifest.instances):
         inst_seed = inst.seed if inst.seed is not None else derive_seed(seed, index)
         try:
@@ -242,15 +255,16 @@ def run_manifest(
         if inst.identities:
             p, f = _identity_checks(m, inst.trials, inst_seed)
             id_passed += p
-            id_failed += f
+            id_failures += f
     summary = RunSummary(
         instances=len(manifest.instances),
         satisfied=satisfied,
         violated=violated,
         tight_instances=tight_instances,
         identity_checks_passed=id_passed,
-        identity_checks_failed=id_failed,
+        identity_checks_failed=len(id_failures),
         wall_time=time.monotonic() - start,
         seed=seed,
+        identity_failures=tuple(id_failures),
     )
     return summary, reports

@@ -31,6 +31,7 @@ from .polynomials import (
     Form,
     FormParseError,
     catalecticant_rows,
+    check_space_dim,
     coefficient_rows,
     form_from_row,
     parse_form,
@@ -170,18 +171,6 @@ def _single_spaces(m: InverseSystemModule, u: int) -> tuple[np.ndarray, ...]:
     return tuple(_bases(rows.reshape(m.type, -1, rows.shape[1]), m.field))
 
 
-@lru_cache(maxsize=16384)
-def _subset_meet(m: InverseSystemModule, u: int, subset: tuple[int, ...]) -> np.ndarray:
-    """Rows spanning the intersection of the subset's degree-u spaces, met
-    onto the cached meet of subset[:-1]: the prefixes of one subset share
-    their meets. Shared, so never written to."""
-    spaces = _single_spaces(m, u)
-    if len(subset) == 1:
-        return spaces[subset[0]]
-    inter = _subset_meet(m, u, subset[:-1])
-    return _meet(inter, spaces[subset[-1]], m.field) if len(inter) else inter
-
-
 def _random_matrix(
     seed: int, label: str, attempt: int, rows: int, cols: int, field: FieldSpec
 ) -> tuple[tuple[int, ...], ...]:
@@ -308,36 +297,69 @@ def _check_degree(m: InverseSystemModule, u: int) -> None:
         )
 
 
-def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
-    """Alternating sum of intersection dimensions over generator subsets.
+def _relative_dim(inter: np.ndarray, rest, field: FieldSpec) -> int:
+    """Dimension of row(inter) modulo the span of the arrays in `rest`:
+    rank(inter + rest) - rank(rest)."""
+    if not rest or not len(inter):
+        return len(inter)
+    rest = np.vstack(rest)
+    return _rank(np.vstack([inter, rest]), field) - _rank(rest, field)
 
-    Pairs count positive, triples negative, and so on; for generically
-    chosen generators this equals t * H_u(generic Gorenstein quotient)
-    minus h_u. Use remix_generators first when that identity is wanted.
+
+def _overlap(m: InverseSystemModule, u: int) -> tuple[int, list[int]]:
+    """The alternating sum of `inclusion_exclusion_sum` and the relative
+    dimensions D_u(q) of `relative_intersection_dim` for the prefixes
+    {0..q-1}, q = 2..t (the sizes the subset recount weighs), from one
+    walk over the generator subsets.
 
     The subsets are walked level by level in lexicographic order. Level q
     holds the rows of each q-subset's intersection with a nonzero result,
     and its children, the subset plus one generator after its last, are
     all met in one stacked `_meets` call. A zero intersection is dropped,
     since every superset then contributes 0, and a level is freed once its
-    children are built.
+    children are built. The prefix {0..q} is the first child of the prefix
+    {0..q-1}, so while the prefixes are nonzero each is the first entry of
+    its level; once one meets in 0 so do all longer ones, and their D_u is 0.
+    D_u(1) is left out: it would rank all t spaces together, and no caller
+    reads it.
     """
-    _check_degree(m, u)
     t = m.type
-    if t < 2:
-        raise ValueError("inclusion-exclusion needs at least two generators")
     spaces = _single_spaces(m, u)
     level = list(zip(spaces, range(t)))
-    total, sign = 0, 1
+    prefixes = []  # the meets of {0, 1}, {0, 1, 2}, ... while nonzero
+    total, sign, q = 0, 1, 1
     while level:
         children = [
             (k, j) for k, (_, last) in enumerate(level) for j in range(last + 1, t)
         ]
         meets = _meets([(level[k][0], spaces[j]) for k, j in children], m.field)
+        # while {0..q-1} is nonzero it is level[0], so {0..q} is meets[0]
+        if q < t and len(prefixes) == q - 1 and len(meets[0]):
+            prefixes.append(meets[0])
         level = [(meet, j) for meet, (_, j) in zip(meets, children) if len(meet)]
         total += sign * sum(len(meet) for meet, _ in level)
-        sign = -sign
-    return total
+        sign, q = -sign, q + 1
+    dims = [
+        _relative_dim(inter, spaces[q:], m.field)
+        for q, inter in enumerate(prefixes, start=2)
+    ]
+    return total, dims + [0] * (t - 1 - len(dims))
+
+
+def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
+    """Alternating sum of intersection dimensions over generator subsets.
+
+    Pairs count positive, triples negative, and so on; for generically
+    chosen generators this equals t * H_u(generic Gorenstein quotient)
+    minus h_u. Use remix_generators first when that identity is wanted.
+    The subsets are met level by level, a whole level in one stacked
+    elimination, and a subset whose parent meets in 0 is skipped (see
+    `_overlap`).
+    """
+    _check_degree(m, u)
+    if m.type < 2:
+        raise ValueError("inclusion-exclusion needs at least two generators")
+    return _overlap(m, u)[0]
 
 
 def relative_intersection_dim(
@@ -345,10 +367,12 @@ def relative_intersection_dim(
 ) -> int:
     """Dimension of the q-fold intersection modulo the complement's span.
 
-    Intersect the degree-u spaces of q chosen generators, then quotient by
-    the sum of the remaining generators' spaces. Defaults to the first q
-    generators; for generic generators the value is independent of the
-    choice of subset.
+    Intersect the degree-u spaces of q chosen generators, in the order
+    given, then quotient by the sum of the remaining generators' spaces.
+    Defaults to the first q generators; for generic generators the value
+    is independent of the choice of subset. Each call meets its subset
+    afresh, one pair at a time; `_overlap` gives the values of all the
+    default subsets from the walk `inclusion_exclusion_sum` makes anyway.
     """
     _check_degree(m, u)
     t = m.type
@@ -360,12 +384,13 @@ def relative_intersection_dim(
     if len(set(subset)) != q or any(not 0 <= j < t for j in subset):
         raise ValueError(f"subset {subset} is not {q} distinct indices below {t}")
     spaces = _single_spaces(m, u)
-    inter = _subset_meet(m, u, subset)
+    inter = spaces[subset[0]]
+    for j in subset[1:]:
+        if not len(inter):
+            break
+        inter = _meet(inter, spaces[j], m.field)
     rest = [spaces[j] for j in range(t) if j not in subset]
-    if not rest or not len(inter):
-        return len(inter)
-    rest = np.vstack(rest)
-    return _rank(np.vstack([inter, rest]), m.field) - _rank(rest, m.field)
+    return _relative_dim(inter, rest, m.field)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +407,7 @@ def parse_module_file(
     reinterprets the integer literals over that field instead of the
     header's.
     """
-    num_vars = degree = None
+    num_vars = degree = vars_line = None
     field: FieldSpec | None = None
     gen_texts: list[tuple[int, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -396,6 +421,7 @@ def parse_module_file(
         value = value.strip()
         if key == "vars":
             num_vars = _parse_positive(value, "vars", lineno)
+            vars_line = lineno
         elif key == "degree":
             degree = _parse_positive(value, "degree", lineno)
         elif key == "prime":
@@ -412,6 +438,10 @@ def parse_module_file(
             raise ModuleFileError(f"unknown key {key!r}", lineno)
     if num_vars is None or degree is None:
         raise ModuleFileError("missing 'vars' or 'degree' header", 1)
+    try:
+        check_space_dim(num_vars, degree)
+    except ValueError as exc:
+        raise ModuleFileError(str(exc), vars_line) from exc
     if field_override is not None:
         field = field_override
     elif field is None:

@@ -20,6 +20,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
 import numpy as np
@@ -47,6 +48,11 @@ class ParameterMismatchError(ValueError):
     """Forms with incompatible (num_vars, degree, field) were combined."""
 
 
+# Largest space of forms the package builds tables for: every table is
+# indexed by the monomials of one degree, so this bounds time and memory.
+MAX_SPACE_DIM = 10**6
+
+
 def space_dim(num_vars: int, degree: int) -> int:
     """Dimension of the space of degree-`degree` forms in `num_vars` variables."""
     if degree < 0:
@@ -54,21 +60,33 @@ def space_dim(num_vars: int, degree: int) -> int:
     return comb(degree + num_vars - 1, num_vars - 1)
 
 
+def check_space_dim(num_vars: int, degree: int) -> None:
+    """Raise ValueError when the degree-`degree` forms in `num_vars`
+    variables span more than MAX_SPACE_DIM monomials."""
+    dim = space_dim(num_vars, degree)
+    if dim > MAX_SPACE_DIM:
+        raise ValueError(
+            f"degree-{degree} forms in {num_vars} variables span {dim} monomials, "
+            f"more than the {MAX_SPACE_DIM} this tool builds tables for"
+        )
+
+
 @lru_cache(maxsize=None)
 def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponents, ...]:
-    """All exponent vectors of the given total degree, in monomial order."""
+    """All exponent vectors of the given total degree, in monomial order.
+
+    Stars and bars: the num_vars - 1 bars among degree + num_vars - 1
+    slots cut the stars into the exponents. Raises ValueError above
+    MAX_SPACE_DIM monomials.
+    """
     if num_vars < 1 or degree < 0:
         return ()
+    check_space_dim(num_vars, degree)
+    slots = degree + num_vars - 1
     vecs: list[Exponents] = []
-
-    def emit(prefix: tuple[int, ...], rem: int, slots: int) -> None:
-        if slots == 1:
-            vecs.append(prefix + (rem,))
-            return
-        for k in range(rem, -1, -1):
-            emit(prefix + (k,), rem - k, slots - 1)
-
-    emit((), degree, num_vars)
+    for bars in combinations(range(slots), num_vars - 1):
+        cuts = (-1, *bars, slots)
+        vecs.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
     # grevlex descending == ascending lexicographic on reversed exponents
     vecs.sort(key=lambda m: tuple(reversed(m)))
     return tuple(vecs)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,28 @@ def test_hvector_malformed_file(tmp_path, capsys):
     f.write_text("vars: 2\ndegree: 3\nF1: y1^2\n")
     assert cli.main(["hvector", str(f)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_hvector_many_variables(tmp_path, capsys):
+    f = tmp_path / "wide.mod"
+    f.write_text("vars: 1200\ndegree: 1\nF1: y1\n")
+    assert cli.main(["hvector", str(f)]) == 0
+    assert capsys.readouterr().out == "1 1\n"
+
+
+def test_hvector_space_over_the_bound_exits_two_before_any_table(tmp_path, capsys):
+    # C(1202, 3), about 2.9e8 monomials: refused from the header alone
+    f = tmp_path / "huge.mod"
+    f.write_text("# wide\nvars: 1200\ndegree: 3\nF1: y1^3\n")
+    tracemalloc.start()
+    try:
+        assert cli.main(["hvector", str(f)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+    err = capsys.readouterr().err
+    assert "line 2" in err and "288720400 monomials" in err
 
 
 def test_hvector_round_trips_serializer(tmp_path, capsys):
@@ -262,6 +285,9 @@ def test_verify_bad_manifest(tmp_path, capsys):
         "sharp t=1 p=1 e=3",
         "random-dense r=2 e=1 t=5",
         "random-sparse r=3 e=3 t=2 density=2",
+        # spaces of about 2.9e8 monomials, over the bound
+        "random-dense r=1200 e=3 t=2",
+        "sharp t=5 p=200 e=3",
     ],
 )
 def test_verify_bad_family_parameters_exit_two(tmp_path, capsys, line):
@@ -277,6 +303,29 @@ def test_verify_unknown_key_exits_two(tmp_path, capsys):
     assert cli.main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "bogus" in err
+
+
+def test_verify_names_each_failed_identity(tmp_path, capsys):
+    # monomial generators are not generic: the first module misses the
+    # type-count identity at u=3 and the second the subset recount
+    f = tmp_path / "monomials.txt"
+    f.write_text("monomial r=3 e=4 t=4 seed=1\nmonomial r=4 e=4 t=4 seed=0\n")
+    assert cli.main(["verify", str(f)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:-1] == [
+        "monomial-r3-e4-t4-s1 u=3: identity type-count FAILED (lhs 3, rhs 7)",
+        "monomial-r4-e4-t4-s0 u=3: identity recount FAILED (lhs 9, rhs 3)",
+    ]
+    assert "identities=16+2-" in out[-1]
+    assert cli.main(["verify", str(f), "--format", "json"]) == 1
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["identityChecksFailed"] == 2
+    assert summary["identityFailures"] == [
+        {"label": "monomial-r3-e4-t4-s1", "u": 3, "identity": "type-count",
+         "lhs": 3, "rhs": 7},
+        {"label": "monomial-r4-e4-t4-s0", "u": 3, "identity": "recount",
+         "lhs": 9, "rhs": 3},
+    ]
 
 
 def test_verify_exit_code_on_violation(manifest_file, capsys, monkeypatch):

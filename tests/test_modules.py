@@ -464,11 +464,24 @@ def test_relative_intersection_subset_independence_on_remix():
         assert len(vals) == 1
 
 
+def _monomial_module(field, exps=((3, 0, 0), (1, 2, 0), (0, 3, 0), (2, 0, 1), (0, 1, 2))):
+    # far from generic: by default the prefix {0, 1, 2} meets in 0 at u = 1,
+    # and the prefix {0, 1} already at u = 2
+    return InverseSystemModule(tuple(_mono(3, x, field) for x in exps), field)
+
+
+# D_2(2) = 1, where four pairs meet in nonzero rows; at u = 1 the prefix
+# {0, 1, 2} meets in 0 while six triples and one 4-subset do not
+MIXED_MONOMIALS = ((2, 1, 0), (2, 0, 1), (0, 2, 1), (1, 1, 1), (0, 0, 3))
+
+
 OVERLAP_CASES = (
     lambda field: sharp_family(t=5, p=1, e=3, field=field),
     lambda field: remix_generators(sharp_family(t=6, p=1, e=3, field=field), seed=6),
     lambda field: remix_generators(sharp_family(t=7, p=1, e=3, field=field), seed=7),
     lambda field: remix_generators(random_module(2, 5, 5, 0.5, 5, field), seed=1),
+    _monomial_module,
+    lambda field: _monomial_module(field, MIXED_MONOMIALS),
 )
 
 
@@ -479,20 +492,49 @@ def test_overlap_statistics_match_the_subset_oracle(field):
         for u in range(1, m.socle_degree):
             want = oracle.inclusion_exclusion_sum(m, u)
             assert inclusion_exclusion_sum(m, u) == want, (m.label, m.type, u)
+            dims = [oracle.relative_intersection_dim(m, q, u) for q in range(1, m.type + 1)]
             for q in range(1, m.type + 1):
                 got = relative_intersection_dim(m, q, u)
-                assert got == oracle.relative_intersection_dim(m, q, u), (m.type, u, q)
+                assert got == dims[q - 1], (m.type, u, q)
+            # one walk gives the sum and the relative dimension of every
+            # prefix the recount weighs, {0, 1} and longer
+            assert modules._overlap(m, u) == (want, dims[1:]), (m.label, m.type, u)
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
+    # the walk hands on the meet of {0..q-1}, q >= 2, while it is nonzero,
+    # and nothing once a prefix meets in 0
+    from levelalg.linalg import _span
+
+    handed = []
+    relative = modules._relative_dim
+
+    def recording(inter, rest, f):
+        handed.append(inter)
+        return relative(inter, rest, f)
+
+    monkeypatch.setattr(modules, "_relative_dim", recording)
+    for build in OVERLAP_CASES:
+        m = build(field)
+        for u in range(1, m.socle_degree):
+            spaces = oracle._spaces(m, u)
+            prefixes = [
+                reduce(oracle.subspace_intersection, spaces[:q]) for q in range(2, m.type + 1)
+            ]
+            handed.clear()
+            modules._overlap(m, u)
+            want = [s for s in prefixes if s.dim]
+            assert len(handed) == len(want), (m.type, u)
+            for rows, s in zip(handed, want):
+                assert _span(rows, s.ambient, field) == s, (m.type, u)
 
 
 def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
     # monomial generators are far from generic, so the subset (and the order
     # in which its spaces are met) changes the value
     for field in (MOD, RAT, BIG):
-        gens = tuple(
-            _mono(3, exps, field)
-            for exps in ((3, 0, 0), (1, 2, 0), (0, 3, 0), (2, 0, 1), (0, 1, 2))
-        )
-        m = InverseSystemModule(gens, field)
+        m = _monomial_module(field)
         for u in (1, 2):
             for q in range(1, m.type + 1):
                 for subset in combinations(range(m.type), q):
@@ -502,6 +544,18 @@ def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
                         ) == oracle.relative_intersection_dim(m, q, u, subset=order)
     # the first two and the last two generators give different values
     assert {relative_intersection_dim(m, 2, 2, s) for s in ((0, 1), (1, 2))} == {0, 1}
+
+
+def _walk_meets(m, u):
+    """The number of subsets the walk meets in degree u: those of two or
+    more generators whose lexicographic parent has a nonzero intersection."""
+    spaces = oracle._spaces(m, u)
+    return sum(
+        1
+        for q in range(2, m.type + 1)
+        for subset in combinations(range(m.type), q)
+        if reduce(oracle.subspace_intersection, (spaces[j] for j in subset[:-1])).dim
+    )
 
 
 def test_stacked_walk_meets_exactly_the_subsets_with_a_nonzero_parent(monkeypatch):
@@ -526,14 +580,36 @@ def test_stacked_walk_meets_exactly_the_subsets_with_a_nonzero_parent(monkeypatc
         expected = 0
         for u in range(1, m.socle_degree):
             inclusion_exclusion_sum(m, u)
-            spaces = oracle._spaces(m, u)
-            expected += sum(
-                1
-                for q in range(2, m.type + 1)
-                for subset in combinations(range(m.type), q)
-                if reduce(oracle.subspace_intersection, (spaces[j] for j in subset[:-1])).dim
-            )
+            expected += _walk_meets(m, u)
         assert len(met) == expected == count
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_identity_checks_walk_each_degree_once(monkeypatch, field):
+    # the sum and the recount both come from one walk per degree: the
+    # walk's stacked meets are all there is, and no pair is met on its own
+    from levelalg import manifest
+
+    met = []
+    stacked = modules._meets
+
+    def counting(pairs, f):
+        met.extend(pairs)
+        return stacked(pairs, f)
+
+    def single(*args):
+        raise AssertionError("a one-pair meet after the walk")
+
+    monkeypatch.setattr(modules, "_meets", counting)
+    monkeypatch.setattr(modules, "_meet", single)
+    m = sharp_family(t=4, p=1, e=4, field=field)
+    seed = 5
+    g = remix_generators(m, derive_seed(seed, "identity-mix"))
+    expected = sum(_walk_meets(g, u) for u in range(1, m.socle_degree))
+    met.clear()
+    passed, failures = manifest._identity_checks(m, 3, seed)
+    assert (passed, failures) == (9, [])
+    assert len(met) == expected
 
 
 def test_relative_intersection_validation():

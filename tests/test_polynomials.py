@@ -10,6 +10,7 @@ import pytest
 from levelalg.fields import FieldSpec
 from levelalg.linalg import rank, row_space
 from levelalg.polynomials import (
+    MAX_SPACE_DIM,
     DerivativeAction,
     Form,
     FormParseError,
@@ -57,6 +58,16 @@ def test_monomial_order_first_is_pure_power_and_sorted():
             # descending order == ascending lex on reversed exponents
             keys = [tuple(reversed(m)) for m in monos]
             assert keys == sorted(keys)
+
+
+def test_monomials_of_many_variables_and_the_space_bound():
+    # one exponent vector per variable, without recursing once per variable
+    monos = monomials_of_degree(1200, 1)
+    assert len(monos) == 1200
+    assert monos[0] == (1,) + (0,) * 1199 and monos[-1] == (0,) * 1199 + (1,)
+    assert space_dim(1200, 3) > MAX_SPACE_DIM
+    with pytest.raises(ValueError, match="288720400 monomials"):
+        monomials_of_degree(1200, 3)
 
 
 def test_monomial_index_is_inverse():
