@@ -6,11 +6,15 @@ module with h-vector h:
 
     bound_u = ceil( ((t-c) h_{e-u} + (ct-1) h_u) / (t^2 - 1) ).
 
-Degree 0 contributes 1 and degree e contributes exactly c. On top of that
-sit an O-sequence feasibility test for candidate quotient h-vectors (the
-candidate and the reversed difference must both be admissible Hilbert
-functions), a greedy tightening loop, chaining along a descending type
-path, and a report type for batch verification runs.
+Degree 0 contributes 1 and degree e contributes exactly c; at t = 2,
+c = 1 it is Iarrobino's pencil bound ceil((h_u + h_{e-u}) / 3). On top of
+that sit three full-codimension predicates on h, an O-sequence
+feasibility test for candidate quotient h-vectors (the candidate and the
+reversed difference must both be admissible Hilbert functions), a greedy
+tightening loop, chaining along a descending type path, and the report of
+one verified instance, with its JSON and CSV renderings. The overlap
+bound H_u >= h_{e-u} - (inclusion-exclusion sum) is checked at every
+degree by `levelalg verify` (see `manifest._identity_checks`).
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .combinatorics import is_o_sequence
-from .modules import (
-    InverseSystemModule,
-    derive_seed,
-    empirical_generic_h,
-    generic_quotient_trials,
-    h_vector,
-    inclusion_exclusion_sum,
-    remix_generators,
-)
+from .modules import InverseSystemModule, generic_quotient_trials, h_vector
 
 HVector = tuple[int, ...]
 
@@ -40,7 +36,9 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _check_h(h: Sequence[int]) -> HVector:
+def _check_h(h: Sequence[int], t: int | None = None) -> HVector:
+    """h as a tuple of ints, checked to be an h-vector, and to end in the
+    parent type t when one is given."""
     h = tuple(int(x) for x in h)
     if len(h) < 2:
         raise ValueError("an h-vector needs at least degrees 0 and e")
@@ -48,6 +46,8 @@ def _check_h(h: Sequence[int]) -> HVector:
         raise ValueError(f"h_0 must be 1, got {h[0]}")
     if any(x < 0 for x in h):
         raise ValueError(f"negative entry in {h}")
+    if t is not None and h[-1] != t:
+        raise ValueError(f"h ends in {h[-1]}, expected the type {t}")
     return h
 
 
@@ -57,12 +57,10 @@ def generic_quotient_bound(h: Sequence[int], t: int, c: int) -> HVector:
     Requires h to end in its type t >= 2 and 1 <= c <= t-1. The last entry
     of the bound is exactly c.
     """
-    h = _check_h(h)
-    e = len(h) - 1
     if t < 2:
         raise ValueError("parent type must be at least 2")
-    if h[e] != t:
-        raise ValueError(f"h ends in {h[e]}, expected the type {t}")
+    h = _check_h(h, t)
+    e = len(h) - 1
     if not 1 <= c <= t - 1:
         raise ValueError(f"quotient type {c} out of range 1..{t - 1}")
     denom = t * t - 1
@@ -73,52 +71,17 @@ def generic_quotient_bound(h: Sequence[int], t: int, c: int) -> HVector:
     return tuple(out)
 
 
-def pencil_bound(h: Sequence[int]) -> HVector:
-    """Type-2 case: generic Gorenstein quotient of a pencil of forms.
-
-    bound_u = ceil((h_u + h_{e-u}) / 3); agrees with the general formula
-    at t = 2, c = 1.
-    """
-    h = _check_h(h)
-    if h[-1] != 2:
-        raise ValueError(f"pencil bound needs type 2, h ends in {h[-1]}")
-    e = len(h) - 1
-    return tuple(
-        [1] + [_ceil_div(h[u] + h[e - u], 3) for u in range(1, e + 1)]
-    )
-
-
-def overlap_bound_holds(
-    m: InverseSystemModule, u: int, seed: int = 0, trials: int = 5
-) -> bool:
-    """Check H_u(generic Gorenstein quotient) >= h_{e-u} - overlap sum.
-
-    The overlap sum is computed on generically re-mixed generators; the
-    left side is the empirical generic value.
-    """
-    h = h_vector(m)
-    e = m.socle_degree
-    g = remix_generators(m, derive_seed(seed, "mix"))
-    sigma = inclusion_exclusion_sum(g, u)
-    emp = empirical_generic_h(m, 1, trials=trials, seed=derive_seed(seed, "emp"))
-    return emp[u] >= h[e - u] - sigma
-
-
 def has_full_codim_gorenstein(h: Sequence[int], t: int) -> bool:
     """h_{e-1} >= t*(r-1) with r = h_1: guarantees a generic Gorenstein
     quotient that still involves all r variables (its h_1 equals r)."""
-    h = _check_h(h)
-    if h[-1] != t:
-        raise ValueError(f"h ends in {h[-1]}, expected the type {t}")
+    h = _check_h(h, t)
     return h[-2] >= t * (h[1] - 1)
 
 
 def has_full_codim_type_drop(h: Sequence[int], t: int) -> bool:
     """h_{e-1} >= -t^2 + r*t + 2 with r = h_1: same conclusion for the
     generic type-(t-1) quotient."""
-    h = _check_h(h)
-    if h[-1] != t:
-        raise ValueError(f"h ends in {h[-1]}, expected the type {t}")
+    h = _check_h(h, t)
     return h[-2] >= -t * t + h[1] * t + 2
 
 
@@ -128,9 +91,7 @@ def penultimate_bound_holds(h: Sequence[int], t: int) -> bool:
     Every level h-vector in at most 7 variables satisfies the second
     disjunct, so on computed level h-vectors this must return True.
     """
-    h = _check_h(h)
-    if h[-1] != t:
-        raise ValueError(f"h ends in {h[-1]}, expected the type {t}")
+    h = _check_h(h, t)
     return h[1] > 7 or h[-2] >= h[1]
 
 
@@ -290,18 +251,18 @@ CSV_COLUMNS = (
 
 
 def report_csv_row(r: VerificationReport) -> list[str]:
-    return [
-        r.label,
-        " ".join(map(str, r.h)),
-        str(r.c),
-        " ".join(map(str, r.bound)),
-        " ".join(map(str, r.empirical)),
-        "true" if r.satisfied else "false",
-        " ".join(map(str, r.tight_degrees)),
-        str(r.trials),
-        str(r.seed),
-        "" if r.prime is None else str(r.prime),
-    ]
+    """The CSV_COLUMNS cells of the report's JSON fields: lists are
+    space-joined, booleans lowercase and None blank."""
+    d = r.to_json_dict()
+    return [_csv_cell(d[k]) for k in CSV_COLUMNS]
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, list):
+        return " ".join(map(str, v))
+    if isinstance(v, bool):
+        return str(v).lower()
+    return "" if v is None else str(v)
 
 
 def verify_instance(

@@ -223,7 +223,7 @@ def _cmd_verify(args) -> int:
         )
         rendered = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(rendered)
+        Path(args.out).write_text(rendered, encoding="utf-8")
         print(f"wrote {args.out}")
         s = summary
         print(

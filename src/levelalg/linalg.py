@@ -11,10 +11,11 @@ Over GF(p) every elimination is `_line_steps`: a stack of equally shaped
 matrices is eliminated side by side, one line per step. It ranks the
 quotient trials of one type together (`_ranks`), gives the generators'
 derivative spaces their bases together (`_bases`; both along the shorter
-side) and intersects a whole level of generator subsets (`_meets`, by
-Zassenhaus); `_rref` is its one-matrix pass and a back-substitution. It
-runs on int64 arrays (valid because the default modulus is below
-isqrt(2**63)), or on object arrays of Python ints for larger primes.
+side) and intersects a whole level of generator subsets, or a single
+pair (`_meets`, by Zassenhaus); `_rref` is its one-matrix pass and a
+back-substitution. It runs on int64 arrays (valid because the default
+modulus is below isqrt(2**63)), or on object arrays of Python ints for
+larger primes.
 Over Q every rank, intersection and basis starts from one fraction-free
 forward pass on integer rows, each eliminated row divided by its content.
 The kernels take integer rows only: every row the pipeline builds is one
@@ -318,7 +319,9 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     zero on the whole left half, and every later line is zero at that pivot
     column, so the combination's left half cannot vanish. Over Q each Z
     gets the fraction-free forward pass, whose rows with a right-half pivot
-    are the same kind of basis.
+    are the same kind of basis. A single pair is a list of one pair: the
+    overlap walk passes whole levels, `subspace_intersection` and the
+    subset chains of `relative_intersection_dim` one pair at a time.
     """
     out: list = [None] * len(pairs)
     groups: dict[tuple, list[int]] = {}
@@ -345,11 +348,6 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     return out
 
 
-def _meet(a: np.ndarray, b: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """Rows spanning row space(a) ∩ row space(b): `_meets` of one pair."""
-    return _meets([(a, b)], field)[0]
-
-
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection, by the Zassenhaus algorithm: one forward elimination
     of the stacked bases [[A, A], [B, 0]], whose rows with a zero left half
@@ -361,5 +359,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if not a.field.is_modular:
         a_rows = [_clear_row(row) for row in a_rows]
         b_rows = [_clear_row(row) for row in b_rows]
-    rows = _meet(np.array(a_rows, dtype=object), np.array(b_rows, dtype=object), a.field)
+    pair = (np.array(a_rows, dtype=object), np.array(b_rows, dtype=object))
+    rows = _meets([pair], a.field)[0]
     return _span(rows, a.ambient, a.field)

@@ -9,9 +9,10 @@ One instance per line: a family name followed by key=value pairs, e.g.
 Blank lines and '#' comments are skipped. Recognized per-instance keys
 beyond the family parameters: c (comma list, default all of 1..t-1),
 trials, seed (default derived from the run seed and the line index),
-label, identities (on/off). Any other key, or a family parameter the
-family cannot build, is a ManifestError with the line number. A whole run
-is reproducible from the manifest text and the run seed.
+label, identities (on/off). Any other key, a key given twice on one line,
+a type repeated in the c list, or a family parameter the family cannot
+build, is a ManifestError with the line number. A whole run is
+reproducible from the manifest text and the run seed.
 """
 
 from __future__ import annotations
@@ -115,15 +116,21 @@ def parse_manifest(text: str) -> ExperimentManifest:
         seed = None
         label = ""
         identities = True
+        seen: set[str] = set()
         for tok in tokens[1:]:
             if "=" not in tok:
                 raise ManifestError(f"expected key=value, got {tok!r}", lineno)
             key, _, value = tok.partition("=")
+            if key in seen:
+                raise ManifestError(f"repeated key {key!r}", lineno)
+            seen.add(key)
             if key == "c":
                 try:
                     c_list = tuple(int(x) for x in value.split(","))
                 except ValueError as exc:
                     raise ManifestError(f"bad c list {value!r}", lineno) from exc
+                if len(set(c_list)) != len(c_list):
+                    raise ManifestError(f"repeated type in c list {value!r}", lineno)
             elif key == "trials":
                 trials = _int(value, "trials", lineno)
                 if trials < 1:
@@ -171,13 +178,6 @@ def _int(value: str, what: str, lineno: int) -> int:
         raise ManifestError(f"{what} must be an integer, got {value!r}", lineno) from exc
 
 
-@dataclass(frozen=True)
-class InstanceResult:
-    reports: tuple[VerificationReport, ...]
-    identity_passed: int
-    identity_failed: int
-
-
 def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailure]]:
     """Run the per-degree identity checks on re-mixed generators; returns
     the number passed and a record of each failure.
@@ -185,7 +185,8 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
     Three checks per inner degree u: the type-count identity
     sum = t*H_u - h_u, the subset recount sum = sum_j (j-1) C(t,j) D_u(j),
     and the overlap lower bound H_u >= h_{e-u} - sum. The sum and every
-    D_u(j) come from one `_overlap` walk per degree.
+    D_u(j) come from one `_overlap` walk per degree; the D_u(j) it does not
+    yield are 0 and add nothing to the recount.
     """
     t = m.type
     e = m.socle_degree

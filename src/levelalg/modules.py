@@ -25,7 +25,7 @@ from math import lcm
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _bases, _combine, _meet, _meets, _rank, _ranks
+from .linalg import _bases, _combine, _meets, _rank, _ranks
 from .polynomials import (
     DerivativeAction,
     Form,
@@ -160,15 +160,14 @@ def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
     return _graded_ranks(m._coeffs[None], m)[0]
 
 
-@lru_cache(maxsize=16384)
-def _single_spaces(m: InverseSystemModule, u: int) -> tuple[np.ndarray, ...]:
+def _single_spaces(m: InverseSystemModule, u: int) -> list[np.ndarray]:
     """Each generator's degree-u basis rows, from one stacked `_bases` call
-    on all t catalecticants; shared, so never written to."""
+    on all t catalecticants."""
     e = m.socle_degree
     rows = catalecticant_rows(
         m._coeffs, m.num_vars, e, e - u, DerivativeAction.CONTRACT, m.field
     )
-    return tuple(_bases(rows.reshape(m.type, -1, rows.shape[1]), m.field))
+    return _bases(rows.reshape(m.type, -1, rows.shape[1]), m.field)
 
 
 def _random_matrix(
@@ -186,13 +185,14 @@ def _check_type(m: InverseSystemModule, c: int) -> None:
         raise ValueError(f"quotient type {c} out of range 1..{m.type - 1}")
 
 
-def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
-    """One random type-c quotient per seed, all drawn and ranked together.
+def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
+    """For each seed, a random c-by-t coefficient matrix A whose
+    combinations W = A·F are independent, with that W.
 
-    Round k draws attempt k of every trial not yet accepted and accepts
-    those whose combinations W = A·F have rank c, in one stacked rank; so
-    each trial sees the attempts 0, 1, ... it would see alone. The h-vectors
-    of the accepted W are then one stacked rank per degree.
+    Attempt k of a seed is seeded by derive_seed(seed, label, k), up to 100
+    attempts. Round k draws attempt k of every seed not yet served and
+    keeps those whose W has rank c, in one stacked rank; so each seed sees
+    the attempts 0, 1, ... it would see alone.
     """
     t = m.type
     draws: dict[int, tuple] = {}
@@ -200,16 +200,24 @@ def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
         pending = [k for k in range(len(seeds)) if k not in draws]
         if not pending:
             break
-        a = [_random_matrix(seeds[k], "quotient", attempt, c, t, m.field) for k in pending]
-        ranks = _ranks(_combine(a, m._coeffs, m.field), m.field)
-        draws.update((k, rows) for k, rows, r in zip(pending, a, ranks) if r == c)
+        a = [_random_matrix(seeds[k], label, attempt, c, t, m.field) for k in pending]
+        w = _combine(a, m._coeffs, m.field)
+        ranks = _ranks(w, m.field)
+        draws.update((k, x) for k, x, r in zip(pending, zip(a, w), ranks) if r == c)
     if len(draws) < len(seeds):
         raise DegenerateSampleError(
             f"no independent {c}-of-{t} combination found in 100 attempts"
         )
-    accepted = [draws[k] for k in range(len(seeds))]
-    hs = _graded_ranks(_combine(accepted, m._coeffs, m.field), m)
-    return [QuotientSample(m, c, *x) for x in zip(accepted, seeds, hs)]
+    return [draws[k] for k in range(len(seeds))]
+
+
+def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
+    """One random type-c quotient per seed: the `_draws` labelled
+    "quotient", then the h-vectors of all accepted W in one stacked rank
+    per degree."""
+    draws = _draws(m, c, seeds, "quotient")
+    hs = _graded_ranks(np.stack([w for _, w in draws]), m)
+    return [QuotientSample(m, c, a, seed, h) for (a, _), seed, h in zip(draws, seeds, hs)]
 
 
 def sample_generic_quotient(
@@ -272,22 +280,16 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
     generators; a random re-mix realizes the generic choice while leaving
     the module (hence its h-vector) untouched.
     """
-    t = m.type
-    # den·F in integers, den the common denominator m._coeffs clears
+    [(_, w)] = _draws(m, m.type, [seed], "remix")
+    rows = w.tolist()
+    # W = den·(A·F) in integers, den the common denominator m._coeffs clears
     den = lcm(*(x.denominator for g in m.generators for x in g.terms.values()))
-    for attempt in range(100):
-        a = _random_matrix(seed, "remix", attempt, t, t, m.field)
-        w = _combine(a, m._coeffs, m.field)
-        if _rank(w, m.field) != t:
-            continue
-        rows = w.tolist()
-        if den > 1:
-            rows = [[Fraction(x, den) for x in row] for row in rows]
-        forms = tuple(
-            form_from_row(row, m.num_vars, m.socle_degree, m.field) for row in rows
-        )
-        return InverseSystemModule(forms, m.field, label=m.label)
-    raise DegenerateSampleError("no invertible re-mix found in 100 attempts")
+    if den > 1:
+        rows = [[Fraction(x, den) for x in row] for row in rows]
+    forms = tuple(
+        form_from_row(row, m.num_vars, m.socle_degree, m.field) for row in rows
+    )
+    return InverseSystemModule(forms, m.field, label=m.label)
 
 
 def _check_degree(m: InverseSystemModule, u: int) -> None:
@@ -306,11 +308,11 @@ def _relative_dim(inter: np.ndarray, rest, field: FieldSpec) -> int:
     return _rank(np.vstack([inter, rest]), field) - _rank(rest, field)
 
 
-def _overlap(m: InverseSystemModule, u: int) -> tuple[int, list[int]]:
-    """The alternating sum of `inclusion_exclusion_sum` and the relative
-    dimensions D_u(q) of `relative_intersection_dim` for the prefixes
-    {0..q-1}, q = 2..t (the sizes the subset recount weighs), from one
-    walk over the generator subsets.
+def _overlap(m: InverseSystemModule, u: int):
+    """The alternating sum of `inclusion_exclusion_sum`, from one walk over
+    the generator subsets, and an iterator over the relative dimensions
+    D_u(q) of `relative_intersection_dim` for the nonzero prefixes
+    {0..q-1}, q = 2, 3, ... (the sizes the subset recount weighs).
 
     The subsets are walked level by level in lexicographic order. Level q
     holds the rows of each q-subset's intersection with a nonzero result,
@@ -319,9 +321,10 @@ def _overlap(m: InverseSystemModule, u: int) -> tuple[int, list[int]]:
     since every superset then contributes 0, and a level is freed once its
     children are built. The prefix {0..q} is the first child of the prefix
     {0..q-1}, so while the prefixes are nonzero each is the first entry of
-    its level; once one meets in 0 so do all longer ones, and their D_u is 0.
-    D_u(1) is left out: it would rank all t spaces together, and no caller
-    reads it.
+    its level; once one meets in 0 so do all longer ones, their D_u is 0,
+    and the iterator stops. Each D_u is ranked only when it is read, so a
+    caller of the sum alone ranks nothing. D_u(1) is left out: it would
+    rank all t spaces together, and no caller reads it.
     """
     t = m.type
     spaces = _single_spaces(m, u)
@@ -339,11 +342,11 @@ def _overlap(m: InverseSystemModule, u: int) -> tuple[int, list[int]]:
         level = [(meet, j) for meet, (_, j) in zip(meets, children) if len(meet)]
         total += sign * sum(len(meet) for meet, _ in level)
         sign, q = -sign, q + 1
-    dims = [
+    dims = (
         _relative_dim(inter, spaces[q:], m.field)
         for q, inter in enumerate(prefixes, start=2)
-    ]
-    return total, dims + [0] * (t - 1 - len(dims))
+    )
+    return total, dims
 
 
 def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
@@ -388,7 +391,7 @@ def relative_intersection_dim(
     for j in subset[1:]:
         if not len(inter):
             break
-        inter = _meet(inter, spaces[j], m.field)
+        inter = _meets([(inter, spaces[j])], m.field)[0]
     rest = [spaces[j] for j in range(t) if j not in subset]
     return _relative_dim(inter, rest, m.field)
 
@@ -403,11 +406,12 @@ def parse_module_file(
 
     Header lines `vars: r`, `degree: e`, `prime: p` (or `prime: rational`),
     then one `F<k>: <expression>` line per generator, numbered from 1.
-    Blank lines and lines starting with '#' are skipped. A field override
-    reinterprets the integer literals over that field instead of the
-    header's.
+    Blank lines and lines starting with '#' are skipped; a repeated header
+    is an error. A field override reinterprets the integer literals over
+    that field instead of the header's.
     """
-    num_vars = degree = vars_line = None
+    num_vars = degree = None
+    header_lines: dict[str, int] = {}
     field: FieldSpec | None = None
     gen_texts: list[tuple[int, str, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -419,9 +423,15 @@ def parse_module_file(
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in ("vars", "degree", "prime"):
+            if key in header_lines:
+                raise ModuleFileError(
+                    f"repeated header {key!r}, first on line {header_lines[key]}",
+                    lineno,
+                )
+            header_lines[key] = lineno
         if key == "vars":
             num_vars = _parse_positive(value, "vars", lineno)
-            vars_line = lineno
         elif key == "degree":
             degree = _parse_positive(value, "degree", lineno)
         elif key == "prime":
@@ -441,7 +451,7 @@ def parse_module_file(
     try:
         check_space_dim(num_vars, degree)
     except ValueError as exc:
-        raise ModuleFileError(str(exc), vars_line) from exc
+        raise ModuleFileError(str(exc), header_lines["vars"]) from exc
     if field_override is not None:
         field = field_override
     elif field is None:

@@ -19,6 +19,9 @@ intersected from scratch. `zassenhaus` keeps the one-pair intersection the
 stacked one replaced: a column-by-column forward pass of one Zassenhaus
 matrix. Over GF(p) that pass is `echelon_mod`, the column-by-column
 elimination the package's stacked line steps replaced.
+
+`pencil_bound` writes out Iarrobino's type-2 bound on its own, as the
+reference for the general quotient bound at t = 2, c = 1.
 """
 
 import random
@@ -206,6 +209,13 @@ def remix_generators(m, seed=0):
         if rank(Matrix.from_rows(rows, m.field, cols=t)) == t:
             return tuple(combine_forms(m.generators, row, m.field) for row in rows)
     raise DegenerateSampleError("no invertible re-mix in 100 attempts")
+
+
+def pencil_bound(h):
+    """Type-2 bound of a generic Gorenstein quotient of a pencil of forms:
+    1, then ceil((h_u + h_{e-u}) / 3) for u = 1..e."""
+    e = len(h) - 1
+    return (1,) + tuple(-(-(h[u] + h[e - u]) // 3) for u in range(1, e + 1))
 
 
 # ------------------------------------------------------- overlap statistics

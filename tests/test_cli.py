@@ -1,6 +1,7 @@
 """Command line behavior: outputs, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -77,6 +78,25 @@ def test_hvector_malformed_file(tmp_path, capsys):
     f.write_text("vars: 2\ndegree: 3\nF1: y1^2\n")
     assert cli.main(["hvector", str(f)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("vars: 2\nvars: 3\ndegree: 2\nF1: y3^2\n", 2),
+        ("vars: 3\ndegree: 2\n\ndegree: 3\nF1: y3^2\n", 4),
+        ("prime: 97\nvars: 3\ndegree: 2\nprime: rational\nF1: y3^2\n", 4),
+    ],
+    ids=["vars", "degree", "prime"],
+)
+def test_hvector_repeated_header_exits_two(tmp_path, capsys, text, line):
+    # the second header would otherwise silently override the first
+    f = tmp_path / "twice.mod"
+    f.write_text(text)
+    assert cli.main(["hvector", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"line {line}: repeated header" in err
 
 
 def test_hvector_many_variables(tmp_path, capsys):
@@ -303,6 +323,41 @@ def test_verify_unknown_key_exits_two(tmp_path, capsys):
     assert cli.main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "bogus" in err
+
+
+def test_verify_repeated_key_exits_two(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text("sharp t=3 p=1 e=3 c=1\nsharp t=2 t=3 p=1 e=3 c=2\n")
+    assert cli.main(["verify", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 2: repeated key 't'" in err
+
+
+def test_verify_repeated_type_in_c_list_exits_two(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text("sharp t=2 p=1 e=3 c=1,1\n")
+    assert cli.main(["verify", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 1: repeated type in c list" in err
+
+
+def test_verify_out_is_utf8_under_an_ascii_locale(tmp_path):
+    # the manifest is read as UTF-8 whatever the locale, and so the report
+    # file is written
+    f = tmp_path / "accent.txt"
+    f.write_text("sharp t=2 p=1 e=3 label=caf\u00e9\n", encoding="utf-8")
+    out = tmp_path / "o.txt"
+    env = os.environ | {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "levelalg.cli", "verify", str(f), "--out", str(out)],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "caf\u00e9 c=1" in out.read_bytes().decode("utf-8")
 
 
 def test_verify_names_each_failed_identity(tmp_path, capsys):

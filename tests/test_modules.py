@@ -497,8 +497,12 @@ def test_overlap_statistics_match_the_subset_oracle(field):
                 got = relative_intersection_dim(m, q, u)
                 assert got == dims[q - 1], (m.type, u, q)
             # one walk gives the sum and the relative dimension of every
-            # prefix the recount weighs, {0, 1} and longer
-            assert modules._overlap(m, u) == (want, dims[1:]), (m.label, m.type, u)
+            # prefix the recount weighs, {0, 1} and longer, up to the first
+            # that meets in 0; the ones it leaves out are 0
+            total, yielded = modules._overlap(m, u)
+            yielded = list(yielded)
+            zeros = [0] * (m.type - 1 - len(yielded))
+            assert (total, yielded + zeros) == (want, dims[1:]), (m.label, m.type, u)
 
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
@@ -523,7 +527,7 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
                 reduce(oracle.subspace_intersection, spaces[:q]) for q in range(2, m.type + 1)
             ]
             handed.clear()
-            modules._overlap(m, u)
+            list(modules._overlap(m, u)[1])
             want = [s for s in prefixes if s.dim]
             assert len(handed) == len(want), (m.type, u)
             for rows, s in zip(handed, want):
@@ -544,6 +548,21 @@ def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
                         ) == oracle.relative_intersection_dim(m, q, u, subset=order)
     # the first two and the last two generators give different values
     assert {relative_intersection_dim(m, 2, 2, s) for s in ((0, 1), (1, 2))} == {0, 1}
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_inclusion_exclusion_sum_ranks_nothing(monkeypatch, field):
+    # the sum is read off the walk's meets; the relative dimensions the
+    # walk can also give are ranked only when a caller reads them
+    def refuse(*args):
+        raise AssertionError("a rank after the walk")
+
+    cases = [build(field) for build in OVERLAP_CASES]
+    monkeypatch.setattr(modules, "_relative_dim", refuse)
+    monkeypatch.setattr(modules, "_rank", refuse)
+    for m in cases:
+        for u in range(1, m.socle_degree):
+            assert inclusion_exclusion_sum(m, u) == oracle.inclusion_exclusion_sum(m, u)
 
 
 def _walk_meets(m, u):
@@ -588,6 +607,7 @@ def test_stacked_walk_meets_exactly_the_subsets_with_a_nonzero_parent(monkeypatc
 def test_identity_checks_walk_each_degree_once(monkeypatch, field):
     # the sum and the recount both come from one walk per degree: the
     # walk's stacked meets are all there is, and no pair is met on its own
+    # (a one-pair meet would go through `_meets` too)
     from levelalg import manifest
 
     met = []
@@ -597,11 +617,7 @@ def test_identity_checks_walk_each_degree_once(monkeypatch, field):
         met.extend(pairs)
         return stacked(pairs, f)
 
-    def single(*args):
-        raise AssertionError("a one-pair meet after the walk")
-
     monkeypatch.setattr(modules, "_meets", counting)
-    monkeypatch.setattr(modules, "_meet", single)
     m = sharp_family(t=4, p=1, e=4, field=field)
     seed = 5
     g = remix_generators(m, derive_seed(seed, "identity-mix"))
