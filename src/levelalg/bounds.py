@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .combinatorics import is_o_sequence
-from .modules import InverseSystemModule, generic_quotient_trials, h_vector
+from .modules import (
+    InverseSystemModule,
+    _entrywise_max,
+    generic_quotient_trials,
+    h_vector,
+)
 
 HVector = tuple[int, ...]
 
@@ -274,7 +279,7 @@ def verify_instance(
     bound = generic_quotient_bound(h, t, c)
     samples = generic_quotient_trials(m, c, trials=trials, seed=seed)
     per_trial = tuple(s.h for s in samples)
-    empirical = tuple(max(col) for col in zip(*per_trial))
+    empirical = _entrywise_max(per_trial)
     satisfied = all(e >= b for e, b in zip(empirical, bound))
     tight = tuple(u for u, (e, b) in enumerate(zip(empirical, bound)) if e == b)
     return VerificationReport(

@@ -33,6 +33,7 @@ from .manifest import ManifestError, parse_manifest, run_manifest
 from .modules import (
     DegenerateSampleError,
     ModuleFileError,
+    _entrywise_max,
     generic_quotient_trials,
     h_vector,
     parse_module_file,
@@ -131,7 +132,7 @@ def _cmd_quotient(args) -> int:
         return EXIT_USAGE
     samples = generic_quotient_trials(m, args.c, trials=args.trials, seed=args.seed)
     per_trial = [s.h for s in samples]
-    emp = tuple(max(col) for col in zip(*per_trial))
+    emp = _entrywise_max(per_trial)
     agree = all(h == per_trial[0] for h in per_trial)
     if args.json:
         print(json.dumps({

@@ -16,14 +16,18 @@ pair (`_meets`, by Zassenhaus); `_rref` is its one-matrix pass and a
 back-substitution. It runs on int64 arrays (valid because the default
 modulus is below isqrt(2**63)), or on object arrays of Python ints for
 larger primes.
-Over Q every rank, intersection and basis starts from one fraction-free
-forward pass on integer rows, each eliminated row divided by its content.
-The kernels take integer rows only: every row the pipeline builds is one
-(the generators' coefficient rows are cleared to integers once, and
-catalecticants, combinations, meets and bases keep that). Fractions enter
-only through Matrix and Subspace, and are cleared there, once per row, by
-`_clear_row` (in `_rref`, `rank` and `subspace_intersection`); Fraction
-appears again only in the back-substitution of a canonical basis.
+Over Q every intersection and basis starts from one fraction-free forward
+pass on integer rows, each eliminated row divided by its content. A rank
+is first certified mod DEFAULT_PRIME by the stacked GF(p) pass: for an
+integer matrix, rank mod p <= rank over Q <= min(rows, cols), so a full
+rank mod p is exact, and only a matrix whose rank mod p falls short gets
+the fraction-free pass. The kernels take integer rows only: every row the
+pipeline builds is one (the generators' coefficient rows are cleared to
+integers once, and catalecticants, combinations, meets and bases keep
+that). Fractions enter only through Matrix and Subspace, and are cleared
+there, once per row, by `_clear_row` (in `_rref`, `rank` and
+`subspace_intersection`); Fraction appears again only in the
+back-substitution of a canonical basis.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldSpec, Scalar
+from .fields import DEFAULT_PRIME, FieldSpec, Scalar
 
 _INT64_PRIME_LIMIT = isqrt(2**63 - 1)
+# GF(DEFAULT_PRIME), built once: the primality check costs ~0.1 ms a call
+_CERTIFICATE_FIELD = FieldSpec.modular(DEFAULT_PRIME)
 
 
 class AmbientMismatchError(ValueError):
@@ -221,11 +227,18 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
 
     Over GF(p) the matrices are eliminated side by side along their shorter
     side by `_line_steps`: every nonzero line lowers the rank of what is
-    left by exactly one. Over Q each matrix gets the fraction-free forward
-    pass.
+    left by exactly one. Over Q the integer matrices are first ranked mod
+    DEFAULT_PRIME by that pass, and a full rank mod p is the rank over Q:
+    a nonzero r-by-r minor mod p is a nonzero integer minor, so rank mod p
+    <= rank over Q <= min(rows, cols). Only a matrix whose rank mod p falls
+    short of that gets the fraction-free forward pass.
     """
     if not field.is_modular:
-        return [len(_echelon(a, field)[1]) for a in stack]
+        a = np.asarray(stack, dtype=object)
+        # Python ints reduced before the cast: entries may exceed int64
+        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        full = min(a.shape[1:], default=0)
+        return [r if r == full else len(_echelon(m, field)[1]) for r, m in zip(mod, a)]
     p = field.prime
     a = np.array(stack, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
     if a.size == 0:

@@ -269,8 +269,12 @@ def empirical_generic_h(
     A certified lower bound for the generic quotient h-vector, and equal
     to it unless every trial landed in the thin non-generic locus.
     """
-    samples = generic_quotient_trials(m, c, trials, seed)
-    return tuple(max(col) for col in zip(*(s.h for s in samples)))
+    return _entrywise_max(s.h for s in generic_quotient_trials(m, c, trials, seed))
+
+
+def _entrywise_max(hs) -> tuple[int, ...]:
+    """Entrywise maximum of equally long h-vectors."""
+    return tuple(max(col) for col in zip(*hs))
 
 
 def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModule:

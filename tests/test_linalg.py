@@ -18,6 +18,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from levelalg import linalg
 from levelalg.fields import FieldSpec
 from levelalg.linalg import (
     AmbientMismatchError,
@@ -38,6 +39,7 @@ from levelalg.linalg import (
 
 MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
+P = MOD.prime
 # a prime above isqrt(2**63 - 1), forcing the non-numpy modular kernel
 BIG = FieldSpec.modular(4294967311)
 
@@ -331,6 +333,76 @@ def test_stacked_ranks_edge_shapes():
         stack[2][4] = [(2 * x) % p for x in stack[2][0]]
         assert _ranks(stack, MOD) == _forward_ranks(np.array(stack), MOD)
         assert _ranks(stack, MOD)[2] == 4
+
+
+def test_rational_ranks_edge_inputs():
+    big = 2**200
+    cases = [
+        [],
+        np.zeros((2, 0, 3), dtype=object),
+        np.zeros((2, 3, 0), dtype=object),
+        np.array([[[1, 2, 0], [2, 4, 0]], [[0, 0, 5], [1, 0, 0]]], dtype=object),
+        [[[1, 2, 0], [2, 4, 0]], [[0, 0, 5], [1, 0, 0]]],
+        # entries above 2**63: reduced as Python ints, then cast to int64
+        [[[big + 1, big + 2], [big + 3, big + 4]],
+         [[big, 2 * big], [3 * big, 6 * big]],
+         [[big + 1, 1], [big + 1 + P * big, 1]]],
+    ]
+    for stack in cases:
+        assert _ranks(stack, RAT) == _forward_ranks(stack, RAT)
+    assert _ranks(cases[-1], RAT) == [2, 1, 2]
+
+
+@st.composite
+def _mod_p_deficient_stacks(draw):
+    """Stacks of full-rank integer matrices, some with one row scaled by p
+    or moved by p times itself onto another row: those lose rank mod p,
+    not over Q."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = draw(st.integers(n, 5))
+    tall = draw(st.booleans())
+    entries = st.integers(-3, 3)
+    stack = []
+    for _ in range(k):
+        # diagonally dominant: rank n
+        a = [[draw(entries) + (20 if i == j else 0) for j in range(m)] for i in range(n)]
+        i = draw(st.integers(0, n - 1))
+        how = draw(st.sampled_from(["keep", "scale", "shift"] if n > 1 else ["keep", "scale"]))
+        if how == "scale":
+            a[i] = [P * x for x in a[i]]
+        elif how == "shift":
+            j = draw(st.sampled_from([j for j in range(n) if j != i]))
+            a[i] = [y + P * x for x, y in zip(a[i], a[j])]
+        stack.append([list(col) for col in zip(*a)] if tall else a)
+    return stack
+
+
+@PROPERTY
+@given(stack=_mod_p_deficient_stacks())
+def test_rational_ranks_survive_rank_loss_mod_p(stack):
+    assert _ranks(stack, RAT) == [sympy.Matrix(a).rank() for a in stack]
+
+
+def test_rational_ranks_run_the_exact_pass_only_below_full_rank_mod_p(monkeypatch):
+    calls = []
+    exact = linalg._echelon_int
+
+    def counting(mat):
+        calls.append(len(mat))
+        return exact(mat)
+
+    monkeypatch.setattr(linalg, "_echelon_int", counting)
+    rng = random.Random(5)
+    stack = [[[rng.randint(-3, 3) + (20 if i == j else 0) for j in range(5)]
+              for i in range(3)] for _ in range(6)]
+    assert _ranks(stack, RAT) == [3] * 6
+    assert _ranks(np.array(stack, dtype=object).transpose(0, 2, 1), RAT) == [3] * 6
+    assert calls == []
+    stack[1][0] = [P * x for x in stack[1][0]]
+    stack[3][2] = [y + P * x for x, y in zip(stack[3][2], stack[3][0])]
+    stack[4][1] = [0] * 5
+    assert _ranks(stack, RAT) == [3, 3, 3, 3, 2, 3]
+    assert len(calls) == 3
 
 
 @st.composite
