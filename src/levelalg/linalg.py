@@ -16,17 +16,21 @@ pair (`_meets`, by Zassenhaus); `_rref` is its one-matrix pass and a
 back-substitution. It runs on int64 arrays (valid because the default
 modulus is below isqrt(2**63)), or on object arrays of Python ints for
 larger primes.
-Over Q every intersection and basis starts from one fraction-free forward
-pass on integer rows, each eliminated row divided by its content. A rank
-is first certified mod DEFAULT_PRIME by the stacked GF(p) pass: for an
-integer matrix, rank mod p <= rank over Q <= min(rows, cols), so a full
-rank mod p is exact, and only a matrix whose rank mod p falls short gets
-the fraction-free pass. The kernels take integer rows only: every row the
-pipeline builds is one (the generators' coefficient rows are cleared to
-integers once, and catalecticants, combinations, meets and bases keep
-that). Fractions enter only through Matrix and Subspace, and are cleared
-there, once per row, by `_clear_row` (in `_rref`, `rank` and
-`subspace_intersection`); Fraction appears again only in the
+Over Q every rank, basis and intersection is first certified mod
+DEFAULT_PRIME by the stacked GF(p) pass, and only what the certificate
+leaves open gets the fraction-free forward pass on integer rows, each
+eliminated row divided by its content. All three certificates rest on
+rank mod p <= rank over Q <= min(rows, cols) for an integer matrix: a
+full rank mod p is the rank (`_ranks`), a rank equal to the column count
+means the rows span Q^n (`_bases`), and rows of [a; b] independent mod p
+are independent over Q, so row(a) ∩ row(b) is 0 (`_meets`, which also
+meets each distinct pair of one call once). The exact answers never
+depend on p; only the time does. The kernels take integer rows only:
+every row the pipeline builds is one (the generators' coefficient rows
+are cleared to integers once, and catalecticants, combinations, meets
+and bases keep that). Fractions enter only through Matrix and Subspace,
+and are cleared there, once per row, by `_clear_row` (in `_rref`, `rank`
+and `subspace_intersection`); Fraction appears again only in the
 back-substitution of a canonical basis.
 """
 
@@ -262,11 +266,22 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
     lines L_1..L_r. For, the L_k span col(A), and L_k is zero at every
     earlier j_i and nonzero at j_k: on the rows J = {j_k} they are
     triangular with a nonzero diagonal, so rank A[J] = r = rank A and the
-    rows A[J] are a basis of row(A). Over Q each matrix gets the
-    fraction-free forward pass.
+    rows A[J] are a basis of row(A). Over Q a tall or square stack is first
+    ranked mod DEFAULT_PRIME, and a matrix of rank n mod p, n its column
+    count, gets the basis I_n (Python ints): rank mod p <= rank over Q <=
+    n, so its rows span Q^n. Every other matrix gets the fraction-free
+    forward pass.
     """
     if not field.is_modular:
-        return [_echelon(a, field)[0] for a in stack]
+        a = np.asarray(stack, dtype=object)
+        n = a.shape[2]
+        mod = [0] * len(a)
+        if a.shape[1] >= n:
+            mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        return [
+            np.eye(n, dtype=object) if r == n else _echelon(m, field)[0]
+            for r, m in zip(mod, a)
+        ]
     p = field.prime
     a = np.array(stack, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
     k, nr, nc = a.shape
@@ -322,20 +337,61 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
 
     The row space of Z = [[a, a], [b, 0]] is {(x·a + y·b, x·a)}, and its
     vectors with a zero left half have right halves x·a = -y·b, which run
-    over the intersection. The pairs are grouped by shape and each group's
-    Z stacked. Over GF(p) the rows of each stack are eliminated in order by
+    over the intersection. Over GF(p) the pairs are grouped by shape, each
+    group's Z is stacked and its rows are eliminated in order by
     `_line_steps`, and the lines whose first nonzero entry lies in the
     right half are kept: their left halves are zero and their right halves
     are a basis of the intersection. For, the nonzero lines are a basis of
     row(Z); in a combination of them, take the first line with a left-half
     pivot: every earlier line has its pivot in the right half, so it is
     zero on the whole left half, and every later line is zero at that pivot
-    column, so the combination's left half cannot vanish. Over Q each Z
-    gets the fraction-free forward pass, whose rows with a right-half pivot
-    are the same kind of basis. A single pair is a list of one pair: the
-    overlap walk passes whole levels, `subspace_intersection` and the
-    subset chains of `relative_intersection_dim` one pair at a time.
+    column, so the combination's left half cannot vanish.
+
+    Over Q the pairs are grouped by content (shapes and entries), and each
+    distinct pair is met once: its duplicates get the very same array, so
+    callers must not mutate a result. The left halves [a; b] of the
+    distinct pairs, zero-padded to one shape (which keeps every rank), are
+    ranked mod DEFAULT_PRIME in one stacked pass. A rank of rows(a) +
+    rows(b) there makes the rows of [a; b] independent over Q too (rank
+    mod p <= rank over Q), so x·a + y·b = 0 forces x = y = 0, and the meet
+    is 0: an empty (0, n) array. Any other pair's Z gets the fraction-free
+    forward pass, whose rows with a right-half pivot are the same kind of
+    basis as over GF(p). A single pair is a list of one pair: the overlap
+    walk passes whole levels, `subspace_intersection` and the subset
+    chains of `relative_intersection_dim` one pair at a time.
     """
+    if not field.is_modular:
+        if not pairs:
+            return []
+        groups: dict[tuple, list[int]] = {}
+        for i, (a, b) in enumerate(pairs):
+            key = (a.shape, b.shape, *a.ravel().tolist(), *b.ravel().tolist())
+            groups.setdefault(key, []).append(i)
+        distinct = [pairs[idx[0]] for idx in groups.values()]
+        shape = (
+            len(distinct),
+            max(len(a) + len(b) for a, b in distinct),
+            max(b.shape[1] for _, b in distinct),
+        )
+        left = np.zeros(shape, dtype=object)
+        for s, (a, b) in zip(left, distinct):
+            s[: len(a), : a.shape[1]] = a
+            s[len(a) : len(a) + len(b), : b.shape[1]] = b
+        mod = _ranks((left % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        out: list = [None] * len(pairs)
+        for r, (a, b), idx in zip(mod, distinct, groups.values()):
+            (ka, n), kb = a.shape, len(b)
+            if r == ka + kb:
+                meet = np.zeros((0, n), dtype=object)
+            else:
+                z = np.zeros((ka + kb, 2 * n), dtype=object)
+                z[:ka, :n] = z[:ka, n:] = a
+                z[ka:, :n] = b
+                ech, pivots = _echelon(z, field)
+                meet = ech[bisect_left(pivots, n) :, n:]
+            for i in idx:
+                out[i] = meet
+        return out
     out: list = [None] * len(pairs)
     groups: dict[tuple, list[int]] = {}
     for i, (a, b) in enumerate(pairs):
@@ -346,11 +402,6 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
         z = np.zeros((len(idx), ka + kb, 2 * n), dtype=dtype)
         z[:, :ka, :n] = z[:, :ka, n:] = [pairs[i][0] for i in idx]
         z[:, ka:, :n] = [pairs[i][1] for i in idx]
-        if not field.is_modular:
-            for i, zi in zip(idx, z):
-                rows, pivots = _echelon(zi, field)
-                out[i] = rows[bisect_left(pivots, n) :, n:]
-            continue
         kept: list[list[np.ndarray]] = [[] for _ in idx]
         for line, j, found in _line_steps(z % p, p):
             g = (found & (j >= n)).nonzero()[0]

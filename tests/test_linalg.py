@@ -509,3 +509,130 @@ def test_stacked_bases_span_the_column_pass_rows(case):
         assert rows.shape == (len(want), n)
         assert len(oracle.echelon(rows, field)[1]) == len(rows)
         assert _span(rows, n, field) == _span(want, n, field)
+
+
+def _independent_rows(draw, k, n):
+    """k <= n integer rows of length n, diagonally dominant: rank k."""
+    entries = st.integers(-3, 3)
+    return [[draw(entries) + (20 if i == j else 0) for j in range(n)] for i in range(k)]
+
+
+@st.composite
+def _rational_meet_calls(draw):
+    """One `_meets` call over Q: a few pairs, each repeated (some as
+    copies), pairs sharing their first matrix, and traps whose [a; b] is
+    independent over Q but not mod p (one row moved onto another by p
+    times itself)."""
+    entries = st.sampled_from([0, 0, 1, -1, 2, 3])
+
+    def matrix(k, n):
+        cells = draw(st.lists(entries, min_size=k * n, max_size=k * n))
+        return np.array(cells, dtype=object).reshape(k, n)
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        ka, kb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n = draw(st.integers(1, 6))
+        kind = draw(st.sampled_from(["random", "shared", "trap"]))
+        if kind == "trap":
+            n = max(n, ka + kb)
+            ab = _independent_rows(draw, ka + kb, n)
+            i, j = draw(st.permutations(range(ka + kb)))[:2]
+            ab[i] = [y + P * x for x, y in zip(ab[i], ab[j])]
+            a, b = np.array(ab[:ka], dtype=object), np.array(ab[ka:], dtype=object)
+        else:
+            a, b = matrix(ka, n), matrix(kb, n)
+            if kind == "shared":
+                b[0] = a[0]
+        pairs.append((a, b))
+        # the same first matrix with a different second one
+        pairs.append((a, np.vstack([b[1:], matrix(1, n)])))
+    repeats = [
+        (a.copy(), b.copy()) if draw(st.booleans()) else (a, b)
+        for a, b in pairs
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return draw(st.permutations(pairs + repeats))
+
+
+@PROPERTY
+@given(pairs=_rational_meet_calls())
+def test_rational_meets_of_repeated_and_mod_p_dependent_pairs(pairs):
+    got = _meets(pairs, RAT)
+    assert len(got) == len(pairs)
+    for rows, (a, b) in zip(got, pairs):
+        n = a.shape[1]
+        want = oracle.zassenhaus(a, b, RAT)
+        assert rows.shape == (len(want), n)
+        assert _span(rows, n, RAT) == _span(want, n, RAT)
+
+
+def _count_exact_passes(monkeypatch):
+    calls = []
+    exact = linalg._echelon_int
+
+    def counting(mat):
+        calls.append(len(mat))
+        return exact(mat)
+
+    monkeypatch.setattr(linalg, "_echelon_int", counting)
+    return calls
+
+
+def test_rational_meets_run_one_exact_pass_per_distinct_open_pair(monkeypatch):
+    a = np.array([[1, 2, 0, 1], [0, 1, 1, 3]], dtype=object)
+    b = np.array([[1, 3, 1, 4], [2, 0, 0, 1]], dtype=object)
+    c = np.array([[1, 2, 0, 1], [5, 0, 0, 1]], dtype=object)
+    # [a; d] has full rank mod p; [a; e] is independent over Q only
+    d = np.array([[0, 0, 1, 0], [0, 0, 0, 7]], dtype=object)
+    e = np.array([[P * 3, 0, 0, 0], [0, 0, P, 1]], dtype=object)
+    calls = _count_exact_passes(monkeypatch)
+    # k equal pairs, some of them copies: one pass, one shared result
+    equal = _meets([(a, b), (a.copy(), b.copy()), (a, b), (a, b.copy())], RAT)
+    assert len(calls) == 1
+    assert all(rows is equal[0] for rows in equal)
+    # the same a with another b is another pair
+    other = _meets([(a, b), (a, c)], RAT)
+    assert len(calls) == 3
+    # certified zero, no pass
+    certified = _meets([(a, d), (a, d)], RAT)
+    assert len(calls) == 3
+    # the exact pass decides that this one is 0
+    exact = _meets([(a, e)], RAT)
+    assert len(calls) == 4
+    monkeypatch.undo()
+    assert _meets([], RAT) == []
+
+    def span(rows):
+        return _span(rows, 4, RAT)
+
+    assert span(equal[0]) == span(other[0]) == span([[1, 3, 1, 4]])
+    assert span(other[1]) == span([[1, 2, 0, 1]])
+    for rows in certified + exact:
+        assert rows.shape == (0, 4) and rows.dtype == object
+
+
+def test_rational_bases_certify_full_column_rank(monkeypatch):
+    rng = random.Random(17)
+    tall = [[[rng.randint(-3, 3) + (20 if i == j else 0) for j in range(3)]
+             for i in range(5)] for _ in range(3)]
+    square = [row[:3] for row in tall]
+    # one column scaled by p: full rank over Q, rank 2 mod p
+    scaled = [[x * P if j == 1 else x for j, x in enumerate(row)] for row in tall[0]]
+    # rank 2 over Q: the last column is the sum of the others
+    short = [row[:2] + [row[0] + row[1]] for row in tall[1]]
+    calls = _count_exact_passes(monkeypatch)
+    for stack in (tall, square):
+        got = _bases(stack, RAT)
+        assert [rows.tolist() for rows in got] == [np.eye(3, dtype=int).tolist()] * 3
+        assert all(type(x) is int for rows in got for x in rows.ravel())
+    assert calls == []
+    got = _bases([tall[2], scaled, short], RAT)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert got[0].tolist() == np.eye(3, dtype=int).tolist()
+    for rows, a in zip(got[1:], (scaled, short)):
+        want = oracle.echelon(a, RAT)[0]
+        assert rows.shape == (len(want), 3)
+        assert _span(rows, 3, RAT) == _span(want, 3, RAT)
+    assert [len(rows) for rows in got] == [3, 3, 2]
