@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 #: Default modulus: 2**31 - 1 (Mersenne prime). Products of two reduced
-#: scalars stay below 2**63, which the fast elimination kernel relies on.
+#: scalars stay below 2**63, so arrays of them are int64 from the
+#: coefficient rows on (as for any p <= isqrt(2**63 - 1); see
+#: `linalg._dtype`), and every GF(p) kernel runs in int64.
 DEFAULT_PRIME = 2_147_483_647
 
 Scalar = int | Fraction

@@ -13,9 +13,15 @@ quotient trials of one type together (`_ranks`), gives the generators'
 derivative spaces their bases together (`_bases`; both along the shorter
 side) and intersects a whole level of generator subsets, or a single
 pair (`_meets`, by Zassenhaus); `_rref` is its one-matrix pass and a
-back-substitution. It runs on int64 arrays (valid because the default
-modulus is below isqrt(2**63)), or on object arrays of Python ints for
-larger primes.
+back-substitution. Its arrays are int64 residues in [0, p) whenever
+p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`), so a product of two entries
+fits in int64, and object arrays of Python ints only for larger primes.
+`_dtype` makes that choice once, where the coefficient rows are built
+(`polynomials.coefficient_rows`), and every GF(p) array built from them
+keeps it: catalecticant gathers, combinations (`_combine`, whose int64
+dot is guarded by an exact bound on its sums), bases and meets. The
+kernels read int64 input without a copy (`np.asarray`) and reduce it
+mod p, which also serves callers that pass negative entries.
 Over Q every rank, basis and intersection is first certified mod
 DEFAULT_PRIME by the stacked GF(p) pass, and only what the certificate
 leaves open gets the fraction-free forward pass on integer rows, each
@@ -50,6 +56,15 @@ from .fields import DEFAULT_PRIME, FieldSpec, Scalar
 _INT64_PRIME_LIMIT = isqrt(2**63 - 1)
 # GF(DEFAULT_PRIME), built once: the primality check costs ~0.1 ms a call
 _CERTIFICATE_FIELD = FieldSpec.modular(DEFAULT_PRIME)
+
+
+def _dtype(field: FieldSpec):
+    """The array type of the field's scalars: int64 over GF(p) for p <=
+    _INT64_PRIME_LIMIT, where residues below p multiply within int64, and
+    object (Python ints, or Fractions over Q) otherwise."""
+    if field.is_modular and field.prime <= _INT64_PRIME_LIMIT:
+        return np.int64
+    return object
 
 
 class AmbientMismatchError(ValueError):
@@ -154,7 +169,7 @@ def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
         return np.zeros((0, 0), dtype=object), []
     if field.is_modular:
         p = field.prime
-        a = np.array(rows, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
+        a = np.asarray(rows, dtype=_dtype(field)) % p
         steps = _line_steps(a[None], p) if a.size else ()
         lines = sorted(
             (int(j[0]), line[0] * pow(int(line[0, j[0]]), -1, p) % p)
@@ -191,9 +206,24 @@ def _rref(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
 
 
 def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """The rows of a·rows in exact Python scalars, reduced over GF(p)."""
-    w = np.array(a, dtype=object).dot(rows)
-    return w % field.prime if field.is_modular else w
+    """a·rows for a stack a of integer matrices with t columns and the t
+    coefficient rows of a module, in the rows' array type.
+
+    Over Q the product is exact in Python ints. Over GF(p) the rows hold
+    residues in [0, p) and a, which may hold any integers, is reduced mod
+    p in Python ints first. Every entry of a·rows is then a sum of t
+    products of at most max(a)·(p - 1), so when t·max(a)·(p - 1) < 2**63
+    the int64 dot is exact; otherwise the dot runs on Python ints. Either
+    way the result is reduced mod p and has the rows' dtype.
+    """
+    a = np.array(a, dtype=object)
+    if not field.is_modular:
+        return a.dot(rows)
+    p = field.prime
+    a %= p
+    if rows.dtype == np.int64 and len(rows) * a.max() * (p - 1) < 2**63:
+        return a.astype(np.int64).dot(rows) % p
+    return (a.dot(rows) % p).astype(rows.dtype)
 
 
 def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
@@ -244,7 +274,7 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
         full = min(a.shape[1:], default=0)
         return [r if r == full else len(_echelon(m, field)[1]) for r, m in zip(mod, a)]
     p = field.prime
-    a = np.array(stack, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
+    a = np.asarray(stack, dtype=_dtype(field)) % p
     if a.size == 0:
         return [0] * len(a)
     if a.shape[1] > a.shape[2]:
@@ -283,7 +313,7 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
             for r, m in zip(mod, a)
         ]
     p = field.prime
-    a = np.array(stack, dtype=np.int64 if p <= _INT64_PRIME_LIMIT else object) % p
+    a = np.asarray(stack, dtype=_dtype(field)) % p
     k, nr, nc = a.shape
     tall = nr > nc
     kept: list[list] = [[] for _ in range(k)]
@@ -396,8 +426,7 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     groups: dict[tuple, list[int]] = {}
     for i, (a, b) in enumerate(pairs):
         groups.setdefault((a.shape, b.shape), []).append(i)
-    p = field.prime
-    dtype = np.int64 if field.is_modular and p <= _INT64_PRIME_LIMIT else object
+    p, dtype = field.prime, _dtype(field)
     for ((ka, n), (kb, _)), idx in groups.items():
         z = np.zeros((len(idx), ka + kb, 2 * n), dtype=dtype)
         z[:, :ka, :n] = z[:, :ka, n:] = [pairs[i][0] for i in idx]

@@ -64,13 +64,28 @@ def derive_seed(*parts) -> int:
 
 def random_coefficient(rng: random.Random, field: FieldSpec) -> int:
     """Nonzero integer coefficient: [1, min(10^6, p-1)] over GF(p), so that
-    it is nonzero modulo p too, and [-10^6, 10^6] over Q."""
+    it is nonzero modulo p too, and [-10^6, 10^6] over Q.
+
+    The draws are those of rng.randint(1, min(10^6, p-1)), and over Q of
+    rng.randint(-10^6, 10^6) redrawn while zero, bit for bit: randint(a, b)
+    is a + the first getrandbits(k) below n = b - a + 1, k = n.bit_length()
+    (CPython's `_randbelow`), here without its three Python frames.
+    """
+    getrandbits = rng.getrandbits
     if field.is_modular:
-        return rng.randint(1, min(COEFF_RANGE, field.prime - 1))
+        n = min(COEFF_RANGE, field.prime - 1)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return 1 + r
+    n = 2 * COEFF_RANGE + 1
+    k = n.bit_length()
     while True:
-        v = rng.randint(-COEFF_RANGE, COEFF_RANGE)
-        if v:
-            return v
+        r = getrandbits(k)
+        # r == COEFF_RANGE is the zero draw, redrawn like an r >= n
+        if r < n and r != COEFF_RANGE:
+            return r - COEFF_RANGE
 
 
 @dataclass(frozen=True)
@@ -103,8 +118,10 @@ class InverseSystemModule:
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
-        """The generators' coefficient rows, over Q scaled by one common
-        denominator to integers; built once, shared and read-only."""
+        """The generators' coefficient rows (`coefficient_rows`): int64
+        residues over GF(p) below `linalg._INT64_PRIME_LIMIT`, and over Q
+        scaled by one common denominator to integers; built once, shared
+        and read-only."""
         rows = coefficient_rows(self.generators, integral=True)
         rows.flags.writeable = False
         return rows

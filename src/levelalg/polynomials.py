@@ -26,7 +26,7 @@ from math import comb, factorial, gcd, lcm
 import numpy as np
 
 from .fields import FieldSpec, Scalar
-from .linalg import Matrix, Subspace, _span
+from .linalg import Matrix, Subspace, _dtype, _span
 
 Exponents = tuple[int, ...]
 
@@ -353,18 +353,20 @@ def _check_family(forms) -> tuple[int, int, FieldSpec]:
 
 
 def coefficient_rows(forms, integral: bool = False) -> np.ndarray:
-    """Dense coefficient vectors of the forms, one row each, as an array of
-    exact Python scalars: arithmetic on it cannot overflow, and only the
-    elimination converts to int64. `integral` scales rational rows by one
-    common denominator to integers, which keeps ranks and row spaces but
-    not the values.
+    """Dense coefficient vectors of the forms, one row each, in the array
+    type of their field (`linalg._dtype`). Over GF(p) they are residues in
+    [0, p): int64 for p <= `linalg._INT64_PRIME_LIMIT`, so a product of two
+    fits in int64 and every array built from them stays int64, and Python
+    ints in an object array for larger primes. Over Q they are Fractions
+    in an object array; `integral` scales them by one common denominator
+    to Python ints, which keeps ranks and row spaces but not the values.
     """
     _, _, field = _check_family(forms)
     rows = [f.coefficient_vector() for f in forms]
     if integral and not field.is_modular:
         den = lcm(*(x.denominator for row in rows for x in row))
         rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    return np.array(rows, dtype=object)
+    return np.array(rows, dtype=_dtype(field))
 
 
 def form_from_row(row, num_vars: int, degree: int, field: FieldSpec) -> Form:
@@ -413,12 +415,18 @@ def catalecticant_rows(
     """Catalecticant of the forms whose coefficient rows are `coeffs`.
 
     One row per (form, degree-i operator) pair, in form order then
-    operator order, gathered from `coeffs` through the cached table.
+    operator order, gathered from `coeffs` through the cached table, in
+    the array type of `coeffs`. Over GF(p) the weights are reduced mod p
+    into that type too, so each product of residues stays below p².
     """
     table, weights = _gather_table(num_vars, degree, i, action)
     rows = coeffs[:, table]
     if weights is not None:
-        rows = rows * weights % field.prime if field.is_modular else rows * weights
+        if field.is_modular:
+            p = field.prime
+            rows = rows * (weights % p).astype(coeffs.dtype) % p
+        else:
+            rows = rows * weights
     return rows.reshape(-1, table.shape[1])
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
+import numpy as np
 import oracle
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,9 +36,11 @@ from levelalg.modules import (
     remix_generators,
     sample_generic_quotient,
 )
-from levelalg.linalg import rank
+from levelalg.linalg import _INT64_PRIME_LIMIT, _bases, _combine, _meets, rank
 from levelalg.polynomials import (
+    DerivativeAction,
     Form,
+    catalecticant_rows,
     catalecticant,
     form_from_row,
     monomials_of_degree,
@@ -47,6 +50,9 @@ from levelalg.polynomials import (
 MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
 BIG = FieldSpec.modular(4294967311)
+# the largest prime <= _INT64_PRIME_LIMIT: residues still multiply within
+# int64, but a sum of two products of them does not
+NEAR = FieldSpec.modular(3037000493)
 
 # three cubics whose coefficients reduce to just below the default prime
 NEGATIVE_TEXT = """\
@@ -346,6 +352,66 @@ def test_explicit_coefficients_agree_across_fields():
         sample_generic_quotient(m, 2, coefficients=[[-1, -1, -1], [-2, -2, -2]])
 
 
+def _exact_combination(coefficients, m):
+    """A·F in Python ints, reduced mod p: the object path of _combine."""
+    a = np.array([coefficients], dtype=object)
+    return (a.dot(m._coeffs.astype(object)) % m.field.prime).tolist()
+
+
+def test_explicit_coefficients_of_any_size_combine_exactly():
+    # negative entries, entries of 10^15 (an int64 product with a residue
+    # would wrap) and of 2^70 (beyond int64): reduced mod p before the dot
+    m = parse_module_file(NEGATIVE_TEXT)
+    for coefficients in (
+        [[-1, -(2**40), 3], [7, -2, -(10**9)]],
+        [[10**15, 1, 0], [3, 10**15 + 1, 2]],
+        [[2**70, -(2**70) - 1, 5], [1, 2**70, 3 * 2**70]],
+    ):
+        w = _combine([coefficients], m._coeffs, MOD)
+        assert w.dtype == np.int64
+        assert w.tolist() == _exact_combination(coefficients, m)
+        s = sample_generic_quotient(m, 2, coefficients=coefficients)
+        assert s.coefficients == tuple(map(tuple, coefficients))
+        assert s.h == oracle.sample_generic_quotient(m, 2, coefficients=coefficients)[1]
+
+
+def test_combinations_near_the_int64_prime_limit_fall_back_to_python_ints():
+    assert NEAR.prime <= _INT64_PRIME_LIMIT < BIG.prime
+    m = parse_module_file(NEGATIVE_TEXT, field_override=NEAR)
+    assert m._coeffs.dtype == np.int64
+    # -1 reduces to p - 1, and so do most generator entries: one product
+    # fits in int64, a sum of t of them does not, even for a single row
+    for coefficients in ([[-1, -1, -1]], [[-1, -2, -3], [-4, -5, -7]]):
+        exact = _exact_combination(coefficients, m)
+        a = np.array([coefficients], dtype=object) % NEAR.prime
+        wrapped = a.astype(np.int64).dot(m._coeffs) % NEAR.prime
+        assert wrapped.tolist() != exact
+        w = _combine([coefficients], m._coeffs, NEAR)
+        assert w.dtype == np.int64
+        assert w.tolist() == exact
+        c = len(coefficients)
+        s = sample_generic_quotient(m, c, coefficients=coefficients)
+        assert s.h == oracle.sample_generic_quotient(m, c, coefficients=coefficients)[1]
+
+
+def test_array_types_are_chosen_once_per_field():
+    # int64 residues over GF(p) below the limit, object arrays above it and
+    # over Q; catalecticants, combinations, bases and meets keep the type
+    text = module_to_text(sharp_family(t=3, p=1, e=4, field=MOD))
+    for field, dtype in ((MOD, np.int64), (BIG, object), (RAT, object)):
+        m = parse_module_file(text, field_override=field)
+        assert m._coeffs.dtype == dtype
+        assert _combine([[[1, 2, 3]], [[4, -5, 6]]], m._coeffs, field).dtype == dtype
+        for action in DerivativeAction:
+            rows = catalecticant_rows(m._coeffs, m.num_vars, 4, 2, action, field)
+            assert rows.dtype == dtype
+        stack = rows.reshape(m.type, -1, rows.shape[1])
+        bases = _bases(stack, field) + _bases(stack.transpose(0, 2, 1), field)
+        assert {b.dtype for b in bases} == {np.dtype(dtype)}
+        meets = _meets([(bases[0], bases[1]), (bases[0], bases[2])], field)
+        assert {b.dtype for b in meets} == {np.dtype(dtype)}
+
+
 def test_remix_over_rationals_is_exactly_the_combination():
     gens = (
         Form(2, 3, RAT, {(3, 0): Fraction(1, 2), (1, 2): Fraction(-3, 7)}),
@@ -365,12 +431,35 @@ def test_random_coefficient_never_zero_modulo_a_small_prime():
     assert {random_coefficient(rng, FieldSpec.modular(2)) for _ in range(50)} == {1}
 
 
+def _randint_coefficient(rng, field):
+    """random_coefficient as it was written: through random.randint."""
+    if field.is_modular:
+        return rng.randint(1, min(10**6, field.prime - 1))
+    while True:
+        v = rng.randint(-(10**6), 10**6)
+        if v:
+            return v
+
+
 def test_random_coefficient_default_prime_draws_unchanged():
-    rng, ref = random.Random(11), random.Random(11)
-    field = FieldSpec.modular(DEFAULT_PRIME)
-    assert [random_coefficient(rng, field) for _ in range(1000)] == [
-        ref.randint(1, 10**6) for _ in range(1000)
+    # ranges {1}, [1, 16] (a power of two, drawn from 5 bits, not 4),
+    # [1, 96] and [1, 10^6] over GF(p), [-10^6, 10^6] over Q, and the same
+    # state after the draws: the same bits were consumed
+    small = [FieldSpec.modular(p) for p in (2, 17, 97)]
+    for field in (*small, MOD, BIG, RAT):
+        for seed in range(100):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert [random_coefficient(rng, field) for _ in range(60)] == [
+                _randint_coefficient(ref, field) for _ in range(60)
+            ], (field, seed)
+            assert rng.getstate() == ref.getstate()
+    # seed 118 draws randint(-10^6, 10^6) == 0 at its 13,806th draw, so
+    # this run goes through the zero redraw
+    rng, ref = random.Random(118), random.Random(118)
+    assert [random_coefficient(rng, RAT) for _ in range(14000)] == [
+        _randint_coefficient(ref, RAT) for _ in range(14000)
     ]
+    assert rng.getstate() == ref.getstate()
 
 
 def test_remix_preserves_module():

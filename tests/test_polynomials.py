@@ -18,6 +18,8 @@ from levelalg.polynomials import (
     _gather_table,
     apply_operator,
     catalecticant,
+    catalecticant_rows,
+    coefficient_rows,
     derivative_space,
     monomial_index,
     monomials_of_degree,
@@ -393,6 +395,34 @@ def test_gather_table_matches_the_oracle():
                 assert weights.dtype == object
                 assert all(type(w) is int for w in weights.flat)
                 assert np.array_equal(weights, want_weights), (r, e, i)
+
+
+def test_differentiate_rows_stay_int64_and_match_the_oracle():
+    # dense forms with entries near p. Over GF(DEFAULT_PRIME) the weights
+    # reach 13! > p, so a weight times a residue would overflow int64 and
+    # 21! does not fit in int64 at all; over GF(7) the weights are
+    # divisible by 7 from degree 7 on. Each weight is reduced mod p first,
+    # so the products of residues stay below p²
+    rng = random.Random(13)
+    seven = FieldSpec.modular(7)
+    for field, n, d in [(MOD, 2, d) for d in (5, 13, 21)] + [(MOD, 3, 13)] + [
+        (seven, n, d) for n, d in ((2, 4), (2, 9), (3, 8))
+    ]:
+        forms = []
+        for _ in range(2):
+            terms = {
+                m: rng.randint(field.prime // 2, field.prime - 1)
+                for m in monomials_of_degree(n, d)
+            }
+            forms.append(Form(n, d, field, terms))
+        coeffs = coefficient_rows(forms)
+        assert coeffs.dtype == np.int64
+        for i in range(d + 1):
+            rows = catalecticant_rows(coeffs, n, d, i, DIFF, field)
+            assert rows.dtype == np.int64
+            want = oracle.catalecticant(forms, i, DIFF)
+            assert rows.tolist() == [list(row) for row in want.entries], (d, i)
+            assert catalecticant(forms, i, DIFF) == want
 
 
 def test_actions_agree_on_monomial_forms():
