@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 #: Default modulus: 2**31 - 1 (Mersenne prime). Products of two reduced
 #: scalars stay below 2**63, so arrays of them are int64 from the
@@ -19,6 +20,7 @@ DEFAULT_PRIME = 2_147_483_647
 Scalar = int | Fraction
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit inputs and beyond."""
     if n < 2:

@@ -12,7 +12,8 @@ matrices is eliminated side by side, one line per step. It ranks the
 quotient trials of one type together (`_ranks`), gives the generators'
 derivative spaces their bases together (`_bases`; both along the shorter
 side) and intersects a whole level of generator subsets, or a single
-pair (`_meets`, by Zassenhaus); `_rref` is its one-matrix pass and a
+pair (`_meets`, by Zassenhaus); `_basis_indices` reads a row and a
+column basis off one pass, and `_rref` is its one-matrix pass and a
 back-substitution. Its arrays are int64 residues in [0, p) whenever
 p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`), so a product of two entries
 fits in int64, and object arrays of Python ints only for larger primes.
@@ -25,9 +26,10 @@ mod p, which also serves callers that pass negative entries.
 Over Q every rank, basis and intersection is first certified mod
 DEFAULT_PRIME by the stacked GF(p) pass, and only what the certificate
 leaves open gets the fraction-free forward pass on integer rows, each
-eliminated row divided by its content. All three certificates rest on
+eliminated row divided by its content. All four certificates rest on
 rank mod p <= rank over Q <= min(rows, cols) for an integer matrix: a
-full rank mod p is the rank (`_ranks`), a rank equal to the column count
+full rank mod p is the rank (`_ranks`), and its row and column bases are
+bases over Q (`_basis_indices`), a rank equal to the column count
 means the rows span Q^n (`_bases`), and rows of [a; b] independent mod p
 are independent over Q, so row(a) ∩ row(b) is 0 (`_meets`, which also
 meets each distinct pair of one call once). The exact answers never
@@ -54,7 +56,7 @@ import numpy as np
 from .fields import DEFAULT_PRIME, FieldSpec, Scalar
 
 _INT64_PRIME_LIMIT = isqrt(2**63 - 1)
-# GF(DEFAULT_PRIME), built once: the primality check costs ~0.1 ms a call
+# GF(DEFAULT_PRIME), the field of the mod-p certificates over Q
 _CERTIFICATE_FIELD = FieldSpec.modular(DEFAULT_PRIME)
 
 
@@ -123,12 +125,16 @@ def _clear_row(row: Sequence[int | Fraction]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _echelon_int(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _echelon_int(mat: list[list[int]]):
     """Fraction-free forward pass over the integers: a row below a pivot
     becomes pivot * row - lead * pivot row, divided by its content, so
-    entries stay small and no Fraction is built."""
+    entries stay small and no Fraction is built. Returns the echelon rows,
+    their pivot columns and the input positions of the pivot rows, a row
+    basis: pivot row k is a nonzero multiple of input row order[k] plus
+    earlier pivot rows."""
     nc = len(mat[0]) if mat else 0
     pivots: list[int] = []
+    order = list(range(len(mat)))
     r = 0
     for c in range(nc):
         if r == len(mat):
@@ -137,6 +143,7 @@ def _echelon_int(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
+        order[r], order[piv] = order[piv], order[r]
         prow = mat[r]
         pl = prow[c]
         for i in range(r + 1, len(mat)):
@@ -149,7 +156,7 @@ def _echelon_int(mat: list[list[int]]) -> tuple[list[list[int]], list[int]]:
                 mat[i] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return mat[:r], pivots
+    return mat[:r], pivots, order[:r]
 
 
 def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
@@ -179,7 +186,7 @@ def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
         return mat.reshape(len(lines), a.shape[1]), [c for c, _ in lines]
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
-    mat, pivots = _echelon_int([row for row in rows if any(row)])
+    mat, pivots, _ = _echelon_int([row for row in rows if any(row)])
     return np.array(mat, dtype=object).reshape(len(mat), len(rows[0])), pivots
 
 
@@ -323,6 +330,30 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
     if tall:
         return [a[i, rows] for i, rows in enumerate(kept)]
     return [np.array(rows, dtype=a.dtype).reshape(len(rows), nc) for rows in kept]
+
+
+def _basis_indices(a, field: FieldSpec) -> tuple[list[int], list[int]]:
+    """Ascending indices of a row basis and of a column basis of a 2-D
+    integer array. Over GF(p), one `_line_steps` pass along the shorter
+    side: a line is nonzero exactly when it is independent of the earlier
+    ones, and the nonzero lines are triangular on their leading positions.
+    Over Q a full rank mod DEFAULT_PRIME is kept, as a[I, J] is then a minor
+    nonzero mod p; otherwise the fraction-free pass gives pivot columns and rows."""
+    if not field.is_modular:
+        a = np.asarray(a, dtype=object)
+        found = _basis_indices((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        if len(found[1]) == min(a.shape):
+            return found
+        nonzero = np.flatnonzero((a != 0).any(1))
+        _, cols, order = _echelon_int(a[nonzero].tolist())
+        return sorted(nonzero[order].tolist()), cols
+    p = field.prime
+    a = np.asarray(a, dtype=_dtype(field)) % p
+    tall = a.shape[0] > a.shape[1]
+    steps = _line_steps((a.T if tall else a)[None], p)
+    kept = [(k, int(j[0])) for k, (_, j, found) in enumerate(steps) if found[0]]
+    lines, leads = [k for k, _ in kept], sorted(j for _, j in kept)
+    return (leads, lines) if tall else (lines, leads)
 
 
 def _rank(rows, field: FieldSpec) -> int:

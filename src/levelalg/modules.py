@@ -6,6 +6,14 @@ The h-vector entry in degree u is the dimension of the degree-u piece,
 i.e. of the span of all order-(e-u) derivatives of the generators. The
 socle degree e always contributes dim = number of generators, the type.
 
+Quotients and generator subsets live inside their parent: each degree-u
+piece lies in the parent's P_u = row C_{e-u}(F). The module's frame holds
+J_u, a column basis of C_{e-u}(F) read off the pass that gives h_u = |J_u|,
+and later catalecticants are gathered on the columns J_u and rows J_{e-u}
+only. The other columns are combinations of those in J_u, so restriction
+to J_u is injective on P_u; and x^α, α outside J_{e-u}, is a combination of
+the x^β, β in J_{e-u}, modulo Ann(F) ⊆ Ann(W): no integer changes.
+
 Randomized operations (generic quotients, generator re-mixing) are fully
 reproducible: every draw comes from a Mersenne Twister seeded through a
 sha256 counter derivation of the caller's seed. A quotient sample is the
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -25,11 +33,12 @@ from math import lcm
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _bases, _combine, _meets, _rank, _ranks
+from .linalg import _bases, _basis_indices, _combine, _meets, _rank, _ranks
 from .polynomials import (
     DerivativeAction,
     Form,
     FormParseError,
+    _gather_table,
     catalecticant_rows,
     check_space_dim,
     coefficient_rows,
@@ -38,6 +47,7 @@ from .polynomials import (
 )
 
 COEFF_RANGE = 10**6  # bound of the random coefficients; see random_coefficient
+CONTRACT = DerivativeAction.CONTRACT
 
 
 class DependentGeneratorsError(ValueError):
@@ -126,6 +136,28 @@ class InverseSystemModule:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def _frame(self) -> dict[int, list[int]]:
+        """J_u for each inner degree u (see the module docstring): the column
+        basis `_basis_indices` finds in C_{e-u}(F). For one form C_u(f) is
+        its transpose, so the same pass's row basis is J_{e-u}."""
+        r, e, t = self.num_vars, self.socle_degree, self.type
+        frame = {}
+        for u in range(1, e // 2 + 1 if t == 1 else e):
+            rows = catalecticant_rows(self._coeffs, r, e, e - u, CONTRACT, self.field)
+            found = _basis_indices(rows, self.field)
+            frame |= {e - u: found[0], u: found[1]} if t == 1 else {u: found[1]}
+        return frame
+
+    @cached_property
+    def _frame_tables(self) -> dict[int, np.ndarray]:
+        """The gather table of C_{e-u} on the frame, table[J_{e-u}][:, J_u]."""
+        r, e, frame = self.num_vars, self.socle_degree, self._frame
+        return {
+            u: _gather_table(r, e, e - u, CONTRACT)[0][np.ix_(frame[e - u], frame[u])]
+            for u in frame
+        }
+
     @property
     def num_vars(self) -> int:
         return self.generators[0].num_vars
@@ -152,20 +184,17 @@ class QuotientSample:
 
 def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]]:
     """h-vectors of the modules generated by each w[k], c independent
-    coefficient rows in the ring of m: one stacked rank per inner degree.
-    h_0 = 1 and h_e = c need none, and for one form h_u = h_{e-u}, since
-    its contraction catalecticants C_{e-u} and C_u are transposes."""
+    coefficient rows in the ring of m: one stacked rank per inner degree,
+    gathered through m's frame. h_0 = 1 and h_e = c need none, and for one
+    form h_u = h_{e-u}, since C_{e-u} and C_u are transposes."""
     k, c, _ = w.shape
     e = m.socle_degree
     h = np.ones((k, e + 1), dtype=np.int64)
     h[:, e] = c
     top = e // 2 if c == 1 else e - 1
-    forms = w.reshape(k * c, -1)
     for u in range(1, top + 1):
-        rows = catalecticant_rows(
-            forms, m.num_vars, e, e - u, DerivativeAction.CONTRACT, m.field
-        )
-        h[:, u] = _ranks(rows.reshape(k, -1, rows.shape[1]), m.field)
+        sub = m._frame_tables[u]
+        h[:, u] = _ranks(w[:, :, sub].reshape(k, -1, sub.shape[1]), m.field)
     for u in range(top + 1, e):
         h[:, u] = h[:, e - u]
     return [tuple(row) for row in h.tolist()]
@@ -173,18 +202,14 @@ def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]
 
 @lru_cache(maxsize=4096)
 def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
-    """Dimensions of the graded pieces, from degree 0 to the socle degree."""
-    return _graded_ranks(m._coeffs[None], m)[0]
+    """Dimensions of the graded pieces, degree 0 to e; h_u = |J_u| inside."""
+    return (1, *(len(m._frame[u]) for u in range(1, m.socle_degree)), m.type)
 
 
 def _single_spaces(m: InverseSystemModule, u: int) -> list[np.ndarray]:
-    """Each generator's degree-u basis rows, from one stacked `_bases` call
-    on all t catalecticants."""
-    e = m.socle_degree
-    rows = catalecticant_rows(
-        m._coeffs, m.num_vars, e, e - u, DerivativeAction.CONTRACT, m.field
-    )
-    return _bases(rows.reshape(m.type, -1, rows.shape[1]), m.field)
+    """Each generator's degree-u basis rows on the columns J_u, from one
+    stacked `_bases` call on all t catalecticants gathered through the frame."""
+    return _bases(m._coeffs[:, m._frame_tables[u]], m.field)
 
 
 def _random_matrix(
@@ -310,7 +335,9 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
     forms = tuple(
         form_from_row(row, m.num_vars, m.socle_degree, m.field) for row in rows
     )
-    return InverseSystemModule(forms, m.field, label=m.label)
+    remixed = InverseSystemModule(forms, m.field, label=m.label)
+    object.__setattr__(remixed, "_frame", m._frame)  # same span, same frame
+    return remixed
 
 
 def _check_degree(m: InverseSystemModule, u: int) -> None:

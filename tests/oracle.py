@@ -20,6 +20,10 @@ stacked one replaced: a column-by-column forward pass of one Zassenhaus
 matrix. Over GF(p) that pass is `echelon_mod`, the column-by-column
 elimination the package's stacked line steps replaced.
 
+`graded_ranks` keeps the full-width quotient ranks the frame replaced:
+each quotient catalecticant gathered through the whole table of C_{e-u},
+over every degree-u monomial, instead of the parent's frame.
+
 `pencil_bound` writes out Iarrobino's type-2 bound on its own, as the
 reference for the general quotient bound at t = 2, c = 1.
 """
@@ -36,6 +40,7 @@ from levelalg.linalg import (
     Matrix,
     Subspace,
     _echelon,
+    _ranks,
     rank,
     row_space,
     zero_subspace,
@@ -49,6 +54,7 @@ from levelalg.modules import (
 from levelalg.polynomials import (
     DerivativeAction,
     Form,
+    catalecticant_rows,
     monomial_index,
     monomials_of_degree,
     space_dim,
@@ -209,6 +215,24 @@ def remix_generators(m, seed=0):
         if rank(Matrix.from_rows(rows, m.field, cols=t)) == t:
             return tuple(combine_forms(m.generators, row, m.field) for row in rows)
     raise DegenerateSampleError("no invertible re-mix in 100 attempts")
+
+
+def graded_ranks(w, m):
+    """h-vectors of the modules generated by each w[k], c coefficient rows
+    in the ring of m, ranked at full width: one stacked rank of the whole
+    catalecticant per inner degree, mirrored for one form."""
+    k, c, _ = w.shape
+    e = m.socle_degree
+    h = np.ones((k, e + 1), dtype=np.int64)
+    h[:, e] = c
+    top = e // 2 if c == 1 else e - 1
+    forms = w.reshape(k * c, -1)
+    for u in range(1, top + 1):
+        rows = catalecticant_rows(forms, m.num_vars, e, e - u, CONT, m.field)
+        h[:, u] = _ranks(rows.reshape(k, -1, rows.shape[1]), m.field)
+    for u in range(top + 1, e):
+        h[:, u] = h[:, e - u]
+    return [tuple(row) for row in h.tolist()]
 
 
 def pencil_bound(h):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from levelalg.fields import DEFAULT_PRIME, FieldSpec
+from levelalg.fields import DEFAULT_PRIME, FieldSpec, _is_prime
 
 
 def test_default_prime_is_the_mersenne_prime():
@@ -21,6 +21,20 @@ def test_composite_modulus_rejected():
         FieldSpec.modular(1)
     with pytest.raises(ValueError):
         FieldSpec("prime-modular", None)
+
+
+def test_primality_is_checked_once_per_modulus_and_still_rejects_composites():
+    _is_prime.cache_clear()
+    for _ in range(3):
+        FieldSpec.modular()
+        FieldSpec.modular(97)
+        with pytest.raises(ValueError):
+            FieldSpec.modular(91)
+    info = _is_prime.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+    # a cached verdict is the verdict: 2**61 - 1 is prime, 2**61 + 1 is not
+    for _ in range(2):
+        assert [_is_prime(2**61 - 1), _is_prime(2**61 + 1)] == [True, False]
 
 
 def test_rational_field_takes_no_modulus():

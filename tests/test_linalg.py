@@ -25,6 +25,7 @@ from levelalg.linalg import (
     Matrix,
     Subspace,
     _bases,
+    _basis_indices,
     _meets,
     _rank,
     _ranks,
@@ -509,6 +510,62 @@ def test_stacked_bases_span_the_column_pass_rows(case):
         assert rows.shape == (len(want), n)
         assert len(oracle.echelon(rows, field)[1]) == len(rows)
         assert _span(rows, n, field) == _span(want, n, field)
+
+
+@st.composite
+def _index_cases(draw):
+    """A matrix over one of MEET_FIELDS, tall, wide or square, with zero
+    rows, rows combined from others, and over Q traps: a row scaled by p,
+    or moved by p times another row, loses rank mod p only."""
+    field = draw(st.sampled_from(MEET_FIELDS))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]), min_size=rows * cols,
+                          max_size=rows * cols))
+    a = np.array(cells, dtype=object).reshape(rows, cols)
+    traps = ["scale", "shift"]
+    # over Q the first change is always a trap
+    for k in range(draw(st.integers(1 if field == RAT else 0, 3))):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        how = draw(st.sampled_from(traps if k == 0 and field == RAT else ["zero", "combine", *traps]))
+        if how == "zero":
+            a[i] = 0
+        elif how == "combine":
+            a[i] = 2 * a[j] - a[(j + 1) % rows]
+        elif how == "scale":
+            a[i] = P * a[i]
+        else:
+            a[i] = a[i] + P * a[j]
+    if field.is_modular:
+        # the GF(p) kernels take residues, as the package passes them
+        a %= field.prime
+    return (a.T.copy() if draw(st.booleans()) else a), field
+
+
+@PROPERTY
+@given(case=_index_cases())
+def test_basis_indices_give_a_nonsingular_minor_of_full_rank(case):
+    # a[I, J] is r-by-r and nonsingular, r = rank a: I is a row basis and
+    # J a column basis
+    a, field = case
+    rows, cols = _basis_indices(a, field)
+    r = len(oracle.echelon(a, field)[1])
+    assert rows == sorted(set(rows)) and cols == sorted(set(cols))
+    assert len(rows) == len(cols) == r
+    assert len(oracle.echelon(a[np.ix_(rows, cols)], field)[1]) == r
+
+
+def test_rational_basis_indices_certify_full_rank_mod_p_only(monkeypatch):
+    a = [[1, 2, 0, 1], [0, 1, 1, 3], [2, 0, 0, 1]]
+    calls = _count_exact_passes(monkeypatch)
+    assert _basis_indices(np.array(a, dtype=object), RAT) == ([0, 1, 2], [0, 1, 2])
+    assert calls == []
+    # full rank over Q, rank 2 mod p: the exact pass gives both bases
+    trap = [a[0], [P * x for x in a[1]], a[2]]
+    assert _basis_indices(np.array(trap, dtype=object), RAT) == ([0, 1, 2], [0, 1, 2])
+    # rank 2 over Q below a zero row: the pivot rows are mapped back
+    short = [[0] * 4, a[0], [2 * x for x in a[0]], a[1]]
+    assert _basis_indices(np.array(short, dtype=object), RAT) == ([1, 3], [0, 1])
+    assert len(calls) == 2
 
 
 def _independent_rows(draw, k, n):

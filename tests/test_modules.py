@@ -36,7 +36,7 @@ from levelalg.modules import (
     remix_generators,
     sample_generic_quotient,
 )
-from levelalg.linalg import _INT64_PRIME_LIMIT, _bases, _combine, _meets, rank
+from levelalg.linalg import _INT64_PRIME_LIMIT, Matrix, _bases, _combine, _meets, rank
 from levelalg.polynomials import (
     DerivativeAction,
     Form,
@@ -597,7 +597,8 @@ def test_overlap_statistics_match_the_subset_oracle(field):
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
     # the walk hands on the meet of {0..q-1}, q >= 2, while it is nonzero,
-    # and nothing once a prefix meets in 0
+    # and nothing once a prefix meets in 0; its rows are in frame
+    # coordinates, so the oracle's prefix spaces are restricted to J_u
     from levelalg.linalg import _span
 
     handed = []
@@ -619,8 +620,106 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
             list(modules._overlap(m, u)[1])
             want = [s for s in prefixes if s.dim]
             assert len(handed) == len(want), (m.type, u)
+            frame = m._frame[u]
             for rows, s in zip(handed, want):
-                assert _span(rows, s.ambient, field) == s, (m.type, u)
+                restricted = _span([[x[j] for j in frame] for x in s.basis], len(frame), field)
+                assert restricted.dim == s.dim, (m.type, u)
+                assert _span(rows, len(frame), field) == restricted, (m.type, u)
+
+
+def _scaled_trap(t=3):
+    """Sharp generators over Q with the second one scaled by p: the same
+    span, but mod p the second generator vanishes, so the mod-p pass on
+    the stacked catalecticant falls short of the rank over Q."""
+    gens = list(sharp_family(t=t, p=1, e=3, field=RAT).generators)
+    g = gens[1]
+    terms = {k: v * DEFAULT_PRIME for k, v in g.terms.items()}
+    gens[1] = Form(g.num_vars, g.degree, RAT, terms)
+    return InverseSystemModule(tuple(gens), RAT)
+
+
+FRAME_CASES = (
+    lambda field: sharp_family(t=4, p=1, e=4, field=field),
+    _monomial_module,
+    lambda field: remix_generators(sharp_family(t=5, p=1, e=3, field=field), seed=3),
+    lambda field: remix_generators(random_module(3, 4, 3, 0.5, 2, field), seed=4),
+)
+
+
+CONT = DerivativeAction.CONTRACT
+
+
+def _frame_modules():
+    for field in (MOD, RAT, BIG, FieldSpec.modular(97)):
+        for build in FRAME_CASES:
+            yield build(field)
+    yield _scaled_trap()
+
+
+def _mat(a, field):
+    return Matrix.from_rows(a.tolist(), field, cols=a.shape[1])
+
+
+def test_frame_is_a_column_basis_of_the_parent_catalecticants():
+    # |J_u| = h_u columns of C_(e-u)(F) that keep its rank; one form
+    # included, whose J_(e-u), u <= e/2, is a row basis of C_(e-u)(f)
+    singles = [InverseSystemModule(m.generators[:1], m.field) for m in _frame_modules()]
+    for m in [*_frame_modules(), *singles]:
+        e = m.socle_degree
+        assert sorted(m._frame) == list(range(1, e)), m.type
+        for u in range(1, e):
+            full = catalecticant_rows(m._coeffs, m.num_vars, e, e - u, CONT, m.field)
+            frame = m._frame[u]
+            assert frame == sorted(set(frame)), (m.type, u)
+            assert len(frame) == h_vector(m)[u] == rank(_mat(full, m.field)), (m.type, u)
+            assert rank(_mat(full[:, frame], m.field)) == len(frame), (m.type, u)
+
+
+def test_frame_restricted_quotients_and_overlaps_equal_the_full_width_oracle():
+    # the quotient h and every overlap statistic, gathered through the
+    # frame, against full-width ranks and the subset oracle
+    trap = _scaled_trap()
+    for u in (1, 2):
+        # the trap is real: mod p its columns fall short of the frame
+        rows = catalecticant_rows(
+            trap._coeffs % DEFAULT_PRIME, trap.num_vars, 3, 3 - u, CONT, MOD
+        )
+        assert len(modules._basis_indices(rows, MOD)[1]) < len(trap._frame[u])
+    for m in _frame_modules():
+        assert h_vector(m) == oracle.graded_ranks(m._coeffs[None], m)[0]
+        for c in range(1, m.type):
+            samples = generic_quotient_trials(m, c, trials=3, seed=c)
+            w = _combine([s.coefficients for s in samples], m._coeffs, m.field)
+            assert [s.h for s in samples] == oracle.graded_ranks(w, m), (m.type, c)
+        for u in range(1, m.socle_degree):
+            assert inclusion_exclusion_sum(m, u) == oracle.inclusion_exclusion_sum(m, u)
+            for q in range(1, m.type + 1):
+                got = relative_intersection_dim(m, q, u)
+                assert got == oracle.relative_intersection_dim(m, q, u), (m.type, u, q)
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_frame_takes_one_elimination_per_degree_and_a_remix_shares_it(monkeypatch, field):
+    # e - 1 eliminations for t >= 2, e // 2 for one form; a re-mix spans
+    # what its parent spans and reuses the parent's frame
+    calls = []
+    kernel = modules._basis_indices
+
+    def counting(a, f):
+        calls.append(a.shape)
+        return kernel(a, f)
+
+    monkeypatch.setattr(modules, "_basis_indices", counting)
+    for e in (3, 4, 5):
+        m = sharp_family(t=3, p=1, e=e, field=field)
+        single = InverseSystemModule(m.generators[:1], field)
+        calls.clear()
+        assert m._frame and single._frame
+        assert len(calls) == (e - 1) + e // 2
+        g = remix_generators(m, seed=e)
+        assert g._frame is m._frame
+        assert h_vector(g) == h_vector(m)
+        assert len(calls) == (e - 1) + e // 2
 
 
 def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
