@@ -100,16 +100,10 @@ def penultimate_bound_holds(h: Sequence[int], t: int) -> bool:
     return h[1] > 7 or h[-2] >= h[1]
 
 
-def quotient_feasible(h: Sequence[int], L: Sequence[int], c: int) -> bool:
-    """Whether L can be the h-vector of a type-c quotient of a module with
-    h-vector h, by the two O-sequence obstructions.
-
-    L must be admissible itself, and so must the reversed difference h - L
-    (which is the h-vector of a complementary quotient when one generator
-    is dropped at a time). The zero difference (c equal to the parent
-    type) is trivially feasible.
-    """
-    h = _check_h(h)
+def _first_violation(h: HVector, L: Sequence[int], c: int) -> tuple[bool, int] | None:
+    """Check the candidate L as `quotient_feasible` does and return its
+    first failed O-sequence test: (False, d) when L fails at degree d, else
+    (True, d) when the reversed difference h - L does, else None."""
     L = tuple(int(x) for x in L)
     if len(L) != len(h):
         raise ValueError(f"length mismatch: {len(L)} vs {len(h)}")
@@ -119,13 +113,26 @@ def quotient_feasible(h: Sequence[int], L: Sequence[int], c: int) -> bool:
         raise ValueError("candidate exceeds the parent h-vector")
     if any(x < 0 for x in L):
         raise ValueError(f"negative entry in {L}")
-    diff = tuple(y - x for x, y in zip(L, h))
-    if not any(diff):
-        return True
-    return (
-        is_o_sequence(L).ok
-        and is_o_sequence(tuple(reversed(diff))).ok
-    )
+    diff_rev = tuple(y - x for x, y in zip(reversed(L), reversed(h)))
+    if not any(diff_rev):
+        return None
+    for in_difference, seq in ((False, L), (True, diff_rev)):
+        verdict = is_o_sequence(seq)
+        if not verdict.ok:
+            return in_difference, verdict.first_violation
+    return None
+
+
+def quotient_feasible(h: Sequence[int], L: Sequence[int], c: int) -> bool:
+    """Whether L can be the h-vector of a type-c quotient of a module with
+    h-vector h, by the two O-sequence obstructions.
+
+    L must be admissible itself, and so must the reversed difference h - L
+    (which is the h-vector of a complementary quotient when one generator
+    is dropped at a time). The zero difference (c equal to the parent
+    type) is trivially feasible.
+    """
+    return _first_violation(_check_h(h), L, c) is None
 
 
 def tighten_bound(h: Sequence[int], L: Sequence[int], c: int) -> HVector:
@@ -141,28 +148,21 @@ def tighten_bound(h: Sequence[int], L: Sequence[int], c: int) -> HVector:
     h = _check_h(h)
     cur = [int(x) for x in L]
     e = len(h) - 1
-    while True:
-        if quotient_feasible(h, cur, c):
-            return tuple(cur)
-        verdict = is_o_sequence(cur)
-        if not verdict.ok:
+    while (found := _first_violation(h, cur, c)) is not None:
+        in_difference, d = found
+        if not in_difference:
             # violation in L itself: L[d+1] exceeds the growth allowed by
             # L[d], and raising L[d] is the only repair that keeps L' >= L
             # (d = 0 means a leading 0, repaired by raising it to 1)
-            pos = verdict.first_violation
+            pos = d
+        elif d == 0:
+            # the reversed difference leads with h_e - c, pinned by the
+            # target type; nothing above L can repair a lead != 1
+            raise InfeasibleBoundError(
+                f"reversed difference leads with {h[e] - c}, not 1; "
+                "the feasibility test applies to single type drops"
+            )
         else:
-            diff_rev = tuple(hh - ll for hh, ll in zip(reversed(h), reversed(cur)))
-            verdict = is_o_sequence(diff_rev)
-            if verdict.ok:
-                raise InfeasibleBoundError("no violation found yet infeasible")
-            d = verdict.first_violation
-            if d == 0:
-                # the reversed difference leads with h_e - c, pinned by the
-                # target type; nothing above L can repair a lead != 1
-                raise InfeasibleBoundError(
-                    f"reversed difference leads with {diff_rev[0]}, not 1; "
-                    "the feasibility test applies to single type drops"
-                )
             # reversed-difference entry d+1 is too big; shrink it by raising L
             pos = e - (d + 1)
         if cur[pos] + 1 > h[pos]:
@@ -170,6 +170,7 @@ def tighten_bound(h: Sequence[int], L: Sequence[int], c: int) -> HVector:
                 f"entry {pos} cannot be raised past the parent value {h[pos]}"
             )
         cur[pos] += 1
+    return tuple(cur)
 
 
 def chained_bound(

@@ -24,11 +24,12 @@ from .bounds import VerificationReport, verify_instance
 from .combinatorics import binomial
 from .fields import FieldSpec
 from .modules import (
+    _draws,
     _overlap,
+    _single_spaces,
     derive_seed,
     empirical_generic_h,
     h_vector,
-    remix_generators,
 )
 from .families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec, build_family
 
@@ -184,7 +185,8 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
 
     Three checks per inner degree u: the type-count identity
     sum = t*H_u - h_u, the subset recount sum = sum_j (j-1) C(t,j) D_u(j),
-    and the overlap lower bound H_u >= h_{e-u} - sum. The sum and every
+    and the overlap lower bound H_u >= h_{e-u} - sum, on the rows W that
+    `remix_generators` draws, never built as a module. The sum and every
     D_u(j) come from one `_overlap` walk per degree; the D_u(j) it does not
     yield are 0 and add nothing to the recount.
     """
@@ -192,13 +194,13 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
     e = m.socle_degree
     if t < 2 or e < 2:
         return 0, []
-    g = remix_generators(m, derive_seed(seed, "identity-mix"))
+    [(_, w)] = _draws(m, t, [derive_seed(seed, "identity-mix")], "remix")
     h = h_vector(m)
     emp = empirical_generic_h(m, 1, trials=trials, seed=derive_seed(seed, "identity-emp"))
     passed = 0
     failures: list[IdentityFailure] = []
     for u in range(1, e):
-        sigma, dims = _overlap(g, u)
+        sigma, dims = _overlap(_single_spaces(m, u, w), m.field)
         type_count = t * emp[u] - h[u]
         recount = sum((j - 1) * binomial(t, j) * d for j, d in enumerate(dims, start=2))
         bound = h[e - u] - sigma

@@ -18,7 +18,9 @@ Randomized operations (generic quotients, generator re-mixing) are fully
 reproducible: every draw comes from a Mersenne Twister seeded through a
 sha256 counter derivation of the caller's seed. A quotient sample is the
 rows of W = A·F, never a new module; the trials of one quotient type are
-drawn side by side and ranked as one stack per degree.
+drawn side by side and ranked as one stack per degree. The re-mix that
+the identity checks of `levelalg verify` walk is rows too: W = A·F with A
+t-by-t, whose spaces `_single_spaces` gathers through the parent's frame.
 """
 
 from __future__ import annotations
@@ -206,10 +208,12 @@ def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
     return (1, *(len(m._frame[u]) for u in range(1, m.socle_degree)), m.type)
 
 
-def _single_spaces(m: InverseSystemModule, u: int) -> list[np.ndarray]:
-    """Each generator's degree-u basis rows on the columns J_u, from one
-    stacked `_bases` call on all t catalecticants gathered through the frame."""
-    return _bases(m._coeffs[:, m._frame_tables[u]], m.field)
+def _single_spaces(m: InverseSystemModule, u: int, w: np.ndarray) -> list[np.ndarray]:
+    """The degree-u basis rows on the columns J_u of each form whose
+    coefficient row is a row of w: m's generators (m._coeffs) or a re-mix
+    W = A·F of them, whose span is m's and so is its frame. One stacked
+    `_bases` call on the catalecticants gathered through m's frame."""
+    return _bases(w[:, m._frame_tables[u]], m.field)
 
 
 def _random_matrix(
@@ -324,7 +328,8 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
 
     Useful because overlap statistics below depend on the chosen
     generators; a random re-mix realizes the generic choice while leaving
-    the module (hence its h-vector) untouched.
+    the module (hence its h-vector) untouched. `levelalg verify` walks
+    the rows W alone (`manifest._identity_checks`).
     """
     [(_, w)] = _draws(m, m.type, [seed], "remix")
     rows = w.tolist()
@@ -356,11 +361,12 @@ def _relative_dim(inter: np.ndarray, rest, field: FieldSpec) -> int:
     return _rank(np.vstack([inter, rest]), field) - _rank(rest, field)
 
 
-def _overlap(m: InverseSystemModule, u: int):
+def _overlap(spaces: list[np.ndarray], field: FieldSpec):
     """The alternating sum of `inclusion_exclusion_sum`, from one walk over
-    the generator subsets, and an iterator over the relative dimensions
-    D_u(q) of `relative_intersection_dim` for the nonzero prefixes
-    {0..q-1}, q = 2, 3, ... (the sizes the subset recount weighs).
+    the subsets of the t spaces (`_single_spaces`), and an iterator over
+    the relative dimensions D_u(q) of `relative_intersection_dim` for the
+    nonzero prefixes {0..q-1}, q = 2, 3, ... (the sizes the subset
+    recount weighs).
 
     The subsets are walked level by level in lexicographic order. Level q
     holds the rows of each q-subset's intersection with a nonzero result,
@@ -374,8 +380,7 @@ def _overlap(m: InverseSystemModule, u: int):
     caller of the sum alone ranks nothing. D_u(1) is left out: it would
     rank all t spaces together, and no caller reads it.
     """
-    t = m.type
-    spaces = _single_spaces(m, u)
+    t = len(spaces)
     level = list(zip(spaces, range(t)))
     prefixes = []  # the meets of {0, 1}, {0, 1, 2}, ... while nonzero
     total, sign, q = 0, 1, 1
@@ -383,7 +388,7 @@ def _overlap(m: InverseSystemModule, u: int):
         children = [
             (k, j) for k, (_, last) in enumerate(level) for j in range(last + 1, t)
         ]
-        meets = _meets([(level[k][0], spaces[j]) for k, j in children], m.field)
+        meets = _meets([(level[k][0], spaces[j]) for k, j in children], field)
         # while {0..q-1} is nonzero it is level[0], so {0..q} is meets[0]
         if q < t and len(prefixes) == q - 1 and len(meets[0]):
             prefixes.append(meets[0])
@@ -391,7 +396,7 @@ def _overlap(m: InverseSystemModule, u: int):
         total += sign * sum(len(meet) for meet, _ in level)
         sign, q = -sign, q + 1
     dims = (
-        _relative_dim(inter, spaces[q:], m.field)
+        _relative_dim(inter, spaces[q:], field)
         for q, inter in enumerate(prefixes, start=2)
     )
     return total, dims
@@ -410,7 +415,7 @@ def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
     _check_degree(m, u)
     if m.type < 2:
         raise ValueError("inclusion-exclusion needs at least two generators")
-    return _overlap(m, u)[0]
+    return _overlap(_single_spaces(m, u, m._coeffs), m.field)[0]
 
 
 def relative_intersection_dim(
@@ -434,7 +439,7 @@ def relative_intersection_dim(
     subset = tuple(subset)
     if len(set(subset)) != q or any(not 0 <= j < t for j in subset):
         raise ValueError(f"subset {subset} is not {q} distinct indices below {t}")
-    spaces = _single_spaces(m, u)
+    spaces = _single_spaces(m, u, m._coeffs)
     inter = spaces[subset[0]]
     for j in subset[1:]:
         if not len(inter):

@@ -26,7 +26,7 @@ from math import comb, factorial, gcd, lcm
 import numpy as np
 
 from .fields import FieldSpec, Scalar
-from .linalg import Matrix, Subspace, _dtype, _span
+from .linalg import Subspace, _dtype, _span
 
 Exponents = tuple[int, ...]
 
@@ -324,16 +324,16 @@ def apply_operator(
     by the operator dies. The result is a Form of degree deg - |op|,
     possibly zero: the row of op in the catalecticant of the form.
     """
-    i = sum(op)
-    if len(op) != form.num_vars:
-        raise ParameterMismatchError(
-            f"operator has {len(op)} variables, form has {form.num_vars}"
-        )
-    k = monomial_index(form.num_vars, i).get(tuple(op))
+    r, e, field, i = form.num_vars, form.degree, form.field, sum(op)
+    if len(op) != r:
+        raise ParameterMismatchError(f"operator has {len(op)} variables, form has {r}")
+    k = monomial_index(r, i).get(tuple(op))
     if k is None:
         raise ValueError(f"negative exponent in operator {op}")
-    row = catalecticant([form], i, action).entries[k]
-    return form_from_row(row, form.num_vars, form.degree - i, form.field)
+    if i > e:
+        raise ValueError(f"operator degree {i} out of range 0..{e}")
+    rows = catalecticant_rows(coefficient_rows([form]), r, e, i, action, field)
+    return form_from_row(rows[k].tolist(), r, e - i, field)
 
 
 def _check_family(forms) -> tuple[int, int, FieldSpec]:
@@ -430,28 +430,11 @@ def catalecticant_rows(
     return rows.reshape(-1, table.shape[1])
 
 
-def catalecticant(
-    forms, i: int, action: DerivativeAction = DerivativeAction.CONTRACT
-) -> Matrix:
-    """Matrix of degree-i operators acting on the forms.
-
-    One row per (form, degree-i operator monomial) pair, in form order then
-    monomial order; one column per degree-(e-i) monomial. Its row space is
-    the degree-(e-i) piece of the module the forms generate.
-    """
-    num_vars, degree, field = _check_family(forms)
-    if not 0 <= i <= degree:
-        raise ValueError(f"operator degree {i} out of range 0..{degree}")
-    coeffs = coefficient_rows(forms)
-    rows = catalecticant_rows(coeffs, num_vars, degree, i, action, field)
-    return Matrix.from_rows(rows.tolist(), field, cols=rows.shape[1])
-
-
 def derivative_space(
     forms, u: int, action: DerivativeAction = DerivativeAction.CONTRACT
 ) -> Subspace:
     """Degree-u subspace spanned by all order-(e-u) derivatives of the forms:
-    the row space of catalecticant(forms, e-u)."""
+    the row space of their catalecticant C_{e-u}."""
     num_vars, degree, field = _check_family(forms)
     if not 0 <= u <= degree:
         raise ValueError(f"degree {u} out of range 0..{degree}")

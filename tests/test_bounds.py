@@ -10,7 +10,7 @@ from fractions import Fraction
 import oracle
 import pytest
 
-from levelalg import manifest
+from levelalg import bounds, manifest
 from levelalg.bounds import (
     CSV_COLUMNS,
     InfeasibleBoundError,
@@ -272,6 +272,29 @@ def test_tighten_reference_case():
     assert got == (1, 3, 5, 6, 6, 4, 2)
     assert quotient_feasible(H733, got, 2)
     assert all(a >= b for a, b in zip(got, (1, 3, 4, 6, 5, 4, 2)))
+
+
+def test_tighten_reads_each_verdict_once_per_step(monkeypatch):
+    # two raises, of L[2] and then of L[4]: L fails at degree 2, then L
+    # passes and its reversed difference fails at degree 1, then both
+    # pass; each sequence is tested once per step
+    verdicts = []
+    is_o_sequence = bounds.is_o_sequence
+
+    def counting(h):
+        verdicts.append(tuple(h))
+        return is_o_sequence(h)
+
+    monkeypatch.setattr(bounds, "is_o_sequence", counting)
+    base = generic_quotient_bound(H733, 3, 2)
+    assert tighten_bound(H733, base, 2) == (1, 3, 5, 6, 6, 4, 2)
+    assert verdicts == [
+        base,
+        (1, 3, 5, 6, 5, 4, 2),
+        (1, 1, 2, 1, 0, 0, 0),
+        (1, 3, 5, 6, 6, 4, 2),
+        (1, 1, 1, 1, 0, 0, 0),
+    ]
 
 
 def test_tighten_fixed_point():

@@ -1,16 +1,41 @@
 """Manifest parsing and the batch verification loop."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from levelalg.families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec
+from levelalg.combinatorics import binomial
+from levelalg.families import (
+    FAMILY_NAMES,
+    FAMILY_PARAMS,
+    FamilySpec,
+    random_module,
+    sharp_family,
+)
 from levelalg.fields import FieldSpec
 from levelalg.manifest import (
+    IdentityFailure,
     ManifestError,
+    _identity_checks,
     parse_manifest,
     run_manifest,
 )
+from levelalg.modules import (
+    InverseSystemModule,
+    derive_seed,
+    empirical_generic_h,
+    h_vector,
+    inclusion_exclusion_sum,
+    relative_intersection_dim,
+    remix_generators,
+)
+from levelalg.polynomials import Form
 
+ROOT = Path(__file__).resolve().parents[1]
 MOD = FieldSpec.modular()
+RAT = FieldSpec.rational()
+BIG = FieldSpec.modular(4294967311)  # above linalg._INT64_PRIME_LIMIT
 
 TEXT = """\
 # block family, both quotient types
@@ -156,3 +181,91 @@ def test_run_manifest_identities_sharp_exact():
     summary, _ = run_manifest(man, MOD, seed=5)
     assert summary.identity_checks_failed == 0
     assert summary.identity_checks_passed == 9  # 3 inner degrees x 3 checks
+
+
+def _checks_on_the_remixed_module(m, trials, seed):
+    """`_identity_checks` on the module `remix_generators` builds, with the
+    sum from `inclusion_exclusion_sum` and every D_u(j) from
+    `relative_intersection_dim`."""
+    t, e = m.type, m.socle_degree
+    g = remix_generators(m, derive_seed(seed, "identity-mix"))
+    h = h_vector(m)
+    emp = empirical_generic_h(m, 1, trials, derive_seed(seed, "identity-emp"))
+    passed, failures = 0, []
+    for u in range(1, e):
+        sigma = inclusion_exclusion_sum(g, u)
+        recount = sum(
+            (j - 1) * binomial(t, j) * relative_intersection_dim(g, j, u)
+            for j in range(2, t + 1)
+        )
+        for identity, lhs, rhs, ok in (
+            ("type-count", sigma, t * emp[u] - h[u], sigma == t * emp[u] - h[u]),
+            ("recount", sigma, recount, sigma == recount),
+            ("overlap-bound", emp[u], h[e - u] - sigma, emp[u] >= h[e - u] - sigma),
+        ):
+            if ok:
+                passed += 1
+            else:
+                failures.append(IdentityFailure(m.label, u, identity, lhs, rhs))
+    return passed, failures
+
+
+def _fractional_module():
+    """Sharp generators over Q, two of them scaled by 1/6 and 5/4: the
+    module's rows clear a denominator of 12, so its re-mix rows W are 12
+    times those of the re-mixed forms, which `remix_generators` clears
+    again; the spaces are the same."""
+    gens = sharp_family(t=3, p=1, e=3, field=RAT).generators
+    scaled = tuple(
+        Form(g.num_vars, g.degree, RAT, {k: v * s for k, v in g.terms.items()})
+        for g, s in zip(gens, (1, Fraction(1, 6), Fraction(5, 4)))
+    )
+    return InverseSystemModule(scaled, RAT, label="fractional")
+
+
+def _count_constructions(monkeypatch):
+    built = []
+    post_init = InverseSystemModule.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(InverseSystemModule, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "field", [MOD, BIG, RAT, FieldSpec.modular(7)], ids=["gfp", "bigp", "q", "gf7"]
+)
+def test_identity_checks_on_remix_rows_match_the_remixed_module(monkeypatch, field):
+    # the r=2 e=5 module fails the type-count identity at u=4 on every
+    # field, and over GF(7), where draws are far from generic, another
+    # fails the recount too: the failure records are compared as well
+    cases = [
+        sharp_family(t=4, p=1, e=3, field=field),
+        random_module(3, 4, 3, 0.5, 1, field),
+        random_module(2, 5, 3, 0.6, 2, field),
+    ]
+    if field is RAT:
+        cases.append(_fractional_module())
+    failed = 0
+    for k, m in enumerate(cases):
+        seed = 5 + k
+        want = _checks_on_the_remixed_module(m, 2, seed)
+        built = _count_constructions(monkeypatch)
+        got = _identity_checks(m, 2, seed)
+        monkeypatch.undo()
+        assert not built, m.label
+        assert got == want, m.label
+        failed += len(got[1])
+    assert failed
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_benchmark_manifest_builds_one_module_per_instance(monkeypatch, field):
+    man = parse_manifest((ROOT / "perfbench" / "manifest.txt").read_text())
+    built = _count_constructions(monkeypatch)
+    summary, _ = run_manifest(man, field, seed=0)
+    assert len(built) == len(man.instances) == 7
+    assert summary.identity_checks_failed == 0

@@ -41,7 +41,6 @@ from levelalg.polynomials import (
     DerivativeAction,
     Form,
     catalecticant_rows,
-    catalecticant,
     form_from_row,
     monomials_of_degree,
     parse_form,
@@ -297,7 +296,7 @@ def test_known_and_mirrored_h_entries_equal_computed_ranks():
     # every entry with the rank of the catalecticant of the combined forms
     def ranks(forms):
         e = forms[0].degree
-        return tuple(rank(catalecticant(forms, e - u)) for u in range(e + 1))
+        return tuple(rank(oracle.catalecticant(forms, e - u)) for u in range(e + 1))
 
     asymmetric = False
     for field in (MOD, RAT, BIG):
@@ -588,7 +587,8 @@ def test_overlap_statistics_match_the_subset_oracle(field):
             # one walk gives the sum and the relative dimension of every
             # prefix the recount weighs, {0, 1} and longer, up to the first
             # that meets in 0; the ones it leaves out are 0
-            total, yielded = modules._overlap(m, u)
+            spaces = modules._single_spaces(m, u, m._coeffs)
+            total, yielded = modules._overlap(spaces, m.field)
             yielded = list(yielded)
             zeros = [0] * (m.type - 1 - len(yielded))
             assert (total, yielded + zeros) == (want, dims[1:]), (m.label, m.type, u)
@@ -617,7 +617,8 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
                 reduce(oracle.subspace_intersection, spaces[:q]) for q in range(2, m.type + 1)
             ]
             handed.clear()
-            list(modules._overlap(m, u)[1])
+            walk = modules._overlap(modules._single_spaces(m, u, m._coeffs), m.field)
+            list(walk[1])
             want = [s for s in prefixes if s.dim]
             assert len(handed) == len(want), (m.type, u)
             frame = m._frame[u]
@@ -982,6 +983,6 @@ def test_small_modules_agree_across_fields_and_give_o_sequences(pair):
         for s in generic_quotient_trials(m, 1, trials=2, seed=e):
             form = oracle.combine_forms(m.generators, s.coefficients[0], m.field)
             # every entry ranked, the mirrored half included
-            h = tuple(rank(catalecticant([form], e - u)) for u in range(e + 1))
+            h = tuple(rank(oracle.catalecticant([form], e - u)) for u in range(e + 1))
             assert s.h == h == h[::-1]
             assert is_o_sequence(h).ok
