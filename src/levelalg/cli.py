@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .bounds import (
@@ -51,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def _build_parser() -> _Parser:
+    # one per process: each parse_args call fills a fresh Namespace
     parser = _Parser(prog="levelalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -264,24 +264,36 @@ def _line_steps(a: np.ndarray, p: int):
 
 
 def _ranks(stack, field: FieldSpec) -> list[int]:
-    """Ranks of a sequence of equally shaped matrices (or a 3-D array).
+    """Ranks of a sequence of 2-D arrays of any shapes (or of a 3-D array).
 
+    A sequence is first zero-padded to one shape, which keeps every rank.
     Over GF(p) the matrices are eliminated side by side along their shorter
     side by `_line_steps`: every nonzero line lowers the rank of what is
     left by exactly one. Over Q the integer matrices are first ranked mod
     DEFAULT_PRIME by that pass, and a full rank mod p is the rank over Q:
     a nonzero r-by-r minor mod p is a nonzero integer minor, so rank mod p
-    <= rank over Q <= min(rows, cols). Only a matrix whose rank mod p falls
-    short of that gets the fraction-free forward pass.
+    <= rank over Q <= min(rows, cols) of the matrix before padding. Only a
+    matrix whose rank mod p falls short of that gets the fraction-free
+    forward pass, on its own rows.
     """
+    dtype = _dtype(field)
+    if isinstance(stack, np.ndarray) and stack.ndim == 3:
+        a, shapes = np.asarray(stack, dtype=dtype), [stack.shape[1:]] * len(stack)
+    else:
+        mats = [np.asarray(m, dtype=dtype) for m in stack]
+        shapes = [(len(m), m.shape[-1]) for m in mats]
+        a = np.zeros((len(mats), *map(max, zip((0, 0), *shapes))), dtype=dtype)
+        for s, m, (k, n) in zip(a, mats, shapes):
+            s[:k, :n] = m
     if not field.is_modular:
-        a = np.asarray(stack, dtype=object)
         # Python ints reduced before the cast: entries may exceed int64
         mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
-        full = min(a.shape[1:], default=0)
-        return [r if r == full else len(_echelon(m, field)[1]) for r, m in zip(mod, a)]
+        return [
+            r if r == min(k, n) else len(_echelon(m[:k], field)[1])
+            for r, (k, n), m in zip(mod, shapes, a)
+        ]
     p = field.prime
-    a = np.asarray(stack, dtype=_dtype(field)) % p
+    a = a % p
     if a.size == 0:
         return [0] * len(a)
     if a.shape[1] > a.shape[2]:
@@ -411,15 +423,15 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     Over Q the pairs are grouped by content (shapes and entries), and each
     distinct pair is met once: its duplicates get the very same array, so
     callers must not mutate a result. The left halves [a; b] of the
-    distinct pairs, zero-padded to one shape (which keeps every rank), are
-    ranked mod DEFAULT_PRIME in one stacked pass. A rank of rows(a) +
-    rows(b) there makes the rows of [a; b] independent over Q too (rank
-    mod p <= rank over Q), so x·a + y·b = 0 forces x = y = 0, and the meet
-    is 0: an empty (0, n) array. Any other pair's Z gets the fraction-free
-    forward pass, whose rows with a right-half pivot are the same kind of
-    basis as over GF(p). A single pair is a list of one pair: the overlap
-    walk passes whole levels, `subspace_intersection` and the subset
-    chains of `relative_intersection_dim` one pair at a time.
+    distinct pairs, a ragged stack, are ranked mod DEFAULT_PRIME in one
+    `_ranks` pass. A rank of rows(a) + rows(b) there makes the rows of
+    [a; b] independent over Q too (rank mod p <= rank over Q), so x·a + y·b
+    = 0 forces x = y = 0, and the meet is 0: an empty (0, n) array. Any
+    other pair's Z gets the fraction-free forward pass, whose rows with a
+    right-half pivot are the same kind of basis as over GF(p). A single
+    pair is a list of one pair: the overlap walk passes a whole level of
+    one degree, `subspace_intersection` and the subset chain of
+    `relative_intersection_dim` one pair at a time.
     """
     if not field.is_modular:
         if not pairs:
@@ -429,16 +441,8 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
             key = (a.shape, b.shape, *a.ravel().tolist(), *b.ravel().tolist())
             groups.setdefault(key, []).append(i)
         distinct = [pairs[idx[0]] for idx in groups.values()]
-        shape = (
-            len(distinct),
-            max(len(a) + len(b) for a, b in distinct),
-            max(b.shape[1] for _, b in distinct),
-        )
-        left = np.zeros(shape, dtype=object)
-        for s, (a, b) in zip(left, distinct):
-            s[: len(a), : a.shape[1]] = a
-            s[len(a) : len(a) + len(b), : b.shape[1]] = b
-        mod = _ranks((left % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        left = [np.vstack([a, b]) % DEFAULT_PRIME for a, b in distinct]
+        mod = _ranks(left, _CERTIFICATE_FIELD)
         out: list = [None] * len(pairs)
         for r, (a, b), idx in zip(mod, distinct, groups.values()):
             (ka, n), kb = a.shape, len(b)

@@ -352,13 +352,23 @@ def _check_degree(m: InverseSystemModule, u: int) -> None:
         )
 
 
-def _relative_dim(inter: np.ndarray, rest, field: FieldSpec) -> int:
-    """Dimension of row(inter) modulo the span of the arrays in `rest`:
-    rank(inter + rest) - rank(rest)."""
-    if not rest or not len(inter):
-        return len(inter)
-    rest = np.vstack(rest)
-    return _rank(np.vstack([inter, rest]), field) - _rank(rest, field)
+def _relative_dims(pairs, field: FieldSpec) -> list[int]:
+    """For each pair (inter, rest) of a 2-D array and a list of 2-D arrays,
+    all with one column count, the dimension of row(inter) modulo the span
+    of rest: rank([inter; rest]) - rank(rest). Every [inter; rest] and rest
+    is ranked in one stacked `_ranks` call; an empty inter or rest needs no
+    rank, its value is len(inter)."""
+    dims = [len(inter) for inter, _ in pairs]
+    ranked = [k for k, (inter, rest) in enumerate(pairs) if len(inter) and rest]
+    stack = []
+    for k in ranked:
+        rest = np.vstack(pairs[k][1])
+        stack += [np.vstack([pairs[k][0], rest]), rest]
+    if stack:
+        ranks = _ranks(stack, field)
+        for k, r_all, r_rest in zip(ranked, ranks[::2], ranks[1::2]):
+            dims[k] = r_all - r_rest
+    return dims
 
 
 def _overlap(spaces: list[np.ndarray], field: FieldSpec):
@@ -376,9 +386,10 @@ def _overlap(spaces: list[np.ndarray], field: FieldSpec):
     children are built. The prefix {0..q} is the first child of the prefix
     {0..q-1}, so while the prefixes are nonzero each is the first entry of
     its level; once one meets in 0 so do all longer ones, their D_u is 0,
-    and the iterator stops. Each D_u is ranked only when it is read, so a
-    caller of the sum alone ranks nothing. D_u(1) is left out: it would
-    rank all t spaces together, and no caller reads it.
+    and the iterator stops. The first D_u read ranks them all in one
+    stacked call (`_relative_dims`), so a caller of the sum alone ranks
+    nothing. D_u(1) is left out: it would rank all t spaces together, and
+    no caller reads it.
     """
     t = len(spaces)
     level = list(zip(spaces, range(t)))
@@ -395,11 +406,12 @@ def _overlap(spaces: list[np.ndarray], field: FieldSpec):
         level = [(meet, j) for meet, (_, j) in zip(meets, children) if len(meet)]
         total += sign * sum(len(meet) for meet, _ in level)
         sign, q = -sign, q + 1
-    dims = (
-        _relative_dim(inter, spaces[q:], field)
-        for q, inter in enumerate(prefixes, start=2)
-    )
-    return total, dims
+
+    def dims():
+        pairs = [(inter, spaces[q:]) for q, inter in enumerate(prefixes, start=2)]
+        yield from _relative_dims(pairs, field)
+
+    return total, dims()
 
 
 def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
@@ -426,9 +438,9 @@ def relative_intersection_dim(
     Intersect the degree-u spaces of q chosen generators, in the order
     given, then quotient by the sum of the remaining generators' spaces.
     Defaults to the first q generators; for generic generators the value
-    is independent of the choice of subset. Each call meets its subset
-    afresh, one pair at a time; `_overlap` gives the values of all the
-    default subsets from the walk `inclusion_exclusion_sum` makes anyway.
+    is independent of the choice of subset. The subset is met one pair at
+    a time; `_overlap` gives the values of all the default subsets from
+    the walk `inclusion_exclusion_sum` makes anyway, ranked together.
     """
     _check_degree(m, u)
     t = m.type
@@ -446,7 +458,7 @@ def relative_intersection_dim(
             break
         inter = _meets([(inter, spaces[j])], m.field)[0]
     rest = [spaces[j] for j in range(t) if j not in subset]
-    return _relative_dim(inter, rest, m.field)
+    return _relative_dims([(inter, rest)], m.field)[0]
 
 
 # ---------------------------------------------------------------------------

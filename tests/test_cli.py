@@ -459,6 +459,41 @@ def test_usage_errors_exit_three(capsys):
     capsys.readouterr()
 
 
+def test_cached_parser_answers_each_call_as_a_fresh_one(manifest_file, capsys):
+    # one parser serves every call of a process: a usage error, then
+    # --rational, then the same verify without it each answer as a freshly
+    # built parser does, and --rational does not carry into the next call
+    calls = [
+        ["bound", "--h", "1,2,2"],
+        ["verify", manifest_file, "--rational", "--format", "json", "--seed", "1"],
+        ["verify", manifest_file, "--format", "json", "--seed", "1"],
+    ]
+
+    def run(argv):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        if out:
+            out = json.loads(out)
+            out["summary"].pop("wallTime")
+        return rc, out, err
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return run(argv)
+
+    want = [fresh(argv) for argv in calls]
+    cli._build_parser.cache_clear()
+    got = [run(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert got == want
+    assert [rc for rc, _, _ in got] == [3, 0, 0]
+    assert got[1][1]["reports"][0]["prime"] is None
+    assert got[2][1]["reports"][0]["prime"] == FieldSpec.modular().prime
+
+
 def test_module_entry_point(module_file):
     proc = subprocess.run(
         [sys.executable, "-m", "levelalg.cli", "hvector", module_file],

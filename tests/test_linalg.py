@@ -407,6 +407,42 @@ def test_rational_ranks_run_the_exact_pass_only_below_full_rank_mod_p(monkeypatc
 
 
 @st.composite
+def _ragged_stacks(draw, field):
+    """2-D arrays of the field's array type with one column count and row
+    counts 0..6; over Q one of them is scaled by p, so it is zero mod p
+    and of rank at least 1 over Q."""
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3, P - 1])
+    row = st.lists(entries, min_size=n, max_size=n)
+    stack = [draw(st.lists(row, max_size=6)) for _ in range(draw(st.integers(1, 5)))]
+    if not field.is_modular:
+        i = draw(st.integers(0, len(stack) - 1))
+        stack[i] = [[P * x for x in row] for row in [[1] + [0] * (n - 1), *stack[i]]]
+    dtype = linalg._dtype(field)
+    return [np.array(a, dtype=dtype).reshape(len(a), n) for a in stack]
+
+
+@pytest.mark.parametrize("field", [MOD, BIG, RAT], ids=["gfp-int64", "bigp-object", "q"])
+@PROPERTY
+@given(data=st.data())
+def test_ragged_stacks_rank_each_matrix_as_alone(field, data):
+    stack = data.draw(_ragged_stacks(field))
+    assert stack[0].dtype == (np.int64 if field == MOD else object)
+    want = _forward_ranks(stack, field)
+    assert _ranks(stack, field) == want
+    if not field.is_modular:
+        assert want == [sympy.Matrix(a.tolist()).rank() for a in stack]
+
+
+def test_ragged_stacks_of_any_shapes():
+    # rows and columns both ragged, and empty matrices among full ones
+    stack = [[[1, 2]], [[1], [2]], [], [[0, 0, 0], [0, 0, 5]], [[1, 0], [0, 1], [1, 1]]]
+    for field in (MOD, BIG, RAT):
+        assert _ranks(stack, field) == [1, 1, 0, 1, 2]
+    assert _ranks([[[P, 0], [0, P]], [[P]]], RAT) == [2, 1]
+
+
+@st.composite
 def _subspace_pairs(draw):
     ambient = draw(st.integers(1, 6))
     field = draw(FIELDS)

@@ -602,13 +602,13 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
     from levelalg.linalg import _span
 
     handed = []
-    relative = modules._relative_dim
+    relative = modules._relative_dims
 
-    def recording(inter, rest, f):
-        handed.append(inter)
-        return relative(inter, rest, f)
+    def recording(pairs, f):
+        handed.extend(inter for inter, _ in pairs)
+        return relative(pairs, f)
 
-    monkeypatch.setattr(modules, "_relative_dim", recording)
+    monkeypatch.setattr(modules, "_relative_dims", recording)
     for build in OVERLAP_CASES:
         m = build(field)
         for u in range(1, m.socle_degree):
@@ -626,6 +626,36 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
                 restricted = _span([[x[j] for j in frame] for x in s.basis], len(frame), field)
                 assert restricted.dim == s.dim, (m.type, u)
                 assert _span(rows, len(frame), field) == restricted, (m.type, u)
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_reading_one_degrees_relative_dims_costs_one_stacked_rank(monkeypatch, field):
+    # the walk ranks nothing until its D_u are read, then every [I_q; S_q]
+    # and S_q of the degree in one `_ranks` call; the size-t prefix needs
+    # none, and nor does a degree whose {0, 1} meets in 0
+    calls = []
+    ranks = modules._ranks
+
+    def counting(stack, f):
+        calls.append(len(stack))
+        return ranks(stack, f)
+
+    cases = [build(field) for build in OVERLAP_CASES]
+    monkeypatch.setattr(modules, "_ranks", counting)
+    ranked = 0
+    for m in cases:
+        for u in range(1, m.socle_degree):
+            calls.clear()
+            _, dims = modules._overlap(modules._single_spaces(m, u, m._coeffs), m.field)
+            assert calls == [], (m.type, u)
+            below_t = min(len(list(dims)), m.type - 2)
+            assert calls == ([2 * below_t] if below_t else []), (m.type, u)
+            ranked += bool(below_t)
+            for q in range(1, m.type + 1):
+                calls.clear()
+                relative_intersection_dim(m, q, u)
+                assert len(calls) <= 1, (m.type, u, q)
+    assert ranked
 
 
 def _scaled_trap(t=3):
@@ -747,7 +777,8 @@ def test_inclusion_exclusion_sum_ranks_nothing(monkeypatch, field):
         raise AssertionError("a rank after the walk")
 
     cases = [build(field) for build in OVERLAP_CASES]
-    monkeypatch.setattr(modules, "_relative_dim", refuse)
+    monkeypatch.setattr(modules, "_relative_dims", refuse)
+    monkeypatch.setattr(modules, "_ranks", refuse)
     monkeypatch.setattr(modules, "_rank", refuse)
     for m in cases:
         for u in range(1, m.socle_degree):
