@@ -18,7 +18,9 @@ from .modules import (
     derive_seed,
     random_coefficient,
 )
-from .polynomials import Form, monomials_of_degree, space_dim
+from .polynomials import Form, check_space_dim, monomials_of_degree, space_dim
+
+_CONIC_POINT_RANGE = 10**4
 
 
 def sharp_family(t: int, p: int, e: int, field: FieldSpec) -> InverseSystemModule:
@@ -35,6 +37,7 @@ def sharp_family(t: int, p: int, e: int, field: FieldSpec) -> InverseSystemModul
     if e < 2:
         raise ValueError("socle degree must be at least 2")
     r = (t + 1) * p
+    check_space_dim(r, e)
     gens = []
     for j in range(1, t + 1):
         terms = {}
@@ -55,16 +58,16 @@ def truncated_gorenstein_conic(
     with the powers encoded for the exponent-lowering action (see
     _conic_partials).
 
-    Points s_k are drawn from [1, 10^4]; a draw with repeated points or
-    dependent partials is retried with the next derived seed.
+    Points s_k are drawn from [1, _CONIC_POINT_RANGE]; a draw with repeated
+    points or dependent partials is retried with the next derived seed.
     """
-    if s < 3:
-        raise ValueError("need at least 3 points")
+    if not 3 <= s <= _CONIC_POINT_RANGE:
+        raise ValueError(f"need between 3 and {_CONIC_POINT_RANGE} points")
     if e < 3:
         raise ValueError("socle degree must be at least 3")
     for attempt in range(100):
         rng = random.Random(derive_seed(seed, "conic", attempt))
-        points = [rng.randint(1, 10**4) for _ in range(s)]
+        points = [rng.randint(1, _CONIC_POINT_RANGE) for _ in range(s)]
         if len(set(points)) != s:
             continue
         lams = [random_coefficient(rng, field) for _ in range(s)]
@@ -116,11 +119,11 @@ def random_module(
     """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
+    if e < 1 or r < 1 or t < 1:
+        raise ValueError("r, e, t must be positive")
     dim = space_dim(r, e)
     if t > dim:
         raise ValueError(f"type {t} exceeds the space dimension {dim}")
-    if e < 1 or r < 1 or t < 1:
-        raise ValueError("r, e, t must be positive")
     monos = monomials_of_degree(r, e)
     for attempt in range(50):
         rng = random.Random(derive_seed(seed, "random-module", attempt))
@@ -155,6 +158,8 @@ def monomial_module(
     r: int, e: int, t: int, seed: int, field: FieldSpec
 ) -> InverseSystemModule:
     """t distinct random degree-e monomials (independent by construction)."""
+    if e < 1 or r < 1 or t < 1:
+        raise ValueError("r, e, t must be positive")
     dim = space_dim(r, e)
     if t > dim:
         raise ValueError(f"type {t} exceeds the space dimension {dim}")

@@ -13,8 +13,8 @@ quotient trials of one type together (`_ranks`), gives the generators'
 derivative spaces their bases together (`_bases`; both along the shorter
 side) and intersects a whole level of generator subsets, or a single
 pair (`_meets`, by Zassenhaus); `_basis_indices` reads a row and a
-column basis off one pass, and `_rref` is its one-matrix pass and a
-back-substitution. Its arrays are int64 residues in [0, p) whenever
+column basis off one pass, and `_span` a canonical basis off one pass
+and a back-substitution. Its arrays are int64 residues in [0, p) whenever
 p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`), so a product of two entries
 fits in int64, and object arrays of Python ints only for larger primes.
 `_dtype` makes that choice once, where the coefficient rows are built
@@ -25,8 +25,9 @@ kernels read int64 input without a copy (`np.asarray`) and reduce it
 mod p, which also serves callers that pass negative entries.
 Over Q every rank, basis and intersection is first certified mod
 DEFAULT_PRIME by the stacked GF(p) pass, and only what the certificate
-leaves open gets the fraction-free forward pass on integer rows, each
-eliminated row divided by its content. All four certificates rest on
+leaves open gets `_echelon_int`, the fraction-free forward pass on
+integer rows, each eliminated row divided by its content; it is the only
+elimination over Q. All four certificates rest on
 rank mod p <= rank over Q <= min(rows, cols) for an integer matrix: a
 full rank mod p is the rank (`_ranks`), and its row and column bases are
 bases over Q (`_basis_indices`), a rank equal to the column count
@@ -37,7 +38,7 @@ depend on p; only the time does. The kernels take integer rows only:
 every row the pipeline builds is one (the generators' coefficient rows
 are cleared to integers once, and catalecticants, combinations, meets
 and bases keep that). Fractions enter only through Matrix and Subspace,
-and are cleared there, once per row, by `_clear_row` (in `_rref`, `rank`
+and are cleared there, once per row, by `_clear_row` (in `_span`, `rank`
 and `subspace_intersection`); Fraction appears again only in the
 back-substitution of a canonical basis.
 """
@@ -125,18 +126,24 @@ def _clear_row(row: Sequence[int | Fraction]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _echelon_int(mat: list[list[int]]):
-    """Fraction-free forward pass over the integers: a row below a pivot
-    becomes pivot * row - lead * pivot row, divided by its content, so
-    entries stay small and no Fraction is built. Returns the echelon rows,
-    their pivot columns and the input positions of the pivot rows, a row
-    basis: pivot row k is a nonzero multiple of input row order[k] plus
-    earlier pivot rows."""
-    nc = len(mat[0]) if mat else 0
+def _echelon_int(rows):
+    """Fraction-free forward pass over the integers, on a sequence of
+    integer rows or a 2-D integer array (read through `.tolist()`, so no
+    fixed-width scalar reaches the big-integer arithmetic). Zero rows are
+    dropped; below a pivot a row becomes pivot * row - lead * pivot row,
+    divided by its content, so entries stay small and no Fraction is
+    built. Returns the echelon rows, an object array of shape (r, cols),
+    their pivot columns and `order`, the input positions of the pivot
+    rows, a row basis: pivot row k is a nonzero multiple of input row
+    order[k] plus earlier pivot rows."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    cols = len(rows[0]) if rows else 0
+    order = [i for i, row in enumerate(rows) if any(row)]
+    mat = [rows[i] for i in order]
     pivots: list[int] = []
-    order = list(range(len(mat)))
     r = 0
-    for c in range(nc):
+    for c in range(cols):
         if r == len(mat):
             break
         piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
@@ -156,60 +163,7 @@ def _echelon_int(mat: list[list[int]]):
                 mat[i] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return mat[:r], pivots, order[:r]
-
-
-def _echelon(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
-    """Forward elimination of a sequence of rows or a 2-D array.
-
-    Returns the nonzero rows of an echelon form as a new 2-D array with
-    the input's column count, and their pivot columns. Over GF(p) they are
-    the nonzero lines of `_line_steps`, sorted by their distinct leading
-    columns and scaled to pivot 1. Over Q the rows must be integers,
-    Python ints or an integer array (which is read through `.tolist()`,
-    so no fixed-width scalar reaches the big-integer arithmetic); the
-    nonzero ones go to `_echelon_int` as they are, and so do the echelon
-    rows it returns. Rows with Fraction entries are cleared by the public
-    callers before they get here.
-    """
-    if not len(rows):
-        return np.zeros((0, 0), dtype=object), []
-    if field.is_modular:
-        p = field.prime
-        a = np.asarray(rows, dtype=_dtype(field)) % p
-        steps = _line_steps(a[None], p) if a.size else ()
-        lines = sorted(
-            (int(j[0]), line[0] * pow(int(line[0, j[0]]), -1, p) % p)
-            for line, j, found in steps if found[0]
-        )
-        mat = np.array([row for _, row in lines], dtype=a.dtype)
-        return mat.reshape(len(lines), a.shape[1]), [c for c, _ in lines]
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    mat, pivots, _ = _echelon_int([row for row in rows if any(row)])
-    return np.array(mat, dtype=object).reshape(len(mat), len(rows[0])), pivots
-
-
-def _rref(rows: Sequence[Sequence[Scalar]] | np.ndarray, field: FieldSpec):
-    """RREF basis rows, as lists of field scalars, and pivot columns: the
-    forward pass, then each pivot scaled to 1 and cleared above. Over Q
-    the rows may hold Fractions; each is cleared to integers first."""
-    if not field.is_modular:
-        if isinstance(rows, np.ndarray):
-            rows = rows.tolist()
-        rows = [_clear_row(row) for row in rows]
-    a, pivots = _echelon(rows, field)
-    if not pivots:
-        return [], []
-    if not field.is_modular:
-        a = a / np.array([Fraction(a[k, c]) for k, c in enumerate(pivots)])[:, None]
-    for k in range(len(pivots) - 1, 0, -1):
-        col = a[:k, pivots[k]]
-        if col.any():
-            a[:k] = a[:k] - np.outer(col, a[k])
-            if field.is_modular:
-                a[:k] %= field.prime
-    return a.tolist(), pivots
+    return np.array(mat[:r], dtype=object).reshape(r, cols), pivots, order[:r]
 
 
 def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -234,9 +188,32 @@ def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
-    """Row space of a sequence of rows or a 2-D array."""
-    basis, pivots = _rref(rows, field)
-    return Subspace(ambient, tuple(map(tuple, basis)), tuple(pivots), field)
+    """Row space of a sequence of rows or a 2-D array, as its RREF basis:
+    over GF(p) the nonzero lines of one `_line_steps` pass, sorted by their
+    distinct leading columns and scaled to pivot 1; over Q the rows, which
+    may hold Fractions, each cleared to integers, get `_echelon_int` and
+    are divided by their pivots. Then each pivot is cleared above."""
+    if field.is_modular:
+        p = field.prime
+        a = np.asarray(rows, dtype=_dtype(field)) % p
+        steps = _line_steps(a[None], p) if a.size else ()
+        lines = sorted(
+            (int(j[0]), line[0] * pow(int(line[0, j[0]]), -1, p) % p)
+            for line, j, found in steps if found[0]
+        )
+        pivots = [c for c, _ in lines]
+        a = np.array([row for _, row in lines], dtype=a.dtype)
+    else:
+        a, pivots, _ = _echelon_int([_clear_row(row) for row in rows])
+        piv = np.array([Fraction(a[k, c]) for k, c in enumerate(pivots)], dtype=object)
+        a = a / piv[:, None]
+    for k in range(len(pivots) - 1, 0, -1):
+        col = a[:k, pivots[k]]
+        if col.any():
+            a[:k] = a[:k] - np.outer(col, a[k])
+            if field.is_modular:
+                a[:k] %= field.prime
+    return Subspace(ambient, tuple(map(tuple, a.tolist())), tuple(pivots), field)
 
 
 def _line_steps(a: np.ndarray, p: int):
@@ -289,7 +266,7 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
         # Python ints reduced before the cast: entries may exceed int64
         mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
         return [
-            r if r == min(k, n) else len(_echelon(m[:k], field)[1])
+            r if r == min(k, n) else len(_echelon_int(m[:k])[1])
             for r, (k, n), m in zip(mod, shapes, a)
         ]
     p = field.prime
@@ -328,7 +305,7 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
         if a.shape[1] >= n:
             mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
         return [
-            np.eye(n, dtype=object) if r == n else _echelon(m, field)[0]
+            np.eye(n, dtype=object) if r == n else _echelon_int(m)[0]
             for r, m in zip(mod, a)
         ]
     p = field.prime
@@ -356,9 +333,8 @@ def _basis_indices(a, field: FieldSpec) -> tuple[list[int], list[int]]:
         found = _basis_indices((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
         if len(found[1]) == min(a.shape):
             return found
-        nonzero = np.flatnonzero((a != 0).any(1))
-        _, cols, order = _echelon_int(a[nonzero].tolist())
-        return sorted(nonzero[order].tolist()), cols
+        _, cols, order = _echelon_int(a)
+        return sorted(order), cols
     p = field.prime
     a = np.asarray(a, dtype=_dtype(field)) % p
     tall = a.shape[0] > a.shape[1]
@@ -368,16 +344,11 @@ def _basis_indices(a, field: FieldSpec) -> tuple[list[int], list[int]]:
     return (leads, lines) if tall else (lines, leads)
 
 
-def _rank(rows, field: FieldSpec) -> int:
-    """Rank of a sequence of rows or a 2-D array."""
-    return _ranks([rows], field)[0]
-
-
 def rank(m: Matrix) -> int:
     """Rank of the matrix over its field."""
-    if m.field.is_modular:
-        return _rank(m.entries, m.field)
-    return _rank([_clear_row(row) for row in m.entries], m.field)
+    rows = m.entries if m.field.is_modular else list(map(_clear_row, m.entries))
+    a = np.array(rows, dtype=_dtype(m.field)).reshape(1, m.rows, m.cols)
+    return _ranks(a, m.field)[0]
 
 
 def row_space(m: Matrix) -> Subspace:
@@ -452,7 +423,7 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
                 z = np.zeros((ka + kb, 2 * n), dtype=object)
                 z[:ka, :n] = z[:ka, n:] = a
                 z[ka:, :n] = b
-                ech, pivots = _echelon(z, field)
+                ech, pivots, _ = _echelon_int(z)
                 meet = ech[bisect_left(pivots, n) :, n:]
             for i in idx:
                 out[i] = meet

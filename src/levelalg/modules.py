@@ -35,7 +35,7 @@ from math import lcm
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _bases, _basis_indices, _combine, _meets, _rank, _ranks
+from .linalg import _bases, _basis_indices, _combine, _meets, _ranks
 from .polynomials import (
     DerivativeAction,
     Form,
@@ -123,7 +123,7 @@ class InverseSystemModule:
             raise ValueError(
                 f"modulus {self.field.prime} must exceed the socle degree {g0.degree}"
             )
-        if _rank(self._coeffs, self.field) != len(self.generators):
+        if _ranks(self._coeffs[None], self.field)[0] != len(self.generators):
             raise DependentGeneratorsError(
                 f"{len(self.generators)} generators span a smaller space"
             )

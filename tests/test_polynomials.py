@@ -1,6 +1,7 @@
 """Monomial order, form parsing, operator actions, catalecticants."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import oracle
 import pytest
 
 from levelalg.fields import FieldSpec
-from levelalg.linalg import Matrix, _rank, row_space
+from levelalg.linalg import Matrix, _ranks, row_space
 from levelalg.polynomials import (
     MAX_SPACE_DIM,
     DerivativeAction,
@@ -289,26 +290,26 @@ def test_catalecticant_pure_power_rank_one():
     f = Form(2, 3, MOD, {(3, 0): 1})
     for i in range(4):
         for action in (DIFF, CONT):
-            assert _rank(_catalecticant([f], i, action), MOD) == 1
+            assert _ranks([_catalecticant([f], i, action)], MOD) == [1]
 
 
 def test_catalecticant_two_cubics():
     fs = [Form(2, 3, MOD, {(3, 0): 1}), Form(2, 3, MOD, {(0, 3): 1})]
-    assert _rank(_catalecticant(fs, 2), MOD) == 2
+    assert _ranks([_catalecticant(fs, 2)], MOD) == [2]
 
 
 def test_catalecticant_differentiate_rows():
     f = parse_form("y1^2*y2 + y1*y2^2", 2, 3, MOD)
     rows = _catalecticant([f], 1, DIFF)
     assert rows.tolist() == [[0, 2, 1], [1, 2, 0]]
-    assert _rank(rows, MOD) == 2
+    assert _ranks([rows], MOD) == [2]
 
 
 def test_catalecticant_binary_cubic_contract_rows():
     f = parse_form("y1^3 + 2*y1^2*y2 + 5*y1*y2^2 + 7*y2^3", 2, 3, MOD)
     rows = _catalecticant([f], 1, CONT)
     assert rows.tolist() == [[1, 2, 5], [2, 5, 7]]
-    assert _rank(rows, MOD) == 2
+    assert _ranks([rows], MOD) == [2]
 
 
 def test_catalecticant_shape_and_range():
@@ -433,6 +434,21 @@ def test_gather_table_matches_the_oracle():
                 assert weights.dtype == object
                 assert all(type(w) is int for w in weights.flat)
                 assert np.array_equal(weights, want_weights), (r, e, i)
+
+
+@pytest.mark.parametrize("action", [DIFF, CONT])
+def test_gather_table_memory_is_that_of_the_table(action):
+    # 200 by 200 entries: a few MB, where a 200 by 200 by 200 array of the
+    # monomials op*m, as the whole table at once would build it, is 64 MB
+    _gather_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table, _ = _gather_table(200, 2, 1, action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (200, 200)
+    assert peak < 32 * 2**20
 
 
 def test_differentiate_rows_stay_int64_and_match_the_oracle():
