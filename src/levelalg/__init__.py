@@ -3,149 +3,10 @@
 Modules of homogeneous forms in dual variables, their graded dimensions,
 random generic quotients, and sharp entrywise lower bounds for quotient
 h-vectors, all over GF(p) or the rationals with no floating point.
+
+Names are imported from their submodules (fields, linalg, polynomials,
+combinatorics, modules, bounds, families, manifest, cli); the root holds
+only `__version__`, so a submodule loads only what it needs.
 """
 
-from .fields import DEFAULT_PRIME, FieldSpec
-from .linalg import (
-    AmbientMismatchError,
-    Matrix,
-    Subspace,
-    rank,
-    row_space,
-    subspace_intersection,
-    subspace_sum,
-    zero_subspace,
-)
-from .polynomials import (
-    DerivativeAction,
-    Form,
-    FormParseError,
-    ParameterMismatchError,
-    apply_operator,
-    derivative_space,
-    monomial_index,
-    monomials_of_degree,
-    parse_form,
-    space_dim,
-)
-from .combinatorics import (
-    BinomialExpansion,
-    OSequenceVerdict,
-    alternating_binomial_sum,
-    binomial,
-    is_o_sequence,
-    macaulay_expansion,
-    macaulay_growth,
-)
-from .modules import (
-    DegenerateSampleError,
-    DependentGeneratorsError,
-    InverseSystemModule,
-    ModuleFileError,
-    QuotientSample,
-    derive_seed,
-    empirical_generic_h,
-    generic_quotient_trials,
-    h_vector,
-    inclusion_exclusion_sum,
-    module_to_text,
-    parse_module_file,
-    relative_intersection_dim,
-    remix_generators,
-    sample_generic_quotient,
-)
-from .bounds import (
-    InfeasibleBoundError,
-    VerificationReport,
-    chained_bound,
-    generic_quotient_bound,
-    has_full_codim_gorenstein,
-    has_full_codim_type_drop,
-    penultimate_bound_holds,
-    quotient_feasible,
-    tighten_bound,
-    verify_instance,
-)
-from .families import (
-    FamilySpec,
-    build_family,
-    monomial_module,
-    random_module,
-    sharp_family,
-    truncated_gorenstein_conic,
-)
-from .manifest import (
-    ExperimentManifest,
-    ManifestError,
-    RunSummary,
-    parse_manifest,
-    run_manifest,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbientMismatchError",
-    "BinomialExpansion",
-    "DEFAULT_PRIME",
-    "DegenerateSampleError",
-    "DependentGeneratorsError",
-    "DerivativeAction",
-    "ExperimentManifest",
-    "FamilySpec",
-    "FieldSpec",
-    "Form",
-    "FormParseError",
-    "InfeasibleBoundError",
-    "InverseSystemModule",
-    "ManifestError",
-    "Matrix",
-    "ModuleFileError",
-    "OSequenceVerdict",
-    "ParameterMismatchError",
-    "QuotientSample",
-    "RunSummary",
-    "Subspace",
-    "VerificationReport",
-    "alternating_binomial_sum",
-    "apply_operator",
-    "binomial",
-    "build_family",
-    "chained_bound",
-    "derivative_space",
-    "derive_seed",
-    "empirical_generic_h",
-    "generic_quotient_bound",
-    "generic_quotient_trials",
-    "h_vector",
-    "has_full_codim_gorenstein",
-    "has_full_codim_type_drop",
-    "inclusion_exclusion_sum",
-    "is_o_sequence",
-    "macaulay_expansion",
-    "macaulay_growth",
-    "module_to_text",
-    "monomial_index",
-    "monomial_module",
-    "monomials_of_degree",
-    "parse_form",
-    "parse_manifest",
-    "parse_module_file",
-    "penultimate_bound_holds",
-    "quotient_feasible",
-    "random_module",
-    "rank",
-    "relative_intersection_dim",
-    "remix_generators",
-    "row_space",
-    "run_manifest",
-    "sample_generic_quotient",
-    "sharp_family",
-    "space_dim",
-    "subspace_intersection",
-    "subspace_sum",
-    "tighten_bound",
-    "truncated_gorenstein_conic",
-    "verify_instance",
-    "zero_subspace",
-]

@@ -58,8 +58,8 @@ def truncated_gorenstein_conic(
     with the powers encoded for the exponent-lowering action (see
     _conic_partials).
 
-    Points s_k are drawn from [1, _CONIC_POINT_RANGE]; a draw with repeated
-    points or dependent partials is retried with the next derived seed.
+    The s points s_k are drawn distinct from [1, _CONIC_POINT_RANGE]; a
+    draw with dependent partials is retried with the next derived seed.
     """
     if not 3 <= s <= _CONIC_POINT_RANGE:
         raise ValueError(f"need between 3 and {_CONIC_POINT_RANGE} points")
@@ -67,9 +67,7 @@ def truncated_gorenstein_conic(
         raise ValueError("socle degree must be at least 3")
     for attempt in range(100):
         rng = random.Random(derive_seed(seed, "conic", attempt))
-        points = [rng.randint(1, _CONIC_POINT_RANGE) for _ in range(s)]
-        if len(set(points)) != s:
-            continue
+        points = rng.sample(range(1, _CONIC_POINT_RANGE + 1), s)
         lams = [random_coefficient(rng, field) for _ in range(s)]
         gens = _conic_partials(points, lams, e, field)
         try:

@@ -12,11 +12,12 @@ matrices is eliminated side by side, one line per step. It ranks the
 quotient trials of one type together (`_ranks`), gives the generators'
 derivative spaces their bases together (`_bases`; both along the shorter
 side) and intersects a whole level of generator subsets, or a single
-pair (`_meets`, by Zassenhaus); `_basis_indices` reads a row and a
-column basis off one pass, and `_span` a canonical basis off one pass
-and a back-substitution. Its arrays are int64 residues in [0, p) whenever
-p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`), so a product of two entries
-fits in int64, and object arrays of Python ints only for larger primes.
+pair (`_meets`, by Zassenhaus); `_column_basis` reads a column basis
+off one pass (no caller needs a row basis), and `_span` a canonical
+basis off one pass and a back-substitution. Its arrays are int64
+residues in [0, p) whenever p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`),
+so a product of two entries fits in int64, and object arrays of Python
+ints only for larger primes.
 `_dtype` makes that choice once, where the coefficient rows are built
 (`polynomials.coefficient_rows`), and every GF(p) array built from them
 keeps it: catalecticant gathers, combinations (`_combine`, whose int64
@@ -29,8 +30,8 @@ leaves open gets `_echelon_int`, the fraction-free forward pass on
 integer rows, each eliminated row divided by its content; it is the only
 elimination over Q. All four certificates rest on
 rank mod p <= rank over Q <= min(rows, cols) for an integer matrix: a
-full rank mod p is the rank (`_ranks`), and its row and column bases are
-bases over Q (`_basis_indices`), a rank equal to the column count
+full rank mod p is the rank (`_ranks`), and its column basis is a
+basis over Q (`_column_basis`), a rank equal to the column count
 means the rows span Q^n (`_bases`), and rows of [a; b] independent mod p
 are independent over Q, so row(a) ∩ row(b) is 0 (`_meets`, which also
 meets each distinct pair of one call once). The exact answers never
@@ -133,14 +134,11 @@ def _echelon_int(rows):
     dropped; below a pivot a row becomes pivot * row - lead * pivot row,
     divided by its content, so entries stay small and no Fraction is
     built. Returns the echelon rows, an object array of shape (r, cols),
-    their pivot columns and `order`, the input positions of the pivot
-    rows, a row basis: pivot row k is a nonzero multiple of input row
-    order[k] plus earlier pivot rows."""
+    and their pivot columns, a column basis of the input."""
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     cols = len(rows[0]) if rows else 0
-    order = [i for i, row in enumerate(rows) if any(row)]
-    mat = [rows[i] for i in order]
+    mat = [row for row in rows if any(row)]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -150,7 +148,6 @@ def _echelon_int(rows):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        order[r], order[piv] = order[piv], order[r]
         prow = mat[r]
         pl = prow[c]
         for i in range(r + 1, len(mat)):
@@ -163,7 +160,7 @@ def _echelon_int(rows):
                 mat[i] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return np.array(mat[:r], dtype=object).reshape(r, cols), pivots, order[:r]
+    return np.array(mat[:r], dtype=object).reshape(r, cols), pivots
 
 
 def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -204,7 +201,7 @@ def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
         pivots = [c for c, _ in lines]
         a = np.array([row for _, row in lines], dtype=a.dtype)
     else:
-        a, pivots, _ = _echelon_int([_clear_row(row) for row in rows])
+        a, pivots = _echelon_int([_clear_row(row) for row in rows])
         piv = np.array([Fraction(a[k, c]) for k, c in enumerate(pivots)], dtype=object)
         a = a / piv[:, None]
     for k in range(len(pivots) - 1, 0, -1):
@@ -321,27 +318,25 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
     return [np.array(rows, dtype=a.dtype).reshape(len(rows), nc) for rows in kept]
 
 
-def _basis_indices(a, field: FieldSpec) -> tuple[list[int], list[int]]:
-    """Ascending indices of a row basis and of a column basis of a 2-D
-    integer array. Over GF(p), one `_line_steps` pass along the shorter
-    side: a line is nonzero exactly when it is independent of the earlier
-    ones, and the nonzero lines are triangular on their leading positions.
-    Over Q a full rank mod DEFAULT_PRIME is kept, as a[I, J] is then a minor
-    nonzero mod p; otherwise the fraction-free pass gives pivot columns and rows."""
+def _column_basis(a, field: FieldSpec) -> list[int]:
+    """Ascending indices of a column basis of a 2-D integer array. Over
+    GF(p), one `_line_steps` pass along the shorter side: a line is nonzero
+    exactly when it is independent of the earlier ones, so a tall array
+    keeps its nonzero column lines and a wide one the leading columns of
+    its nonzero row lines. Over Q a full rank mod DEFAULT_PRIME is kept, as
+    the columns J then hold a minor nonzero mod p; otherwise the
+    fraction-free pass gives the pivot columns."""
     if not field.is_modular:
         a = np.asarray(a, dtype=object)
-        found = _basis_indices((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
-        if len(found[1]) == min(a.shape):
-            return found
-        _, cols, order = _echelon_int(a)
-        return sorted(order), cols
+        cols = _column_basis((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        return cols if len(cols) == min(a.shape) else _echelon_int(a)[1]
     p = field.prime
     a = np.asarray(a, dtype=_dtype(field)) % p
     tall = a.shape[0] > a.shape[1]
     steps = _line_steps((a.T if tall else a)[None], p)
-    kept = [(k, int(j[0])) for k, (_, j, found) in enumerate(steps) if found[0]]
-    lines, leads = [k for k, _ in kept], sorted(j for _, j in kept)
-    return (leads, lines) if tall else (lines, leads)
+    if tall:
+        return [k for k, (_, _, found) in enumerate(steps) if found[0]]
+    return sorted(int(j[0]) for _, j, found in steps if found[0])
 
 
 def rank(m: Matrix) -> int:
@@ -423,7 +418,7 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
                 z = np.zeros((ka + kb, 2 * n), dtype=object)
                 z[:ka, :n] = z[:ka, n:] = a
                 z[ka:, :n] = b
-                ech, pivots, _ = _echelon_int(z)
+                ech, pivots = _echelon_int(z)
                 meet = ech[bisect_left(pivots, n) :, n:]
             for i in idx:
                 out[i] = meet

@@ -11,8 +11,9 @@ beyond the family parameters: c (comma list, default all of 1..t-1),
 trials, seed (default derived from the run seed and the line index),
 label, identities (on/off). Any other key, a key given twice on one line,
 a type repeated in the c list, or a family parameter the family cannot
-build, is a ManifestError with the line number. A whole run is
-reproducible from the manifest text and the run seed.
+build, is a ManifestError with the line number, raised before any
+instance runs. A whole run is reproducible from the manifest text and
+the run seed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .bounds import VerificationReport, verify_instance
 from .combinatorics import binomial
 from .fields import FieldSpec
 from .modules import (
+    DegenerateSampleError,
     _draws,
     _overlap,
     _single_spaces,
@@ -222,7 +224,9 @@ def run_manifest(
     seed: int = 0,
 ) -> tuple[RunSummary, list[VerificationReport]]:
     """Run every instance; returns the summary and the per-(instance, c)
-    verification reports in manifest order."""
+    verification reports in manifest order. Every module is built and its
+    c list checked, an error a ManifestError with its line (degenerate
+    family draws included), before any instance is verified."""
     if field is None:
         field = FieldSpec.modular()
     start = time.monotonic()
@@ -230,11 +234,12 @@ def run_manifest(
     satisfied = violated = tight_instances = 0
     id_passed = 0
     id_failures: list[IdentityFailure] = []
+    built = []
     for index, inst in enumerate(manifest.instances):
         inst_seed = inst.seed if inst.seed is not None else derive_seed(seed, index)
         try:
             m = build_family(inst.spec, field, seed=inst_seed)
-        except ValueError as exc:
+        except (ValueError, DegenerateSampleError) as exc:
             raise ManifestError(str(exc), inst.line) from exc
         if inst.label:
             m = type(m)(m.generators, m.field, label=inst.label)
@@ -245,6 +250,9 @@ def run_manifest(
                 raise ManifestError(
                     f"c={c} out of range 1..{t - 1} for this instance", inst.line
                 )
+        built.append((inst, inst_seed, m, c_list))
+    for inst, inst_seed, m, c_list in built:
+        for c in c_list:
             rep = verify_instance(
                 m, c, trials=inst.trials, seed=derive_seed(inst_seed, "verify", c)
             )

@@ -28,14 +28,12 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _bases, _basis_indices, _combine, _meets, _ranks
+from .linalg import _bases, _column_basis, _combine, _meets, _ranks
 from .polynomials import (
     DerivativeAction,
     Form,
@@ -141,15 +139,15 @@ class InverseSystemModule:
     @cached_property
     def _frame(self) -> dict[int, list[int]]:
         """J_u for each inner degree u (see the module docstring): the column
-        basis `_basis_indices` finds in C_{e-u}(F). For one form C_u(f) is
-        its transpose, so the same pass's row basis is J_{e-u}."""
-        r, e, t = self.num_vars, self.socle_degree, self.type
-        frame = {}
-        for u in range(1, e // 2 + 1 if t == 1 else e):
-            rows = catalecticant_rows(self._coeffs, r, e, e - u, CONTRACT, self.field)
-            found = _basis_indices(rows, self.field)
-            frame |= {e - u: found[0], u: found[1]} if t == 1 else {u: found[1]}
-        return frame
+        basis `_column_basis` finds in C_{e-u}(F), one pass per degree."""
+        r, e = self.num_vars, self.socle_degree
+        return {
+            u: _column_basis(
+                catalecticant_rows(self._coeffs, r, e, e - u, CONTRACT, self.field),
+                self.field,
+            )
+            for u in range(1, e)
+        }
 
     @cached_property
     def _frame_tables(self) -> dict[int, np.ndarray]:
@@ -331,12 +329,10 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
     the module (hence its h-vector) untouched. `levelalg verify` walks
     the rows W alone (`manifest._identity_checks`).
     """
-    [(_, w)] = _draws(m, m.type, [seed], "remix")
-    rows = w.tolist()
-    # W = den·(A·F) in integers, den the common denominator m._coeffs clears
-    den = lcm(*(x.denominator for g in m.generators for x in g.terms.values()))
-    if den > 1:
-        rows = [[Fraction(x, den) for x in row] for row in rows]
+    [(a, _)] = _draws(m, m.type, [seed], "remix")
+    # A·F on the generators' own coefficients, Fractions over Q: the rows
+    # of m._coeffs are scaled to integers there
+    rows = _combine([a], coefficient_rows(m.generators), m.field)[0].tolist()
     forms = tuple(
         form_from_row(row, m.num_vars, m.socle_degree, m.field) for row in rows
     )
@@ -536,8 +532,11 @@ def parse_module_file(
             raise ModuleFileError(str(exc), lineno) from exc
     try:
         return InverseSystemModule(tuple(forms), field)
-    except (DependentGeneratorsError, ValueError) as exc:
+    except DependentGeneratorsError as exc:
         raise ModuleFileError(str(exc), 1) from exc
+    except ValueError as exc:  # a modulus p <= e: the prime's, or the degree's
+        line = header_lines.get("prime", header_lines["degree"])
+        raise ModuleFileError(str(exc), line) from exc
 
 
 def _parse_positive(value: str, what: str, lineno: int) -> int:

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, gcd, lcm, perm
+from math import comb, lcm, perm
 
 import numpy as np
 
@@ -182,10 +182,7 @@ class Form:
             return "0"
         coeffs = dict(self.terms)
         if not self.field.is_modular:
-            den = 1
-            for c in coeffs.values():
-                d = c.denominator
-                den = den * d // gcd(den, d)
+            den = lcm(*(c.denominator for c in coeffs.values()))
             coeffs = {m: c * den for m, c in coeffs.items()}
         order = monomial_index(self.num_vars, self.degree)
         pieces: list[str] = []

@@ -326,7 +326,7 @@ def echelon(rows, field):
     GF(p), the package's fraction-free pass over Q."""
     if field.is_modular:
         return echelon_mod(np.array(rows, dtype=object) % field.prime, field.prime)
-    return _echelon_int(rows)[:2]
+    return _echelon_int(rows)
 
 
 def zassenhaus(a, b, field):

@@ -314,6 +314,8 @@ def test_verify_bad_manifest(tmp_path, capsys):
         "monomial r=0 e=3 t=1",
         # more points than the range they are drawn from
         "truncated-gorenstein-conic s=10001 e=3",
+        # every draw of the family is empty: degenerate, still an input error
+        "random-sparse r=3 e=3 t=2 density=1e-9",
     ],
 )
 def test_verify_bad_family_parameters_exit_two(tmp_path, capsys, line):

@@ -1,7 +1,5 @@
 """Constructors for the block family, conic truncations, random modules."""
 
-import random
-
 import pytest
 
 from levelalg import families
@@ -15,7 +13,7 @@ from levelalg.families import (
     truncated_gorenstein_conic,
 )
 from levelalg.fields import FieldSpec
-from levelalg.modules import DegenerateSampleError, derive_seed, h_vector
+from levelalg.modules import h_vector
 from levelalg.polynomials import Form, space_dim
 
 MOD = FieldSpec.modular()
@@ -108,14 +106,12 @@ def test_conic_seed_scan_hits_the_profile():
     assert hits >= 19  # at most one degenerate coincidence tolerated
 
 
-def test_conic_retries_on_repeated_points():
-    # seed 100 draws a repeated point on its first attempt, so success
-    # proves the retry path; the duplicate is recomputed here explicitly
-    rng = random.Random(derive_seed(100, "conic", 0))
-    pts = [rng.randint(1, 10**4) for _ in range(7)]
-    assert len(set(pts)) != 7
-    m = truncated_gorenstein_conic(7, 6, MOD, seed=100)
-    assert h_vector(m) == (1, 3, 5, 7, 7, 5, 3)
+def test_conic_draws_distinct_points_for_many_points():
+    # 600 draws with replacement from [1, 10^4] would repeat a point with
+    # probability about 1 - exp(-18), on every attempt
+    m = truncated_gorenstein_conic(600, 3, MOD, seed=0)
+    assert m.type == 3
+    assert h_vector(m) == (1, 3, 5, 3)
 
 
 def test_conic_determinism():

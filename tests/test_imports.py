@@ -1,16 +1,21 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package root imports nothing.
 
-`__init__.py` is left out: it imports names to export them. An import
-that only a deleted function read would otherwise outlive it unnoticed.
+An import that only a deleted function read would otherwise outlive it
+unnoticed. `__init__.py` holds only `__version__`: each name is imported
+from its submodule, so a submodule loads only what it needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "levelalg"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,3 +49,18 @@ def test_the_check_sees_plain_dotted_aliased_and_annotation_uses():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_root_loads_no_module_a_submodule_does_not_need():
+    # combinatorics and fields need no numpy; a root re-exporting the
+    # package would load every module, numpy included
+    code = (
+        "import sys, levelalg.combinatorics, levelalg.fields\n"
+        "print('numpy' in sys.modules, levelalg.__version__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[0] == "False"
+    assert out[1]

@@ -25,7 +25,7 @@ from levelalg.linalg import (
     Matrix,
     Subspace,
     _bases,
-    _basis_indices,
+    _column_basis,
     _meets,
     _ranks,
     _span,
@@ -577,28 +577,27 @@ def _index_cases(draw):
 
 @PROPERTY
 @given(case=_index_cases())
-def test_basis_indices_give_a_nonsingular_minor_of_full_rank(case):
-    # a[I, J] is r-by-r and nonsingular, r = rank a: I is a row basis and
-    # J a column basis
+def test_column_basis_gives_columns_of_full_rank(case):
+    # a[:, J] has rank r = rank a and r columns: J is a column basis
     a, field = case
-    rows, cols = _basis_indices(a, field)
+    cols = _column_basis(a, field)
     r = len(oracle.echelon(a, field)[1])
-    assert rows == sorted(set(rows)) and cols == sorted(set(cols))
-    assert len(rows) == len(cols) == r
-    assert len(oracle.echelon(a[np.ix_(rows, cols)], field)[1]) == r
+    assert cols == sorted(set(cols))
+    assert len(cols) == r
+    assert len(oracle.echelon(a[:, cols], field)[1]) == r
 
 
-def test_rational_basis_indices_certify_full_rank_mod_p_only(monkeypatch):
+def test_rational_column_basis_certifies_full_rank_mod_p_only(monkeypatch):
     a = [[1, 2, 0, 1], [0, 1, 1, 3], [2, 0, 0, 1]]
     calls = _count_exact_passes(monkeypatch)
-    assert _basis_indices(np.array(a, dtype=object), RAT) == ([0, 1, 2], [0, 1, 2])
+    assert _column_basis(np.array(a, dtype=object), RAT) == [0, 1, 2]
     assert calls == []
-    # full rank over Q, rank 2 mod p: the exact pass gives both bases
+    # full rank over Q, rank 2 mod p: the exact pass gives the basis
     trap = [a[0], [P * x for x in a[1]], a[2]]
-    assert _basis_indices(np.array(trap, dtype=object), RAT) == ([0, 1, 2], [0, 1, 2])
-    # rank 2 over Q below a zero row: the pivot rows are mapped back
+    assert _column_basis(np.array(trap, dtype=object), RAT) == [0, 1, 2]
+    # rank 2 over Q below a zero row: the exact pass's pivot columns
     short = [[0] * 4, a[0], [2 * x for x in a[0]], a[1]]
-    assert _basis_indices(np.array(short, dtype=object), RAT) == ([1, 3], [0, 1])
+    assert _column_basis(np.array(short, dtype=object), RAT) == [0, 1]
     assert len(calls) == 2
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from levelalg import manifest
 from levelalg.combinatorics import binomial
 from levelalg.families import (
     FAMILY_NAMES,
@@ -108,6 +109,25 @@ def test_run_manifest_family_errors_carry_the_line():
     with pytest.raises(ManifestError, match="need type") as err:
         run_manifest(man, MOD)
     assert err.value.line == 3
+
+
+def test_run_manifest_reports_input_errors_before_verifying_any(monkeypatch):
+    # a family that cannot be built and a c out of range, both on line 2:
+    # the sharp instance on line 1 is not verified first
+    calls = []
+    verify = manifest.verify_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(manifest, "verify_instance", counting)
+    for second in ("sharp t=1 e=3", "sharp t=2 e=3 c=2"):
+        man = parse_manifest("sharp t=3 p=1 e=3 c=1,2\n" + second + "\n")
+        with pytest.raises(ManifestError) as err:
+            run_manifest(man, MOD)
+        assert err.value.line == 2, second
+    assert calls == []
 
 
 def test_run_manifest_counts():

@@ -692,8 +692,8 @@ def _mat(a, field):
 
 
 def test_frame_is_a_column_basis_of_the_parent_catalecticants():
-    # |J_u| = h_u columns of C_(e-u)(F) that keep its rank; one form
-    # included, whose J_(e-u), u <= e/2, is a row basis of C_(e-u)(f)
+    # |J_u| = h_u columns of C_(e-u)(F) that keep its rank, one form
+    # included
     singles = [InverseSystemModule(m.generators[:1], m.field) for m in _frame_modules()]
     for m in [*_frame_modules(), *singles]:
         e = m.socle_degree
@@ -715,7 +715,7 @@ def test_frame_restricted_quotients_and_overlaps_equal_the_full_width_oracle():
         rows = catalecticant_rows(
             trap._coeffs % DEFAULT_PRIME, trap.num_vars, 3, 3 - u, CONT, MOD
         )
-        assert len(modules._basis_indices(rows, MOD)[1]) < len(trap._frame[u])
+        assert len(modules._column_basis(rows, MOD)) < len(trap._frame[u])
     for m in _frame_modules():
         assert h_vector(m) == oracle.graded_ranks(m._coeffs[None], m)[0]
         for c in range(1, m.type):
@@ -731,26 +731,26 @@ def test_frame_restricted_quotients_and_overlaps_equal_the_full_width_oracle():
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_frame_takes_one_elimination_per_degree_and_a_remix_shares_it(monkeypatch, field):
-    # e - 1 eliminations for t >= 2, e // 2 for one form; a re-mix spans
-    # what its parent spans and reuses the parent's frame
+    # e - 1 eliminations for every type, one form included; a re-mix
+    # spans what its parent spans and reuses the parent's frame
     calls = []
-    kernel = modules._basis_indices
+    kernel = modules._column_basis
 
     def counting(a, f):
         calls.append(a.shape)
         return kernel(a, f)
 
-    monkeypatch.setattr(modules, "_basis_indices", counting)
+    monkeypatch.setattr(modules, "_column_basis", counting)
     for e in (3, 4, 5):
         m = sharp_family(t=3, p=1, e=e, field=field)
         single = InverseSystemModule(m.generators[:1], field)
         calls.clear()
         assert m._frame and single._frame
-        assert len(calls) == (e - 1) + e // 2
+        assert len(calls) == 2 * (e - 1)
         g = remix_generators(m, seed=e)
         assert g._frame is m._frame
         assert h_vector(g) == h_vector(m)
-        assert len(calls) == (e - 1) + e // 2
+        assert len(calls) == 2 * (e - 1)
 
 
 def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
@@ -938,6 +938,10 @@ def test_parse_module_file_errors_carry_line_numbers():
         parse_module_file("vars: 0\ndegree: 3\nF1: y1^3\n")
     with pytest.raises(ModuleFileError) as err:
         parse_module_file("vars: 2\ndegree: 3\nprime: 91\nF1: y1^3\n")
+    assert err.value.line == 3
+    # a prime not above the degree is the prime line's fault
+    with pytest.raises(ModuleFileError, match="must exceed") as err:
+        parse_module_file("vars: 3\ndegree: 3\nprime: 2\nF1: y1^3\n")
     assert err.value.line == 3
 
 
