@@ -33,8 +33,11 @@ rank mod p <= rank over Q <= min(rows, cols) for an integer matrix: a
 full rank mod p is the rank (`_ranks`), and its column basis is a
 basis over Q (`_column_basis`), a rank equal to the column count
 means the rows span Q^n (`_bases`), and rows of [a; b] independent mod p
-are independent over Q, so row(a) ∩ row(b) is 0 (`_meets`, which also
-meets each distinct pair of one call once). The exact answers never
+are independent over Q, so row(a) ∩ row(b) is 0 (`_meets`). What a
+certificate leaves open gets one exact pass per distinct matrix of a
+call (`_ranks`, `_bases`, keyed by shape and entries by `_once`) or per
+distinct pair (`_meets`): duplicates get the very same result, so
+callers must not mutate what these return. The exact answers never
 depend on p; only the time does. The kernels take integer rows only:
 every row the pipeline builds is one (the generators' coefficient rows
 are cleared to integers once, and catalecticants, combinations, meets
@@ -163,6 +166,21 @@ def _echelon_int(rows):
     return np.array(mat[:r], dtype=object).reshape(r, cols), pivots
 
 
+def _once(f):
+    """f on 2-D arrays, evaluated once per distinct matrix: a matrix is
+    keyed by its shape and its entries, and its duplicates get the very
+    same result."""
+    memo = {}
+
+    def call(m):
+        key = (m.shape, *m.ravel().tolist())
+        if key not in memo:
+            memo[key] = f(m)
+        return memo[key]
+
+    return call
+
+
 def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
     """a·rows for a stack a of integer matrices with t columns and the t
     coefficient rows of a module, in the rows' array type.
@@ -248,7 +266,7 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
     a nonzero r-by-r minor mod p is a nonzero integer minor, so rank mod p
     <= rank over Q <= min(rows, cols) of the matrix before padding. Only a
     matrix whose rank mod p falls short of that gets the fraction-free
-    forward pass, on its own rows.
+    forward pass, on its own rows and columns, once per distinct matrix.
     """
     dtype = _dtype(field)
     if isinstance(stack, np.ndarray) and stack.ndim == 3:
@@ -262,8 +280,9 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
     if not field.is_modular:
         # Python ints reduced before the cast: entries may exceed int64
         mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        exact = _once(lambda m: len(_echelon_int(m)[1]))
         return [
-            r if r == min(k, n) else len(_echelon_int(m[:k])[1])
+            r if r == min(k, n) else exact(m[:k, :n])
             for r, (k, n), m in zip(mod, shapes, a)
         ]
     p = field.prime
@@ -293,7 +312,7 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
     ranked mod DEFAULT_PRIME, and a matrix of rank n mod p, n its column
     count, gets the basis I_n (Python ints): rank mod p <= rank over Q <=
     n, so its rows span Q^n. Every other matrix gets the fraction-free
-    forward pass.
+    forward pass, once per distinct matrix: duplicates share one result.
     """
     if not field.is_modular:
         a = np.asarray(stack, dtype=object)
@@ -301,10 +320,8 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
         mod = [0] * len(a)
         if a.shape[1] >= n:
             mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
-        return [
-            np.eye(n, dtype=object) if r == n else _echelon_int(m)[0]
-            for r, m in zip(mod, a)
-        ]
+        exact = _once(lambda m: _echelon_int(m)[0])
+        return [np.eye(n, dtype=object) if r == n else exact(m) for r, m in zip(mod, a)]
     p = field.prime
     a = np.asarray(stack, dtype=_dtype(field)) % p
     k, nr, nc = a.shape
@@ -396,7 +413,7 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     other pair's Z gets the fraction-free forward pass, whose rows with a
     right-half pivot are the same kind of basis as over GF(p). A single
     pair is a list of one pair: the overlap walk passes a whole level of
-    one degree, `subspace_intersection` and the subset chain of
+    every degree, `subspace_intersection` and the subset chain of
     `relative_intersection_dim` one pair at a time.
     """
     if not field.is_modular:

@@ -188,9 +188,10 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
     Three checks per inner degree u: the type-count identity
     sum = t*H_u - h_u, the subset recount sum = sum_j (j-1) C(t,j) D_u(j),
     and the overlap lower bound H_u >= h_{e-u} - sum, on the rows W that
-    `remix_generators` draws, never built as a module. The sum and every
-    D_u(j) come from one `_overlap` walk per degree; the D_u(j) it does not
-    yield are 0 and add nothing to the recount.
+    `remix_generators` draws, never built as a module. The sums and every
+    D_u(j) of all degrees come from one `_overlap` walk over the degrees
+    together; the D_u(j) it does not yield are 0 and add nothing to the
+    recount.
     """
     t = m.type
     e = m.socle_degree
@@ -201,8 +202,9 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
     emp = empirical_generic_h(m, 1, trials=trials, seed=derive_seed(seed, "identity-emp"))
     passed = 0
     failures: list[IdentityFailure] = []
-    for u in range(1, e):
-        sigma, dims = _overlap(_single_spaces(m, u, w), m.field)
+    degrees = range(1, e)
+    walks = _overlap(_single_spaces(m, degrees, w), m.field)
+    for u, (sigma, dims) in zip(degrees, walks):
         type_count = t * emp[u] - h[u]
         recount = sum((j - 1) * binomial(t, j) * d for j, d in enumerate(dims, start=2))
         bound = h[e - u] - sigma

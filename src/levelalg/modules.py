@@ -18,9 +18,13 @@ Randomized operations (generic quotients, generator re-mixing) are fully
 reproducible: every draw comes from a Mersenne Twister seeded through a
 sha256 counter derivation of the caller's seed. A quotient sample is the
 rows of W = A·F, never a new module; the trials of one quotient type are
-drawn side by side and ranked as one stack per degree. The re-mix that
-the identity checks of `levelalg verify` walk is rows too: W = A·F with A
-t-by-t, whose spaces `_single_spaces` gathers through the parent's frame.
+drawn side by side, and the inner degrees whose frame tables share a
+shape are ranked as one stack (on the sharp families, whose inner h_u
+are all equal, every degree shares one). The re-mix that the identity
+checks of `levelalg verify` walk is rows too: W = A·F with A t-by-t,
+whose spaces `_single_spaces` gathers through the parent's frame, and
+whose generator subsets `_overlap` walks for every inner degree in one
+pass.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -182,19 +187,42 @@ class QuotientSample:
     h: tuple[int, ...]
 
 
+def _by_shape(m: InverseSystemModule, us, gather, kernel) -> dict:
+    """kernel's results for the degrees us, split by degree: gather(u) is
+    the stack of degree u, and the stacks of the degrees whose frame
+    tables share a shape go to one kernel call, concatenated, while a
+    degree with a shape of its own gets the call on its stack alone."""
+    groups: dict[tuple, list[int]] = {}
+    for u in us:
+        groups.setdefault(m._frame_tables[u].shape, []).append(u)
+    out = {}
+    for group in groups.values():
+        stacks = [gather(u) for u in group]
+        n = len(stacks[0])
+        results = kernel(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
+        out.update((u, results[i * n : (i + 1) * n]) for i, u in enumerate(group))
+    return out
+
+
 def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]]:
     """h-vectors of the modules generated by each w[k], c independent
-    coefficient rows in the ring of m: one stacked rank per inner degree,
-    gathered through m's frame. h_0 = 1 and h_e = c need none, and for one
-    form h_u = h_{e-u}, since C_{e-u} and C_u are transposes."""
+    coefficient rows in the ring of m, gathered through m's frame: one
+    stacked rank for the inner degrees whose frame tables share a shape
+    (`_by_shape`). h_0 = 1 and h_e = c need none, and for one form h_u =
+    h_{e-u}, since C_{e-u} and C_u are transposes."""
     k, c, _ = w.shape
     e = m.socle_degree
     h = np.ones((k, e + 1), dtype=np.int64)
     h[:, e] = c
     top = e // 2 if c == 1 else e - 1
-    for u in range(1, top + 1):
+
+    def gather(u):
         sub = m._frame_tables[u]
-        h[:, u] = _ranks(w[:, :, sub].reshape(k, -1, sub.shape[1]), m.field)
+        return w[:, :, sub].reshape(k, -1, sub.shape[1])
+
+    ranks = _by_shape(m, range(1, top + 1), gather, lambda a: _ranks(a, m.field))
+    for u, r in ranks.items():
+        h[:, u] = r
     for u in range(top + 1, e):
         h[:, u] = h[:, e - u]
     return [tuple(row) for row in h.tolist()]
@@ -206,12 +234,16 @@ def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
     return (1, *(len(m._frame[u]) for u in range(1, m.socle_degree)), m.type)
 
 
-def _single_spaces(m: InverseSystemModule, u: int, w: np.ndarray) -> list[np.ndarray]:
-    """The degree-u basis rows on the columns J_u of each form whose
-    coefficient row is a row of w: m's generators (m._coeffs) or a re-mix
-    W = A·F of them, whose span is m's and so is its frame. One stacked
-    `_bases` call on the catalecticants gathered through m's frame."""
-    return _bases(w[:, m._frame_tables[u]], m.field)
+def _single_spaces(m: InverseSystemModule, us, w: np.ndarray) -> list[list[np.ndarray]]:
+    """For each degree u in us, the degree-u basis rows on the columns J_u
+    of each form whose coefficient row is a row of w: m's generators
+    (m._coeffs) or a re-mix W = A·F of them, whose span is m's and so is
+    its frame. One stacked `_bases` call on the catalecticants gathered
+    through m's frame for the degrees whose frame tables share a shape."""
+    spaces = _by_shape(
+        m, us, lambda u: w[:, m._frame_tables[u]], lambda a: _bases(a, m.field)
+    )
+    return [spaces[u] for u in us]
 
 
 def _random_matrix(
@@ -236,7 +268,9 @@ def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
     Attempt k of a seed is seeded by derive_seed(seed, label, k), up to 100
     attempts. Round k draws attempt k of every seed not yet served and
     keeps those whose W has rank c, in one stacked rank; so each seed sees
-    the attempts 0, 1, ... it would see alone.
+    the attempts 0, 1, ... it would see alone. For c = 1 no rank is taken:
+    a row of nonzero draws (nonzero mod p too, see `random_coefficient`)
+    times the t independent rows of m is never zero.
     """
     t = m.type
     draws: dict[int, tuple] = {}
@@ -246,7 +280,7 @@ def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
             break
         a = [_random_matrix(seeds[k], label, attempt, c, t, m.field) for k in pending]
         w = _combine(a, m._coeffs, m.field)
-        ranks = _ranks(w, m.field)
+        ranks = _ranks(w, m.field) if c > 1 else [1] * len(pending)
         draws.update((k, x) for k, x, r in zip(pending, zip(a, w), ranks) if r == c)
     if len(draws) < len(seeds):
         raise DegenerateSampleError(
@@ -367,47 +401,67 @@ def _relative_dims(pairs, field: FieldSpec) -> list[int]:
     return dims
 
 
-def _overlap(spaces: list[np.ndarray], field: FieldSpec):
-    """The alternating sum of `inclusion_exclusion_sum`, from one walk over
-    the subsets of the t spaces (`_single_spaces`), and an iterator over
-    the relative dimensions D_u(q) of `relative_intersection_dim` for the
-    nonzero prefixes {0..q-1}, q = 2, 3, ... (the sizes the subset
-    recount weighs).
+def _overlap(degrees: list[list[np.ndarray]], field: FieldSpec):
+    """One pair per entry of degrees, each the t spaces of one degree
+    (`_single_spaces`): the alternating sum of `inclusion_exclusion_sum`,
+    and an iterator over the relative dimensions D_u(q) of
+    `relative_intersection_dim` for the nonzero prefixes {0..q-1}, q = 2,
+    3, ... (the sizes the subset recount weighs). All come from one walk
+    over the subsets of every degree at once.
 
     The subsets are walked level by level in lexicographic order. Level q
-    holds the rows of each q-subset's intersection with a nonzero result,
-    and its children, the subset plus one generator after its last, are
-    all met in one stacked `_meets` call. A zero intersection is dropped,
-    since every superset then contributes 0, and a level is freed once its
-    children are built. The prefix {0..q} is the first child of the prefix
-    {0..q-1}, so while the prefixes are nonzero each is the first entry of
-    its level; once one meets in 0 so do all longer ones, their D_u is 0,
-    and the iterator stops. The first D_u read ranks them all in one
-    stacked call (`_relative_dims`), so a caller of the sum alone ranks
-    nothing. D_u(1) is left out: it would rank all t spaces together, and
-    no caller reads it.
+    holds, for every degree, the rows of each q-subset's intersection with
+    a nonzero result, and its children, the subset plus one generator
+    after its last, are all met in one `_meets` call, whatever their
+    degree. A zero intersection is dropped, since every superset then
+    contributes 0, and a level is freed once its children are built. The
+    prefix {0..q} is the first child of the prefix {0..q-1}, and once one
+    prefix meets in 0 so do all longer ones: their D_u is 0, and the
+    degree's iterator stops. The first D_u read, of any degree, ranks the
+    prefixes of all degrees in one `_relative_dims` call, so a caller of
+    the sums alone ranks nothing. D_u(1) is left out: it would rank all t
+    spaces together, and no caller reads it.
     """
-    t = len(spaces)
-    level = list(zip(spaces, range(t)))
-    prefixes = []  # the meets of {0, 1}, {0, 1, 2}, ... while nonzero
-    total, sign, q = 0, 1, 1
-    while level:
-        children = [
-            (k, j) for k, (_, last) in enumerate(level) for j in range(last + 1, t)
+    # (degree, rows, last generator, whether the subset is the prefix {0..last})
+    level = [
+        (d, s, j, j == 0)
+        for d, spaces in enumerate(degrees)
+        for j, s in enumerate(spaces)
+    ]
+    totals = [0] * len(degrees)
+    prefixes: list[list[np.ndarray]] = [[] for _ in degrees]
+    sign = 1
+    while children := [
+        (d, s, j, prefix and j == last + 1)
+        for d, s, last, prefix in level
+        for j in range(last + 1, len(degrees[d]))
+    ]:
+        meets = _meets([(s, degrees[d][j]) for d, s, j, _ in children], field)
+        level = [
+            (d, meet, j, prefix)
+            for meet, (d, _, j, prefix) in zip(meets, children)
+            if len(meet)
         ]
-        meets = _meets([(level[k][0], spaces[j]) for k, j in children], field)
-        # while {0..q-1} is nonzero it is level[0], so {0..q} is meets[0]
-        if q < t and len(prefixes) == q - 1 and len(meets[0]):
-            prefixes.append(meets[0])
-        level = [(meet, j) for meet, (_, j) in zip(meets, children) if len(meet)]
-        total += sign * sum(len(meet) for meet, _ in level)
-        sign, q = -sign, q + 1
+        for d, meet, _, prefix in level:
+            totals[d] += sign * len(meet)
+            if prefix:
+                prefixes[d].append(meet)
+        sign = -sign
 
-    def dims():
-        pairs = [(inter, spaces[q:]) for q, inter in enumerate(prefixes, start=2)]
-        yield from _relative_dims(pairs, field)
+    @cache
+    def ranked():
+        pairs = [
+            (inter, spaces[q:])
+            for spaces, inters in zip(degrees, prefixes)
+            for q, inter in enumerate(inters, start=2)
+        ]
+        flat = iter(_relative_dims(pairs, field))
+        return [list(islice(flat, len(inters))) for inters in prefixes]
 
-    return total, dims()
+    def dims(d):
+        yield from ranked()[d]
+
+    return [(total, dims(d)) for d, total in enumerate(totals)]
 
 
 def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
@@ -423,7 +477,7 @@ def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
     _check_degree(m, u)
     if m.type < 2:
         raise ValueError("inclusion-exclusion needs at least two generators")
-    return _overlap(_single_spaces(m, u, m._coeffs), m.field)[0]
+    return _overlap(_single_spaces(m, [u], m._coeffs), m.field)[0][0]
 
 
 def relative_intersection_dim(
@@ -447,7 +501,7 @@ def relative_intersection_dim(
     subset = tuple(subset)
     if len(set(subset)) != q or any(not 0 <= j < t for j in subset):
         raise ValueError(f"subset {subset} is not {q} distinct indices below {t}")
-    spaces = _single_spaces(m, u, m._coeffs)
+    [spaces] = _single_spaces(m, [u], m._coeffs)
     inter = spaces[subset[0]]
     for j in subset[1:]:
         if not len(inter):
@@ -469,7 +523,8 @@ def parse_module_file(
     then one `F<k>: <expression>` line per generator, numbered from 1.
     Blank lines and lines starting with '#' are skipped; a repeated header
     is an error. A field override reinterprets the integer literals over
-    that field instead of the header's.
+    that field instead of the header's. Dependent generators are reported
+    on the line of the first one in the span of the earlier ones.
     """
     num_vars = degree = None
     header_lines: dict[str, int] = {}
@@ -524,8 +579,9 @@ def parse_module_file(
         raise ModuleFileError(
             f"generator labels must be F1..F{len(gen_texts)}", gen_texts[0][2]
         )
+    gen_texts.sort()
     forms = []
-    for _, expr, lineno in sorted(gen_texts):
+    for _, expr, lineno in gen_texts:
         try:
             forms.append(parse_form(expr, num_vars, degree, field))
         except FormParseError as exc:
@@ -533,7 +589,11 @@ def parse_module_file(
     try:
         return InverseSystemModule(tuple(forms), field)
     except DependentGeneratorsError as exc:
-        raise ModuleFileError(str(exc), 1) from exc
+        # the line of the first generator in the span of the earlier ones
+        rows = coefficient_rows(forms, integral=True)
+        ranks = _ranks([rows[: k + 1] for k in range(len(rows))], field)
+        k = next(k for k, r in enumerate(ranks) if r <= k)
+        raise ModuleFileError(str(exc), gen_texts[k][2]) from exc
     except ValueError as exc:  # a modulus p <= e: the prime's, or the degree's
         line = header_lines.get("prime", header_lines["degree"])
         raise ModuleFileError(str(exc), line) from exc

@@ -24,6 +24,10 @@ elimination the package's stacked line steps replaced.
 each quotient catalecticant gathered through the whole table of C_{e-u},
 over every degree-u monomial, instead of the parent's frame.
 
+`overlap` keeps the walk of one degree at a time that the package's walk
+over all inner degrees at once replaced: its spaces from one `_bases` call
+per degree, and its levels, prefixes and relative dimensions its own.
+
 `pencil_bound` writes out Iarrobino's type-2 bound on its own, as the
 reference for the general quotient bound at t = 2, c = 1.
 """
@@ -39,7 +43,9 @@ import numpy as np
 from levelalg.linalg import (
     Matrix,
     Subspace,
+    _bases,
     _echelon_int,
+    _meets,
     _ranks,
     rank,
     row_space,
@@ -48,6 +54,7 @@ from levelalg.linalg import (
 from levelalg.modules import (
     DegenerateSampleError,
     DependentGeneratorsError,
+    _relative_dims,
     derive_seed,
     random_coefficient,
 )
@@ -364,3 +371,29 @@ def relative_intersection_dim(m, q, u, subset=None):
     rest = [row for j in range(m.type) if j not in subset for row in spaces[j].basis]
     ambient, field = inter.ambient, m.field
     return span(inter.basis + tuple(rest), ambient, field).dim - span(rest, ambient, field).dim
+
+
+def overlap(m, u, w):
+    """(sum, [D_u(q) of the nonzero prefixes {0..q-1}, q >= 2]) of degree u
+    of the forms with coefficient rows w, walked for that degree alone: the
+    spaces of one `_bases` call on the rows gathered through m's frame,
+    each level's children met in one `_meets` call, and the prefixes
+    ranked in one `_relative_dims` call."""
+    spaces = _bases(w[:, m._frame_tables[u]], m.field)
+    t = len(spaces)
+    level = list(zip(spaces, range(t)))
+    prefixes = []  # the meets of {0, 1}, {0, 1, 2}, ... while nonzero
+    total, sign, q = 0, 1, 1
+    while level:
+        children = [
+            (k, j) for k, (_, last) in enumerate(level) for j in range(last + 1, t)
+        ]
+        meets = _meets([(level[k][0], spaces[j]) for k, j in children], m.field)
+        # while {0..q-1} is nonzero it is level[0], so {0..q} is meets[0]
+        if q < t and len(prefixes) == q - 1 and len(meets[0]):
+            prefixes.append(meets[0])
+        level = [(meet, j) for meet, (_, j) in zip(meets, children) if len(meet)]
+        total += sign * sum(len(meet) for meet, _ in level)
+        sign, q = -sign, q + 1
+    pairs = [(inter, spaces[q:]) for q, inter in enumerate(prefixes, start=2)]
+    return total, _relative_dims(pairs, m.field)

@@ -80,6 +80,15 @@ def test_hvector_malformed_file(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_hvector_dependent_generators_name_their_line(tmp_path, capsys):
+    f = tmp_path / "dependent.mod"
+    f.write_text("vars: 2\ndegree: 3\n# a comment\nF1: y1^3\nF2: 2*y1^3\n")
+    assert cli.main(["hvector", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 5: 2 generators span a smaller space" in err
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

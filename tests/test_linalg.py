@@ -440,6 +440,34 @@ def test_ragged_stacks_of_any_shapes():
     assert _ranks([[[P, 0], [0, P]], [[P]]], RAT) == [2, 1]
 
 
+def test_rational_ranks_and_bases_eliminate_each_distinct_matrix_once(monkeypatch):
+    # what the mod-p certificate leaves open gets one exact pass per
+    # distinct matrix of a call, and duplicates share its result; the same
+    # entries in another shape are another matrix
+    calls = []
+    exact = linalg._echelon_int
+    monkeypatch.setattr(linalg, "_echelon_int", lambda mat: calls.append(1) or exact(mat))
+    full = [[P, 2 * P], [3 * P, 4 * P]]  # rank 2 over Q, 0 mod p
+    low = [[P, 2 * P], [2 * P, 4 * P]]  # rank 1 over Q, 0 mod p
+    assert _ranks([full, low, full, full, low], RAT) == [2, 1, 2, 2, 1]
+    assert len(calls) == 2
+    calls.clear()
+    assert _ranks(np.array([full] * 3, dtype=object), RAT) == [2] * 3
+    assert len(calls) == 1
+    calls.clear()
+    bases = _bases(np.array([full, low, full, low], dtype=object), RAT)
+    assert len(calls) == 2
+    assert bases[0] is bases[2] and bases[1] is bases[3]
+    assert [len(b) for b in bases] == [2, 1, 2, 1]
+    for b, a in zip(bases, (full, low)):
+        assert sympy.Matrix(b.tolist() + a).rank() == sympy.Matrix(a).rank() == len(b)
+    calls.clear()
+    wide = [[P, 2 * P, 3 * P], [2 * P, 4 * P, 6 * P]]
+    tall = [[P, 2 * P], [3 * P, 2 * P], [4 * P, 6 * P]]
+    assert _ranks([wide, tall], RAT) == [1, 2]
+    assert len(calls) == 2
+
+
 @st.composite
 def _subspace_pairs(draw):
     ambient = draw(st.integers(1, 6))

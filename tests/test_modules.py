@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from levelalg import modules
 from levelalg.combinatorics import is_o_sequence
-from levelalg.families import random_module, sharp_family
+from levelalg.families import random_module, sharp_family, truncated_gorenstein_conic
 from levelalg.fields import DEFAULT_PRIME, FieldSpec
 from levelalg.modules import (
     DegenerateSampleError,
@@ -289,6 +289,71 @@ def test_batched_trials_match_the_oracle_per_trial():
         for s in generic_quotient_trials(gf3, 2, trials=8, seed=0)
     }
     assert retried == {True, False}
+
+
+def test_one_form_draws_take_no_rank_and_stay_the_same(monkeypatch):
+    # c = 1: a row of nonzero draws times independent rows is never zero,
+    # so the first attempt is accepted without a rank, and A and W are
+    # those of the ranked draw loop (the oracle), from GF(2) to Q
+    gf2 = FieldSpec.modular(2)
+    cases = [
+        InverseSystemModule(
+            (_mono(3, (1, 0, 0), gf2), _mono(3, (0, 1, 0), gf2), _mono(3, (0, 0, 1), gf2)),
+            gf2,
+        ),
+        random_module(3, 2, 3, 0.7, 4, FieldSpec.modular(3)),
+        random_module(3, 3, 3, 0.6, 2, FieldSpec.modular(97)),
+        random_module(3, 4, 4, 0.5, 3, MOD),
+        random_module(3, 3, 3, 0.6, 2, BIG),
+        random_module(4, 3, 3, 0.4, 8, RAT),
+    ]
+    assert BIG.prime > _INT64_PRIME_LIMIT
+    seeds = [derive_seed(1, "trial", k) for k in range(6)]
+
+    def refuse(*args):
+        raise AssertionError("a rank for c = 1")
+
+    monkeypatch.setattr(modules, "_ranks", refuse)
+    for m in cases:
+        for (a, w), seed in zip(modules._draws(m, 1, seeds, "quotient"), seeds):
+            assert a == oracle.sample_generic_quotient(m, 1, seed)[0], m.field
+            assert w.dtype == m._coeffs.dtype, m.field
+            assert np.array_equal(w, _combine([a], m._coeffs, m.field)[0]), m.field
+
+
+def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape(
+    monkeypatch,
+):
+    # a degree whose frame table has a shape of its own gets one call on
+    # the array gathered for it alone; the degrees of a sharp module, all
+    # of one shape, get one call together
+    ranked, based = [], []
+    ranks, bases = modules._ranks, modules._bases
+    monkeypatch.setattr(modules, "_ranks", lambda a, f: ranked.append(a) or ranks(a, f))
+    monkeypatch.setattr(modules, "_bases", lambda a, f: based.append(a) or bases(a, f))
+    m = _monomial_module(MOD)
+    degrees = range(1, m.socle_degree)
+    assert len({m._frame_tables[u].shape for u in degrees}) == len(degrees)
+    w = np.stack([w for _, w in modules._draws(m, 2, [0, 1, 2], "quotient")])
+    ranked.clear()
+    assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
+    assert len(ranked) == len(degrees)
+    for u, a in zip(degrees, ranked):
+        sub = m._frame_tables[u]
+        assert a.dtype == w.dtype
+        assert np.array_equal(a, w[:, :, sub].reshape(len(w), -1, sub.shape[1])), u
+    modules._single_spaces(m, degrees, m._coeffs)
+    assert len(based) == len(degrees)
+    for u, a in zip(degrees, based):
+        assert a.dtype == m._coeffs.dtype
+        assert np.array_equal(a, m._coeffs[:, m._frame_tables[u]]), u
+    sharp = sharp_family(t=4, p=1, e=4, field=MOD)
+    w = np.stack([w for _, w in modules._draws(sharp, 2, [0, 1], "quotient")])
+    ranked.clear()
+    based.clear()
+    assert modules._graded_ranks(w, sharp) == oracle.graded_ranks(w, sharp)
+    modules._single_spaces(sharp, range(1, 4), sharp._coeffs)
+    assert (len(ranked), len(based)) == (1, 1)
 
 
 def test_known_and_mirrored_h_entries_equal_computed_ranks():
@@ -587,8 +652,9 @@ def test_overlap_statistics_match_the_subset_oracle(field):
             # one walk gives the sum and the relative dimension of every
             # prefix the recount weighs, {0, 1} and longer, up to the first
             # that meets in 0; the ones it leaves out are 0
-            spaces = modules._single_spaces(m, u, m._coeffs)
-            total, yielded = modules._overlap(spaces, m.field)
+            [(total, yielded)] = modules._overlap(
+                modules._single_spaces(m, [u], m._coeffs), m.field
+            )
             yielded = list(yielded)
             zeros = [0] * (m.type - 1 - len(yielded))
             assert (total, yielded + zeros) == (want, dims[1:]), (m.label, m.type, u)
@@ -617,8 +683,8 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
                 reduce(oracle.subspace_intersection, spaces[:q]) for q in range(2, m.type + 1)
             ]
             handed.clear()
-            walk = modules._overlap(modules._single_spaces(m, u, m._coeffs), m.field)
-            list(walk[1])
+            [(_, dims)] = modules._overlap(modules._single_spaces(m, [u], m._coeffs), m.field)
+            list(dims)
             want = [s for s in prefixes if s.dim]
             assert len(handed) == len(want), (m.type, u)
             frame = m._frame[u]
@@ -644,18 +710,56 @@ def test_reading_one_degrees_relative_dims_costs_one_stacked_rank(monkeypatch, f
     monkeypatch.setattr(modules, "_ranks", counting)
     ranked = 0
     for m in cases:
-        for u in range(1, m.socle_degree):
+        degrees = range(1, m.socle_degree)
+        read, below = [], []
+        for u in degrees:
             calls.clear()
-            _, dims = modules._overlap(modules._single_spaces(m, u, m._coeffs), m.field)
+            [(_, dims)] = modules._overlap(modules._single_spaces(m, [u], m._coeffs), m.field)
             assert calls == [], (m.type, u)
-            below_t = min(len(list(dims)), m.type - 2)
+            read.append(list(dims))
+            below_t = min(len(read[-1]), m.type - 2)
             assert calls == ([2 * below_t] if below_t else []), (m.type, u)
             ranked += bool(below_t)
+            below.append(below_t)
             for q in range(1, m.type + 1):
                 calls.clear()
                 relative_intersection_dim(m, q, u)
                 assert len(calls) <= 1, (m.type, u, q)
+        # walked together, the first D_u read, here the last degree's,
+        # ranks the prefixes of every degree in one call
+        calls.clear()
+        walks = modules._overlap(modules._single_spaces(m, degrees, m._coeffs), m.field)
+        assert calls == [], m.type
+        assert [list(dims) for _, dims in walks[::-1]] == read[::-1], m.type
+        assert calls == ([2 * sum(below)] if sum(below) else []), m.type
     assert ranked
+
+
+def _conic(field):
+    return truncated_gorenstein_conic(5, 4, field, seed=2)
+
+
+WALK_CASES = (
+    *OVERLAP_CASES,
+    lambda field: sharp_family(t=4, p=1, e=4, field=field),
+    lambda field: sharp_family(t=5, p=2, e=3, field=field),
+    lambda field: remix_generators(sharp_family(t=8, p=1, e=3, field=field), seed=8),
+    _conic,
+)
+
+
+@pytest.mark.parametrize("field", [MOD, RAT, BIG], ids=["gfp", "q", "bigp"])
+def test_walk_over_all_degrees_matches_the_per_degree_oracle(field):
+    # every degree's sum and prefix D_u from the one walk equal those of
+    # the walk of that degree alone, on the generators and on a re-mix
+    for build in WALK_CASES:
+        m = build(field)
+        degrees = range(1, m.socle_degree)
+        [(_, remix)] = modules._draws(m, m.type, [m.type], "remix")
+        for w in (m._coeffs, remix):
+            walks = modules._overlap(modules._single_spaces(m, degrees, w), field)
+            got = [(total, list(dims)) for total, dims in walks]
+            assert got == [oracle.overlap(m, u, w) for u in degrees], (m.label, m.type)
 
 
 def _scaled_trap(t=3):
@@ -824,16 +928,18 @@ def test_stacked_walk_meets_exactly_the_subsets_with_a_nonzero_parent(monkeypatc
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_identity_checks_walk_each_degree_once(monkeypatch, field):
-    # the sum and the recount both come from one walk per degree: the
-    # walk's stacked meets are all there is, and no pair is met on its own
-    # (a one-pair meet would go through `_meets` too)
+    # the sums and the recounts all come from one walk over the degrees:
+    # the walk's stacked meets are all there is, and no pair is met on its
+    # own (a one-pair meet would go through `_meets` too); level q of every
+    # degree is one call, and no call is empty
     from levelalg import manifest
 
-    met = []
+    met, calls = [], []
     stacked = modules._meets
 
     def counting(pairs, f):
         met.extend(pairs)
+        calls.append(len(pairs))
         return stacked(pairs, f)
 
     monkeypatch.setattr(modules, "_meets", counting)
@@ -842,9 +948,11 @@ def test_identity_checks_walk_each_degree_once(monkeypatch, field):
     g = remix_generators(m, derive_seed(seed, "identity-mix"))
     expected = sum(_walk_meets(g, u) for u in range(1, m.socle_degree))
     met.clear()
+    calls.clear()
     passed, failures = manifest._identity_checks(m, 3, seed)
     assert (passed, failures) == (9, [])
     assert len(met) == expected
+    assert len(calls) == m.type - 1 and 0 not in calls
 
 
 def test_relative_intersection_validation():
@@ -955,9 +1063,19 @@ def test_parse_module_file_form_error_line():
 
 
 def test_parse_module_file_dependent_generators():
-    text = "vars: 2\ndegree: 3\nF1: y1^3\nF2: 2*y1^3\n"
-    with pytest.raises(ModuleFileError, match="smaller space"):
-        parse_module_file(text)
+    # the line of the first generator in the span of the earlier ones
+    cases = [
+        ("vars: 2\ndegree: 3\nF1: y1^3\nF2: 2*y1^3\n", 4),
+        ("vars: 2\ndegree: 3\n# a comment\nF1: y1^3\nF2: 2*y1^3\n", 5),
+        # generators are taken in label order
+        ("vars: 2\ndegree: 3\nF2: 2*y1^3\nF1: y1^3\n", 3),
+        ("vars: 2\ndegree: 3\nF1: y1^3\nF2: y2^3\nF3: y1^3 - 4*y2^3\nF4: y1*y2^2\n", 5),
+    ]
+    for text, line in cases:
+        for field in (None, RAT):
+            with pytest.raises(ModuleFileError, match="smaller space") as err:
+                parse_module_file(text, field_override=field)
+            assert err.value.line == line, text
 
 
 def test_module_text_round_trip_modular():
