@@ -21,6 +21,7 @@ from .bounds import (
     generic_quotient_bound,
     report_csv_row,
     tighten_bound,
+    verify_instance,
 )
 from .combinatorics import (
     alternating_binomial_sum,
@@ -34,8 +35,6 @@ from .manifest import ManifestError, parse_manifest, run_manifest
 from .modules import (
     DegenerateSampleError,
     ModuleFileError,
-    _entrywise_max,
-    generic_quotient_trials,
     h_vector,
     parse_module_file,
 )
@@ -133,9 +132,8 @@ def _cmd_quotient(args) -> int:
     if args.trials < 1:
         print("levelalg quotient: --trials must be positive", file=sys.stderr)
         return EXIT_USAGE
-    samples = generic_quotient_trials(m, args.c, trials=args.trials, seed=args.seed)
-    per_trial = [s.h for s in samples]
-    emp = _entrywise_max(per_trial)
+    rep = verify_instance(m, args.c, trials=args.trials, seed=args.seed)
+    per_trial, emp = rep.per_trial, rep.empirical
     agree = all(h == per_trial[0] for h in per_trial)
     if args.json:
         print(json.dumps({

@@ -12,9 +12,10 @@ matrices is eliminated side by side, one line per step. It ranks the
 quotient trials of one type together (`_ranks`), gives the generators'
 derivative spaces their bases together (`_bases`; both along the shorter
 side) and intersects a whole level of generator subsets, or a single
-pair (`_meets`, by Zassenhaus); `_column_basis` reads a column basis
-off one pass (no caller needs a row basis), and `_span` a canonical
-basis off one pass and a back-substitution. Its arrays are int64
+pair (`_meets`, by Zassenhaus, each distinct pair of a call once in
+either field); `_column_basis` reads a column basis off one pass (no
+caller needs a row basis), and `_span` a canonical basis off one pass
+and a back-substitution. Its arrays are int64
 residues in [0, p) whenever p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`),
 so a product of two entries fits in int64, and object arrays of Python
 ints only for larger primes.
@@ -35,8 +36,9 @@ basis over Q (`_column_basis`), a rank equal to the column count
 means the rows span Q^n (`_bases`), and rows of [a; b] independent mod p
 are independent over Q, so row(a) ∩ row(b) is 0 (`_meets`). What a
 certificate leaves open gets one exact pass per distinct matrix of a
-call (`_ranks`, `_bases`, keyed by shape and entries by `_once`) or per
-distinct pair (`_meets`): duplicates get the very same result, so
+call (`_ranks`, `_bases`, by `_once`) or per distinct pair (`_meets`),
+both keyed by shape and entries (`_key`). Duplicates get the very same
+result, and so do the duplicate pairs of a `_meets` call over GF(p), so
 callers must not mutate what these return. The exact answers never
 depend on p; only the time does. The kernels take integer rows only:
 every row the pipeline builds is one (the generators' coefficient rows
@@ -166,14 +168,21 @@ def _echelon_int(rows):
     return np.array(mat[:r], dtype=object).reshape(r, cols), pivots
 
 
+def _key(m) -> tuple:
+    """A 2-D array's shape and entries, hashable: its dtype and bytes for
+    an int64 array, its Python ints for an object array."""
+    if m.dtype == object:
+        return (m.shape, *m.ravel().tolist())
+    return (m.shape, m.dtype.str, m.tobytes())
+
+
 def _once(f):
-    """f on 2-D arrays, evaluated once per distinct matrix: a matrix is
-    keyed by its shape and its entries, and its duplicates get the very
-    same result."""
+    """f on 2-D arrays, evaluated once per distinct matrix (`_key`): its
+    duplicates get the very same result."""
     memo = {}
 
     def call(m):
-        key = (m.shape, *m.ravel().tolist())
+        key = _key(m)
         if key not in memo:
             memo[key] = f(m)
         return memo[key]
@@ -393,69 +402,63 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
 
     The row space of Z = [[a, a], [b, 0]] is {(x·a + y·b, x·a)}, and its
     vectors with a zero left half have right halves x·a = -y·b, which run
-    over the intersection. Over GF(p) the pairs are grouped by shape, each
-    group's Z is stacked and its rows are eliminated in order by
-    `_line_steps`, and the lines whose first nonzero entry lies in the
-    right half are kept: their left halves are zero and their right halves
-    are a basis of the intersection. For, the nonzero lines are a basis of
-    row(Z); in a combination of them, take the first line with a left-half
-    pivot: every earlier line has its pivot in the right half, so it is
-    zero on the whole left half, and every later line is zero at that pivot
-    column, so the combination's left half cannot vanish.
+    over the intersection. Each distinct pair of the call (keyed by
+    `_key`) is met once, and its duplicates get the very same array, so
+    callers must not mutate a result. The Z of the distinct pairs of one
+    shape are stacked, and only the elimination of a stack depends on the
+    field.
 
-    Over Q the pairs are grouped by content (shapes and entries), and each
-    distinct pair is met once: its duplicates get the very same array, so
-    callers must not mutate a result. The left halves [a; b] of the
-    distinct pairs, a ragged stack, are ranked mod DEFAULT_PRIME in one
-    `_ranks` pass. A rank of rows(a) + rows(b) there makes the rows of
+    Over GF(p) the stack's rows are eliminated in order by `_line_steps`,
+    and the lines whose first nonzero entry lies in the right half are
+    kept: their left halves are zero and their right halves are a basis of
+    the intersection. For, the nonzero lines are a basis of row(Z); in a
+    combination of them, take the first line with a left-half pivot: every
+    earlier line has its pivot in the right half, so it is zero on the
+    whole left half, and every later line is zero at that pivot column, so
+    the combination's left half cannot vanish.
+
+    Over Q the stack's left halves [a; b] are ranked mod DEFAULT_PRIME in
+    one `_ranks` pass. A rank of rows(a) + rows(b) there makes the rows of
     [a; b] independent over Q too (rank mod p <= rank over Q), so x·a + y·b
     = 0 forces x = y = 0, and the meet is 0: an empty (0, n) array. Any
-    other pair's Z gets the fraction-free forward pass, whose rows with a
+    other Z gets the fraction-free forward pass, whose rows with a
     right-half pivot are the same kind of basis as over GF(p). A single
     pair is a list of one pair: the overlap walk passes a whole level of
     every degree, `subspace_intersection` and the subset chain of
     `relative_intersection_dim` one pair at a time.
     """
-    if not field.is_modular:
-        if not pairs:
-            return []
-        groups: dict[tuple, list[int]] = {}
-        for i, (a, b) in enumerate(pairs):
-            key = (a.shape, b.shape, *a.ravel().tolist(), *b.ravel().tolist())
-            groups.setdefault(key, []).append(i)
-        distinct = [pairs[idx[0]] for idx in groups.values()]
-        left = [np.vstack([a, b]) % DEFAULT_PRIME for a, b in distinct]
-        mod = _ranks(left, _CERTIFICATE_FIELD)
-        out: list = [None] * len(pairs)
-        for r, (a, b), idx in zip(mod, distinct, groups.values()):
-            (ka, n), kb = a.shape, len(b)
-            if r == ka + kb:
-                meet = np.zeros((0, n), dtype=object)
-            else:
-                z = np.zeros((ka + kb, 2 * n), dtype=object)
-                z[:ka, :n] = z[:ka, n:] = a
-                z[ka:, :n] = b
-                ech, pivots = _echelon_int(z)
-                meet = ech[bisect_left(pivots, n) :, n:]
+    # the indices of each distinct pair, by the shape of its pair
+    stacks: dict[tuple, dict[tuple, list[int]]] = {}
+    for i, (a, b) in enumerate(pairs):
+        group = stacks.setdefault((a.shape, b.shape), {})
+        group.setdefault((_key(a), _key(b)), []).append(i)
+    out: list = [None] * len(pairs)
+    for ((ka, n), (kb, _)), group in stacks.items():
+        firsts = [pairs[idx[0]] for idx in group.values()]
+        z = np.zeros((len(firsts), ka + kb, 2 * n), dtype=_dtype(field))
+        z[:, :ka, :n] = z[:, :ka, n:] = [a for a, _ in firsts]
+        z[:, ka:, :n] = [b for _, b in firsts]
+        if field.is_modular:
+            kept: list[list[np.ndarray]] = [[] for _ in group]
+            for line, j, found in _line_steps(z % field.prime, field.prime):
+                g = (found & (j >= n)).nonzero()[0]
+                for gi, row in zip(g.tolist(), line[g, n:]):
+                    kept[gi].append(row)
+            meets = [
+                np.array(rows, dtype=z.dtype).reshape(len(rows), n) for rows in kept
+            ]
+        else:
+            left = (z[:, :, :n] % DEFAULT_PRIME).astype(np.int64)
+            meets = []
+            for r, zi in zip(_ranks(left, _CERTIFICATE_FIELD), z):
+                if r == ka + kb:
+                    meets.append(np.zeros((0, n), dtype=object))
+                else:
+                    ech, pivots = _echelon_int(zi)
+                    meets.append(ech[bisect_left(pivots, n) :, n:])
+        for meet, idx in zip(meets, group.values()):
             for i in idx:
                 out[i] = meet
-        return out
-    out: list = [None] * len(pairs)
-    groups: dict[tuple, list[int]] = {}
-    for i, (a, b) in enumerate(pairs):
-        groups.setdefault((a.shape, b.shape), []).append(i)
-    p, dtype = field.prime, _dtype(field)
-    for ((ka, n), (kb, _)), idx in groups.items():
-        z = np.zeros((len(idx), ka + kb, 2 * n), dtype=dtype)
-        z[:, :ka, :n] = z[:, :ka, n:] = [pairs[i][0] for i in idx]
-        z[:, ka:, :n] = [pairs[i][1] for i in idx]
-        kept: list[list[np.ndarray]] = [[] for _ in idx]
-        for line, j, found in _line_steps(z % p, p):
-            g = (found & (j >= n)).nonzero()[0]
-            for gi, row in zip(g.tolist(), line[g, n:]):
-                kept[gi].append(row)
-        for i, rows in zip(idx, kept):
-            out[i] = np.array(rows, dtype=dtype).reshape(len(rows), n)
     return out
 
 

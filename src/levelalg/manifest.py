@@ -190,7 +190,7 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
     and the overlap lower bound H_u >= h_{e-u} - sum, on the rows W that
     `remix_generators` draws, never built as a module. The sums and every
     D_u(j) of all degrees come from one `_overlap` walk over the degrees
-    together; the D_u(j) it does not yield are 0 and add nothing to the
+    together; the D_u(j) it does not list are 0 and add nothing to the
     recount.
     """
     t = m.type

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -404,64 +404,50 @@ def _relative_dims(pairs, field: FieldSpec) -> list[int]:
 def _overlap(degrees: list[list[np.ndarray]], field: FieldSpec):
     """One pair per entry of degrees, each the t spaces of one degree
     (`_single_spaces`): the alternating sum of `inclusion_exclusion_sum`,
-    and an iterator over the relative dimensions D_u(q) of
+    and the list of the relative dimensions D_u(q) of
     `relative_intersection_dim` for the nonzero prefixes {0..q-1}, q = 2,
     3, ... (the sizes the subset recount weighs). All come from one walk
-    over the subsets of every degree at once.
+    over the subsets of every degree at once, and one `_relative_dims`
+    call ranks the prefixes of every degree.
 
     The subsets are walked level by level in lexicographic order. Level q
     holds, for every degree, the rows of each q-subset's intersection with
     a nonzero result, and its children, the subset plus one generator
     after its last, are all met in one `_meets` call, whatever their
     degree. A zero intersection is dropped, since every superset then
-    contributes 0, and a level is freed once its children are built. The
-    prefix {0..q} is the first child of the prefix {0..q-1}, and once one
-    prefix meets in 0 so do all longer ones: their D_u is 0, and the
-    degree's iterator stops. The first D_u read, of any degree, ranks the
-    prefixes of all degrees in one `_relative_dims` call, so a caller of
-    the sums alone ranks nothing. D_u(1) is left out: it would rank all t
-    spaces together, and no caller reads it.
+    contributes 0, and a level is freed once its children are built. A
+    q-subset whose last generator is q - 1 is the prefix {0..q-1}; once one
+    prefix meets in 0 so do all longer ones, their D_u is 0 and the list
+    stops. D_u(1) is left out: it would rank all t spaces together, and no
+    caller reads it.
     """
-    # (degree, rows, last generator, whether the subset is the prefix {0..last})
+    # (degree, rows, last generator) of each subset with a nonzero meet
     level = [
-        (d, s, j, j == 0)
-        for d, spaces in enumerate(degrees)
-        for j, s in enumerate(spaces)
+        (d, s, j) for d, spaces in enumerate(degrees) for j, s in enumerate(spaces)
     ]
     totals = [0] * len(degrees)
     prefixes: list[list[np.ndarray]] = [[] for _ in degrees]
-    sign = 1
+    q = 2
     while children := [
-        (d, s, j, prefix and j == last + 1)
-        for d, s, last, prefix in level
-        for j in range(last + 1, len(degrees[d]))
+        (d, s, j) for d, s, last in level for j in range(last + 1, len(degrees[d]))
     ]:
-        meets = _meets([(s, degrees[d][j]) for d, s, j, _ in children], field)
-        level = [
-            (d, meet, j, prefix)
-            for meet, (d, _, j, prefix) in zip(meets, children)
-            if len(meet)
-        ]
-        for d, meet, _, prefix in level:
-            totals[d] += sign * len(meet)
-            if prefix:
+        meets = _meets([(s, degrees[d][j]) for d, s, j in children], field)
+        level = [(d, meet, j) for meet, (d, _, j) in zip(meets, children) if len(meet)]
+        for d, meet, j in level:
+            totals[d] += (-1) ** q * len(meet)
+            if j == q - 1:
                 prefixes[d].append(meet)
-        sign = -sign
-
-    @cache
-    def ranked():
-        pairs = [
-            (inter, spaces[q:])
-            for spaces, inters in zip(degrees, prefixes)
-            for q, inter in enumerate(inters, start=2)
-        ]
-        flat = iter(_relative_dims(pairs, field))
-        return [list(islice(flat, len(inters))) for inters in prefixes]
-
-    def dims(d):
-        yield from ranked()[d]
-
-    return [(total, dims(d)) for d, total in enumerate(totals)]
+        q += 1
+    pairs = [
+        (inter, spaces[q:])
+        for spaces, inters in zip(degrees, prefixes)
+        for q, inter in enumerate(inters, start=2)
+    ]
+    flat = iter(_relative_dims(pairs, field))
+    return [
+        (total, list(islice(flat, len(inters))))
+        for total, inters in zip(totals, prefixes)
+    ]
 
 
 def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
@@ -472,7 +458,8 @@ def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
     minus h_u. Use remix_generators first when that identity is wanted.
     The subsets are met level by level, a whole level in one stacked
     elimination, and a subset whose parent meets in 0 is skipped (see
-    `_overlap`).
+    `_overlap`). The walk's relative dimensions, one stacked rank, are
+    left unread.
     """
     _check_degree(m, u)
     if m.type < 2:

@@ -1,0 +1,201 @@
+"""Mutation gate: every mutant in the table must make its named tests fail.
+
+    python tests/mutants.py
+
+Run from anywhere inside a source checkout. For each mutant the gate
+copies `src/` to a temporary directory, checks that the mutant's snippet
+occurs exactly once in its file, applies the replacement and runs only
+the named tests against the copy (through PYTHONPATH), without `-W
+error`: under that flag a failing hypothesis test ends the run as a
+pytest INTERNALERROR. Pytest's exit 1 kills the mutant, exit 0 means it
+survived, and any other exit is a gate error. Before the mutants, the
+named tests of all of them must pass on an unchanged copy, or no kill
+would mean anything.
+
+The gate exits 1 if a snippet is not found exactly once, if the named
+tests fail on the unchanged copy, or if any mutant survives or errs. A
+refactor that moves a snippet therefore fails the gate loudly, and the
+table is updated with it. Pytest does not collect this file: its name
+does not match test_*.py.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "levelalg"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/levelalg
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+LINALG = "tests/test_linalg.py::"
+MODULES = "tests/test_modules.py::"
+
+MUTANTS = (
+    Mutant(
+        "key-without-shape",
+        "linalg.py",
+        "        return (m.shape, *m.ravel().tolist())\n"
+        "    return (m.shape, m.dtype.str, m.tobytes())\n",
+        "        return (*m.ravel().tolist(),)\n"
+        "    return (m.dtype.str, m.tobytes())\n",
+        (
+            LINALG + "test_meets_keep_equal_entries_of_different_shapes_apart",
+            LINALG + "test_rational_ranks_and_bases_eliminate_each_distinct_matrix_once",
+        ),
+    ),
+    Mutant(
+        "meet-key-from-a-alone",
+        "linalg.py",
+        "group.setdefault((_key(a), _key(b)), [])",
+        "group.setdefault(_key(a), [])",
+        (
+            LINALG + "test_rational_meets_run_one_exact_pass_per_distinct_open_pair",
+            LINALG + "test_meets_of_repeated_and_mod_p_dependent_pairs",
+        ),
+    ),
+    Mutant(
+        "meet-certificate-one-short",
+        "linalg.py",
+        "                if r == ka + kb:\n",
+        "                if r >= ka + kb - 1:\n",
+        (
+            LINALG + "test_rational_meets_run_one_exact_pass_per_distinct_open_pair",
+            LINALG + "test_meets_of_repeated_and_mod_p_dependent_pairs",
+        ),
+    ),
+    Mutant(
+        "prefix-rule-off-by-one",
+        "modules.py",
+        "            if j == q - 1:\n",
+        "            if j == q:\n",
+        (
+            MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
+            MODULES + "test_overlap_statistics_match_the_subset_oracle",
+        ),
+    ),
+    Mutant(
+        "rank-certificate-below-full",
+        "linalg.py",
+        "r if r == min(k, n) else exact(m[:k, :n])",
+        "r if r <= min(k, n) else exact(m[:k, :n])",
+        (
+            LINALG + "test_ragged_stacks_of_any_shapes",
+            LINALG + "test_rational_ranks_and_bases_eliminate_each_distinct_matrix_once",
+        ),
+    ),
+    Mutant(
+        "frame-rows-by-J_u",
+        "modules.py",
+        "np.ix_(frame[e - u], frame[u])",
+        "np.ix_(frame[u], frame[u])",
+        (
+            MODULES
+            + "test_frame_restricted_quotients_and_overlaps_equal_the_full_width_oracle",
+        ),
+    ),
+    Mutant(
+        "overflow-guard-by-c",
+        "linalg.py",
+        "len(rows) * a.max() * (p - 1) < 2**63",
+        "a.shape[1] * a.max() * (p - 1) < 2**63",
+        (
+            MODULES
+            + "test_combinations_near_the_int64_prime_limit_fall_back_to_python_ints",
+        ),
+    ),
+    Mutant(
+        "remix-builds-its-own-frame",
+        "modules.py",
+        '    object.__setattr__(remixed, "_frame", m._frame)  # same span, same frame\n',
+        "",
+        (MODULES + "test_frame_takes_one_elimination_per_degree_and_a_remix_shares_it",),
+    ),
+    Mutant(
+        "basis-certificate-one-short",
+        "linalg.py",
+        "np.eye(n, dtype=object) if r == n else exact(m)",
+        "np.eye(n, dtype=object) if r >= n - 1 else exact(m)",
+        (LINALG + "test_rational_bases_certify_full_column_rank",),
+    ),
+    Mutant(
+        "column-certificate-one-short",
+        "linalg.py",
+        "return cols if len(cols) == min(a.shape) else _echelon_int(a)[1]",
+        "return cols if len(cols) >= min(a.shape) - 1 else _echelon_int(a)[1]",
+        (LINALG + "test_rational_column_basis_certifies_full_rank_mod_p_only",),
+    ),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    """A copy of src/levelalg under dest/src, without bytecode."""
+    shutil.copytree(
+        SRC, dest / "src" / "levelalg", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    return dest / "src"
+
+
+def _pytest(src: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+    proc = subprocess.run(
+        [*argv, *tests], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode
+
+
+def main() -> int:
+    bad = [
+        m.name for m in MUTANTS if (SRC / m.file).read_text().count(m.snippet) != 1
+    ]
+    if bad:
+        print(f"snippet not found exactly once: {', '.join(bad)}", file=sys.stderr)
+        return 1
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="levelalg-mutants-") as tmp:
+        clean = _copy_src(Path(tmp) / "clean")
+        probe = subprocess.run(
+            [sys.executable, "-c", "import levelalg; print(levelalg.__file__)"],
+            env={**os.environ, "PYTHONPATH": str(clean)}, cwd=ROOT,
+            capture_output=True, text=True,
+        ).stdout.strip()
+        if not probe.startswith(str(clean)):
+            print(f"the copy is not what imports: {probe!r}", file=sys.stderr)
+            return 1
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        code = _pytest(clean, tests)
+        if code != 0:
+            print(f"the named tests fail on the unchanged source (exit {code})",
+                  file=sys.stderr)
+            return 1
+        for k, m in enumerate(MUTANTS):
+            src = _copy_src(Path(tmp) / f"mutant-{k}")
+            path = src / "levelalg" / m.file
+            path.write_text(path.read_text().replace(m.snippet, m.replacement))
+            start = time.monotonic()
+            code = _pytest(src, m.tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (exit {code})")
+            failed += code != 1
+            print(f"{m.name:32} {verdict:18} {time.monotonic() - start:5.1f} s")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

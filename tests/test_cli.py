@@ -11,7 +11,7 @@ import pytest
 from levelalg import cli
 from levelalg.families import sharp_family
 from levelalg.fields import FieldSpec
-from levelalg.modules import module_to_text
+from levelalg.modules import generic_quotient_trials, module_to_text, parse_module_file
 
 MODULE_TEXT = """\
 vars: 4
@@ -160,6 +160,38 @@ def test_quotient_json(module_file, capsys):
     assert d["agreement"] is True
     assert d["trials"] == 2
     assert d["seed"] == 2
+
+
+README_MODULE_TEXT = """\
+# any comment on its own line
+vars: 4
+degree: 3
+prime: 97
+
+F1: y1^2*y2
+F2: y1^2*y3 - 2*y2^3
+F3: y1^2*y4
+"""
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["gf97", "q"])
+def test_quotient_json_reports_the_quotient_trials(tmp_path, capsys, rational):
+    # README's module file: the entrywise maximum and the trials are those
+    # of generic_quotient_trials, at every type and for any seed
+    f = tmp_path / "module.txt"
+    f.write_text(README_MODULE_TEXT)
+    field = FieldSpec.rational() if rational else None
+    m = parse_module_file(README_MODULE_TEXT, field_override=field)
+    for c, trials, seed in ((1, 5, 0), (2, 5, 0), (2, 3, 7)):
+        argv = ["quotient", str(f), "--type", str(c), "--trials", str(trials),
+                "--seed", str(seed), "--json"] + (["--rational"] if rational else [])
+        assert cli.main(argv) == 0
+        d = json.loads(capsys.readouterr().out)
+        per_trial = [list(s.h) for s in generic_quotient_trials(m, c, trials, seed)]
+        assert d["perTrial"] == per_trial
+        assert d["h"] == [max(col) for col in zip(*per_trial)]
+        assert d["agreement"] is all(h == per_trial[0] for h in per_trial)
+        assert (d["trials"], d["seed"]) == (trials, seed)
 
 
 def test_quotient_deterministic(module_file, capsys):

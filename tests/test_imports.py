@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-package root imports nothing.
+"""Every name a package module imports is used in that module, the
+package root imports nothing, and the command line imports no private
+name.
 
 An import that only a deleted function read would otherwise outlive it
 unnoticed. `__init__.py` holds only `__version__`: each name is imported
@@ -64,3 +65,15 @@ def test_the_root_loads_no_module_a_submodule_does_not_need():
     ).stdout.split()
     assert out[0] == "False"
     assert out[1]
+
+
+def test_the_cli_imports_no_private_name():
+    # the command line runs on the modules' public functions alone
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert names and [n for n in names if n.split(".")[-1].startswith("_")] == []

@@ -492,11 +492,11 @@ def test_intersection_is_canonical_and_satisfies_grassmann(pair):
 
 
 MEET_FIELDS = [MOD, FieldSpec.modular(3), BIG, RAT]
+MEET_IDS = ["gfp", "gf3", "bigp", "q"]
 
 
 @st.composite
 def _meet_cases(draw):
-    field = draw(st.sampled_from(MEET_FIELDS))
     entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
 
     def matrix(k, n):
@@ -522,13 +522,14 @@ def _meet_cases(draw):
             else:
                 b = matrix(kb, n)
             pairs.append((a, b))
-    return pairs, field
+    return pairs
 
 
+# one case per field: a strategy that drew the field drew no Q pair once
+@pytest.mark.parametrize("field", MEET_FIELDS, ids=MEET_IDS)
 @PROPERTY
-@given(case=_meet_cases())
-def test_stacked_meets_span_the_pairwise_zassenhaus_meets(case):
-    pairs, field = case
+@given(pairs=_meet_cases())
+def test_stacked_meets_span_the_pairwise_zassenhaus_meets(field, pairs):
     got = _meets(pairs, field)
     assert len(got) == len(pairs)
     for rows, (a, b) in zip(got, pairs):
@@ -636,9 +637,9 @@ def _independent_rows(draw, k, n):
 
 
 @st.composite
-def _rational_meet_calls(draw):
-    """One `_meets` call over Q: a few pairs, each repeated (some as
-    copies), pairs sharing their first matrix, and traps whose [a; b] is
+def _repeated_meet_calls(draw):
+    """One `_meets` call: a few pairs, each repeated (some as copies),
+    pairs sharing their first matrix, and traps whose [a; b] is
     independent over Q but not mod p (one row moved onto another by p
     times itself)."""
     entries = st.sampled_from([0, 0, 1, -1, 2, 3])
@@ -673,16 +674,62 @@ def _rational_meet_calls(draw):
     return draw(st.permutations(pairs + repeats))
 
 
+def _zassenhaus_matrix(a, b):
+    (ka, n), kb = a.shape, len(b)
+    z = np.zeros((ka + kb, 2 * n), dtype=object)
+    z[:ka, :n] = z[:ka, n:] = a
+    z[ka:, :n] = b
+    return z
+
+
+@pytest.mark.parametrize("field", MEET_FIELDS, ids=MEET_IDS)
 @PROPERTY
-@given(pairs=_rational_meet_calls())
-def test_rational_meets_of_repeated_and_mod_p_dependent_pairs(pairs):
-    got = _meets(pairs, RAT)
+@given(pairs=_repeated_meet_calls())
+def test_meets_of_repeated_and_mod_p_dependent_pairs(field, pairs):
+    # each distinct pair is met once, in every field: its duplicates get
+    # the very same array, and over GF(p) the stacks `_line_steps` gets
+    # hold the Zassenhaus matrix of each distinct pair exactly once
+    if field.is_modular:
+        # the pipeline's residues: int64 below the limit
+        pairs = [
+            ((a % field.prime).astype(linalg._dtype(field)),
+             (b % field.prime).astype(linalg._dtype(field)))
+            for a, b in pairs
+        ]
+    stacks = []
+    steps = linalg._line_steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_line_steps", lambda a, p: stacks.append(a) or steps(a, p))
+        got = _meets(pairs, field)
     assert len(got) == len(pairs)
+    first = {}
     for rows, (a, b) in zip(got, pairs):
         n = a.shape[1]
-        want = oracle.zassenhaus(a, b, RAT)
+        want = oracle.zassenhaus(a, b, field)
         assert rows.shape == (len(want), n)
-        assert _span(rows, n, RAT) == _span(want, n, RAT)
+        assert _span(rows, n, field) == _span(want, n, field)
+        assert rows is first.setdefault(str((a.tolist(), b.tolist())), rows)
+    if field.is_modular:
+        distinct = {str((a.tolist(), b.tolist())): (a, b) for a, b in pairs}
+        p = field.prime
+        want = [(_zassenhaus_matrix(a, b) % p).tolist() for a, b in distinct.values()]
+        assert sorted(z.tolist() for stack in stacks for z in stack) == sorted(want)
+
+
+def test_meets_keep_equal_entries_of_different_shapes_apart():
+    # 1x4 and 2x2 int64 pairs with the same bytes: the keys differ, and so
+    # do the results, in one call
+    row = np.array([[1, 0, 0, 1]], dtype=np.int64)
+    square = row.reshape(2, 2)
+    assert row.tobytes() == square.tobytes()
+    assert linalg._key(row) != linalg._key(square)
+    assert linalg._key(row) == linalg._key(row.copy())
+    assert linalg._key(row.astype(object)) == linalg._key(row.astype(object).copy())
+    got = _meets([(row, row), (square, square), (row, row.copy())], MOD)
+    assert got[0] is got[2]
+    assert _span(got[0], 4, MOD) == _span(row, 4, MOD)
+    assert _span(got[1], 2, MOD) == _span(square, 2, MOD)
+    assert [rows.shape for rows in got] == [(1, 4), (2, 2), (1, 4)]
 
 
 def _count_exact_passes(monkeypatch):

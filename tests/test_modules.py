@@ -655,7 +655,6 @@ def test_overlap_statistics_match_the_subset_oracle(field):
             [(total, yielded)] = modules._overlap(
                 modules._single_spaces(m, [u], m._coeffs), m.field
             )
-            yielded = list(yielded)
             zeros = [0] * (m.type - 1 - len(yielded))
             assert (total, yielded + zeros) == (want, dims[1:]), (m.label, m.type, u)
 
@@ -683,8 +682,7 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
                 reduce(oracle.subspace_intersection, spaces[:q]) for q in range(2, m.type + 1)
             ]
             handed.clear()
-            [(_, dims)] = modules._overlap(modules._single_spaces(m, [u], m._coeffs), m.field)
-            list(dims)
+            modules._overlap(modules._single_spaces(m, [u], m._coeffs), m.field)
             want = [s for s in prefixes if s.dim]
             assert len(handed) == len(want), (m.type, u)
             frame = m._frame[u]
@@ -696,9 +694,9 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_reading_one_degrees_relative_dims_costs_one_stacked_rank(monkeypatch, field):
-    # the walk ranks nothing until its D_u are read, then every [I_q; S_q]
-    # and S_q of the degree in one `_ranks` call; the size-t prefix needs
-    # none, and nor does a degree whose {0, 1} meets in 0
+    # one walk ranks every [I_q; S_q] and S_q of the degree in one `_ranks`
+    # call; the size-t prefix needs none, and nor does a degree whose
+    # {0, 1} meets in 0
     calls = []
     ranks = modules._ranks
 
@@ -715,8 +713,7 @@ def test_reading_one_degrees_relative_dims_costs_one_stacked_rank(monkeypatch, f
         for u in degrees:
             calls.clear()
             [(_, dims)] = modules._overlap(modules._single_spaces(m, [u], m._coeffs), m.field)
-            assert calls == [], (m.type, u)
-            read.append(list(dims))
+            read.append(dims)
             below_t = min(len(read[-1]), m.type - 2)
             assert calls == ([2 * below_t] if below_t else []), (m.type, u)
             ranked += bool(below_t)
@@ -725,12 +722,10 @@ def test_reading_one_degrees_relative_dims_costs_one_stacked_rank(monkeypatch, f
                 calls.clear()
                 relative_intersection_dim(m, q, u)
                 assert len(calls) <= 1, (m.type, u, q)
-        # walked together, the first D_u read, here the last degree's,
-        # ranks the prefixes of every degree in one call
+        # walked together, the degrees' prefixes are ranked in one call
         calls.clear()
         walks = modules._overlap(modules._single_spaces(m, degrees, m._coeffs), m.field)
-        assert calls == [], m.type
-        assert [list(dims) for _, dims in walks[::-1]] == read[::-1], m.type
+        assert [dims for _, dims in walks] == read, m.type
         assert calls == ([2 * sum(below)] if sum(below) else []), m.type
     assert ranked
 
@@ -758,8 +753,7 @@ def test_walk_over_all_degrees_matches_the_per_degree_oracle(field):
         [(_, remix)] = modules._draws(m, m.type, [m.type], "remix")
         for w in (m._coeffs, remix):
             walks = modules._overlap(modules._single_spaces(m, degrees, w), field)
-            got = [(total, list(dims)) for total, dims in walks]
-            assert got == [oracle.overlap(m, u, w) for u in degrees], (m.label, m.type)
+            assert walks == [oracle.overlap(m, u, w) for u in degrees], (m.label, m.type)
 
 
 def _scaled_trap(t=3):
@@ -874,18 +868,29 @@ def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
 
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
-def test_inclusion_exclusion_sum_ranks_nothing(monkeypatch, field):
-    # the sum is read off the walk's meets; the relative dimensions the
-    # walk can also give are ranked only when a caller reads them
-    def refuse(*args):
-        raise AssertionError("a rank after the walk")
+def test_inclusion_exclusion_sum_ranks_at_most_once(monkeypatch, field):
+    # the sum is read off the walk's meets; the walk's one stacked rank,
+    # of the nonzero prefixes below t, is all the ranking it adds
+    calls = []
+    ranks = modules._ranks
+
+    def counting(stack, f):
+        calls.append(len(stack))
+        return ranks(stack, f)
 
     cases = [build(field) for build in OVERLAP_CASES]
-    monkeypatch.setattr(modules, "_relative_dims", refuse)
-    monkeypatch.setattr(modules, "_ranks", refuse)
+    monkeypatch.setattr(modules, "_ranks", counting)
     for m in cases:
         for u in range(1, m.socle_degree):
+            spaces = oracle._spaces(m, u)
+            below_t = sum(
+                1
+                for q in range(2, m.type)
+                if reduce(oracle.subspace_intersection, spaces[:q]).dim
+            )
+            calls.clear()
             assert inclusion_exclusion_sum(m, u) == oracle.inclusion_exclusion_sum(m, u)
+            assert calls == ([2 * below_t] if below_t else []), (m.type, u)
 
 
 def _walk_meets(m, u):
