@@ -12,7 +12,10 @@ J_u, a column basis of C_{e-u}(F) read off the pass that gives h_u = |J_u|,
 and later catalecticants are gathered on the columns J_u and rows J_{e-u}
 only. The other columns are combinations of those in J_u, so restriction
 to J_u is injective on P_u; and x^α, α outside J_{e-u}, is a combination of
-the x^β, β in J_{e-u}, modulo Ann(F) ⊆ Ann(W): no integer changes.
+the x^β, β in J_{e-u}, modulo Ann(F) ⊆ Ann(W): no integer changes. The
+passes run from u = e-1 down and stop at the first J_u that holds every
+degree-u monomial: P_u is then every degree-u form, so each lower P_{u'} =
+R_{u-u'}∘P_u is every degree-u' form and J_{u'} is all of its columns.
 
 Randomized operations (generic quotients, generator re-mixing) are fully
 reproducible: every draw comes from a Mersenne Twister seeded through a
@@ -20,7 +23,15 @@ sha256 counter derivation of the caller's seed. A quotient sample is the
 rows of W = A·F, never a new module; the trials of one quotient type are
 drawn side by side, and the inner degrees whose frame tables share a
 shape are ranked as one stack (on the sharp families, whose inner h_u
-are all equal, every degree shares one). The re-mix that the identity
+are all equal, every degree shares one). A rank at u bounded by h_u(F)
+and by c·h_{e-u}(F) settles a run of degrees when it meets either cap,
+exactly and in every field: M_u(W) = P_u gives M_{u'}(W) = R_{u-u'}∘P_u =
+P_{u'} for u' < u, and a full row rank at u, an injective (g_k) ↦ Σ g_k∘W_k
+on (R/Ann F)_{e-u}^c, stays injective in every lower operator degree, as
+multiplying by every x^γ of degree u'-u shows. A generic quotient sits at
+its caps in every degree (generic level algebras are compressed), so two
+critical degrees are ranked first and the degrees left open after them
+second (`_graded_ranks`). The re-mix that the identity
 checks of `levelalg verify` walk is rows too: W = A·F with A t-by-t,
 whose spaces `_single_spaces` gathers through the parent's frame, and
 whose generator subsets `_overlap` walks for every inner degree in one
@@ -49,6 +60,7 @@ from .polynomials import (
     coefficient_rows,
     form_from_row,
     parse_form,
+    space_dim,
 )
 
 COEFF_RANGE = 10**6  # bound of the random coefficients; see random_coefficient
@@ -144,15 +156,20 @@ class InverseSystemModule:
     @cached_property
     def _frame(self) -> dict[int, list[int]]:
         """J_u for each inner degree u (see the module docstring): the column
-        basis `_column_basis` finds in C_{e-u}(F), one pass per degree."""
+        basis `_column_basis` finds in C_{e-u}(F), one pass per degree from
+        u = e-1 down to the first J_u that holds every degree-u monomial.
+        Below it every J_{u'} is range(N_{u'}), with no pass: P_u is then all
+        of the degree-u forms, so P_{u'} = R_{u-u'}∘P_u is all of degree u'
+        too, and a column basis of independent columns is all of them."""
         r, e = self.num_vars, self.socle_degree
-        return {
-            u: _column_basis(
-                catalecticant_rows(self._coeffs, r, e, e - u, CONTRACT, self.field),
-                self.field,
-            )
-            for u in range(1, e)
-        }
+        frame = {}
+        for u in range(e - 1, 0, -1):
+            rows = catalecticant_rows(self._coeffs, r, e, e - u, CONTRACT, self.field)
+            frame[u] = _column_basis(rows, self.field)
+            if len(frame[u]) == rows.shape[1]:
+                frame.update((v, list(range(space_dim(r, v)))) for v in range(1, u))
+                break
+        return dict(sorted(frame.items()))
 
     @cached_property
     def _frame_tables(self) -> dict[int, np.ndarray]:
@@ -198,34 +215,74 @@ def _by_shape(m: InverseSystemModule, us, gather, kernel) -> dict:
     out = {}
     for group in groups.values():
         stacks = [gather(u) for u in group]
-        n = len(stacks[0])
         results = kernel(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-        out.update((u, results[i * n : (i + 1) * n]) for i, u in enumerate(group))
+        start = 0
+        for u, stack in zip(group, stacks):
+            out[u] = results[start : start + len(stack)]
+            start += len(stack)
     return out
 
 
 def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]]:
     """h-vectors of the modules generated by each w[k], c independent
-    coefficient rows in the ring of m, gathered through m's frame: one
-    stacked rank for the inner degrees whose frame tables share a shape
-    (`_by_shape`). h_0 = 1 and h_e = c need none, and for one form h_u =
-    h_{e-u}, since C_{e-u} and C_u are transposes."""
+    coefficient rows in the ring of m, gathered through m's frame. h_0 = 1
+    and h_e = c need no rank, and for one form h_u = h_{e-u}, since C_{e-u}
+    and C_u are transposes.
+
+    The rank at u of W's table, c·h_{e-u}(m) rows by h_u(m) columns, is at
+    most either side, and a rank at either cap settles a run of degrees
+    exactly, in every field:
+    - rank h_u(m): M_u(W) = P_u, so for u' < u, M_{u'}(W) = R_{u-u'}∘M_u(W)
+      = R_{u-u'}∘P_u = P_{u'}, and the rank at u' is h_{u'}(m);
+    - rank c·h_{e-u}(m), full row rank: (g_k) ↦ Σ g_k∘W_k is one-to-one on
+      (R/Ann F)_{e-u}^c, hence on degree e-u' < e-u for every u' > u. If
+      Σ g_k∘W_k = 0 there, so is Σ (x^γ g_k)∘W_k for every x^γ of degree
+      u'-u, so x^γ g_k ∘ F = 0; the forms g_k∘F of degree u' have no
+      nonzero contraction of order u'-u, so they are 0 and g_k ∈ Ann F: the
+      rank at u' is c·h_{e-u'}(m).
+    So the first round ranks, for every trial, the two critical degrees,
+    the largest u with c·h_{e-u} >= h_u and the smallest u with c·h_{e-u}
+    <= h_u, and every degree whose frame table shares their shape (the
+    inner degrees of the sharp families all do); a quotient at its caps,
+    as a generic one is, then has nothing left. The next round ranks each
+    degree still open, for the trials open there only. Degrees whose
+    tables share a shape go to one stacked rank (`_by_shape`).
+    """
     k, c, _ = w.shape
     e = m.socle_degree
-    h = np.ones((k, e + 1), dtype=np.int64)
-    h[:, e] = c
     top = e // 2 if c == 1 else e - 1
+    degrees = range(1, top + 1)
+    tables = m._frame_tables
+    # the caps at u: h_u(m), and c·h_{e-u}(m) for full row rank
+    full = [0, *(tables[u].shape[1] for u in degrees)]
+    rows = [0, *(c * tables[u].shape[0] for u in degrees)]
+    critical = [u for u in degrees if rows[u] >= full[u]][-1:]
+    critical += [u for u in degrees if rows[u] <= full[u]][:1]
+    shapes = {tables[u].shape for u in critical}
+    pick = [u for u in degrees if tables[u].shape in shapes]
+    trials = dict.fromkeys(degrees, range(k))
+    h = [[1, *[None] * (e - 1), c] for _ in range(k)]
 
     def gather(u):
-        sub = m._frame_tables[u]
-        return w[:, :, sub].reshape(k, -1, sub.shape[1])
+        sub = w if len(trials[u]) == k else w[trials[u]]
+        return sub[:, :, tables[u]].reshape(len(sub), -1, tables[u].shape[1])
 
-    ranks = _by_shape(m, range(1, top + 1), gather, lambda a: _ranks(a, m.field))
-    for u, r in ranks.items():
-        h[:, u] = r
-    for u in range(top + 1, e):
-        h[:, u] = h[:, e - u]
-    return [tuple(row) for row in h.tolist()]
+    while pick:
+        ranks = _by_shape(m, pick, gather, lambda a: _ranks(a, m.field))
+        for u in pick:
+            for i, r in zip(trials[u], ranks[u]):
+                row = h[i]
+                row[u] = r
+                if r == full[u]:
+                    row[1:u] = full[1:u]
+                if r == rows[u]:
+                    row[u + 1 : top + 1] = rows[u + 1 :]
+        trials = {u: [i for i in range(k) if h[i][u] is None] for u in degrees}
+        pick = [u for u in degrees if trials[u]]
+    for row in h:
+        for u in range(top + 1, e):
+            row[u] = row[e - u]
+    return [tuple(row) for row in h]
 
 
 @lru_cache(maxsize=4096)

@@ -126,6 +126,27 @@ MUTANTS = (
         (MODULES + "test_frame_takes_one_elimination_per_degree_and_a_remix_shares_it",),
     ),
     Mutant(
+        "downward-rule-by-the-row-cap",
+        "modules.py",
+        "                if r == full[u]:\n",
+        "                if r == rows[u]:\n",
+        (MODULES + "test_selections_that_miss_the_caps_equal_the_full_width_ranks",),
+    ),
+    Mutant(
+        "upward-fill-by-c-h_u",
+        "modules.py",
+        "                    row[u + 1 : top + 1] = rows[u + 1 :]\n",
+        "                    row[u + 1 : top + 1] = [c * x for x in full[u + 1 :]]\n",
+        (MODULES + "test_graded_ranks_and_frame_equal_the_per_degree_passes",),
+    ),
+    Mutant(
+        "frame-stops-one-monomial-short",
+        "modules.py",
+        "            if len(frame[u]) == rows.shape[1]:\n",
+        "            if len(frame[u]) >= rows.shape[1] - 1:\n",
+        (MODULES + "test_frame_passes_stop_at_the_first_full_degree",),
+    ),
+    Mutant(
         "basis-certificate-one-short",
         "linalg.py",
         "np.eye(n, dtype=object) if r == n else exact(m)",

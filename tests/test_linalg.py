@@ -542,7 +542,6 @@ def test_stacked_meets_span_the_pairwise_zassenhaus_meets(field, pairs):
 
 @st.composite
 def _basis_stacks(draw):
-    field = draw(st.sampled_from(MEET_FIELDS))
     k, short = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     long = draw(st.integers(short + 1, 7))
     # tall, wide and square
@@ -558,13 +557,13 @@ def _basis_stacks(draw):
         elif kind == "deficient" and rows > 1:
             # the last row is a combination of the first two
             a[-1] = 2 * a[0] - a[min(1, rows - 2)]
-    return stack, field
+    return stack
 
 
+@pytest.mark.parametrize("field", MEET_FIELDS, ids=MEET_IDS)
 @PROPERTY
-@given(case=_basis_stacks())
-def test_stacked_bases_span_the_column_pass_rows(case):
-    stack, field = case
+@given(stack=_basis_stacks())
+def test_stacked_bases_span_the_column_pass_rows(field, stack):
     got = _bases(stack, field)
     assert len(got) == len(stack)
     for rows, a in zip(got, stack):
@@ -576,11 +575,10 @@ def test_stacked_bases_span_the_column_pass_rows(case):
 
 
 @st.composite
-def _index_cases(draw):
-    """A matrix over one of MEET_FIELDS, tall, wide or square, with zero
-    rows, rows combined from others, and over Q traps: a row scaled by p,
-    or moved by p times another row, loses rank mod p only."""
-    field = draw(st.sampled_from(MEET_FIELDS))
+def _index_cases(draw, field):
+    """A matrix over field, tall, wide or square, with zero rows, rows
+    combined from others, and over Q traps: a row scaled by p, or moved by
+    p times another row, loses rank mod p only."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     cells = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]), min_size=rows * cols,
                           max_size=rows * cols))
@@ -601,14 +599,15 @@ def _index_cases(draw):
     if field.is_modular:
         # the GF(p) kernels take residues, as the package passes them
         a %= field.prime
-    return (a.T.copy() if draw(st.booleans()) else a), field
+    return a.T.copy() if draw(st.booleans()) else a
 
 
+@pytest.mark.parametrize("field", MEET_FIELDS, ids=MEET_IDS)
 @PROPERTY
-@given(case=_index_cases())
-def test_column_basis_gives_columns_of_full_rank(case):
+@given(data=st.data())
+def test_column_basis_gives_columns_of_full_rank(field, data):
     # a[:, J] has rank r = rank a and r columns: J is a column basis
-    a, field = case
+    a = data.draw(_index_cases(field))
     cols = _column_basis(a, field)
     r = len(oracle.echelon(a, field)[1])
     assert cols == sorted(set(cols))

@@ -17,7 +17,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from levelalg import modules
 from levelalg.combinatorics import is_o_sequence
-from levelalg.families import random_module, sharp_family, truncated_gorenstein_conic
+from levelalg.families import (
+    monomial_module,
+    random_module,
+    sharp_family,
+    truncated_gorenstein_conic,
+)
 from levelalg.fields import DEFAULT_PRIME, FieldSpec
 from levelalg.modules import (
     DegenerateSampleError,
@@ -44,6 +49,7 @@ from levelalg.polynomials import (
     form_from_row,
     monomials_of_degree,
     parse_form,
+    space_dim,
 )
 
 MOD = FieldSpec.modular()
@@ -321,32 +327,57 @@ def test_one_form_draws_take_no_rank_and_stay_the_same(monkeypatch):
             assert np.array_equal(w, _combine([a], m._coeffs, m.field)[0]), m.field
 
 
+def _selections(t, c):
+    """Every 0/1 matrix that picks c of t generators, in order."""
+    return [
+        tuple(tuple(int(j == i) for j in range(t)) for i in subset)
+        for subset in combinations(range(t), c)
+    ]
+
+
 def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape(
     monkeypatch,
 ):
-    # a degree whose frame table has a shape of its own gets one call on
-    # the array gathered for it alone; the degrees of a sharp module, all
-    # of one shape, get one call together
+    # the first rank call takes the critical degrees for every trial, a
+    # second the degrees still open, each for its open trials only; a
+    # degree whose frame table has a shape of its own is gathered alone,
+    # and the degrees of a sharp module, all of one shape, get one call
     ranked, based = [], []
     ranks, bases = modules._ranks, modules._bases
     monkeypatch.setattr(modules, "_ranks", lambda a, f: ranked.append(a) or ranks(a, f))
     monkeypatch.setattr(modules, "_bases", lambda a, f: based.append(a) or bases(a, f))
     m = _monomial_module(MOD)
     degrees = range(1, m.socle_degree)
-    assert len({m._frame_tables[u].shape for u in degrees}) == len(degrees)
-    w = np.stack([w for _, w in modules._draws(m, 2, [0, 1, 2], "quotient")])
+    tables = m._frame_tables
+    # h = (1, 3, 6, 5): at c = 2 degree 2 is the only critical one, c·h_1 = h_2
+    assert [tables[u].shape for u in degrees] == [(6, 3), (3, 6)]
+    draws = np.stack([w for _, w in modules._draws(m, 2, [0, 1, 2], "quotient")])
+    w = np.concatenate([draws, _combine(_selections(m.type, 2), m._coeffs, MOD)])
+    want = oracle.graded_ranks(w, m)
     ranked.clear()
-    assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
-    assert len(ranked) == len(degrees)
-    for u, a in zip(degrees, ranked):
-        sub = m._frame_tables[u]
+    assert modules._graded_ranks(w, m) == want
+    # the draws reach h_2 = 6, and so settle degree 1; some selections do not
+    open_ = [i for i, h in enumerate(want) if h[2] < 6]
+    assert 0 < len(open_) < len(w) and open_[0] >= len(draws)
+    assert len(ranked) == 2
+    for a, u, trials in zip(ranked, (2, 1), (range(len(w)), open_)):
+        sub = tables[u]
         assert a.dtype == w.dtype
-        assert np.array_equal(a, w[:, :, sub].reshape(len(w), -1, sub.shape[1])), u
+        assert np.array_equal(a, w[trials][:, :, sub].reshape(len(trials), -1, sub.shape[1]))
     modules._single_spaces(m, degrees, m._coeffs)
     assert len(based) == len(degrees)
     for u, a in zip(degrees, based):
         assert a.dtype == m._coeffs.dtype
-        assert np.array_equal(a, m._coeffs[:, m._frame_tables[u]]), u
+        assert np.array_equal(a, m._coeffs[:, tables[u]]), u
+    # a random module's generic quotients sit at their caps: all trials
+    # ranked at the critical degrees, at most two shapes, nothing open
+    m = random_module(3, 6, 4, 0.5, 0, MOD)
+    assert len({m._frame_tables[u].shape for u in range(1, 6)}) == 5
+    for c in (1, 2, 3):
+        w = np.stack([w for _, w in modules._draws(m, c, [0, 1, 2, 3], "quotient")])
+        ranked.clear()
+        assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
+        assert 1 <= len(ranked) <= 2 and all(len(a) == len(w) for a in ranked), c
     sharp = sharp_family(t=4, p=1, e=4, field=MOD)
     w = np.stack([w for _, w in modules._draws(sharp, 2, [0, 1], "quotient")])
     ranked.clear()
@@ -829,8 +860,9 @@ def test_frame_restricted_quotients_and_overlaps_equal_the_full_width_oracle():
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_frame_takes_one_elimination_per_degree_and_a_remix_shares_it(monkeypatch, field):
-    # e - 1 eliminations for every type, one form included; a re-mix
-    # spans what its parent spans and reuses the parent's frame
+    # e - 1 eliminations for every type, one form included, as no J_u
+    # above u = 1 holds every monomial; a re-mix spans what its parent
+    # spans and reuses the parent's frame
     calls = []
     kernel = modules._column_basis
 
@@ -849,6 +881,29 @@ def test_frame_takes_one_elimination_per_degree_and_a_remix_shares_it(monkeypatc
         assert g._frame is m._frame
         assert h_vector(g) == h_vector(m)
         assert len(calls) == 2 * (e - 1)
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_frame_passes_stop_at_the_first_full_degree(monkeypatch, field):
+    # h = (1, 3, 6, 10, 15, 20, 12, 6, 2): passes at u = 7, 6, 5 and 4,
+    # where J_4 holds all N_4 = 15 monomials, and none below; h_5 = N_5 - 1,
+    # so a walk that stopped one monomial short would skip the u = 4 pass
+    calls = []
+    kernel = modules._column_basis
+    monkeypatch.setattr(
+        modules, "_column_basis", lambda a, f: calls.append(a.shape) or kernel(a, f)
+    )
+    for seed in range(2):
+        m = random_module(3, 8, 2, 0.5, seed, field)
+        calls.clear()
+        frame = m._frame
+        assert len(calls) == 4
+        h = oracle.h_vector(m.generators)
+        assert h == (1, 3, 6, 10, 15, 20, 12, 6, 2)
+        assert [len(frame[u]) for u in range(1, 8)] == list(h[1:8])
+        for u in range(1, 8):
+            rows = catalecticant_rows(m._coeffs, 3, 8, 8 - u, CONT, field)
+            assert frame[u] == kernel(rows, field), u
 
 
 def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
@@ -1143,3 +1198,64 @@ def test_small_modules_agree_across_fields_and_give_o_sequences(pair):
             h = tuple(rank(oracle.catalecticant([form], e - u)) for u in range(e + 1))
             assert s.h == h == h[::-1]
             assert is_o_sequence(h).ok
+
+
+GRADED_FIELDS = [MOD, FieldSpec.modular(7), BIG, RAT]
+GRADED_IDS = ["gfp", "gf7", "bigp", "q"]
+
+
+@st.composite
+def _graded_cases(draw, field):
+    """A random, monomial, sharp or conic module over field, of socle
+    degree at most 6 (below the modulus 7), a type c and a stack of
+    type-c trials: generic draws, which sit at the caps, and 0/1
+    selections of c generators, which may miss them."""
+    kind = draw(st.sampled_from(["random", "monomial", "sharp", "conic"]))
+    seed = draw(st.integers(0, 99))
+    r, e = draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    try:
+        if kind == "random":
+            t = draw(st.integers(2, min(4, space_dim(r, e))))
+            density = draw(st.sampled_from([0.3, 0.6, 1.0]))
+            m = random_module(r, e, t, density, seed, field)
+        elif kind == "monomial":
+            m = monomial_module(r, e, draw(st.integers(2, min(5, space_dim(r, e)))), seed, field)
+        elif kind == "sharp":
+            m = sharp_family(draw(st.integers(2, 4)), 1, min(e, 4), field)
+        else:
+            m = truncated_gorenstein_conic(draw(st.integers(3, 6)), max(e, 3), field, seed)
+        c = draw(st.integers(1, m.type - 1))
+        seeds = draw(st.lists(st.integers(0, 2**32), max_size=3))
+        picks = draw(st.lists(st.sampled_from(_selections(m.type, c)), max_size=3))
+        assume(seeds or picks)
+        stacks = [w for _, w in modules._draws(m, c, seeds, "quotient")]
+    except DegenerateSampleError:
+        assume(False)
+    if picks:
+        stacks.extend(_combine(picks, m._coeffs, field))
+    return m, np.stack(stacks)
+
+
+@pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_graded_ranks_and_frame_equal_the_per_degree_passes(field, data):
+    # the ranks settled from the caps, and J_u below the first full degree,
+    # equal what a pass at every degree gives
+    m, w = data.draw(_graded_cases(field))
+    assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
+    r, e = m.num_vars, m.socle_degree
+    for u in range(1, e):
+        rows = catalecticant_rows(m._coeffs, r, e, e - u, CONT, field)
+        assert m._frame[u] == modules._column_basis(rows, field), u
+
+
+@pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
+def test_selections_that_miss_the_caps_equal_the_full_width_ranks(field):
+    # pairs and triples of binary sextic monomials: a rank at the row cap
+    # c·h_(e-u) settles the degrees above u, not those below
+    for seed in range(3):
+        m = monomial_module(2, 6, 5, seed, field)
+        for c in (2, 3, 4):
+            w = _combine(_selections(m.type, c), m._coeffs, field)
+            assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m), (seed, c)
