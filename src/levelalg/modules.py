@@ -215,11 +215,9 @@ def _by_shape(m: InverseSystemModule, us, gather, kernel) -> dict:
     out = {}
     for group in groups.values():
         stacks = [gather(u) for u in group]
+        n = len(stacks[0])
         results = kernel(stacks[0] if len(stacks) == 1 else np.concatenate(stacks))
-        start = 0
-        for u, stack in zip(group, stacks):
-            out[u] = results[start : start + len(stack)]
-            start += len(stack)
+        out.update((u, results[i * n : (i + 1) * n]) for i, u in enumerate(group))
     return out
 
 
@@ -244,9 +242,10 @@ def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]
     the largest u with c·h_{e-u} >= h_u and the smallest u with c·h_{e-u}
     <= h_u, and every degree whose frame table shares their shape (the
     inner degrees of the sharp families all do); a quotient at its caps,
-    as a generic one is, then has nothing left. The next round ranks each
-    degree still open, for the trials open there only. Degrees whose
-    tables share a shape go to one stacked rank (`_by_shape`).
+    as a generic one is, then has nothing left. The next round ranks every
+    trial at each degree still open for some trial; a trial settled there
+    ranks to the value it already holds, by the two rules above. Degrees
+    whose tables share a shape go to one stacked rank (`_by_shape`).
     """
     k, c, _ = w.shape
     e = m.socle_degree
@@ -260,25 +259,21 @@ def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]
     critical += [u for u in degrees if rows[u] <= full[u]][:1]
     shapes = {tables[u].shape for u in critical}
     pick = [u for u in degrees if tables[u].shape in shapes]
-    trials = dict.fromkeys(degrees, range(k))
     h = [[1, *[None] * (e - 1), c] for _ in range(k)]
 
     def gather(u):
-        sub = w if len(trials[u]) == k else w[trials[u]]
-        return sub[:, :, tables[u]].reshape(len(sub), -1, tables[u].shape[1])
+        return w[:, :, tables[u]].reshape(k, -1, tables[u].shape[1])
 
     while pick:
         ranks = _by_shape(m, pick, gather, lambda a: _ranks(a, m.field))
         for u in pick:
-            for i, r in zip(trials[u], ranks[u]):
-                row = h[i]
+            for row, r in zip(h, ranks[u]):
                 row[u] = r
                 if r == full[u]:
                     row[1:u] = full[1:u]
                 if r == rows[u]:
                     row[u + 1 : top + 1] = rows[u + 1 :]
-        trials = {u: [i for i in range(k) if h[i][u] is None] for u in degrees}
-        pick = [u for u in degrees if trials[u]]
+        pick = [u for u in degrees if any(row[u] is None for row in h)]
     for row in h:
         for u in range(top + 1, e):
             row[u] = row[e - u]

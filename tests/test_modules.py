@@ -338,8 +338,8 @@ def _selections(t, c):
 def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape(
     monkeypatch,
 ):
-    # the first rank call takes the critical degrees for every trial, a
-    # second the degrees still open, each for its open trials only; a
+    # the first rank call takes the critical degrees, a second the degrees
+    # still open for some trial, both for every trial; a
     # degree whose frame table has a shape of its own is gathered alone,
     # and the degrees of a sharp module, all of one shape, get one call
     ranked, based = [], []
@@ -360,10 +360,10 @@ def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape
     open_ = [i for i, h in enumerate(want) if h[2] < 6]
     assert 0 < len(open_) < len(w) and open_[0] >= len(draws)
     assert len(ranked) == 2
-    for a, u, trials in zip(ranked, (2, 1), (range(len(w)), open_)):
+    for a, u in zip(ranked, (2, 1)):
         sub = tables[u]
         assert a.dtype == w.dtype
-        assert np.array_equal(a, w[trials][:, :, sub].reshape(len(trials), -1, sub.shape[1]))
+        assert np.array_equal(a, w[:, :, sub].reshape(len(w), -1, sub.shape[1]))
     modules._single_spaces(m, degrees, m._coeffs)
     assert len(based) == len(degrees)
     for u, a in zip(degrees, based):
