@@ -13,8 +13,9 @@ quotient trials of one type together (`_ranks`), gives the generators'
 derivative spaces their bases together (`_bases`; both along the shorter
 side) and intersects a whole level of generator subsets, or a single
 pair (`_meets`, by Zassenhaus, each distinct pair of a call once in
-either field); `_column_basis` reads a column basis off one pass (no
-caller needs a row basis), and `_span` a canonical basis off one pass
+either field); `_column_basis` reads a column basis off one pass on the
+live submatrix, the array without its zero rows and columns (no caller
+needs a row basis), and `_span` a canonical basis off one pass
 and a back-substitution. Its arrays are int64
 residues in [0, p) whenever p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`),
 so a product of two entries fits in int64, and object arrays of Python
@@ -32,9 +33,12 @@ integer rows, each eliminated row divided by its content; it is the only
 elimination over Q. All four certificates rest on
 rank mod p <= rank over Q <= min(rows, cols) for an integer matrix: a
 full rank mod p is the rank (`_ranks`), and its column basis is a
-basis over Q (`_column_basis`), a rank equal to the column count
-means the rows span Q^n (`_bases`), and rows of [a; b] independent mod p
-are independent over Q, so row(a) ∩ row(b) is 0 (`_meets`). What a
+basis over Q (`_column_basis`, where full is min(shape) of the live
+submatrix: the zero lines of a sparse catalecticant, such as a sharp
+family's, keep min(shape) of the whole array out of reach), a rank
+equal to the column count means the rows span Q^n (`_bases`), and
+rows of [a; b] independent mod p are independent over Q, so row(a) ∩
+row(b) is 0 (`_meets`). What a
 certificate leaves open gets one exact pass per distinct matrix of a
 call (`_ranks`, `_bases`, by `_once`) or per distinct pair (`_meets`),
 both keyed by shape and entries (`_key`). Duplicates get the very same
@@ -345,24 +349,41 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
 
 
 def _column_basis(a, field: FieldSpec) -> list[int]:
-    """Ascending indices of a column basis of a 2-D integer array. Over
-    GF(p), one `_line_steps` pass along the shorter side: a line is nonzero
-    exactly when it is independent of the earlier ones, so a tall array
-    keeps its nonzero column lines and a wide one the leading columns of
-    its nonzero row lines. Over Q a full rank mod DEFAULT_PRIME is kept, as
-    the columns J then hold a minor nonzero mod p; otherwise the
-    fraction-free pass gives the pivot columns."""
-    if not field.is_modular:
-        a = np.asarray(a, dtype=object)
-        cols = _column_basis((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
-        return cols if len(cols) == min(a.shape) else _echelon_int(a)[1]
-    p = field.prime
-    a = np.asarray(a, dtype=_dtype(field)) % p
-    tall = a.shape[0] > a.shape[1]
-    steps = _line_steps((a.T if tall else a)[None], p)
-    if tall:
-        return [k for k, (_, _, found) in enumerate(steps) if found[0]]
-    return sorted(int(j[0]) for _, j, found in steps if found[0])
+    """Ascending indices of a column basis of a 2-D integer array.
+
+    The zero rows and columns are dropped first: a zero column is in no
+    column basis, and neither changes the rank, so a column basis of the
+    live submatrix that is left, mapped back to a's columns, is one of a
+    (an array with no zero line is its own live submatrix, and is not
+    copied). Over GF(p), one `_line_steps` pass along the live submatrix's
+    shorter side: a line is nonzero exactly when it is independent of the
+    earlier ones, so a tall array keeps its nonzero column lines and a
+    wide one the leading columns of its nonzero row lines. Over Q a rank
+    mod DEFAULT_PRIME equal to the smaller side of the live submatrix is
+    kept, as its columns then hold a minor nonzero mod p; otherwise the
+    fraction-free pass gives the pivot columns. A sparse catalecticant,
+    such as a sharp family's, reaches min(live shape) mod p where it falls
+    far short of min(shape), so its frame needs no exact pass.
+    """
+    a = np.asarray(a, dtype=_dtype(field))
+    if field.is_modular:
+        a = a % field.prime
+    nonzero = a != 0
+    rows, cols = nonzero.any(1), nonzero.any(0)
+    live = a if rows.all() and cols.all() else a[rows][:, cols]
+    if field.is_modular:
+        tall = live.shape[0] > live.shape[1]
+        steps = _line_steps((live.T if tall else live)[None], field.prime)
+        if tall:
+            basis = [k for k, (_, _, found) in enumerate(steps) if found[0]]
+        else:
+            basis = sorted(int(j[0]) for _, j, found in steps if found[0])
+    else:
+        mod = (live % DEFAULT_PRIME).astype(np.int64)
+        basis = _column_basis(mod, _CERTIFICATE_FIELD)
+        if len(basis) != min(live.shape):
+            basis = _echelon_int(live)[1]
+    return basis if live is a else cols.nonzero()[0][basis].tolist()
 
 
 def rank(m: Matrix) -> int:

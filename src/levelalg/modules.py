@@ -13,9 +13,11 @@ and later catalecticants are gathered on the columns J_u and rows J_{e-u}
 only. The other columns are combinations of those in J_u, so restriction
 to J_u is injective on P_u; and x^α, α outside J_{e-u}, is a combination of
 the x^β, β in J_{e-u}, modulo Ann(F) ⊆ Ann(W): no integer changes. The
-passes run from u = e-1 down and stop at the first J_u that holds every
-degree-u monomial: P_u is then every degree-u form, so each lower P_{u'} =
-R_{u-u'}∘P_u is every degree-u' form and J_{u'} is all of its columns.
+passes run from u = e-1 down and stop at the first J_u that misses fewer
+than r of the degree-u monomials, r the number of variables: the missed
+count is dim Ann(F)_u, and a nonzero g in Ann(F)_{u-1} would put the r
+independent x_i·g into Ann(F)_u, so Ann(F) is 0 below u and every lower
+J_{u'} is all of its columns.
 
 Randomized operations (generic quotients, generator re-mixing) are fully
 reproducible: every draw comes from a Mersenne Twister seeded through a
@@ -157,16 +159,23 @@ class InverseSystemModule:
     def _frame(self) -> dict[int, list[int]]:
         """J_u for each inner degree u (see the module docstring): the column
         basis `_column_basis` finds in C_{e-u}(F), one pass per degree from
-        u = e-1 down to the first J_u that holds every degree-u monomial.
-        Below it every J_{u'} is range(N_{u'}), with no pass: P_u is then all
-        of the degree-u forms, so P_{u'} = R_{u-u'}∘P_u is all of degree u'
-        too, and a column basis of independent columns is all of them."""
+        u = e-1 down to the first J_u that misses fewer than r of the N_u
+        degree-u monomials (r the number of variables). Below it every
+        J_{u'} is range(N_{u'}), with no pass. For, the N_u - |J_u| missed
+        columns are the dimension of Ann(F)_u, the kernel of C_{e-u}(F)
+        (g∘F_k = 0 exactly when every coefficient x^α∘g∘F_k is 0). A
+        nonzero g in Ann(F)_{u-1} would put x_1·g, ..., x_r·g into Ann(F)_u,
+        and they are independent, as Σ c_i x_i·g = (Σ c_i x_i)·g is 0 only
+        for c = 0; so Ann(F)_{u-1} = 0, and Ann(F)_{u'} = 0 for every u' <
+        u - 1 too, as a nonzero g there times a power of x_1 would lie in
+        Ann(F)_{u-1}. The columns of C_{e-u'}(F) are then independent, and
+        its column basis is all of them."""
         r, e = self.num_vars, self.socle_degree
         frame = {}
         for u in range(e - 1, 0, -1):
             rows = catalecticant_rows(self._coeffs, r, e, e - u, CONTRACT, self.field)
             frame[u] = _column_basis(rows, self.field)
-            if len(frame[u]) == rows.shape[1]:
+            if rows.shape[1] - len(frame[u]) < r:
                 frame.update((v, list(range(space_dim(r, v)))) for v in range(1, u))
                 break
         return dict(sorted(frame.items()))

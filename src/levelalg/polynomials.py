@@ -3,7 +3,10 @@ operator monomials on them by partial differentiation or by contraction.
 
 Monomials are bare exponent tuples. Within a fixed degree they are ordered
 graded reverse-lexicographically with y1 > y2 > ..., so index 0 is always
-y1^d; the (monomial -> column index) maps are cached per (num_vars, degree).
+y1^d. Each (num_vars, degree) gets its exponents once, as a read-only int64
+array in that order, read straight off the stars-and-bars cuts in the
+order `itertools.combinations` yields the bars, with no sort; the tuples
+and the (monomial -> column index) maps are derived from it and cached.
 
 Both actions are one gather. The operator x^a sends y^(a+b) to y^b, so the
 row of x^a in a catalecticant reads the form's dense coefficients at the
@@ -20,7 +23,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, lcm, perm
 
 import numpy as np
@@ -72,24 +75,39 @@ def check_space_dim(num_vars: int, degree: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponents, ...]:
-    """All exponent vectors of the given total degree, in monomial order.
+def _exponents(num_vars: int, degree: int) -> np.ndarray:
+    """The exponent vectors of the given total degree, one row each, in
+    monomial order: a read-only int64 array of shape (N, num_vars).
 
     Stars and bars: the num_vars - 1 bars among degree + num_vars - 1
-    slots cut the stars into the exponents. Raises ValueError above
-    MAX_SPACE_DIM monomials.
+    slots cut the stars into num_vars parts. `combinations` yields the
+    bars in lexicographic order, so the parts come out ascending in
+    lexicographic order, and read backwards they are the exponents in
+    grevlex-descending order (which is ascending lexicographic order on
+    the reversed exponents): no sort is needed. Raises ValueError above
+    MAX_SPACE_DIM monomials, before anything is built.
     """
+    check_space_dim(num_vars, degree)
+    slots, n = degree + num_vars - 1, space_dim(num_vars, degree)
+    cuts = np.empty((n, num_vars + 1), dtype=np.int64)
+    cuts[:, 0], cuts[:, -1] = -1, slots
+    bars = chain.from_iterable(combinations(range(slots), num_vars - 1))
+    cuts[:, 1:-1] = np.fromiter(bars, np.int64, n * (num_vars - 1)).reshape(n, -1)
+    # part k is cuts[k + 1] - cuts[k] - 1, and the exponent of y_(k+1) is
+    # part num_vars - 1 - k
+    exps = cuts[:, :0:-1] - cuts[:, -2::-1] - 1
+    exps.flags.writeable = False
+    return exps
+
+
+@lru_cache(maxsize=None)
+def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponents, ...]:
+    """All exponent vectors of the given total degree, in monomial order:
+    the rows of `_exponents` as tuples. Raises ValueError above
+    MAX_SPACE_DIM monomials."""
     if num_vars < 1 or degree < 0:
         return ()
-    check_space_dim(num_vars, degree)
-    slots = degree + num_vars - 1
-    vecs: list[Exponents] = []
-    for bars in combinations(range(slots), num_vars - 1):
-        cuts = (-1, *bars, slots)
-        vecs.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
-    # grevlex descending == ascending lexicographic on reversed exponents
-    vecs.sort(key=lambda m: tuple(reversed(m)))
-    return tuple(vecs)
+    return tuple(map(tuple, _exponents(num_vars, degree).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -383,8 +401,7 @@ def _gather_table(
     The weights are prod_k perm(op_k + m_k, op_k), Python ints, for
     DIFFERENTIATE and None for CONTRACT.
     """
-    ops = np.array(monomials_of_degree(num_vars, i)).reshape(-1, num_vars)
-    monos = np.array(monomials_of_degree(num_vars, degree - i)).reshape(-1, num_vars)
+    ops, monos = _exponents(num_vars, i), _exponents(num_vars, degree - i)
     # In the monomial order the monomials before x = op*m are, for each k >= 2,
     # those that agree with x in y_(k+1)..y_r and have a smaller y_k:
     # space_dim(k, s_k) - space_dim(k, s_(k-1)) of them, s_k = x_1 + ... + x_k.

@@ -140,10 +140,10 @@ MUTANTS = (
         (MODULES + "test_graded_ranks_and_frame_equal_the_per_degree_passes",),
     ),
     Mutant(
-        "frame-stops-one-monomial-short",
+        "frame-stop-rule-off-by-one",
         "modules.py",
-        "            if len(frame[u]) == rows.shape[1]:\n",
-        "            if len(frame[u]) >= rows.shape[1] - 1:\n",
+        "            if rows.shape[1] - len(frame[u]) < r:\n",
+        "            if rows.shape[1] - len(frame[u]) <= r:\n",
         (MODULES + "test_frame_passes_stop_at_the_first_full_degree",),
     ),
     Mutant(
@@ -156,9 +156,33 @@ MUTANTS = (
     Mutant(
         "column-certificate-one-short",
         "linalg.py",
-        "return cols if len(cols) == min(a.shape) else _echelon_int(a)[1]",
-        "return cols if len(cols) >= min(a.shape) - 1 else _echelon_int(a)[1]",
+        "        if len(basis) != min(live.shape):\n",
+        "        if len(basis) < min(live.shape) - 1:\n",
         (LINALG + "test_rational_column_basis_certifies_full_rank_mod_p_only",),
+    ),
+    Mutant(
+        "column-certificate-by-full-shape",
+        "linalg.py",
+        "        if len(basis) != min(live.shape):\n",
+        "        if len(basis) != min(a.shape):\n",
+        (LINALG + "test_rational_sharp_frames_take_no_exact_pass",),
+    ),
+    Mutant(
+        "column-basis-not-mapped-back",
+        "linalg.py",
+        "    return basis if live is a else cols.nonzero()[0][basis].tolist()\n",
+        "    return basis\n",
+        (LINALG + "test_zero_rows_and_columns_leave_the_column_basis_in_place",),
+    ),
+    Mutant(
+        "exponents-not-reversed",
+        "polynomials.py",
+        "exps = cuts[:, :0:-1] - cuts[:, -2::-1] - 1",
+        "exps = cuts[:, 1:] - cuts[:, :-1] - 1",
+        (
+            "tests/test_polynomials.py::"
+            "test_exponent_arrays_are_the_sorted_tuples_and_read_only",
+        ),
     ),
 )
 

@@ -28,6 +28,10 @@ over every degree-u monomial, instead of the parent's frame.
 over all inner degrees at once replaced: its spaces from one `_bases` call
 per degree, and its levels, prefixes and relative dimensions its own.
 
+`monomials_sorted` keeps the exponent tuples as the package first built
+them: one tuple per stars-and-bars cut, then a sort into monomial order,
+where the package reads that order off the lexicographic order of the bars.
+
 `pencil_bound` writes out Iarrobino's type-2 bound on its own, as the
 reference for the general quotient bound at t = 2, c = 1.
 """
@@ -68,6 +72,18 @@ from levelalg.polynomials import (
 )
 
 CONT = DerivativeAction.CONTRACT
+
+
+def monomials_sorted(num_vars, degree):
+    """The degree-`degree` exponent tuples in monomial order, by a sort:
+    grevlex descending is ascending lexicographic order on the reversed
+    exponents."""
+    slots = degree + num_vars - 1
+    vecs = []
+    for bars in combinations(range(slots), num_vars - 1):
+        cuts = (-1, *bars, slots)
+        vecs.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    return sorted(vecs, key=lambda m: m[::-1])
 
 
 def gather_table(num_vars, degree, i, action):

@@ -19,6 +19,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from levelalg import linalg
+from levelalg.families import sharp_family
 from levelalg.fields import FieldSpec
 from levelalg.linalg import (
     AmbientMismatchError,
@@ -615,6 +616,20 @@ def test_column_basis_gives_columns_of_full_rank(field, data):
     assert len(oracle.echelon(a[:, cols], field)[1]) == r
 
 
+@pytest.mark.parametrize("field", MEET_FIELDS, ids=MEET_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_zero_rows_and_columns_leave_the_column_basis_in_place(field, data):
+    # zero lines inserted anywhere: the basis is the same columns, moved
+    # past the zero columns inserted before them
+    a = data.draw(_index_cases(field))
+    slots = [st.lists(st.integers(0, n), max_size=3) for n in a.shape]
+    row_slots, col_slots = data.draw(slots[0]), data.draw(slots[1])
+    padded = np.insert(np.insert(a, row_slots, 0, axis=0), col_slots, 0, axis=1)
+    moved = [j + sum(s <= j for s in col_slots) for j in _column_basis(a, field)]
+    assert _column_basis(padded, field) == moved
+
+
 def test_rational_column_basis_certifies_full_rank_mod_p_only(monkeypatch):
     a = [[1, 2, 0, 1], [0, 1, 1, 3], [2, 0, 0, 1]]
     calls = _count_exact_passes(monkeypatch)
@@ -627,6 +642,18 @@ def test_rational_column_basis_certifies_full_rank_mod_p_only(monkeypatch):
     short = [[0] * 4, a[0], [2 * x for x in a[0]], a[1]]
     assert _column_basis(np.array(short, dtype=object), RAT) == [0, 1]
     assert len(calls) == 2
+
+
+def test_rational_sharp_frames_take_no_exact_pass(monkeypatch):
+    # most lines of a sharp family's catalecticants are zero: sharp t=8 e=3
+    # has rank 9 on 72 by 45 at u = 2, and on its 16 by 9 live submatrix,
+    # so the rank mod p certifies every frame
+    calls = _count_exact_passes(monkeypatch)
+    for t, p, e in [(8, 1, 3), (6, 1, 4), (5, 2, 3)]:
+        m = sharp_family(t, p, e, RAT)
+        frame = m._frame
+        assert [len(frame[u]) for u in range(1, e)] == [(t + 1) * p] * (e - 1)
+    assert calls == []
 
 
 def _independent_rows(draw, k, n):

@@ -885,9 +885,9 @@ def test_frame_takes_one_elimination_per_degree_and_a_remix_shares_it(monkeypatc
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_frame_passes_stop_at_the_first_full_degree(monkeypatch, field):
-    # h = (1, 3, 6, 10, 15, 20, 12, 6, 2): passes at u = 7, 6, 5 and 4,
-    # where J_4 holds all N_4 = 15 monomials, and none below; h_5 = N_5 - 1,
-    # so a walk that stopped one monomial short would skip the u = 4 pass
+    # h = (1, 3, 6, 10, 15, 20, 12, 6, 2): passes at u = 7, 6 and 5 only.
+    # J_5 misses one of the N_5 = 21 monomials, fewer than r = 3, so
+    # Ann(F)_4 = 0 and every lower J_u is all of its columns
     calls = []
     kernel = modules._column_basis
     monkeypatch.setattr(
@@ -897,13 +897,19 @@ def test_frame_passes_stop_at_the_first_full_degree(monkeypatch, field):
         m = random_module(3, 8, 2, 0.5, seed, field)
         calls.clear()
         frame = m._frame
-        assert len(calls) == 4
+        assert len(calls) == 3
         h = oracle.h_vector(m.generators)
         assert h == (1, 3, 6, 10, 15, 20, 12, 6, 2)
         assert [len(frame[u]) for u in range(1, 8)] == list(h[1:8])
         for u in range(1, 8):
             rows = catalecticant_rows(m._coeffs, 3, 8, 8 - u, CONT, field)
             assert frame[u] == kernel(rows, field), u
+    # y1^5 in two variables: J_u = {y1^u} misses u >= r = 2 monomials down
+    # to u = 2, so the walk takes every pass, and J_1 = {y1} is not full
+    m = InverseSystemModule((_mono(2, (5, 0), field),), field)
+    calls.clear()
+    assert m._frame == {u: [0] for u in range(1, 5)}
+    assert len(calls) == 4
 
 
 def test_relative_intersection_dim_matches_the_oracle_on_every_subset():

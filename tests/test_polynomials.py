@@ -8,6 +8,7 @@ import numpy as np
 import oracle
 import pytest
 
+from levelalg import polynomials
 from levelalg.fields import FieldSpec
 from levelalg.linalg import Matrix, _ranks, row_space
 from levelalg.polynomials import (
@@ -16,6 +17,7 @@ from levelalg.polynomials import (
     Form,
     FormParseError,
     ParameterMismatchError,
+    _exponents,
     _gather_table,
     apply_operator,
     catalecticant_rows,
@@ -62,14 +64,36 @@ def test_monomial_order_first_is_pure_power_and_sorted():
             assert keys == sorted(keys)
 
 
-def test_monomials_of_many_variables_and_the_space_bound():
+def test_monomials_of_many_variables_and_the_space_bound(monkeypatch):
     # one exponent vector per variable, without recursing once per variable
     monos = monomials_of_degree(1200, 1)
     assert len(monos) == 1200
     assert monos[0] == (1,) + (0,) * 1199 and monos[-1] == (0,) * 1199 + (1,)
     assert space_dim(1200, 3) > MAX_SPACE_DIM
+
+    # the bound is checked before a single bar is drawn
+    def drawn(*args):
+        raise AssertionError("the bars were drawn")
+
+    monkeypatch.setattr(polynomials, "combinations", drawn)
     with pytest.raises(ValueError, match="288720400 monomials"):
         monomials_of_degree(1200, 3)
+    with pytest.raises(ValueError, match="288720400 monomials"):
+        _exponents(1200, 3)
+
+
+def test_exponent_arrays_are_the_sorted_tuples_and_read_only():
+    # the order read off the ordered bars is the order a sort gave
+    shapes = [(r, d) for r in range(1, 7) for d in range(8)] + [(1, 12), (9, 0)]
+    for r, d in shapes:
+        exps = _exponents(r, d)
+        want = oracle.monomials_sorted(r, d)
+        assert exps.dtype == np.int64 and exps.shape == (len(want), r), (r, d)
+        assert list(map(tuple, exps.tolist())) == want, (r, d)
+        assert monomials_of_degree(r, d) == tuple(want), (r, d)
+        assert not exps.flags.writeable
+        with pytest.raises(ValueError):
+            exps[0, 0] = 1
 
 
 def test_monomial_index_is_inverse():
