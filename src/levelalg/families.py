@@ -2,13 +2,16 @@
 
 Three constructions: a block family that attains the generic-quotient
 bound in every degree, truncations of power sums supported on a conic,
-and density-controlled random modules.
+and density-controlled random modules, plus random monomial modules. Each
+writes its generators' coefficient rows directly, in monomial order.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fields import FieldSpec
 from .modules import (
@@ -18,7 +21,7 @@ from .modules import (
     derive_seed,
     random_coefficient,
 )
-from .polynomials import Form, check_space_dim, monomials_of_degree, space_dim
+from .polynomials import check_space_dim, monomial_rank, monomials_of_degree, space_dim
 
 _CONIC_POINT_RANGE = 10**4
 
@@ -38,16 +41,14 @@ def sharp_family(t: int, p: int, e: int, field: FieldSpec) -> InverseSystemModul
         raise ValueError("socle degree must be at least 2")
     r = (t + 1) * p
     check_space_dim(r, e)
-    gens = []
-    for j in range(1, t + 1):
-        terms = {}
-        for m in range(1, p + 1):
-            exps = [0] * r
-            exps[m - 1] += e - 1
-            exps[j * p + m - 1] += 1
-            terms[tuple(exps)] = 1
-        gens.append(Form(r, e, field, terms))
-    return InverseSystemModule(tuple(gens), field, label=f"sharp-t{t}-p{p}-e{e}")
+    # the exponents of term m of generator j, 0-based: e-1 at m, 1 at (j+1)p+m
+    exps = np.zeros((t, p, r), dtype=np.int64)
+    j, m = np.arange(t)[:, None], np.arange(p)
+    exps[j, m, m] = e - 1
+    exps[j, m, (j + 1) * p + m] = 1
+    rows = np.zeros((t, space_dim(r, e)), dtype=np.int64)
+    rows[j, monomial_rank(exps, e)] = 1
+    return InverseSystemModule(r, e, field, rows, label=f"sharp-t{t}-p{p}-e{e}")
 
 
 def truncated_gorenstein_conic(
@@ -69,36 +70,30 @@ def truncated_gorenstein_conic(
         rng = random.Random(derive_seed(seed, "conic", attempt))
         points = rng.sample(range(1, _CONIC_POINT_RANGE + 1), s)
         lams = [random_coefficient(rng, field) for _ in range(s)]
-        gens = _conic_partials(points, lams, e, field)
+        rows = _conic_partials(points, lams, e, field)
         try:
-            return InverseSystemModule(
-                tuple(gens), field, label=f"conic-s{s}-e{e}"
-            )
+            return InverseSystemModule(3, e, field, rows, label=f"conic-s{s}-e{e}")
         except DependentGeneratorsError:
             continue
     raise DegenerateSampleError("no valid conic configuration in 100 attempts")
 
 
-def _conic_partials(points, lams, e: int, field: FieldSpec) -> list[Form]:
-    # The default action lowers exponents with unit coefficients, so the
-    # power of the linear form (1, s, s^2) is encoded without multinomial
-    # factors: P_d(s) = sum over a+b+c=d of s^(b+2c) y1^a y2^b y3^c, which
-    # satisfies x1.P_d = P_(d-1), x2.P_d = s P_(d-1), x3.P_d = s^2 P_(d-1).
-    # Generator j is then x_j applied to sum_k lam_k P_(e+1)(s_k), i.e.
-    # sum_k lam_k s_k^(j-1) P_e(s_k).
+def _conic_partials(points, lams, e: int, field: FieldSpec) -> list[list[int]]:
+    # Contraction lowers exponents with unit coefficients, so the power of
+    # the linear form (1, s, s^2) is encoded without multinomial factors:
+    # P_d(s) = sum over a+b+c=d of s^(b+2c) y1^a y2^b y3^c, which satisfies
+    # x1.P_d = P_(d-1), x2.P_d = s P_(d-1), x3.P_d = s^2 P_(d-1). Generator
+    # j is then x_j applied to sum_k lam_k P_(e+1)(s_k), i.e. sum_k lam_k
+    # s_k^(j-1) P_e(s_k): its coefficient rows, reduced mod p over GF(p).
     monos = monomials_of_degree(3, e)
-    gens = []
-    for j in range(3):
-        terms = {}
-        for exps in monos:
-            _, b, c = exps
-            coeff = 0
-            for s_k, lam in zip(points, lams):
-                coeff += lam * pow(s_k, j) * pow(s_k, b + 2 * c)
-            if coeff:
-                terms[exps] = coeff
-        gens.append(Form(3, e, field, terms))
-    return gens
+    rows = [
+        [sum(lam * s_k ** (j + b + 2 * c) for s_k, lam in zip(points, lams))
+         for _, b, c in monos]
+        for j in range(3)
+    ]
+    if field.is_modular:
+        rows = [[x % field.prime for x in row] for row in rows]
+    return rows
 
 
 def random_module(
@@ -112,8 +107,9 @@ def random_module(
     """t independent random forms of degree e in r variables.
 
     Each degree-e monomial enters a form with the given probability and a
-    nonzero random coefficient; empty or dependent draws are regenerated,
-    up to 50 attempts.
+    nonzero random coefficient, drawn into the form's coefficient row in
+    monomial order; empty or dependent draws are regenerated, up to 50
+    attempts.
     """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
@@ -122,30 +118,27 @@ def random_module(
     dim = space_dim(r, e)
     if t > dim:
         raise ValueError(f"type {t} exceeds the space dimension {dim}")
-    monos = monomials_of_degree(r, e)
+    check_space_dim(r, e)
     for attempt in range(50):
         rng = random.Random(derive_seed(seed, "random-module", attempt))
-        gens = []
+        draw = rng.random
+        rows = []
         for _ in range(t):
-            terms = {}
             for _ in range(50):
-                terms = {
-                    mono: random_coefficient(rng, field)
-                    for mono in monos
-                    if rng.random() < density
-                }
-                if terms:
+                row = [
+                    random_coefficient(rng, field) if draw() < density else 0
+                    for _ in range(dim)
+                ]
+                if any(row):
                     break
-            if not terms:
+            else:
                 break
-            gens.append(Form(r, e, field, terms))
-        if len(gens) != t:
+            rows.append(row)
+        if len(rows) != t:
             continue
         try:
             return InverseSystemModule(
-                tuple(gens),
-                field,
-                label=f"random-r{r}-e{e}-t{t}-d{density:g}-s{seed}",
+                r, e, field, rows, label=f"random-r{r}-e{e}-t{t}-d{density:g}-s{seed}"
             )
         except DependentGeneratorsError:
             continue
@@ -155,16 +148,18 @@ def random_module(
 def monomial_module(
     r: int, e: int, t: int, seed: int, field: FieldSpec
 ) -> InverseSystemModule:
-    """t distinct random degree-e monomials (independent by construction)."""
+    """t distinct random degree-e monomials (independent by construction),
+    sampled by their positions in monomial order."""
     if e < 1 or r < 1 or t < 1:
         raise ValueError("r, e, t must be positive")
     dim = space_dim(r, e)
     if t > dim:
         raise ValueError(f"type {t} exceeds the space dimension {dim}")
+    check_space_dim(r, e)
     rng = random.Random(derive_seed(seed, "monomial-module"))
-    chosen = rng.sample(monomials_of_degree(r, e), t)
-    gens = tuple(Form(r, e, field, {mono: 1}) for mono in chosen)
-    return InverseSystemModule(gens, field, label=f"monomial-r{r}-e{e}-t{t}-s{seed}")
+    rows = np.zeros((t, dim), dtype=np.int64)
+    rows[range(t), rng.sample(range(dim), t)] = 1
+    return InverseSystemModule(r, e, field, rows, label=f"monomial-r{r}-e{e}-t{t}-s{seed}")
 
 
 # family -> the parameters a manifest line may give it

@@ -20,8 +20,8 @@ and a back-substitution. Its arrays are int64
 residues in [0, p) whenever p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`),
 so a product of two entries fits in int64, and object arrays of Python
 ints only for larger primes.
-`_dtype` makes that choice once, where the coefficient rows are built
-(`polynomials.coefficient_rows`), and every GF(p) array built from them
+`_dtype` makes that choice once, where a module's coefficient rows are
+stored (`modules.InverseSystemModule`), and every GF(p) array built from them
 keeps it: catalecticant gathers, combinations (`_combine`, whose int64
 dot is guarded by an exact bound on its sums), bases and meets. The
 kernels read int64 input without a copy (`np.asarray`) and reduce it

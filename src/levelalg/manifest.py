@@ -19,7 +19,7 @@ the run seed.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .bounds import VerificationReport, verify_instance
 from .combinatorics import binomial
@@ -244,7 +244,7 @@ def run_manifest(
         except (ValueError, DegenerateSampleError) as exc:
             raise ManifestError(str(exc), inst.line) from exc
         if inst.label:
-            m = type(m)(m.generators, m.field, label=inst.label)
+            m = replace(m, label=inst.label)
         t = m.type
         c_list = inst.c_list if inst.c_list is not None else tuple(range(1, t))
         for c in c_list:

@@ -1,10 +1,17 @@
 """Finitely generated submodules of the dual polynomial ring.
 
-A module here is a list of linearly independent homogeneous forms of one
-degree e; the polynomial ring acts by contraction (or differentiation).
-The h-vector entry in degree u is the dimension of the degree-u piece,
-i.e. of the span of all order-(e-u) derivatives of the generators. The
-socle degree e always contributes dim = number of generators, the type.
+A module here is t linearly independent forms of one degree e in r
+variables, held as their coefficient rows only: a read-only t-by-N_e array
+over the degree-e monomials in monomial order, int64 residues over GF(p)
+(Python ints above `linalg._INT64_PRIME_LIMIT`) and, over Q, Python ints
+that one common denominator divides back into the forms. The families,
+the re-mix and the quotient samples write and read those rows; Forms
+appear only at the edges, in `InverseSystemModule.from_forms`, the derived
+`generators`, and the module file format. The polynomial ring acts by
+contraction. The h-vector entry in degree u is the dimension of the
+degree-u piece, i.e. of the span of all order-(e-u) contractions of the
+generators. The socle degree e always contributes dim = number of
+generators, the type.
 
 Quotients and generator subsets live inside their parent: each degree-u
 piece lies in the parent's P_u = row C_{e-u}(F). The module's frame holds
@@ -44,16 +51,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _bases, _column_basis, _combine, _meets, _ranks
+from .linalg import _bases, _column_basis, _combine, _dtype, _meets, _ranks
 from .polynomials import (
-    DerivativeAction,
     Form,
     FormParseError,
     _gather_table,
@@ -66,7 +72,6 @@ from .polynomials import (
 )
 
 COEFF_RANGE = 10**6  # bound of the random coefficients; see random_coefficient
-CONTRACT = DerivativeAction.CONTRACT
 
 
 class DependentGeneratorsError(ValueError):
@@ -117,43 +122,63 @@ def random_coefficient(rng: random.Random, field: FieldSpec) -> int:
             return r - COEFF_RANGE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseSystemModule:
-    """Independent degree-e generators over a common field, with a label."""
+    """Independent degree-e generators over a common field, with a label,
+    held as their coefficient rows (see the module docstring).
 
-    generators: tuple[Form, ...]
+    `rows` is t-by-N_e, N_e = space_dim(num_vars, socle_degree), in
+    monomial order; the module keeps a read-only copy in the field's array
+    type, reduced mod p over GF(p). Over Q the rows are integers and
+    `denominator` divides them back into the generators. A module hashes
+    and compares by identity.
+    """
+
+    num_vars: int
+    socle_degree: int
     field: FieldSpec
+    rows: np.ndarray
     label: str = ""
+    denominator: int = 1
 
     def __post_init__(self) -> None:
-        if not self.generators:
-            raise ValueError("a module needs at least one generator")
-        g0 = self.generators[0]
-        if g0.degree < 1:
-            raise ValueError("generator degree must be at least 1")
-        for g in self.generators:
-            if g.field != self.field:
-                raise ValueError("generator field disagrees with module field")
-            if (g.num_vars, g.degree) != (g0.num_vars, g0.degree):
-                raise ValueError("generators disagree in variables or degree")
-        if self.field.is_modular and self.field.prime <= g0.degree:
-            raise ValueError(
-                f"modulus {self.field.prime} must exceed the socle degree {g0.degree}"
-            )
-        if _ranks(self._coeffs[None], self.field)[0] != len(self.generators):
-            raise DependentGeneratorsError(
-                f"{len(self.generators)} generators span a smaller space"
-            )
-
-    @cached_property
-    def _coeffs(self) -> np.ndarray:
-        """The generators' coefficient rows (`coefficient_rows`): int64
-        residues over GF(p) below `linalg._INT64_PRIME_LIMIT`, and over Q
-        scaled by one common denominator to integers; built once, shared
-        and read-only."""
-        rows = coefficient_rows(self.generators, integral=True)
+        rows = np.array(self.rows, dtype=_dtype(self.field))
+        if self.field.is_modular:
+            rows %= self.field.prime
         rows.flags.writeable = False
-        return rows
+        object.__setattr__(self, "rows", rows)
+        if rows.ndim != 2 or not len(rows):
+            raise ValueError("a module needs at least one generator")
+        e = self.socle_degree
+        if e < 1:
+            raise ValueError("generator degree must be at least 1")
+        if rows.shape[1] != space_dim(self.num_vars, e):
+            raise ValueError(
+                f"{rows.shape[1]} coefficients per row, but {self.num_vars} "
+                f"variables have {space_dim(self.num_vars, e)} monomials of degree {e}"
+            )
+        if self.field.is_modular and self.field.prime <= e:
+            raise ValueError(
+                f"modulus {self.field.prime} must exceed the socle degree {e}"
+            )
+        if _ranks(rows[None], self.field)[0] != len(rows):
+            raise DependentGeneratorsError(f"{len(rows)} generators span a smaller space")
+
+    @classmethod
+    def from_forms(cls, forms, field: FieldSpec, label: str = "") -> InverseSystemModule:
+        """The module the forms generate, their rows from `coefficient_rows`."""
+        if any(g.field != field for g in forms):
+            raise ValueError("generator field disagrees with module field")
+        rows, den = coefficient_rows(forms)
+        g = forms[0]
+        return cls(g.num_vars, g.degree, field, rows, label, den)
+
+    @property
+    def generators(self) -> tuple[Form, ...]:
+        """The generators as Forms, each row divided by the denominator: over
+        Q exactly the forms the module was built from."""
+        r, e, field, den = self.num_vars, self.socle_degree, self.field, self.denominator
+        return tuple(form_from_row(row, r, e, field, den) for row in self.rows.tolist())
 
     @cached_property
     def _frame(self) -> dict[int, list[int]]:
@@ -173,7 +198,7 @@ class InverseSystemModule:
         r, e = self.num_vars, self.socle_degree
         frame = {}
         for u in range(e - 1, 0, -1):
-            rows = catalecticant_rows(self._coeffs, r, e, e - u, CONTRACT, self.field)
+            rows = catalecticant_rows(self.rows, r, e, e - u)
             frame[u] = _column_basis(rows, self.field)
             if rows.shape[1] - len(frame[u]) < r:
                 frame.update((v, list(range(space_dim(r, v)))) for v in range(1, u))
@@ -185,21 +210,13 @@ class InverseSystemModule:
         """The gather table of C_{e-u} on the frame, table[J_{e-u}][:, J_u]."""
         r, e, frame = self.num_vars, self.socle_degree, self._frame
         return {
-            u: _gather_table(r, e, e - u, CONTRACT)[0][np.ix_(frame[e - u], frame[u])]
+            u: _gather_table(r, e, e - u)[np.ix_(frame[e - u], frame[u])]
             for u in frame
         }
 
     @property
-    def num_vars(self) -> int:
-        return self.generators[0].num_vars
-
-    @property
-    def socle_degree(self) -> int:
-        return self.generators[0].degree
-
-    @property
     def type(self) -> int:
-        return len(self.generators)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -298,7 +315,7 @@ def h_vector(m: InverseSystemModule) -> tuple[int, ...]:
 def _single_spaces(m: InverseSystemModule, us, w: np.ndarray) -> list[list[np.ndarray]]:
     """For each degree u in us, the degree-u basis rows on the columns J_u
     of each form whose coefficient row is a row of w: m's generators
-    (m._coeffs) or a re-mix W = A·F of them, whose span is m's and so is
+    (m.rows) or a re-mix W = A·F of them, whose span is m's and so is
     its frame. One stacked `_bases` call on the catalecticants gathered
     through m's frame for the degrees whose frame tables share a shape."""
     spaces = _by_shape(
@@ -340,7 +357,7 @@ def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
         if not pending:
             break
         a = [_random_matrix(seeds[k], label, attempt, c, t, m.field) for k in pending]
-        w = _combine(a, m._coeffs, m.field)
+        w = _combine(a, m.rows, m.field)
         ranks = _ranks(w, m.field) if c > 1 else [1] * len(pending)
         draws.update((k, x) for k, x, r in zip(pending, zip(a, w), ranks) if r == c)
     if len(draws) < len(seeds):
@@ -380,7 +397,7 @@ def sample_generic_quotient(
     rows = tuple(tuple(int(x) for x in row) for row in coefficients)
     if len(rows) != c or any(len(r) != m.type for r in rows):
         raise ValueError(f"coefficient matrix must be {c}x{m.type}")
-    w = _combine([rows], m._coeffs, m.field)
+    w = _combine([rows], m.rows, m.field)
     if _ranks(w, m.field)[0] != c:
         raise DependentGeneratorsError(f"{c} combinations span a smaller space")
     return QuotientSample(m, c, rows, seed, _graded_ranks(w, m)[0])
@@ -422,16 +439,11 @@ def remix_generators(m: InverseSystemModule, seed: int = 0) -> InverseSystemModu
     Useful because overlap statistics below depend on the chosen
     generators; a random re-mix realizes the generic choice while leaving
     the module (hence its h-vector) untouched. `levelalg verify` walks
-    the rows W alone (`manifest._identity_checks`).
+    the rows W alone (`manifest._identity_checks`). Over Q, W = A·(d·F)
+    for the rows d·F of m, so m's denominator d gives back A·F exactly.
     """
-    [(a, _)] = _draws(m, m.type, [seed], "remix")
-    # A·F on the generators' own coefficients, Fractions over Q: the rows
-    # of m._coeffs are scaled to integers there
-    rows = _combine([a], coefficient_rows(m.generators), m.field)[0].tolist()
-    forms = tuple(
-        form_from_row(row, m.num_vars, m.socle_degree, m.field) for row in rows
-    )
-    remixed = InverseSystemModule(forms, m.field, label=m.label)
+    [(_, w)] = _draws(m, m.type, [seed], "remix")
+    remixed = replace(m, rows=w)
     object.__setattr__(remixed, "_frame", m._frame)  # same span, same frame
     return remixed
 
@@ -525,7 +537,7 @@ def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
     _check_degree(m, u)
     if m.type < 2:
         raise ValueError("inclusion-exclusion needs at least two generators")
-    return _overlap(_single_spaces(m, [u], m._coeffs), m.field)[0][0]
+    return _overlap(_single_spaces(m, [u], m.rows), m.field)[0][0]
 
 
 def relative_intersection_dim(
@@ -549,7 +561,7 @@ def relative_intersection_dim(
     subset = tuple(subset)
     if len(set(subset)) != q or any(not 0 <= j < t for j in subset):
         raise ValueError(f"subset {subset} is not {q} distinct indices below {t}")
-    [spaces] = _single_spaces(m, [u], m._coeffs)
+    [spaces] = _single_spaces(m, [u], m.rows)
     inter = spaces[subset[0]]
     for j in subset[1:]:
         if not len(inter):
@@ -635,10 +647,10 @@ def parse_module_file(
         except FormParseError as exc:
             raise ModuleFileError(str(exc), lineno) from exc
     try:
-        return InverseSystemModule(tuple(forms), field)
+        return InverseSystemModule.from_forms(forms, field)
     except DependentGeneratorsError as exc:
         # the line of the first generator in the span of the earlier ones
-        rows = coefficient_rows(forms, integral=True)
+        rows, _ = coefficient_rows(forms)
         ranks = _ranks([rows[: k + 1] for k in range(len(rows))], field)
         k = next(k for k, r in enumerate(ranks) if r <= k)
         raise ModuleFileError(str(exc), gen_texts[k][2]) from exc

@@ -1,30 +1,36 @@
-"""Sparse homogeneous forms in the dual variables y1..yr and the action of
-operator monomials on them by partial differentiation or by contraction.
+"""Homogeneous forms in the dual variables y1..yr: the monomial order, the
+closed-form rank of a monomial in it, and the contraction catalecticants
+of coefficient rows.
 
-Monomials are bare exponent tuples. Within a fixed degree they are ordered
+Monomials are exponent vectors. Within a fixed degree they are ordered
 graded reverse-lexicographically with y1 > y2 > ..., so index 0 is always
 y1^d. Each (num_vars, degree) gets its exponents once, as a read-only int64
 array in that order, read straight off the stars-and-bars cuts in the
-order `itertools.combinations` yields the bars, with no sort; the tuples
-and the (monomial -> column index) maps are derived from it and cached.
+order `itertools.combinations` yields the bars, with no sort. The position
+of a monomial in that order has a closed form in the prefix sums of its
+exponents (`monomial_rank`), and that one formula places every term of a
+form in its coefficient row and builds every catalecticant index table.
 
-Both actions are one gather. The operator x^a sends y^(a+b) to y^b, so the
-row of x^a in a catalecticant reads the form's dense coefficients at the
-indices of a+b, for every monomial b of the lower degree. Those indices
-are cached per (num_vars, degree, operator degree, action), and every
-catalecticant row in the package, apply_operator included, is built from
-that table. Differentiation only adds the falling-factorial weight
-prod_k (a_k + b_k)! / b_k! of each entry; contraction has no weights.
+The operator x^a acts by contraction: it sends y^(a+b) to y^b and kills
+every monomial it does not divide. So the row of x^a in a catalecticant
+reads the form's dense coefficients at the positions of a+b, for every
+monomial b of the lower degree: one gather through a table cached per
+(num_vars, degree, operator degree), from which every catalecticant row
+in the package, apply_operator's included, is built.
+
+`Form` is the sparse, exact form of the text and API edges: what
+`parse_form` reads and `Form.to_text` writes. `coefficient_rows` turns
+forms into the dense rows a module holds, and `form_from_row` turns a row
+back into a Form.
 """
 
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, lcm, perm
+from math import comb, lcm
 
 import numpy as np
 
@@ -32,11 +38,6 @@ from .fields import FieldSpec, Scalar
 from .linalg import Subspace, _dtype, _span
 
 Exponents = tuple[int, ...]
-
-
-class DerivativeAction(Enum):
-    DIFFERENTIATE = "differentiate"
-    CONTRACT = "contract"
 
 
 class FormParseError(ValueError):
@@ -110,9 +111,34 @@ def monomials_of_degree(num_vars: int, degree: int) -> tuple[Exponents, ...]:
     return tuple(map(tuple, _exponents(num_vars, degree).tolist()))
 
 
-@lru_cache(maxsize=None)
-def monomial_index(num_vars: int, degree: int) -> dict[Exponents, int]:
-    return {m: i for i, m in enumerate(monomials_of_degree(num_vars, degree))}
+def _positions(prefix, num_vars: int, degree: int) -> np.ndarray:
+    """Positions in monomial order of degree-`degree` monomials x, given by
+    their prefix sums: prefix(k), k = 0, 1, ..., is the array of x_1 + ...
+    + x_(k+1), one shape for every k.
+
+    With S_k = x_1 + ... + x_k, the monomials before x are, for each k >=
+    2, those that agree with x in y_(k+1)..y_r and have a smaller y_k:
+    space_dim(k, S_k) - space_dim(k, S_(k-1)) of them, summing
+    space_dim(k-1, .) over the degrees left to y_1..y_(k-1). The sum runs
+    one variable at a time, so every array keeps prefix's shape.
+    """
+    dims = np.array(
+        [[space_dim(k, d) for d in range(degree + 1)] for k in range(1, num_vars + 1)]
+    )
+    prev = prefix(0)
+    pos = np.zeros(np.shape(prev), dtype=np.int64)
+    for k in range(1, num_vars):
+        s = prefix(k)
+        pos += dims[k, s] - dims[k, prev]
+        prev = s
+    return pos
+
+
+def monomial_rank(exps, degree: int) -> np.ndarray:
+    """Positions in monomial order of exponent vectors of total degree
+    `degree`, laid along the last axis of `exps`, in one vectorized pass."""
+    s = np.asarray(exps, dtype=np.int64).cumsum(-1)
+    return _positions(lambda k: s[..., k], s.shape[-1], degree)
 
 
 class Form:
@@ -185,15 +211,6 @@ class Form:
     def __repr__(self) -> str:
         return f"Form({self.to_text()!r}, vars={self.num_vars}, degree={self.degree})"
 
-    def coefficient_vector(self) -> list[Scalar]:
-        """Dense coefficients in the monomial order of this degree."""
-        idx = monomial_index(self.num_vars, self.degree)
-        zero = self.field.zero()
-        vec = [zero] * len(idx)
-        for exps, coeff in self.terms.items():
-            vec[idx[exps]] = coeff
-        return vec
-
     def to_text(self) -> str:
         """Expression in the module-file grammar (integer coefficients)."""
         if self.is_zero:
@@ -202,9 +219,9 @@ class Form:
         if not self.field.is_modular:
             den = lcm(*(c.denominator for c in coeffs.values()))
             coeffs = {m: c * den for m, c in coeffs.items()}
-        order = monomial_index(self.num_vars, self.degree)
+        ranks = monomial_rank(list(coeffs), self.degree).tolist()
         pieces: list[str] = []
-        for exps in sorted(coeffs, key=order.get):
+        for _, exps in sorted(zip(ranks, coeffs)):
             c = int(coeffs[exps])
             mono = "*".join(
                 f"y{i + 1}^{e}" if e > 1 else f"y{i + 1}"
@@ -329,26 +346,22 @@ def parse_form(text: str, num_vars: int, degree: int, field: FieldSpec) -> Form:
     return Form(num_vars, degree, field, acc)
 
 
-def apply_operator(
-    op: Exponents, form: Form, action: DerivativeAction = DerivativeAction.CONTRACT
-) -> Form:
-    """Act on `form` by the operator monomial x^op.
-
-    Differentiation multiplies by falling factorials; contraction just
-    lowers exponents with coefficient 1. Either way a term not divisible
-    by the operator dies. The result is a Form of degree deg - |op|,
-    possibly zero: the row of op in the catalecticant of the form.
+def apply_operator(op: Exponents, form: Form) -> Form:
+    """Contract `form` by the operator monomial x^op: each term divisible
+    by x^op has its exponents lowered by op, with coefficient 1, and every
+    other term dies. The result is a Form of degree deg - |op|, possibly
+    zero: the row of op in the catalecticant of the form.
     """
     r, e, field, i = form.num_vars, form.degree, form.field, sum(op)
     if len(op) != r:
         raise ParameterMismatchError(f"operator has {len(op)} variables, form has {r}")
-    k = monomial_index(r, i).get(tuple(op))
-    if k is None:
-        raise ValueError(f"negative exponent in operator {op}")
+    if any(a < 0 for a in op):
+        raise ValueError(f"negative exponent in operator {tuple(op)}")
     if i > e:
         raise ValueError(f"operator degree {i} out of range 0..{e}")
-    rows = catalecticant_rows(coefficient_rows([form]), r, e, i, action, field)
-    return form_from_row(rows[k].tolist(), r, e - i, field)
+    rows, den = coefficient_rows([form])
+    row = catalecticant_rows(rows, r, e, i)[monomial_rank(op, i)]
+    return form_from_row(row.tolist(), r, e - i, field, den)
 
 
 def _check_family(forms) -> tuple[int, int, FieldSpec]:
@@ -367,105 +380,72 @@ def _check_family(forms) -> tuple[int, int, FieldSpec]:
     return first.num_vars, first.degree, first.field
 
 
-def coefficient_rows(forms, integral: bool = False) -> np.ndarray:
-    """Dense coefficient vectors of the forms, one row each, in the array
-    type of their field (`linalg._dtype`). Over GF(p) they are residues in
-    [0, p): int64 for p <= `linalg._INT64_PRIME_LIMIT`, so a product of two
-    fits in int64 and every array built from them stays int64, and Python
-    ints in an object array for larger primes. Over Q they are Fractions
-    in an object array; `integral` scales them by one common denominator
-    to Python ints, which keeps ranks and row spaces but not the values.
+def coefficient_rows(forms) -> tuple[np.ndarray, int]:
+    """Dense coefficient rows of the forms, one row each, with every term
+    placed at its `monomial_rank`, in the array type of their field
+    (`linalg._dtype`), and the denominator d they are scaled by.
+
+    Over GF(p) the rows hold residues in [0, p): int64 for p <=
+    `linalg._INT64_PRIME_LIMIT`, so a product of two fits in int64 and
+    every array built from them stays int64, and Python ints in an object
+    array for larger primes; d is 1. Over Q they hold the coefficients
+    times their least common denominator d, Python ints in an object
+    array: the same ranks and row spaces, and row / d gives the forms back
+    exactly.
     """
-    _, _, field = _check_family(forms)
-    rows = [f.coefficient_vector() for f in forms]
-    if integral and not field.is_modular:
-        den = lcm(*(x.denominator for row in rows for x in row))
-        rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    return np.array(rows, dtype=_dtype(field))
+    num_vars, degree, field = _check_family(forms)
+    terms = [(k, exps, c) for k, f in enumerate(forms) for exps, c in f.terms.items()]
+    den = 1 if field.is_modular else lcm(*(c.denominator for _, _, c in terms))
+    rows = np.zeros((len(forms), space_dim(num_vars, degree)), dtype=_dtype(field))
+    if terms:
+        ks, exps, coeffs = zip(*terms)
+        rows[list(ks), monomial_rank(exps, degree)] = [
+            c.numerator * (den // c.denominator) for c in coeffs
+        ]
+    return rows, den
 
 
-def form_from_row(row, num_vars: int, degree: int, field: FieldSpec) -> Form:
-    """The Form whose dense coefficients, in monomial order, are `row`."""
-    monos = monomials_of_degree(num_vars, degree)
-    return Form(num_vars, degree, field, {m: c for m, c in zip(monos, row) if c})
+def form_from_row(
+    row, num_vars: int, degree: int, field: FieldSpec, denominator: int = 1
+) -> Form:
+    """The Form whose dense coefficients, in monomial order, are `row`
+    divided by `denominator`."""
+    terms = {m: c for m, c in zip(monomials_of_degree(num_vars, degree), row) if c}
+    if denominator != 1:
+        terms = {m: Fraction(c, denominator) for m, c in terms.items()}
+    return Form(num_vars, degree, field, terms)
 
 
 @lru_cache(maxsize=None)
-def _gather_table(
-    num_vars: int, degree: int, i: int, action: DerivativeAction
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Where each catalecticant entry comes from, and its weight.
-
-    Entry (op, m), for a degree-i operator op and a degree-(degree-i)
-    monomial m, is the index of op*m among the degree-`degree` monomials.
-    The weights are prod_k perm(op_k + m_k, op_k), Python ints, for
-    DIFFERENTIATE and None for CONTRACT.
-    """
-    ops, monos = _exponents(num_vars, i), _exponents(num_vars, degree - i)
-    # In the monomial order the monomials before x = op*m are, for each k >= 2,
-    # those that agree with x in y_(k+1)..y_r and have a smaller y_k:
-    # space_dim(k, s_k) - space_dim(k, s_(k-1)) of them, s_k = x_1 + ... + x_k.
-    # The prefix sums of op + m are the sums of those of op and m, so the
-    # table is built one variable at a time from N_i-by-N_(e-i) arrays.
-    so, sm = ops.cumsum(1), monos.cumsum(1)
-    dims = np.array(
-        [[space_dim(k, d) for d in range(degree + 1)] for k in range(1, num_vars + 1)]
-    )
-    table = np.zeros((len(ops), len(monos)), dtype=np.int64)
-    prev = so[:, 0, None] + sm[:, 0]
-    for k in range(1, num_vars):
-        s = so[:, k, None] + sm[:, k]
-        table += dims[k, s] - dims[k, prev]
-        prev = s
-    if action is DerivativeAction.CONTRACT:
-        return table, None
-    # fall[a, b] = (a + b)! / b!, the weight's factor in one variable; it is
-    # 1 where the operator has a zero exponent
-    fall = np.array(
-        [[perm(a + b, a) for b in range(degree + 1)] for a in range(degree + 1)],
-        dtype=object,
-    )
-    weights = np.ones(table.shape, dtype=object)
-    for k in range(num_vars):
-        hit = ops[:, k] > 0
-        weights[hit] *= fall[ops[hit, k, None], monos[:, k]]
-    return table, weights
+def _gather_table(num_vars: int, degree: int, i: int) -> np.ndarray:
+    """Where each catalecticant entry comes from: entry (op, m), for a
+    degree-i operator op and a degree-(degree-i) monomial m, is the
+    position of op*m among the degree-`degree` monomials. The prefix sums
+    of op*m are the sums of those of op and m, so `_positions` builds the
+    table one variable at a time from N_i-by-N_(e-i) arrays."""
+    so = _exponents(num_vars, i).cumsum(1)
+    sm = _exponents(num_vars, degree - i).cumsum(1)
+    return _positions(lambda k: so[:, k, None] + sm[:, k], num_vars, degree)
 
 
 def catalecticant_rows(
-    coeffs: np.ndarray,
-    num_vars: int,
-    degree: int,
-    i: int,
-    action: DerivativeAction,
-    field: FieldSpec,
+    coeffs: np.ndarray, num_vars: int, degree: int, i: int
 ) -> np.ndarray:
-    """Catalecticant of the forms whose coefficient rows are `coeffs`.
-
-    One row per (form, degree-i operator) pair, in form order then
-    operator order, gathered from `coeffs` through the cached table, in
-    the array type of `coeffs`. Over GF(p) the weights are reduced mod p
-    into that type too, so each product of residues stays below p².
+    """Contraction catalecticant C_i of the forms whose coefficient rows
+    are `coeffs`: one row per (form, degree-i operator) pair, in form
+    order then operator order, gathered from `coeffs` through the cached
+    table, in the array type of `coeffs`.
     """
-    table, weights = _gather_table(num_vars, degree, i, action)
-    rows = coeffs[:, table]
-    if weights is not None:
-        if field.is_modular:
-            p = field.prime
-            rows = rows * (weights % p).astype(coeffs.dtype) % p
-        else:
-            rows = rows * weights
-    return rows.reshape(-1, table.shape[1])
+    table = _gather_table(num_vars, degree, i)
+    return coeffs[:, table].reshape(-1, table.shape[1])
 
 
-def derivative_space(
-    forms, u: int, action: DerivativeAction = DerivativeAction.CONTRACT
-) -> Subspace:
-    """Degree-u subspace spanned by all order-(e-u) derivatives of the forms:
-    the row space of their catalecticant C_{e-u}."""
+def derivative_space(forms, u: int) -> Subspace:
+    """Degree-u subspace spanned by all order-(e-u) contractions of the
+    forms: the row space of their catalecticant C_{e-u}."""
     num_vars, degree, field = _check_family(forms)
     if not 0 <= u <= degree:
         raise ValueError(f"degree {u} out of range 0..{degree}")
-    coeffs = coefficient_rows(forms, integral=True)
-    rows = catalecticant_rows(coeffs, num_vars, degree, degree - u, action, field)
+    rows, _ = coefficient_rows(forms)
+    rows = catalecticant_rows(rows, num_vars, degree, degree - u)
     return _span(rows, rows.shape[1], field)

@@ -137,7 +137,7 @@ MUTANTS = (
         "modules.py",
         "                    row[u + 1 : top + 1] = rows[u + 1 :]\n",
         "                    row[u + 1 : top + 1] = [c * x for x in full[u + 1 :]]\n",
-        (MODULES + "test_graded_ranks_and_frame_equal_the_per_degree_passes",),
+        (MODULES + "test_selections_that_miss_the_caps_equal_the_full_width_ranks",),
     ),
     Mutant(
         "frame-stop-rule-off-by-one",
@@ -183,6 +183,27 @@ MUTANTS = (
             "tests/test_polynomials.py::"
             "test_exponent_arrays_are_the_sorted_tuples_and_read_only",
         ),
+    ),
+    Mutant(
+        "rank-prefix-sums-shifted",
+        "polynomials.py",
+        "return _positions(lambda k: s[..., k], s.shape[-1], degree)",
+        "return _positions(lambda k: s[..., k - 1], s.shape[-1], degree)",
+        ("tests/test_polynomials.py::test_monomial_rank_matches_the_oracle_index",),
+    ),
+    Mutant(
+        "rational-denominator-dropped",
+        "polynomials.py",
+        "    return rows, den\n",
+        "    return rows, 1\n",
+        (MODULES + "test_generators_come_back_exactly_as_given",),
+    ),
+    Mutant(
+        "random-row-in-reverse-order",
+        "families.py",
+        "                    for _ in range(dim)\n                ]\n",
+        "                    for _ in range(dim)\n                ][::-1]\n",
+        ("tests/test_families.py::test_every_family_draws_the_recorded_modules",),
     ),
 )
 

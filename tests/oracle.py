@@ -7,8 +7,16 @@ act on a form term by term, derivative spaces are built operator by
 operator from the monomials that divide some term, and a quotient sample
 combines Form objects and takes the h-vector of the module they span,
 one trial at a time and one rank per degree. The index table itself is
-rebuilt entry by entry from exponent tuples, where the package computes
-it with numpy from a closed-form rank of each monomial.
+rebuilt entry by entry from exponent tuples, through `monomial_index`, a
+dict over every monomial of a degree, where the package computes it with
+numpy from the closed-form rank of each monomial (`monomial_rank`), and
+`_dense` places a form's terms through that dict too.
+
+The package acts by contraction only. Classical differentiation is kept
+here (`differentiate=True`): it multiplies each contraction by falling
+factorials, and in characteristic 0 or p > e it gives the h-vector that
+contraction gives on the form with each coefficient c_a scaled by a! =
+prod_k a_k! (`factorial_scaled`).
 
 The overlap statistics are likewise rebuilt the old way. The package
 meets whole levels of generator subsets in one stacked Zassenhaus
@@ -40,7 +48,7 @@ import random
 from bisect import bisect_left
 from functools import lru_cache, reduce
 from itertools import combinations
-from math import perm, prod
+from math import factorial, perm, prod
 
 import numpy as np
 
@@ -63,15 +71,18 @@ from levelalg.modules import (
     random_coefficient,
 )
 from levelalg.polynomials import (
-    DerivativeAction,
     Form,
     catalecticant_rows,
-    monomial_index,
     monomials_of_degree,
     space_dim,
 )
 
-CONT = DerivativeAction.CONTRACT
+
+@lru_cache(maxsize=None)
+def monomial_index(num_vars, degree):
+    """The position of each degree-`degree` exponent tuple in monomial
+    order, as a dict over all of them."""
+    return {m: i for i, m in enumerate(monomials_of_degree(num_vars, degree))}
 
 
 def monomials_sorted(num_vars, degree):
@@ -86,18 +97,14 @@ def monomials_sorted(num_vars, degree):
     return sorted(vecs, key=lambda m: m[::-1])
 
 
-def gather_table(num_vars, degree, i, action):
+def gather_table(num_vars, degree, i):
     """polynomials._gather_table built entry by entry: the index of op*m
-    among the degree-`degree` monomials, and prod_k perm(op_k + m_k, op_k)."""
+    among the degree-`degree` monomials."""
     index = monomial_index(num_vars, degree)
     ops = monomials_of_degree(num_vars, i)
     monos = monomials_of_degree(num_vars, degree - i)
     products = [[tuple(a + b for a, b in zip(op, m)) for m in monos] for op in ops]
-    table = np.array([[index[x] for x in row] for row in products], dtype=np.intp)
-    if action is CONT:
-        return table, None
-    weights = [[prod(map(perm, x, op)) for x in row] for op, row in zip(ops, products)]
-    return table, np.array(weights, dtype=object)
+    return np.array([[index[x] for x in row] for row in products], dtype=np.intp)
 
 
 def divisors_of_degree(exps, degree):
@@ -124,18 +131,16 @@ def divisors_of_degree(exps, degree):
     return out
 
 
-def apply_operator(op, form, action=CONT):
-    """x^op acting on each term of the form in turn."""
+def apply_operator(op, form, differentiate=False):
+    """x^op acting on each term of the form in turn, by contraction or by
+    differentiation."""
     field = form.field
     out = {}
     for exps, coeff in form.terms.items():
         if all(b >= a for b, a in zip(exps, op)):
             target = tuple(b - a for b, a in zip(exps, op))
-            if action is DerivativeAction.DIFFERENTIATE:
-                factor = 1
-                for b, a in zip(exps, op):
-                    factor *= perm(b, a)
-                c = field.reduce(coeff * factor)
+            if differentiate:
+                c = field.reduce(coeff * prod(map(perm, exps, op)))
                 if c != field.zero():
                     out[target] = c
             else:
@@ -143,7 +148,16 @@ def apply_operator(op, form, action=CONT):
     return Form(form.num_vars, form.degree - sum(op), field, out)
 
 
+def factorial_scaled(form):
+    """The form with each coefficient c_a times a! = prod_k a_k!: its
+    contractions span, degree by degree, the images of the derivatives of
+    `form` under y^b -> b! y^b, an isomorphism when b! is invertible."""
+    terms = {a: c * prod(map(factorial, a)) for a, c in form.terms.items()}
+    return Form(form.num_vars, form.degree, form.field, terms)
+
+
 def _dense(form):
+    """The form's dense coefficients, placed through `monomial_index`."""
     idx = monomial_index(form.num_vars, form.degree)
     vec = [form.field.zero()] * len(idx)
     for exps, coeff in form.terms.items():
@@ -151,18 +165,18 @@ def _dense(form):
     return vec
 
 
-def catalecticant(forms, i, action=CONT):
+def catalecticant(forms, i, differentiate=False):
     """One apply_operator call per (form, degree-i operator) pair."""
     f0 = forms[0]
     rows = [
-        _dense(apply_operator(op, f, action))
+        _dense(apply_operator(op, f, differentiate))
         for f in forms
         for op in monomials_of_degree(f0.num_vars, i)
     ]
     return Matrix.from_rows(rows, f0.field, cols=space_dim(f0.num_vars, f0.degree - i))
 
 
-def derivative_space(forms, u, action=CONT):
+def derivative_space(forms, u, differentiate=False):
     """Row space of the nonzero derivatives by operators dividing some term."""
     f0 = forms[0]
     i = f0.degree - u
@@ -173,7 +187,7 @@ def derivative_space(forms, u, action=CONT):
         for exps in f.terms:
             ops.update(divisors_of_degree(exps, i))
         for op in sorted(ops, key=op_order.get):
-            g = apply_operator(op, f, action)
+            g = apply_operator(op, f, differentiate)
             if g.terms:
                 rows.append(_dense(g))
     cols = space_dim(f0.num_vars, u)
@@ -182,8 +196,11 @@ def derivative_space(forms, u, action=CONT):
     return row_space(Matrix.from_rows(rows, f0.field, cols=cols))
 
 
-def h_vector(forms):
-    return tuple(derivative_space(forms, u).dim for u in range(forms[0].degree + 1))
+def h_vector(forms, differentiate=False):
+    return tuple(
+        derivative_space(forms, u, differentiate).dim
+        for u in range(forms[0].degree + 1)
+    )
 
 
 def combine_forms(generators, coeffs, field):
@@ -201,7 +218,7 @@ def combine_forms(generators, coeffs, field):
 
 
 def _independent(forms, field):
-    rows = [f.coefficient_vector() for f in forms]
+    rows = [_dense(f) for f in forms]
     return rank(Matrix.from_rows(rows, field)) == len(forms)
 
 
@@ -251,7 +268,7 @@ def graded_ranks(w, m):
     top = e // 2 if c == 1 else e - 1
     forms = w.reshape(k * c, -1)
     for u in range(1, top + 1):
-        rows = catalecticant_rows(forms, m.num_vars, e, e - u, CONT, m.field)
+        rows = catalecticant_rows(forms, m.num_vars, e, e - u)
         h[:, u] = _ranks(rows.reshape(k, -1, rows.shape[1]), m.field)
     for u in range(top + 1, e):
         h[:, u] = h[:, e - u]

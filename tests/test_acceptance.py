@@ -150,7 +150,7 @@ def _overlap_records(field: FieldSpec) -> tuple[list, list]:
         t, e = m.type, m.socle_degree
         g = remix_generators(m, seed=derive_seed(mix_seed, "mix"))
         h = h_vector(m)
-        single = InverseSystemModule((g.generators[0],), field)
+        single = InverseSystemModule.from_forms((g.generators[0],), field)
         big_h = h_vector(single)
         per_u = []
         for u in range(1, e):

@@ -173,7 +173,7 @@ def test_full_codim_conclusions_hold_empirically():
         Form(2, 3, MOD, {(3, 0): 1}),
         Form(2, 3, MOD, {(2, 1): 1}),
     )
-    m = InverseSystemModule(gens, MOD, label="pencil-one-point")
+    m = InverseSystemModule.from_forms(gens, MOD, label="pencil-one-point")
     h = h_vector(m)
     assert h == (1, 2, 2, 2)
     assert has_full_codim_gorenstein(h, 2)
@@ -208,7 +208,7 @@ def _overlap_bound_failures(m, seed, trials=5):
 
 
 def test_overlap_bound_two_cubes_equality():
-    m = InverseSystemModule(
+    m = InverseSystemModule.from_forms(
         (Form(2, 3, MOD, {(3, 0): 1}), Form(2, 3, MOD, {(0, 3): 1})), MOD
     )
     assert inclusion_exclusion_sum(m, 1) == 0

@@ -1,8 +1,11 @@
 """Constructors for the block family, conic truncations, random modules."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from levelalg import families
+from levelalg import cli, families
 from levelalg.families import (
     FAMILY_NAMES,
     FamilySpec,
@@ -13,11 +16,14 @@ from levelalg.families import (
     truncated_gorenstein_conic,
 )
 from levelalg.fields import FieldSpec
-from levelalg.modules import h_vector
+from levelalg.modules import h_vector, module_to_text
 from levelalg.polynomials import Form, space_dim
 
+ROOT = Path(__file__).resolve().parents[1]
 MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
+# a prime above isqrt(2**63 - 1): rows of Python ints in object arrays
+BIG = FieldSpec.modular(4294967311)
 
 
 # ------------------------------------------------------------ block family
@@ -69,7 +75,7 @@ def test_sharp_checks_the_space_before_building_a_generator(monkeypatch):
     def refuse(*args):
         raise AssertionError("a generator built")
 
-    monkeypatch.setattr(families, "Form", refuse)
+    monkeypatch.setattr(families, "monomial_rank", refuse)
     # 1,200 variables in degree 3: about 2.9e8 monomials
     with pytest.raises(ValueError, match="monomials"):
         sharp_family(5, 200, 3, MOD)
@@ -237,3 +243,61 @@ def test_build_family_errors():
     with pytest.raises(ValueError, match="requires parameter t"):
         build_family(FamilySpec.of("random-dense", r=3, e=3), MOD)
     assert "sharp" in FAMILY_NAMES
+
+
+# --------------------------------------------------------- pinned draws
+
+PINNED_SPECS = (
+    FamilySpec.of("sharp", t=3, p=2, e=4),
+    FamilySpec.of("truncated-gorenstein-conic", s=4, e=4),
+    FamilySpec.of("random-dense", r=3, e=4, t=3),
+    FamilySpec.of("random-sparse", r=4, e=4, t=3, density=0.4),
+    FamilySpec.of("monomial", r=3, e=4, t=3),
+)
+# sha256 of module_to_text for each spec above at seed 7, as the families
+# drew them when they still built each generator as a Form
+PINNED_TEXT_SHA256 = {
+    "gfp": (
+        "3d3d963bb3097d9c74454ef06030b5fdcb848ad325685dcaf9f4eaa42ee40498",
+        "e5aa906283bd120efe7752e3a4def352e48948ea67fbffbea0816695ed01136a",
+        "74a62254fa7f01b0afe6370eeec159e45e80a26e825a0f648594e8c810551891",
+        "b0390e73a08a45006caedf0bf6165798c01849c4c7929bc3e357215f89777d5f",
+        "6094e73797926b58ec8511c6c54e4ba827bb91d40b4acf5b8453e2d93b077f3d",
+    ),
+    "bigp": (
+        "2e7c46ffb06de0d12a135d8bca2781f5b29f98d522d624ddf61fdab2ebcb4d91",
+        "b773ae7ed7167e91d61a4d89287194e6d428f2a91e76b91b8e424ce4b253f8f1",
+        "0df9100c8fcf0f0f323b8dd04178d43afb9c53038fca5e72220b613774d9e028",
+        "29b00fd9877af22c8cdd9bafc0f02d65979f51950b86275f60e0b16ed79e8dbb",
+        "2c6f0f3459957704acb5d83a8561d8a93b122a533b25654931dccf4984347987",
+    ),
+    "q": (
+        "8777119091a8345c67c250449dbdd25640a06b7b3dcb4f576ef6a8e11b80726f",
+        "3e40fd249c97dc21d565816944abd06e4b6eb4faa7963a06d1a7e54a85cf6e39",
+        "f976490dae7658590c8c795b0a3e1534bd2813fd536b4abb6848631669fc8319",
+        "f1cd30271a03592a8a887247290a8f202c65bdc82ac5369887a04925aff742b1",
+        "7c93f544993cb63c4c6ac50380149814f0fa3d0f7d6b4d43f7f641d2e4522894",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, field", [("gfp", MOD), ("bigp", BIG), ("q", RAT)])
+def test_every_family_draws_the_recorded_modules(name, field):
+    for spec, want in zip(PINNED_SPECS, PINNED_TEXT_SHA256[name]):
+        text = module_to_text(build_family(spec, field, seed=7))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, spec.family
+
+
+def test_no_form_is_built_on_the_benchmark_path(monkeypatch, capsys):
+    # the families write rows, and verification reads only rows
+    def refuse(*args):
+        raise AssertionError("a Form built")
+
+    monkeypatch.setattr(Form, "__init__", refuse)
+    for field in (MOD, RAT):
+        for spec in PINNED_SPECS:
+            build_family(spec, field, seed=7)
+    manifest = str(ROOT / "perfbench" / "manifest.txt")
+    assert cli.main(["verify", manifest]) == 0
+    assert cli.main(["verify", manifest, "--rational"]) == 0
+    assert "identities=" in capsys.readouterr().out

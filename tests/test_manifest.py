@@ -240,7 +240,7 @@ def _fractional_module():
         Form(g.num_vars, g.degree, RAT, {k: v * s for k, v in g.terms.items()})
         for g, s in zip(gens, (1, Fraction(1, 6), Fraction(5, 4)))
     )
-    return InverseSystemModule(scaled, RAT, label="fractional")
+    return InverseSystemModule.from_forms(scaled, RAT, label="fractional")
 
 
 def _count_constructions(monkeypatch):

@@ -1,4 +1,5 @@
-"""Monomial order, form parsing, operator actions, catalecticants."""
+"""Monomial order and rank, form parsing, contraction, catalecticants;
+classical differentiation against the oracle's."""
 
 import random
 import tracemalloc
@@ -10,10 +11,10 @@ import pytest
 
 from levelalg import polynomials
 from levelalg.fields import FieldSpec
-from levelalg.linalg import Matrix, _ranks, row_space
+from levelalg.linalg import Matrix, _ranks, rank, row_space
+from levelalg.modules import DependentGeneratorsError, InverseSystemModule, h_vector
 from levelalg.polynomials import (
     MAX_SPACE_DIM,
-    DerivativeAction,
     Form,
     FormParseError,
     ParameterMismatchError,
@@ -23,7 +24,7 @@ from levelalg.polynomials import (
     catalecticant_rows,
     coefficient_rows,
     derivative_space,
-    monomial_index,
+    monomial_rank,
     monomials_of_degree,
     parse_form,
     space_dim,
@@ -33,8 +34,6 @@ MOD = FieldSpec.modular()
 RAT = FieldSpec.rational()
 # a prime above isqrt(2**63 - 1), forcing the Python-int kernel
 BIG = FieldSpec.modular(4294967311)
-DIFF = DerivativeAction.DIFFERENTIATE
-CONT = DerivativeAction.CONTRACT
 
 
 # ---------------------------------------------------------------- monomials
@@ -97,10 +96,24 @@ def test_exponent_arrays_are_the_sorted_tuples_and_read_only():
 
 
 def test_monomial_index_is_inverse():
+    # the closed-form rank inverts the order, one exponent vector at a time
+    # and for a whole array at once
     monos = monomials_of_degree(3, 4)
-    idx = monomial_index(3, 4)
     for i, m in enumerate(monos):
-        assert idx[m] == i
+        assert monomial_rank(m, 4) == i
+    assert monomial_rank(monos, 4).tolist() == list(range(len(monos)))
+
+
+def test_monomial_rank_matches_the_oracle_index():
+    for r in range(1, 7):
+        for d in range(8):
+            index = oracle.monomial_index(r, d)
+            exps = oracle.monomials_sorted(r, d)
+            rng = random.Random(r * 8 + d)
+            rng.shuffle(exps)
+            got = monomial_rank(np.array(exps).reshape(-1, r), d)
+            assert got.dtype == np.int64
+            assert got.tolist() == [index[m] for m in exps], (r, d)
 
 
 def test_space_dim_values():
@@ -144,7 +157,14 @@ def test_form_equality_and_hash():
 
 def test_coefficient_vector_layout():
     f = Form(2, 2, MOD, {(2, 0): 5, (0, 2): 7})
-    assert f.coefficient_vector() == [5, 0, 7]
+    rows, den = coefficient_rows([f])
+    assert rows.dtype == np.int64 and rows.tolist() == [[5, 0, 7]] and den == 1
+    # over Q one common denominator scales every row to integers
+    g = Form(2, 2, RAT, {(2, 0): Fraction(1, 2), (1, 1): Fraction(-2, 3)})
+    h = Form(2, 2, RAT, {(0, 2): 4})
+    rows, den = coefficient_rows([g, h])
+    assert rows.dtype == object and rows.tolist() == [[3, -4, 0], [0, 0, 24]]
+    assert den == 6 and all(type(x) is int for x in rows.flat)
 
 
 # ----------------------------------------------------------------- parsing
@@ -229,25 +249,25 @@ def test_to_text_round_trip_integer_coefficients():
 
 def test_apply_operator_identity():
     f = parse_form("y1^2*y2 + y2^3", 2, 3, MOD)
-    for action in (DIFF, CONT):
-        assert apply_operator((0, 0), f, action) == f
+    assert apply_operator((0, 0), f) == f
+    assert oracle.apply_operator((0, 0), f, differentiate=True) == f
 
 
 def test_differentiate_uses_falling_factorials():
     f = Form(1, 3, MOD, {(3,): 1})
-    g = apply_operator((2,), f, DIFF)
+    g = oracle.apply_operator((2,), f, differentiate=True)
     assert g.terms == {(1,): 6}
 
 
 def test_contract_lowers_exponents_with_unit_coefficient():
     f = Form(1, 3, MOD, {(3,): 1})
-    g = apply_operator((2,), f, CONT)
+    g = apply_operator((2,), f)
     assert g.terms == {(1,): 1}
 
 
 def test_operator_kills_non_divisible_terms():
     f = parse_form("y1^2", 2, 2, MOD)
-    g = apply_operator((0, 1), f, CONT)
+    g = apply_operator((0, 1), f)
     assert g.is_zero
     assert g.degree == 1
 
@@ -286,15 +306,15 @@ def test_operator_composition_seeded():
             rem -= take
         a = tuple(a)
         b = tuple(x - y for x, y in zip(combined, a))
-        for action in (DIFF, CONT):
-            assert apply_operator(combined, f, action) == apply_operator(
-                a, apply_operator(b, f, action), action
-            )
+        assert apply_operator(combined, f) == apply_operator(a, apply_operator(b, f))
+        assert oracle.apply_operator(combined, f, True) == oracle.apply_operator(
+            a, oracle.apply_operator(b, f, True), True
+        )
 
 
 def test_operator_output_is_homogeneous():
     f = parse_form("y1^2*y2^2 + y1^4", 2, 4, MOD)
-    g = apply_operator((1, 1), f, DIFF)
+    g = apply_operator((1, 1), f)
     assert g.degree == 2
     assert all(sum(m) == 2 for m in g.terms)
 
@@ -302,19 +322,17 @@ def test_operator_output_is_homogeneous():
 # ----------------------------------------------------------- catalecticant
 
 
-def _catalecticant(forms, i, action=CONT):
+def _catalecticant(forms, i):
     """The rows of C_i on the forms' coefficient rows."""
     f = forms[0]
-    return catalecticant_rows(
-        coefficient_rows(forms), f.num_vars, f.degree, i, action, f.field
-    )
+    return catalecticant_rows(coefficient_rows(forms)[0], f.num_vars, f.degree, i)
 
 
 def test_catalecticant_pure_power_rank_one():
     f = Form(2, 3, MOD, {(3, 0): 1})
     for i in range(4):
-        for action in (DIFF, CONT):
-            assert _ranks([_catalecticant([f], i, action)], MOD) == [1]
+        assert _ranks([_catalecticant([f], i)], MOD) == [1]
+        assert rank(oracle.catalecticant([f], i, differentiate=True)) == 1
 
 
 def test_catalecticant_two_cubics():
@@ -324,14 +342,14 @@ def test_catalecticant_two_cubics():
 
 def test_catalecticant_differentiate_rows():
     f = parse_form("y1^2*y2 + y1*y2^2", 2, 3, MOD)
-    rows = _catalecticant([f], 1, DIFF)
-    assert rows.tolist() == [[0, 2, 1], [1, 2, 0]]
-    assert _ranks([rows], MOD) == [2]
+    cat = oracle.catalecticant([f], 1, differentiate=True)
+    assert [list(row) for row in cat.entries] == [[0, 2, 1], [1, 2, 0]]
+    assert rank(cat) == 2
 
 
 def test_catalecticant_binary_cubic_contract_rows():
     f = parse_form("y1^3 + 2*y1^2*y2 + 5*y1*y2^2 + 7*y2^3", 2, 3, MOD)
-    rows = _catalecticant([f], 1, CONT)
+    rows = _catalecticant([f], 1)
     assert rows.tolist() == [[1, 2, 5], [2, 5, 7]]
     assert _ranks([rows], MOD) == [2]
 
@@ -367,15 +385,14 @@ def test_apply_operator_builds_no_matrix(monkeypatch):
             cases.append(Form(n, d, field, terms))
     monkeypatch.setattr(Matrix, "from_rows", classmethod(counting))
     got = [
-        (apply_operator(op, f, action), f, op, action)
+        (apply_operator(op, f), f, op)
         for f in cases
         for i in range(f.degree + 1)
         for op in monomials_of_degree(f.num_vars, i)
-        for action in (DIFF, CONT)
     ]
     assert not built
-    for g, f, op, action in got:
-        assert g == oracle.apply_operator(op, f, action), (f, op, action)
+    for g, f, op in got:
+        assert g == oracle.apply_operator(op, f), (f, op)
         assert all(type(c) is type(f.field.one()) for c in g.terms.values())
 
 
@@ -427,19 +444,19 @@ def test_derivative_space_matches_catalecticant_row_space():
             }
             forms.append(Form(n, d, field, terms))
         for u in range(d + 1):
-            for action in (DIFF, CONT):
-                s = derivative_space(forms, u, action)
-                cat = oracle.catalecticant(forms, d - u, action)
-                assert s == row_space(cat)
-                # the gather against the per-operator, per-term oracle
-                assert s == oracle.derivative_space(forms, u, action)
-                rows = _catalecticant(forms, d - u, action)
-                assert rows.tolist() == [list(row) for row in cat.entries]
-                for op in monomials_of_degree(n, d - u):
-                    for f in forms:
-                        assert apply_operator(op, f, action) == oracle.apply_operator(
-                            op, f, action
-                        )
+            s = derivative_space(forms, u)
+            cat = oracle.catalecticant(forms, d - u)
+            assert s == row_space(cat)
+            # the gather against the per-operator, per-term oracle
+            assert s == oracle.derivative_space(forms, u)
+            rows = _catalecticant(forms, d - u)
+            # over Q the gathered rows are scaled by the forms' denominator
+            den = coefficient_rows(forms)[1]
+            scaled = [[Fraction(x, den) for x in row] for row in rows.tolist()]
+            assert scaled == [list(row) for row in cat.entries]
+            for op in monomials_of_degree(n, d - u):
+                for f in forms:
+                    assert apply_operator(op, f) == oracle.apply_operator(op, f)
 
 
 def test_gather_table_matches_the_oracle():
@@ -447,59 +464,24 @@ def test_gather_table_matches_the_oracle():
     shapes = [(r, e) for r in range(1, 5) for e in range(1, 7)] + [(40, 2), (64, 1)]
     for r, e in shapes:
         for i in range(e + 1):
-            for action in (DIFF, CONT):
-                table, weights = _gather_table(r, e, i, action)
-                want_table, want_weights = oracle.gather_table(r, e, i, action)
-                assert table.dtype == want_table.dtype
-                assert np.array_equal(table, want_table), (r, e, i)
-                if action is CONT:
-                    assert weights is None
-                    continue
-                assert weights.dtype == object
-                assert all(type(w) is int for w in weights.flat)
-                assert np.array_equal(weights, want_weights), (r, e, i)
+            table = _gather_table(r, e, i)
+            want = oracle.gather_table(r, e, i)
+            assert table.dtype == want.dtype
+            assert np.array_equal(table, want), (r, e, i)
 
 
-@pytest.mark.parametrize("action", [DIFF, CONT])
-def test_gather_table_memory_is_that_of_the_table(action):
+def test_gather_table_memory_is_that_of_the_table():
     # 200 by 200 entries: a few MB, where a 200 by 200 by 200 array of the
     # monomials op*m, as the whole table at once would build it, is 64 MB
     _gather_table.cache_clear()
     tracemalloc.start()
     try:
-        table, _ = _gather_table(200, 2, 1, action)
+        table = _gather_table(200, 2, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.shape == (200, 200)
     assert peak < 32 * 2**20
-
-
-def test_differentiate_rows_stay_int64_and_match_the_oracle():
-    # dense forms with entries near p. Over GF(DEFAULT_PRIME) the weights
-    # reach 13! > p, so a weight times a residue would overflow int64 and
-    # 21! does not fit in int64 at all; over GF(7) the weights are
-    # divisible by 7 from degree 7 on. Each weight is reduced mod p first,
-    # so the products of residues stay below p²
-    rng = random.Random(13)
-    seven = FieldSpec.modular(7)
-    for field, n, d in [(MOD, 2, d) for d in (5, 13, 21)] + [(MOD, 3, 13)] + [
-        (seven, n, d) for n, d in ((2, 4), (2, 9), (3, 8))
-    ]:
-        forms = []
-        for _ in range(2):
-            terms = {
-                m: rng.randint(field.prime // 2, field.prime - 1)
-                for m in monomials_of_degree(n, d)
-            }
-            forms.append(Form(n, d, field, terms))
-        coeffs = coefficient_rows(forms)
-        assert coeffs.dtype == np.int64
-        for i in range(d + 1):
-            rows = catalecticant_rows(coeffs, n, d, i, DIFF, field)
-            assert rows.dtype == np.int64
-            want = oracle.catalecticant(forms, i, DIFF)
-            assert rows.tolist() == [list(row) for row in want.entries], (d, i)
 
 
 def test_actions_agree_on_monomial_forms():
@@ -514,8 +496,8 @@ def test_actions_agree_on_monomial_forms():
         ]
         for u in range(d + 1):
             assert (
-                derivative_space(forms, u, DIFF).dim
-                == derivative_space(forms, u, CONT).dim
+                oracle.derivative_space(forms, u, differentiate=True).dim
+                == derivative_space(forms, u).dim
             )
 
 
@@ -523,5 +505,33 @@ def test_actions_can_disagree_on_general_forms():
     # (y1 + y2)^2 written out: contraction sees a two-dimensional space of
     # first-order pieces, differentiation a one-dimensional one
     f = parse_form("y1^2 + 2*y1*y2 + y2^2", 2, 2, MOD)
-    assert derivative_space([f], 1, CONT).dim == 2
-    assert derivative_space([f], 1, DIFF).dim == 1
+    assert derivative_space([f], 1).dim == 2
+    assert oracle.derivative_space([f], 1, differentiate=True).dim == 1
+
+
+@pytest.mark.parametrize(
+    "field", [RAT, FieldSpec.modular(7), MOD], ids=["q", "gf7", "gfp"]
+)
+def test_differentiation_gives_the_contraction_h_vector_of_the_factorial_scaled_forms(
+    field,
+):
+    # y^b -> b! y^b is invertible over Q and over GF(p), p > e, and carries
+    # the derivatives of F onto the contractions of F with c_a scaled by a!
+    rng = random.Random(71)
+    for _ in range(12):
+        n, d = rng.randint(2, 3), rng.randint(2, 6)
+        monos = monomials_of_degree(n, d)
+        forms = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {
+                m: rng.choice([-3, -1, 1, 2, 5])
+                for m in rng.sample(monos, rng.randint(1, len(monos)))
+            }
+            forms.append(Form(n, d, field, terms))
+        try:
+            m = InverseSystemModule.from_forms(
+                [oracle.factorial_scaled(f) for f in forms], field
+            )
+        except DependentGeneratorsError:  # as the drawn forms may be
+            continue
+        assert h_vector(m) == oracle.h_vector(forms, differentiate=True), forms
