@@ -293,6 +293,6 @@ def verify_instance(
         tight_degrees=tight,
         trials=trials,
         seed=seed,
-        prime=m.field.prime if m.field.is_modular else None,
+        prime=m.field.prime,
         per_trial=per_trial,
     )

@@ -31,13 +31,8 @@ from .combinatorics import (
     macaulay_growth,
 )
 from .fields import FieldSpec
-from .manifest import ManifestError, parse_manifest, run_manifest
-from .modules import (
-    DegenerateSampleError,
-    ModuleFileError,
-    h_vector,
-    parse_module_file,
-)
+from .manifest import parse_manifest, run_manifest
+from .modules import DegenerateSampleError, InputError, h_vector, parse_module_file
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -298,7 +293,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ModuleFileError, ManifestError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"levelalg {args.command}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DegenerateSampleError as exc:

@@ -162,15 +162,33 @@ def monomial_module(
     return InverseSystemModule(r, e, field, rows, label=f"monomial-r{r}-e{e}-t{t}-s{seed}")
 
 
-# family -> the parameters a manifest line may give it
-FAMILY_PARAMS = {
-    "sharp": ("t", "p", "e"),
-    "truncated-gorenstein-conic": ("s", "e"),
-    "random-dense": ("r", "e", "t"),
-    "random-sparse": ("r", "e", "t", "density"),
-    "monomial": ("r", "e", "t"),
+# family -> (builder, the parameters a manifest line may give it, in order,
+# each with its default, None where the line must give it); the builder
+# takes them in that order, then the field and the seed
+FAMILIES = {
+    "sharp": (
+        lambda t, p, e, field, seed: sharp_family(t, p, e, field),
+        {"t": None, "p": 1, "e": None},
+    ),
+    "truncated-gorenstein-conic": (
+        lambda s, e, field, seed: truncated_gorenstein_conic(s, e, field, seed),
+        {"s": None, "e": None},
+    ),
+    "random-dense": (
+        lambda r, e, t, field, seed: random_module(r, e, t, 1.0, seed, field),
+        {"r": None, "e": None, "t": None},
+    ),
+    "random-sparse": (
+        lambda r, e, t, density, field, seed: random_module(r, e, t, density, seed, field),
+        {"r": None, "e": None, "t": None, "density": 0.35},
+    ),
+    "monomial": (
+        lambda r, e, t, field, seed: monomial_module(r, e, t, seed, field),
+        {"r": None, "e": None, "t": None},
+    ),
 }
-FAMILY_NAMES = tuple(FAMILY_PARAMS)
+FAMILY_PARAMS = {family: tuple(params) for family, (_, params) in FAMILIES.items()}
+FAMILY_NAMES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -184,47 +202,19 @@ class FamilySpec:
     def of(cls, family: str, **params) -> FamilySpec:
         return cls(family, tuple(sorted(params.items())))
 
-    def get(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
-
 
 def build_family(spec: FamilySpec, field: FieldSpec, seed: int = 0) -> InverseSystemModule:
-    """Instantiate a FamilySpec; `seed` is the fallback when the spec has none."""
-    fam = spec.family
-    s = spec.get("seed", seed)
-    if fam == "sharp":
-        return sharp_family(
-            _need(spec, "t"), spec.get("p", 1), _need(spec, "e"), field
+    """Instantiate a FamilySpec from its `FAMILIES` row, the row's defaults
+    filling the parameters the spec leaves out; `seed` is the fallback when
+    the spec has none."""
+    if spec.family not in FAMILIES:
+        raise ValueError(
+            f"unknown family {spec.family!r}; known: {', '.join(FAMILY_NAMES)}"
         )
-    if fam == "truncated-gorenstein-conic":
-        return truncated_gorenstein_conic(
-            _need(spec, "s"), _need(spec, "e"), field, seed=s
-        )
-    if fam == "random-dense":
-        return random_module(
-            _need(spec, "r"), _need(spec, "e"), _need(spec, "t"), 1.0, s, field
-        )
-    if fam == "random-sparse":
-        return random_module(
-            _need(spec, "r"),
-            _need(spec, "e"),
-            _need(spec, "t"),
-            float(spec.get("density", 0.35)),
-            s,
-            field,
-        )
-    if fam == "monomial":
-        return monomial_module(
-            _need(spec, "r"), _need(spec, "e"), _need(spec, "t"), s, field
-        )
-    raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILY_NAMES)}")
-
-
-def _need(spec: FamilySpec, key: str) -> int:
-    v = spec.get(key)
-    if v is None:
-        raise ValueError(f"family {spec.family!r} requires parameter {key}=")
-    return int(v)
+    builder, defaults = FAMILIES[spec.family]
+    given = dict(spec.params)
+    args = [given.get(key, default) for key, default in defaults.items()]
+    if None in args:
+        missing = list(defaults)[args.index(None)]
+        raise ValueError(f"family {spec.family!r} requires parameter {missing}=")
+    return builder(*args, field, given.get("seed", seed))

@@ -1,5 +1,6 @@
 """Exact coefficient arithmetic over a prime field or the rationals.
 
+A field is its prime: GF(p) is `FieldSpec(p)`, and Q is `prime=None`.
 Scalars are plain Python ints in [0, p) for the modular field and
 ``fractions.Fraction`` for the rational field, so equality, hashing and
 serialization behave without surprises. No floating point anywhere.
@@ -48,32 +49,27 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Choice of exact coefficient field: GF(p) or the rationals."""
+    """Choice of exact coefficient field: GF(prime), or Q when prime is None."""
 
-    kind: str
     prime: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "prime-modular":
-            if self.prime is None or not _is_prime(self.prime):
-                raise ValueError(f"modulus {self.prime!r} is not a prime")
-        elif self.kind == "rational":
-            if self.prime is not None:
-                raise ValueError("rational field takes no modulus")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.prime is not None and not _is_prime(self.prime):
+            raise ValueError(f"modulus {self.prime!r} is not a prime")
 
     @classmethod
     def modular(cls, prime: int = DEFAULT_PRIME) -> FieldSpec:
-        return cls("prime-modular", prime)
+        if prime is None:
+            raise ValueError("modulus None is not a prime")
+        return cls(prime)
 
     @classmethod
     def rational(cls) -> FieldSpec:
-        return cls("rational")
+        return cls()
 
     @property
     def is_modular(self) -> bool:
-        return self.kind == "prime-modular"
+        return self.prime is not None
 
     def reduce(self, value: int | Fraction) -> Scalar:
         """Canonical scalar for an integer or fraction."""
@@ -82,18 +78,4 @@ class FieldSpec:
                 num = value.numerator % self.prime
                 return num * pow(value.denominator, -1, self.prime) % self.prime
             return value % self.prime
-        if isinstance(value, Fraction):
-            return value
         return Fraction(value)
-
-    def zero(self) -> Scalar:
-        return 0 if self.is_modular else Fraction(0)
-
-    def one(self) -> Scalar:
-        return 1 if self.is_modular else Fraction(1)
-
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.prime if self.is_modular else a + b
-
-    def describe(self) -> str:
-        return f"GF({self.prime})" if self.is_modular else "Q"

@@ -11,7 +11,7 @@ beyond the family parameters: c (comma list, default all of 1..t-1),
 trials, seed (default derived from the run seed and the line index),
 label, identities (on/off). Any other key, a key given twice on one line,
 a type repeated in the c list, or a family parameter the family cannot
-build, is a ManifestError with the line number, raised before any
+build, is an InputError with the line number, raised before any
 instance runs. A whole run is reproducible from the manifest text and
 the run seed.
 """
@@ -26,22 +26,16 @@ from .combinatorics import binomial
 from .fields import FieldSpec
 from .modules import (
     DegenerateSampleError,
+    InputError,
     _draws,
     _overlap,
+    _parse_int,
     _single_spaces,
     derive_seed,
     empirical_generic_h,
     h_vector,
 )
 from .families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec, build_family
-
-
-class ManifestError(ValueError):
-    """Malformed manifest; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -53,11 +47,6 @@ class ManifestInstance:
     label: str
     identities: bool
     line: int
-
-
-@dataclass(frozen=True)
-class ExperimentManifest:
-    instances: tuple[ManifestInstance, ...]
 
 
 @dataclass(frozen=True)
@@ -101,7 +90,7 @@ class RunSummary:
 _CONTROL_KEYS = ("c", "trials", "seed", "label", "identities")
 
 
-def parse_manifest(text: str) -> ExperimentManifest:
+def parse_manifest(text: str) -> tuple[ManifestInstance, ...]:
     instances = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -110,7 +99,7 @@ def parse_manifest(text: str) -> ExperimentManifest:
         tokens = line.split()
         family = tokens[0]
         if family not in FAMILY_NAMES:
-            raise ManifestError(
+            raise InputError(
                 f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}", lineno
             )
         params: dict[str, object] = {}
@@ -122,42 +111,42 @@ def parse_manifest(text: str) -> ExperimentManifest:
         seen: set[str] = set()
         for tok in tokens[1:]:
             if "=" not in tok:
-                raise ManifestError(f"expected key=value, got {tok!r}", lineno)
+                raise InputError(f"expected key=value, got {tok!r}", lineno)
             key, _, value = tok.partition("=")
             if key in seen:
-                raise ManifestError(f"repeated key {key!r}", lineno)
+                raise InputError(f"repeated key {key!r}", lineno)
             seen.add(key)
             if key == "c":
                 try:
                     c_list = tuple(int(x) for x in value.split(","))
                 except ValueError as exc:
-                    raise ManifestError(f"bad c list {value!r}", lineno) from exc
+                    raise InputError(f"bad c list {value!r}", lineno) from exc
                 if len(set(c_list)) != len(c_list):
-                    raise ManifestError(f"repeated type in c list {value!r}", lineno)
+                    raise InputError(f"repeated type in c list {value!r}", lineno)
             elif key == "trials":
-                trials = _int(value, "trials", lineno)
+                trials = _parse_int(value, "trials", lineno)
                 if trials < 1:
-                    raise ManifestError("trials must be positive", lineno)
+                    raise InputError("trials must be positive", lineno)
             elif key == "seed":
-                seed = _int(value, "seed", lineno)
+                seed = _parse_int(value, "seed", lineno)
             elif key == "label":
                 label = value
             elif key == "identities":
                 if value not in ("on", "off"):
-                    raise ManifestError("identities must be on or off", lineno)
+                    raise InputError("identities must be on or off", lineno)
                 identities = value == "on"
             elif key not in FAMILY_PARAMS[family]:
                 known = ", ".join(FAMILY_PARAMS[family] + _CONTROL_KEYS)
-                raise ManifestError(
+                raise InputError(
                     f"unknown key {key!r} for {family}; known: {known}", lineno
                 )
             elif key == "density":
                 try:
                     params[key] = float(value)
                 except ValueError as exc:
-                    raise ManifestError(f"bad density {value!r}", lineno) from exc
+                    raise InputError(f"bad density {value!r}", lineno) from exc
             else:
-                params[key] = _int(value, key, lineno)
+                params[key] = _parse_int(value, key, lineno)
         instances.append(
             ManifestInstance(
                 spec=FamilySpec.of(family, **params),
@@ -170,15 +159,8 @@ def parse_manifest(text: str) -> ExperimentManifest:
             )
         )
     if not instances:
-        raise ManifestError("manifest has no instances", 1)
-    return ExperimentManifest(tuple(instances))
-
-
-def _int(value: str, what: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ManifestError(f"{what} must be an integer, got {value!r}", lineno) from exc
+        raise InputError("manifest has no instances", 1)
+    return tuple(instances)
 
 
 def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailure]]:
@@ -221,13 +203,13 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
 
 
 def run_manifest(
-    manifest: ExperimentManifest,
+    manifest: tuple[ManifestInstance, ...],
     field: FieldSpec | None = None,
     seed: int = 0,
 ) -> tuple[RunSummary, list[VerificationReport]]:
     """Run every instance; returns the summary and the per-(instance, c)
     verification reports in manifest order. Every module is built and its
-    c list checked, an error a ManifestError with its line (degenerate
+    c list checked, an error an InputError with its line (degenerate
     family draws included), before any instance is verified."""
     if field is None:
         field = FieldSpec.modular()
@@ -237,19 +219,19 @@ def run_manifest(
     id_passed = 0
     id_failures: list[IdentityFailure] = []
     built = []
-    for index, inst in enumerate(manifest.instances):
+    for index, inst in enumerate(manifest):
         inst_seed = inst.seed if inst.seed is not None else derive_seed(seed, index)
         try:
             m = build_family(inst.spec, field, seed=inst_seed)
         except (ValueError, DegenerateSampleError) as exc:
-            raise ManifestError(str(exc), inst.line) from exc
+            raise InputError(str(exc), inst.line) from exc
         if inst.label:
             m = replace(m, label=inst.label)
         t = m.type
         c_list = inst.c_list if inst.c_list is not None else tuple(range(1, t))
         for c in c_list:
             if not 1 <= c <= t - 1:
-                raise ManifestError(
+                raise InputError(
                     f"c={c} out of range 1..{t - 1} for this instance", inst.line
                 )
         built.append((inst, inst_seed, m, c_list))
@@ -270,7 +252,7 @@ def run_manifest(
             id_passed += p
             id_failures += f
     summary = RunSummary(
-        instances=len(manifest.instances),
+        instances=len(manifest),
         satisfied=satisfied,
         violated=violated,
         tight_instances=tight_instances,

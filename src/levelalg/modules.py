@@ -82,12 +82,21 @@ class DegenerateSampleError(RuntimeError):
     """Random sampling failed to produce an independent family."""
 
 
-class ModuleFileError(ValueError):
-    """Malformed module file; carries the offending line number."""
+class InputError(ValueError):
+    """Malformed input text, a module file or a manifest; carries the
+    offending line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _parse_int(value: str, what: str, line: int) -> int:
+    """The integer `value` spells, or an InputError on its line."""
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise InputError(f"{what} must be an integer, got {value!r}", line) from exc
 
 
 def derive_seed(*parts) -> int:
@@ -223,7 +232,6 @@ class InverseSystemModule:
 class QuotientSample:
     """One random type-c quotient: the combination matrix and its h-vector."""
 
-    parent: InverseSystemModule
     c: int
     coefficients: tuple[tuple[int, ...], ...]
     seed: int
@@ -373,7 +381,7 @@ def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
     per degree."""
     draws = _draws(m, c, seeds, "quotient")
     hs = _graded_ranks(np.stack([w for _, w in draws]), m)
-    return [QuotientSample(m, c, a, seed, h) for (a, _), seed, h in zip(draws, seeds, hs)]
+    return [QuotientSample(c, a, seed, h) for (a, _), seed, h in zip(draws, seeds, hs)]
 
 
 def sample_generic_quotient(
@@ -400,7 +408,7 @@ def sample_generic_quotient(
     w = _combine([rows], m.rows, m.field)
     if _ranks(w, m.field)[0] != c:
         raise DependentGeneratorsError(f"{c} combinations span a smaller space")
-    return QuotientSample(m, c, rows, seed, _graded_ranks(w, m)[0])
+    return QuotientSample(c, rows, seed, _graded_ranks(w, m)[0])
 
 
 def generic_quotient_trials(
@@ -595,13 +603,13 @@ def parse_module_file(
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise ModuleFileError("expected 'key: value'", lineno)
+            raise InputError("expected 'key: value'", lineno)
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
         if key in ("vars", "degree", "prime"):
             if key in header_lines:
-                raise ModuleFileError(
+                raise InputError(
                     f"repeated header {key!r}, first on line {header_lines[key]}",
                     lineno,
                 )
@@ -614,29 +622,30 @@ def parse_module_file(
             if value == "rational":
                 field = FieldSpec.rational()
             else:
+                prime = _parse_int(value, "prime", lineno)
                 try:
-                    field = FieldSpec.modular(int(value))
+                    field = FieldSpec.modular(prime)
                 except ValueError as exc:
-                    raise ModuleFileError(str(exc), lineno) from exc
+                    raise InputError(str(exc), lineno) from exc
         elif key.startswith("F") and key[1:].isdigit():
             gen_texts.append((int(key[1:]), value, lineno))
         else:
-            raise ModuleFileError(f"unknown key {key!r}", lineno)
+            raise InputError(f"unknown key {key!r}", lineno)
     if num_vars is None or degree is None:
-        raise ModuleFileError("missing 'vars' or 'degree' header", 1)
+        raise InputError("missing 'vars' or 'degree' header", 1)
     try:
         check_space_dim(num_vars, degree)
     except ValueError as exc:
-        raise ModuleFileError(str(exc), header_lines["vars"]) from exc
+        raise InputError(str(exc), header_lines["vars"]) from exc
     if field_override is not None:
         field = field_override
     elif field is None:
         field = FieldSpec.modular()
     if not gen_texts:
-        raise ModuleFileError("no generator lines", 1)
+        raise InputError("no generator lines", 1)
     expected = list(range(1, len(gen_texts) + 1))
     if sorted(k for k, _, _ in gen_texts) != expected:
-        raise ModuleFileError(
+        raise InputError(
             f"generator labels must be F1..F{len(gen_texts)}", gen_texts[0][2]
         )
     gen_texts.sort()
@@ -645,7 +654,7 @@ def parse_module_file(
         try:
             forms.append(parse_form(expr, num_vars, degree, field))
         except FormParseError as exc:
-            raise ModuleFileError(str(exc), lineno) from exc
+            raise InputError(str(exc), lineno) from exc
     try:
         return InverseSystemModule.from_forms(forms, field)
     except DependentGeneratorsError as exc:
@@ -653,25 +662,22 @@ def parse_module_file(
         rows, _ = coefficient_rows(forms)
         ranks = _ranks([rows[: k + 1] for k in range(len(rows))], field)
         k = next(k for k, r in enumerate(ranks) if r <= k)
-        raise ModuleFileError(str(exc), gen_texts[k][2]) from exc
+        raise InputError(str(exc), gen_texts[k][2]) from exc
     except ValueError as exc:  # a modulus p <= e: the prime's, or the degree's
         line = header_lines.get("prime", header_lines["degree"])
-        raise ModuleFileError(str(exc), line) from exc
+        raise InputError(str(exc), line) from exc
 
 
 def _parse_positive(value: str, what: str, lineno: int) -> int:
-    try:
-        n = int(value)
-    except ValueError as exc:
-        raise ModuleFileError(f"{what} must be an integer", lineno) from exc
+    n = _parse_int(value, what, lineno)
     if n < 1:
-        raise ModuleFileError(f"{what} must be positive", lineno)
+        raise InputError(f"{what} must be positive", lineno)
     return n
 
 
 def module_to_text(m: InverseSystemModule) -> str:
     """Serialize in the same format parse_module_file reads."""
-    prime = m.field.prime if m.field.is_modular else "rational"
+    prime = m.field.prime or "rational"
     lines = [f"vars: {m.num_vars}", f"degree: {m.socle_degree}", f"prime: {prime}"]
     for k, g in enumerate(m.generators, start=1):
         lines.append(f"F{k}: {g.to_text()}")

@@ -173,8 +173,7 @@ class Form:
                 raise ValueError(
                     f"monomial {exps} has degree {sum(exps)}, form declares {degree}"
                 )
-            c = field.reduce(coeff)
-            if c != field.zero():
+            if c := field.reduce(coeff):
                 reduced[exps] = c
         self.num_vars = num_vars
         self.degree = degree
@@ -256,8 +255,9 @@ def parse_form(text: str, num_vars: int, degree: int, field: FieldSpec) -> Form:
     Grammar: expression := ['-'] term (('+'|'-') term)*;
     term := [integer '*']? factor ('*' factor)*;
     factor := 'y' index ['^' exponent]. Indices are 1-based, whitespace is
-    insignificant. Every term must have total degree `degree`; a form whose
-    terms all cancel is rejected.
+    insignificant. Every term must have total degree `degree`. The integer
+    coefficients of each monomial are summed, and the Form reduces them in
+    its field; a form whose terms all cancel there is rejected.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -321,7 +321,7 @@ def parse_form(text: str, num_vars: int, degree: int, field: FieldSpec) -> Form:
     if not tokens:
         raise FormParseError("empty expression", 0)
 
-    acc: dict[Exponents, Scalar] = {}
+    acc: dict[Exponents, int] = {}
     sign = 1
     tk, val, _ = peek()
     if tk == "sym" and val == "-":
@@ -329,8 +329,7 @@ def parse_form(text: str, num_vars: int, degree: int, field: FieldSpec) -> Form:
         pos += 1
     while True:
         exps, coeff, _ = parse_term()
-        cur = acc.get(exps, field.zero())
-        acc[exps] = field.add(cur, field.reduce(sign * coeff))
+        acc[exps] = acc.get(exps, 0) + sign * coeff
         tk, val, at = peek()
         if tk is None:
             break
@@ -340,10 +339,10 @@ def parse_form(text: str, num_vars: int, degree: int, field: FieldSpec) -> Form:
         else:
             raise FormParseError("expected '+' or '-' between terms", at)
 
-    acc = {m: c for m, c in acc.items() if c != field.zero()}
-    if not acc:
+    form = Form(num_vars, degree, field, acc)
+    if form.is_zero:
         raise FormParseError("form is zero after combining terms", 0)
-    return Form(num_vars, degree, field, acc)
+    return form
 
 
 def apply_operator(op: Exponents, form: Form) -> Form:

@@ -172,7 +172,7 @@ MUTANTS = (
         "linalg.py",
         "    return basis if live is a else cols.nonzero()[0][basis].tolist()\n",
         "    return basis\n",
-        (LINALG + "test_zero_rows_and_columns_leave_the_column_basis_in_place",),
+        (LINALG + "test_column_basis_maps_the_live_columns_back_past_zero_lines",),
     ),
     Mutant(
         "exponents-not-reversed",
@@ -204,6 +204,30 @@ MUTANTS = (
         "                    for _ in range(dim)\n                ]\n",
         "                    for _ in range(dim)\n                ][::-1]\n",
         ("tests/test_families.py::test_every_family_draws_the_recorded_modules",),
+    ),
+    Mutant(
+        "sparse-default-density-changed",
+        "families.py",
+        '"density": 0.35}',
+        '"density": 0.5}',
+        ("tests/test_families.py::test_build_family_dispatch",),
+    ),
+    Mutant(
+        "spec-seed-ignored",
+        "families.py",
+        'builder(*args, field, given.get("seed", seed))',
+        "builder(*args, field, seed)",
+        ("tests/test_families.py::test_build_family_spec_seed_wins",),
+    ),
+    Mutant(
+        "parse-form-sums-abs",
+        "polynomials.py",
+        "acc[exps] = acc.get(exps, 0) + sign * coeff",
+        "acc[exps] = acc.get(exps, 0) + abs(sign * coeff)",
+        (
+            "tests/test_polynomials.py::test_parse_leading_minus_and_products",
+            "tests/test_polynomials.py::test_parse_cancellation_rejected",
+        ),
     ),
 )
 

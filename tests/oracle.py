@@ -141,7 +141,7 @@ def apply_operator(op, form, differentiate=False):
             target = tuple(b - a for b, a in zip(exps, op))
             if differentiate:
                 c = field.reduce(coeff * prod(map(perm, exps, op)))
-                if c != field.zero():
+                if c != field.reduce(0):
                     out[target] = c
             else:
                 out[target] = coeff
@@ -159,7 +159,7 @@ def factorial_scaled(form):
 def _dense(form):
     """The form's dense coefficients, placed through `monomial_index`."""
     idx = monomial_index(form.num_vars, form.degree)
-    vec = [form.field.zero()] * len(idx)
+    vec = [form.field.reduce(0)] * len(idx)
     for exps, coeff in form.terms.items():
         vec[idx[exps]] = coeff
     return vec
@@ -207,7 +207,7 @@ def combine_forms(generators, coeffs, field):
     """The Form sum_j coeffs[j] * generators[j], accumulated term by term."""
     g0 = generators[0]
     acc = {}
-    zero = field.zero()
+    zero = field.reduce(0)
     for coeff, g in zip(coeffs, generators):
         c = field.reduce(coeff)
         if c == zero:
@@ -312,8 +312,8 @@ def nullspace(rows, cols, field):
     s = span(rows, cols, field)
     out = []
     for f in sorted(set(range(cols)) - set(s.pivots)):
-        v = [field.zero()] * cols
-        v[f] = field.one()
+        v = [field.reduce(0)] * cols
+        v[f] = field.reduce(1)
         for k, pc in enumerate(s.pivots):
             v[pc] = field.reduce(-s.basis[k][f])
         out.append(v)

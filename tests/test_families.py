@@ -204,9 +204,7 @@ def test_monomial_module_basics():
 
 def test_family_spec_accessors():
     spec = FamilySpec.of("sharp", t=3, e=4, p=2)
-    assert spec.get("t") == 3
-    assert spec.get("density") is None
-    assert spec.get("density", 0.35) == 0.35
+    assert dict(spec.params) == {"t": 3, "e": 4, "p": 2}
     # parameter order is canonical so specs compare by value
     assert spec == FamilySpec.of("sharp", p=2, e=4, t=3)
 

@@ -20,7 +20,9 @@ def test_composite_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec.modular(1)
     with pytest.raises(ValueError):
-        FieldSpec("prime-modular", None)
+        FieldSpec.modular(None)
+    with pytest.raises(ValueError):
+        FieldSpec(91)
 
 
 def test_primality_is_checked_once_per_modulus_and_still_rejects_composites():
@@ -40,10 +42,8 @@ def test_primality_is_checked_once_per_modulus_and_still_rejects_composites():
 def test_rational_field_takes_no_modulus():
     f = FieldSpec.rational()
     assert not f.is_modular
-    with pytest.raises(ValueError):
-        FieldSpec("rational", 7)
-    with pytest.raises(ValueError):
-        FieldSpec("galois", 7)
+    assert f.prime is None and f == FieldSpec(None)
+    assert FieldSpec(7) == FieldSpec.modular(7) != f
 
 
 def test_modular_reduce_canonical_range():
@@ -61,19 +61,6 @@ def test_rational_reduce_normalizes():
     assert f.reduce(5) == Fraction(5)
     assert f.reduce(Fraction(6, 4)) == Fraction(3, 2)
     assert isinstance(f.reduce(7), Fraction)
-
-
-def test_arithmetic_helpers():
-    f = FieldSpec.modular(11)
-    assert f.add(7, 8) == 4
-    assert f.zero() == 0 and f.one() == 1
-    q = FieldSpec.rational()
-    assert q.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-
-def test_describe():
-    assert FieldSpec.modular(97).describe() == "GF(97)"
-    assert FieldSpec.rational().describe() == "Q"
 
 
 def test_large_prime_accepted():

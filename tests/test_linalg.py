@@ -11,6 +11,7 @@ against the null-space construction kept in tests/oracle.py.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import oracle
@@ -92,7 +93,7 @@ def test_rank_matches_minor_oracle_seeded():
         for field in (MOD, RAT, BIG):
             got = rank(Matrix.from_rows(rows, field))
             want = _rank_by_minors(rows, field)
-            assert got == want, (rows, field.describe())
+            assert got == want, (rows, field)
 
 
 def test_row_space_normalizes_scaling():
@@ -124,12 +125,12 @@ def test_rref_shape_invariants_seeded():
         assert len(set(s.pivots)) == len(s.pivots)
         for i, row in enumerate(s.basis):
             p = s.pivots[i]
-            assert row[p] == field.one()
-            assert all(x == field.zero() for x in row[:p])
+            assert row[p] == field.reduce(1)
+            assert all(x == field.reduce(0) for x in row[:p])
             # pivot columns are zero in every other row
             for k, other in enumerate(s.basis):
                 if k != i:
-                    assert other[p] == field.zero()
+                    assert other[p] == field.reduce(0)
 
 
 def test_row_space_idempotent_and_order_independent():
@@ -261,6 +262,87 @@ def test_intersection_matches_the_null_space_oracle():
 
         a, b = space(), space()
         assert subspace_intersection(a, b) == oracle.subspace_intersection(a, b)
+
+
+# ----------------------------------------- the checks above, on the kernels
+# The same seeded cases through `_ranks` and `_meets` alone, each in GF(p),
+# in GF(p) above the int64 limit and over Q: the coverage stays when the
+# Matrix and Subspace API goes.
+
+KERNEL_FIELDS = [MOD, BIG, RAT]
+KERNEL_IDS = ["gfp", "bigp", "q"]
+
+
+def _kernel_rows(rows, ambient):
+    """rows as a (len(rows), ambient) object array, each row of Fractions
+    scaled to integers: the row space the kernels see is the same."""
+    ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+    return np.array(ints, dtype=object).reshape(len(rows), ambient)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_grassmann_identity_seeded_on_the_kernels(field):
+    rng = random.Random(123)
+    for _ in range(60):
+        ambient = rng.randint(1, 6)
+
+        def rand_rows():
+            k = rng.randint(0, ambient)
+            return _kernel_rows(
+                [[rng.randint(-4, 4) for _ in range(ambient)] for _ in range(k)], ambient
+            )
+
+        a, b = rand_rows(), rand_rows()
+        [inter] = _meets([(a, b)], field)
+        dim_a, dim_b, dim_sum, dim_i, with_a, with_b = _ranks(
+            [a, b, np.vstack([a, b]), inter, np.vstack([inter, a]), np.vstack([inter, b])],
+            field,
+        )
+        assert dim_sum + dim_i == dim_a + dim_b
+        # the intersection sits inside both arguments
+        assert (with_a, with_b) == (dim_a, dim_b)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_modular_rank_agrees_with_rational_on_corpus_on_the_kernels(field):
+    rng = random.Random(2718)
+    mats = []
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        mats.append([[rng.randint(-50, 50) for _ in range(m)] for _ in range(n)])
+    want = [sympy.Matrix(a).rank() for a in mats]
+    assert _ranks(mats, field) == want
+    assert [_ranks([a], field)[0] for a in mats] == want
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_big_prime_kernel_matches_default_kernel_ranks_on_the_kernels(field):
+    rng = random.Random(31337)
+    mats = [[[rng.randint(0, 100) for _ in range(4)] for _ in range(4)] for _ in range(20)]
+    assert _ranks(mats, field) == _ranks(mats, RAT) == _ranks(mats, MOD)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_intersection_matches_the_null_space_oracle_on_the_kernels(field):
+    rng = random.Random(4242)
+    for _ in range(30):
+        ambient = rng.randint(1, 7)
+
+        def entry():
+            if field is RAT:
+                return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            return Fraction(rng.randint(-3, 3))
+
+        def rows(k):
+            return [[entry() for _ in range(ambient)] for _ in range(k)]
+
+        shared = rows(rng.randint(0, 2))
+        a, b = (shared + rows(rng.randint(0, ambient)) for _ in range(2))
+        [meet] = _meets([(_kernel_rows(a, ambient), _kernel_rows(b, ambient))], field)
+        want = oracle.subspace_intersection(
+            oracle.span(a, ambient, field), oracle.span(b, ambient, field)
+        )
+        assert oracle.span(meet.tolist(), ambient, field) == want
 
 
 # ------------------------------------------------------ property tests
@@ -629,6 +711,16 @@ def test_zero_rows_and_columns_leave_the_column_basis_in_place(field, data):
     padded = np.insert(np.insert(a, row_slots, 0, axis=0), col_slots, 0, axis=1)
     moved = [j + sum(s <= j for s in col_slots) for j in _column_basis(a, field)]
     assert _column_basis(padded, field) == moved
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_column_basis_maps_the_live_columns_back_past_zero_lines(field):
+    # zero rows and columns between live ones, one wide live submatrix
+    # and one tall: the live bases [0, 1] are the columns [1, 3] and [1, 4]
+    wide = [[0, 1, 0, 2, 0, 3], [0, 0, 0, 0, 0, 0], [0, 4, 0, 5, 0, 6]]
+    assert _column_basis(wide, field) == [1, 3]
+    tall = [[0, 1, 0, 0, 2], [0, 0, 0, 0, 0], [0, 3, 0, 0, 4], [0, 5, 0, 0, 7], [0, 1, 0, 0, 1]]
+    assert _column_basis(tall, field) == [1, 4]
 
 
 def test_rational_column_basis_certifies_full_rank_mod_p_only(monkeypatch):

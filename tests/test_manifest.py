@@ -17,12 +17,12 @@ from levelalg.families import (
 from levelalg.fields import FieldSpec
 from levelalg.manifest import (
     IdentityFailure,
-    ManifestError,
     _identity_checks,
     parse_manifest,
     run_manifest,
 )
 from levelalg.modules import (
+    InputError,
     InverseSystemModule,
     derive_seed,
     empirical_generic_h,
@@ -49,9 +49,9 @@ monomial r=3 e=4 t=3 label=cube-picks
 
 def test_parse_manifest_fields():
     man = parse_manifest(TEXT)
-    assert len(man.instances) == 3
+    assert len(man) == 3
 
-    first = man.instances[0]
+    first = man[0]
     assert first.spec == FamilySpec.of("sharp", t=3, p=1, e=3)
     assert first.c_list == (1, 2)
     assert first.trials == 3
@@ -59,12 +59,12 @@ def test_parse_manifest_fields():
     assert first.identities is True
     assert first.line == 2
 
-    second = man.instances[1]
-    assert second.spec.get("density") == 0.5
+    second = man[1]
+    assert dict(second.spec.params)["density"] == 0.5
     assert second.c_list == (1,)
     assert second.identities is False
 
-    third = man.instances[2]
+    third = man[2]
     assert third.c_list is None  # all admissible types
     assert third.trials == 5  # default
     assert third.seed is None  # derived at run time
@@ -73,27 +73,27 @@ def test_parse_manifest_fields():
 
 
 def test_parse_manifest_errors():
-    with pytest.raises(ManifestError, match="no instances"):
+    with pytest.raises(InputError, match="no instances"):
         parse_manifest("# only a comment\n")
-    with pytest.raises(ManifestError, match="unknown family") as err:
+    with pytest.raises(InputError, match="unknown family") as err:
         parse_manifest("\nnonsense t=2\n")
     assert err.value.line == 2
-    with pytest.raises(ManifestError, match="key=value"):
+    with pytest.raises(InputError, match="key=value"):
         parse_manifest("sharp t=3 oops\n")
-    with pytest.raises(ManifestError, match="bad c list"):
+    with pytest.raises(InputError, match="bad c list"):
         parse_manifest("sharp t=3 e=3 c=1;2\n")
-    with pytest.raises(ManifestError, match="trials must be positive"):
+    with pytest.raises(InputError, match="trials must be positive"):
         parse_manifest("sharp t=3 e=3 trials=0\n")
-    with pytest.raises(ManifestError, match="must be an integer"):
+    with pytest.raises(InputError, match="must be an integer"):
         parse_manifest("sharp t=x e=3\n")
-    with pytest.raises(ManifestError, match="on or off"):
+    with pytest.raises(InputError, match="on or off"):
         parse_manifest("sharp t=3 e=3 identities=maybe\n")
-    with pytest.raises(ManifestError, match="bad density"):
+    with pytest.raises(InputError, match="bad density"):
         parse_manifest("random-sparse r=3 e=3 t=2 density=thin\n")
-    with pytest.raises(ManifestError, match="unknown key 'bogus'") as err:
+    with pytest.raises(InputError, match="unknown key 'bogus'") as err:
         parse_manifest("sharp t=3 e=3\nsharp t=3 e=3 bogus=4 c=1\n")
     assert err.value.line == 2
-    with pytest.raises(ManifestError, match="unknown key 'density'"):
+    with pytest.raises(InputError, match="unknown key 'density'"):
         parse_manifest("random-dense r=3 e=3 t=2 density=0.5\n")
 
 
@@ -101,12 +101,12 @@ def test_family_parameter_table_covers_every_family():
     assert set(FAMILY_PARAMS) == set(FAMILY_NAMES)
     for family, keys in FAMILY_PARAMS.items():
         line = family + " " + " ".join(f"{k}=1" for k in keys)
-        assert parse_manifest(line).instances[0].spec.family == family
+        assert parse_manifest(line)[0].spec.family == family
 
 
 def test_run_manifest_family_errors_carry_the_line():
     man = parse_manifest("sharp t=3 e=3 c=1\n\nsharp t=1 p=1 e=3\n")
-    with pytest.raises(ManifestError, match="need type") as err:
+    with pytest.raises(InputError, match="need type") as err:
         run_manifest(man, MOD)
     assert err.value.line == 3
 
@@ -124,7 +124,7 @@ def test_run_manifest_reports_input_errors_before_verifying_any(monkeypatch):
     monkeypatch.setattr(manifest, "verify_instance", counting)
     for second in ("sharp t=1 e=3", "sharp t=2 e=3 c=2"):
         man = parse_manifest("sharp t=3 p=1 e=3 c=1,2\n" + second + "\n")
-        with pytest.raises(ManifestError) as err:
+        with pytest.raises(InputError) as err:
             run_manifest(man, MOD)
         assert err.value.line == 2, second
     assert calls == []
@@ -175,11 +175,11 @@ def test_run_manifest_deterministic():
 
 def test_run_manifest_rejects_bad_c():
     man = parse_manifest("sharp t=3 e=3 c=3\n")
-    with pytest.raises(ManifestError, match="out of range") as err:
+    with pytest.raises(InputError, match="out of range") as err:
         run_manifest(man, MOD)
     assert err.value.line == 1
     man = parse_manifest("sharp t=3 e=3 c=0\n")
-    with pytest.raises(ManifestError, match="out of range"):
+    with pytest.raises(InputError, match="out of range"):
         run_manifest(man, MOD)
 
 
@@ -287,5 +287,5 @@ def test_benchmark_manifest_builds_one_module_per_instance(monkeypatch, field):
     man = parse_manifest((ROOT / "perfbench" / "manifest.txt").read_text())
     built = _count_constructions(monkeypatch)
     summary, _ = run_manifest(man, field, seed=0)
-    assert len(built) == len(man.instances) == 7
+    assert len(built) == len(man) == 7
     assert summary.identity_checks_failed == 0

@@ -28,7 +28,7 @@ from levelalg.modules import (
     DegenerateSampleError,
     DependentGeneratorsError,
     InverseSystemModule,
-    ModuleFileError,
+    InputError,
     derive_seed,
     empirical_generic_h,
     generic_quotient_trials,
@@ -1125,7 +1125,7 @@ def test_parse_module_file_rational():
 def test_parse_module_file_field_override():
     text = "vars: 1\ndegree: 3\nprime: 97\nF1: y1^3\nF2: y1^3\n"
     # dependence is detected over the override field too
-    with pytest.raises(ModuleFileError):
+    with pytest.raises(InputError):
         parse_module_file(text, field_override=FieldSpec.rational())
     text = "vars: 2\ndegree: 2\nprime: 97\nF1: y1^2 - 3*y2^2\n"
     m = parse_module_file(text, field_override=FieldSpec.rational())
@@ -1135,37 +1135,41 @@ def test_parse_module_file_field_override():
 
 
 def test_parse_module_file_errors_carry_line_numbers():
-    with pytest.raises(ModuleFileError) as err:
+    with pytest.raises(InputError) as err:
         parse_module_file("vars: 2\ndegree: 3\nnonsense\n")
     assert err.value.line == 3
-    with pytest.raises(ModuleFileError) as err:
+    with pytest.raises(InputError) as err:
         parse_module_file("vars: 2\ndegree: 3\ncolor: blue\nF1: y1^3\n")
     assert err.value.line == 3
-    with pytest.raises(ModuleFileError, match="missing"):
+    with pytest.raises(InputError, match="missing"):
         parse_module_file("degree: 3\nF1: y1^3\n")
-    with pytest.raises(ModuleFileError, match="no generator"):
+    with pytest.raises(InputError, match="no generator"):
         parse_module_file("vars: 2\ndegree: 3\n")
-    with pytest.raises(ModuleFileError, match="F1..F2"):
+    with pytest.raises(InputError, match="F1..F2"):
         parse_module_file("vars: 2\ndegree: 3\nF1: y1^3\nF3: y2^3\n")
-    with pytest.raises(ModuleFileError) as err:
+    with pytest.raises(InputError) as err:
         parse_module_file("vars: 2\ndegree: 3\nvars: x\n")
     assert err.value.line == 3
-    with pytest.raises(ModuleFileError, match="positive"):
+    with pytest.raises(InputError, match="positive"):
         parse_module_file("vars: 0\ndegree: 3\nF1: y1^3\n")
-    with pytest.raises(ModuleFileError) as err:
+    with pytest.raises(InputError) as err:
         parse_module_file("vars: 2\ndegree: 3\nprime: 91\nF1: y1^3\n")
     assert err.value.line == 3
+    # one integer parser for every header: a prime that is no integer too
+    with pytest.raises(InputError, match="prime must be an integer") as err:
+        parse_module_file("vars: 2\ndegree: 3\nprime: x\nF1: y1^3\n")
+    assert err.value.line == 3
     # a prime not above the degree is the prime line's fault
-    with pytest.raises(ModuleFileError, match="must exceed") as err:
+    with pytest.raises(InputError, match="must exceed") as err:
         parse_module_file("vars: 3\ndegree: 3\nprime: 2\nF1: y1^3\n")
     assert err.value.line == 3
 
 
 def test_parse_module_file_form_error_line():
-    with pytest.raises(ModuleFileError) as err:
+    with pytest.raises(InputError) as err:
         parse_module_file("vars: 2\ndegree: 3\n\nF1: y1^3\nF2: y1^2\n")
     assert err.value.line == 5
-    with pytest.raises(ModuleFileError) as err:
+    with pytest.raises(InputError) as err:
         parse_module_file("vars: 2\ndegree: 3\nF1: y1^3 - y1^3\n")
     assert err.value.line == 3
 
@@ -1181,7 +1185,7 @@ def test_parse_module_file_dependent_generators():
     ]
     for text, line in cases:
         for field in (None, RAT):
-            with pytest.raises(ModuleFileError, match="smaller space") as err:
+            with pytest.raises(InputError, match="smaller space") as err:
                 parse_module_file(text, field_override=field)
             assert err.value.line == line, text
 
