@@ -173,7 +173,11 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
     `remix_generators` draws, never built as a module. The sums and every
     D_u(j) of all degrees come from one `_overlap` walk over the degrees
     together; the D_u(j) it does not list are 0 and add nothing to the
-    recount.
+    recount. The walk settles a degree whose spaces add up to h_u, or are
+    each all of it, with no meet, as in every inner degree of the type-2
+    lines of perfbench/manifest.txt. On the sharp families it meets only
+    the pairs and triples of each degree: every larger subset meets in
+    the line its triples share.
     """
     t = m.type
     e = m.socle_degree

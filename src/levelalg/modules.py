@@ -44,7 +44,11 @@ second (`_graded_ranks`). The re-mix that the identity
 checks of `levelalg verify` walk is rows too: W = A·F with A t-by-t,
 whose spaces `_single_spaces` gathers through the parent's frame, and
 whose generator subsets `_overlap` walks for every inner degree in one
-pass.
+pass. A degree whose spaces add up to h_u, or are each all of it, is
+settled with no meet; elsewhere a subset whose children all keep its
+intersection stops the walk below it, as every descendant meets in that
+intersection too, so the sharp families take the C(t,2) + C(t,3) meets of
+their pairs and triples per degree, not 2^t - t - 1.
 """
 
 from __future__ import annotations
@@ -491,33 +495,66 @@ def _overlap(degrees: list[list[np.ndarray]], field: FieldSpec):
     over the subsets of every degree at once, and one `_relative_dims`
     call ranks the prefixes of every degree.
 
-    The subsets are walked level by level in lexicographic order. Level q
-    holds, for every degree, the rows of each q-subset's intersection with
-    a nonzero result, and its children, the subset plus one generator
-    after its last, are all met in one `_meets` call, whatever their
-    degree. A zero intersection is dropped, since every superset then
-    contributes 0, and a level is freed once its children are built. A
-    q-subset whose last generator is q - 1 is the prefix {0..q-1}; once one
-    prefix meets in 0 so do all longer ones, their D_u is 0 and the list
-    stops. D_u(1) is left out: it would rank all t spaces together, and no
-    caller reads it.
+    The spaces are in frame coordinates, so their column count is h_u, and
+    they span all of it. Two caps settle a degree before the walk, with no
+    meet: if the dimensions add up to h_u the sum is direct, every meet is
+    0, and the pair is (0, []); if every space has dimension h_u, every
+    subset meets in the whole space, so the sum is (t-1)·h_u, and each
+    prefix {0..q-1} hands on the rows of space 0, which `_relative_dims`
+    gives D_u 0 below q = t and h_u at q = t (no rank when t = 2).
+
+    The other degrees are walked level by level in lexicographic order.
+    Level q holds, for every degree, the rows of each q-subset's
+    intersection I_T with a nonzero result, and its children T∪{j}, j
+    after its last generator, are all met in one `_meets` call, whatever
+    their degree. A zero intersection is dropped, since every superset
+    then contributes 0, and a level is freed once its children are met.
+    If all m children of T keep dim I_T, then I_T ⊆ S_j
+    for each such j (nested spaces of equal dimension are equal), so every
+    descendant meets in I_T: the children are not expanded, and the
+    grandchildren and deeper add Σ_{k>=2} C(m,k)·(-1)^(q+k)·dim I_T =
+    (-1)^q·dim I_T·(m-1). A q-subset whose last generator is q - 1 is the
+    prefix {0..q-1}; a pruned prefix T hands its rows to every prefix
+    longer than its child, and once one prefix meets in 0 so do all longer
+    ones, their D_u is 0 and the list stops. D_u(1) is left out: it would
+    rank all t spaces together, and no caller reads it. On the sharp
+    families every triple keeps the meet of its pairs, so the walk meets
+    the C(t,2) + C(t,3) pairs and triples of a degree, not its 2^t - t - 1
+    subsets.
     """
-    # (degree, rows, last generator) of each subset with a nonzero meet
-    level = [
-        (d, s, j) for d, spaces in enumerate(degrees) for j, s in enumerate(spaces)
-    ]
     totals = [0] * len(degrees)
     prefixes: list[list[np.ndarray]] = [[] for _ in degrees]
-    q = 2
+    # (degree, rows, last generator) of each subset with a nonzero meet
+    level = []
+    for d, spaces in enumerate(degrees):
+        h, dims = spaces[0].shape[1], [len(s) for s in spaces]
+        if sum(dims) == h:
+            continue
+        if all(dim == h for dim in dims):
+            totals[d] = (len(spaces) - 1) * h
+            prefixes[d] = [spaces[0]] * (len(spaces) - 1)
+        else:
+            level += [(d, s, j) for j, s in enumerate(spaces)]
+    q = 1  # the size of the subsets in level; their children count (-1)^(q+1)
     while children := [
-        (d, s, j) for d, s, last in level for j in range(last + 1, len(degrees[d]))
+        (s, degrees[d][j]) for d, s, last in level for j in range(last + 1, len(degrees[d]))
     ]:
-        meets = _meets([(s, degrees[d][j]) for d, s, j in children], field)
-        level = [(d, meet, j) for meet, (d, _, j) in zip(meets, children) if len(meet)]
-        for d, meet, j in level:
-            totals[d] += (-1) ** q * len(meet)
-            if j == q - 1:
-                prefixes[d].append(meet)
+        meets = iter(_meets(children, field))
+        below = []
+        for d, s, last in level:
+            kids = [(j, next(meets)) for j in range(last + 1, len(degrees[d]))]
+            for j, meet in kids:
+                totals[d] -= (-1) ** q * len(meet)
+                if j == q and len(meet):
+                    prefixes[d].append(meet)
+            if kids and all(len(meet) == len(s) for _, meet in kids):
+                # every descendant meets in s: the deeper ones in closed form
+                totals[d] += (-1) ** q * len(s) * (len(kids) - 1)
+                if last == q - 1:
+                    prefixes[d] += [s] * (len(degrees[d]) - q - 1)
+            else:
+                below += [(d, meet, j) for j, meet in kids if len(meet)]
+        level = below
         q += 1
     pairs = [
         (inter, spaces[q:])
@@ -537,10 +574,13 @@ def inclusion_exclusion_sum(m: InverseSystemModule, u: int) -> int:
     Pairs count positive, triples negative, and so on; for generically
     chosen generators this equals t * H_u(generic Gorenstein quotient)
     minus h_u. Use remix_generators first when that identity is wanted.
-    The subsets are met level by level, a whole level in one stacked
-    elimination, and a subset whose parent meets in 0 is skipped (see
-    `_overlap`). The walk's relative dimensions, one stacked rank, are
-    left unread.
+    The walk is `_overlap`'s: a degree whose spaces add up to h_u (a direct
+    sum) or are each all of it is settled with no meet; otherwise the
+    subsets are met level by level, a whole level in one stacked
+    elimination, a subset whose parent meets in 0 is skipped, and below a
+    subset whose children all keep its dimension every subset past the
+    children is added in closed form, not met. The walk's relative
+    dimensions, one stacked rank, are left unread.
     """
     _check_degree(m, u)
     if m.type < 2:

@@ -81,8 +81,61 @@ MUTANTS = (
     Mutant(
         "prefix-rule-off-by-one",
         "modules.py",
-        "            if j == q - 1:\n",
-        "            if j == q:\n",
+        "                if j == q and len(meet):\n",
+        "                if j == q + 1 and len(meet):\n",
+        (
+            MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
+            MODULES + "test_overlap_statistics_match_the_subset_oracle",
+        ),
+    ),
+    Mutant(
+        "pruned-closed-form-sign-flipped",
+        "modules.py",
+        "totals[d] += (-1) ** q * len(s) * (len(kids) - 1)",
+        "totals[d] -= (-1) ** q * len(s) * (len(kids) - 1)",
+        (
+            MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
+            MODULES + "test_overlap_statistics_match_the_subset_oracle",
+        ),
+    ),
+    Mutant(
+        "prune-when-any-child-keeps",
+        "modules.py",
+        "kids and all(len(meet) == len(s) for _, meet in kids)",
+        "kids and any(len(meet) == len(s) for _, meet in kids)",
+        (
+            MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
+            MODULES + "test_overlap_statistics_match_the_subset_oracle",
+        ),
+    ),
+    Mutant(
+        "prefix-padding-one-long",
+        "modules.py",
+        "prefixes[d] += [s] * (len(degrees[d]) - q - 1)",
+        "prefixes[d] += [s] * (len(degrees[d]) - q)",
+        (
+            MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
+            MODULES + "test_overlap_statistics_match_the_subset_oracle",
+        ),
+    ),
+    Mutant(
+        "full-cap-by-any",
+        "modules.py",
+        "        if all(dim == h for dim in dims):\n",
+        "        if any(dim == h for dim in dims):\n",
+        (
+            MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
+            MODULES + "test_overlap_statistics_match_the_subset_oracle",
+        ),
+    ),
+    Mutant(
+        # Σ dim S_i >= h_u always holds, as the S_i span degree u, so the
+        # mutant settles every degree as a direct sum (`<=` would be
+        # equivalent)
+        "direct-cap-by-at-least",
+        "modules.py",
+        "        if sum(dims) == h:\n",
+        "        if sum(dims) >= h:\n",
         (
             MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
             MODULES + "test_overlap_statistics_match_the_subset_oracle",

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from levelalg import cli
+from levelalg import cli, modules
 from levelalg.families import sharp_family
 from levelalg.fields import FieldSpec
 from levelalg.modules import generic_quotient_trials, module_to_text, parse_module_file
+
+DATA = Path(__file__).resolve().parent / "data"
 
 MODULE_TEXT = """\
 vars: 4
@@ -330,6 +333,23 @@ def test_verify_rational(manifest_file, capsys):
     d = json.loads(capsys.readouterr().out)
     assert d["summary"]["violated"] == 0
     assert d["reports"][0]["prime"] is None
+
+
+def test_verify_walks_a_wide_sharp_line_in_pairs_and_triples(monkeypatch, capsys):
+    # t = 12, identities on: in each of the 2 inner degrees the walk meets
+    # the C(12,2) = 66 pairs, then the C(12,3) = 220 triples, 286 of the
+    # 4,083 subsets with a nonzero parent, as every pair keeps its line in
+    # each of its triples
+    calls = []
+    meets = modules._meets
+    monkeypatch.setattr(
+        modules, "_meets", lambda pairs, f: calls.append(len(pairs)) or meets(pairs, f)
+    )
+    rc = cli.main(["verify", str(DATA / "sharp-wide.txt"), "--format", "json"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert (summary["identityChecksPassed"], summary["identityChecksFailed"]) == (6, 0)
+    assert calls == [2 * 66, 2 * 220]
 
 
 def test_verify_bad_manifest(tmp_path, capsys):

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from levelalg import manifest
+from levelalg import manifest, modules
 from levelalg.combinatorics import binomial
 from levelalg.families import (
     FAMILY_NAMES,
     FAMILY_PARAMS,
     FamilySpec,
+    build_family,
     random_module,
     sharp_family,
 )
@@ -289,3 +290,41 @@ def test_benchmark_manifest_builds_one_module_per_instance(monkeypatch, field):
     summary, _ = run_manifest(man, field, seed=0)
     assert len(built) == len(man) == 7
     assert summary.identity_checks_failed == 0
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_type_two_benchmark_lines_are_settled_by_the_caps(monkeypatch, field):
+    # in every inner degree of the type-2 lines, built as `run_manifest`
+    # builds them, the two spaces are each all of it or add up to it: the
+    # walk meets nothing, and the one prefix it hands on, {0, 1} of a full
+    # degree, has no rest to rank against
+    met, ranked, walking = [], [], [False]
+    meets, ranks, overlap = modules._meets, modules._ranks, manifest._overlap
+
+    def walk(degrees, f):
+        walking[0] = True
+        try:
+            return overlap(degrees, f)
+        finally:
+            walking[0] = False
+
+    def ranking(stack, f):
+        if walking[0]:
+            ranked.append(stack)
+        return ranks(stack, f)
+
+    monkeypatch.setattr(modules, "_meets", lambda pairs, f: met.extend(pairs) or meets(pairs, f))
+    monkeypatch.setattr(modules, "_ranks", ranking)
+    monkeypatch.setattr(manifest, "_overlap", walk)
+    man = parse_manifest((ROOT / "perfbench" / "manifest.txt").read_text())
+    lines = [(k, inst) for k, inst in enumerate(man) if dict(inst.spec.params)["t"] == 2]
+    assert len(lines) == 4
+    checks = 0
+    for k, inst in lines:
+        seed = derive_seed(0, k)
+        m = build_family(inst.spec, field, seed=seed)
+        passed, failures = _identity_checks(m, inst.trials, seed)
+        assert failures == [], inst.line
+        checks += passed
+    assert checks == 3 * (4 + 3 + 3 + 5)
+    assert met == [] and ranked == []

@@ -832,6 +832,41 @@ def test_walk_over_all_degrees_matches_the_per_degree_oracle(field):
             assert walks == [oracle.overlap(m, u, w) for u in degrees], (m.label, m.type)
 
 
+@st.composite
+def _walk_draws(draw, field):
+    """A module over field, an `OVERLAP_CASES` one, a sharp one of type
+    at most 10, a dense one of type 3 or 4 or the conic s = 5, e = 4 (whose
+    identities fail), with its own rows or those of a re-mix, seed 0-3."""
+    kind = draw(st.sampled_from(["overlap", "sharp", "dense", "conic"]))
+    if kind == "overlap":
+        m = draw(st.sampled_from(OVERLAP_CASES))(field)
+    elif kind == "sharp":
+        t = draw(st.integers(2, 10))
+        wide = t > 6  # the oracle meets all 2^t - t - 1 subsets: keep p = 1, e = 3
+        p, e = draw(st.integers(1, 1 if wide else 2)), draw(st.integers(3, 3 if wide else 4))
+        m = sharp_family(t=t, p=p, e=e, field=field)
+    elif kind == "dense":
+        t, seed = draw(st.integers(3, 4)), draw(st.integers(0, 3))
+        m = random_module(draw(st.integers(3, 4)), 4, t, 1.0, seed, field)
+    else:
+        m = _conic(field)
+    seed = draw(st.integers(0, 3))
+    w = m.rows if draw(st.booleans()) else modules._draws(m, m.type, [seed], "remix")[0][1]
+    return m, w
+
+
+@pytest.mark.parametrize("field", [MOD, BIG, RAT], ids=["gfp", "bigp", "q"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pruned_walk_equals_the_unpruned_oracle(field, data):
+    # the caps and the pruned subtrees give every degree's sum and prefix
+    # D_u that the walk over every subset with a nonzero parent gives
+    m, w = data.draw(_walk_draws(field))
+    degrees = range(1, m.socle_degree)
+    walks = modules._overlap(modules._single_spaces(m, degrees, w), field)
+    assert walks == [oracle.overlap(m, u, w) for u in degrees], (m.label, m.type)
+
+
 def _scaled_trap(t=3):
     """Sharp generators over Q with the second one scaled by p: the same
     span, but mod p the second generator vanishes, so the mod-p pass on
@@ -997,20 +1032,33 @@ def test_inclusion_exclusion_sum_ranks_at_most_once(monkeypatch, field):
 
 
 def _walk_meets(m, u):
-    """The number of subsets the walk meets in degree u: those of two or
-    more generators whose lexicographic parent has a nonzero intersection."""
+    """The number of subsets the walk meets in degree u, from the oracle's
+    spaces: none when their dimensions add up to h_u or all equal h_u;
+    otherwise the children T + {j}, j after the last index of T, of every
+    subset T the walk reaches. The walk reaches each single generator, and
+    each child with a nonzero intersection of a reached subset that some
+    child does not keep the dimension of."""
     spaces = oracle._spaces(m, u)
-    return sum(
-        1
-        for q in range(2, m.type + 1)
-        for subset in combinations(range(m.type), q)
-        if reduce(oracle.subspace_intersection, (spaces[j] for j in subset[:-1])).dim
-    )
+    h = oracle.h_vector(m.generators)[u]
+    dims = [s.dim for s in spaces]
+    if sum(dims) == h or min(dims) == h:
+        return 0
+
+    def met(inter, last):
+        kids = [oracle.subspace_intersection(inter, s) for s in spaces[last + 1 :]]
+        if all(kid.dim == inter.dim for kid in kids):
+            return len(kids)
+        below = (met(kid, j) for j, kid in enumerate(kids, start=last + 1) if kid.dim)
+        return len(kids) + sum(below)
+
+    return sum(met(s, j) for j, s in enumerate(spaces))
 
 
-def test_stacked_walk_meets_exactly_the_subsets_with_a_nonzero_parent(monkeypatch):
-    # a subset is met only when its lexicographic parent (the subset less
-    # its largest index) has a nonzero intersection
+def test_stacked_walk_meets_the_children_of_each_unpruned_subset(monkeypatch):
+    # a subset is met only when the walk reaches its lexicographic parent
+    # (the subset less its largest index): a single generator, or a subset
+    # with a nonzero intersection whose own parent has a child that does
+    # not keep the parent's dimension
     met = []
     stacked = modules._meets
 
@@ -1020,10 +1068,12 @@ def test_stacked_walk_meets_exactly_the_subsets_with_a_nonzero_parent(monkeypatc
 
     monkeypatch.setattr(modules, "_meets", counting)
     cases = (
-        # no intersection vanishes: all 247 subsets of two or more, per degree
-        (remix_generators(sharp_family(t=8, p=1, e=3, field=MOD), seed=8), 494),
-        # in degree 3 some pairs already meet in 0: 26 + 26 + 10 of 3 * 26
-        (random_module(3, 4, 5, 0.8, 2, MOD), 62),
+        # every pair and triple meets in one line: the C(8,2) + C(8,3) = 84
+        # pairs and triples, per degree, of the 247 subsets of two or more
+        (remix_generators(sharp_family(t=8, p=1, e=3, field=MOD), seed=8), 168),
+        # every space is all of degrees 1 and 2, which the walk settles with
+        # no meet; in degree 3 the 10 pairs all meet in 0
+        (random_module(3, 4, 5, 0.8, 2, MOD), 10),
     )
     for m, count in cases:
         met.clear()
@@ -1039,7 +1089,9 @@ def test_identity_checks_walk_each_degree_once(monkeypatch, field):
     # the sums and the recounts all come from one walk over the degrees:
     # the walk's stacked meets are all there is, and no pair is met on its
     # own (a one-pair meet would go through `_meets` too); level q of every
-    # degree is one call, and no call is empty
+    # degree is one call: the 6 pairs of each of the 3 degrees, then their 4
+    # triples, each of which keeps its parent pair's line, so no pair's
+    # children are expanded and no 4-subset is met
     from levelalg import manifest
 
     met, calls = [], []
@@ -1059,8 +1111,8 @@ def test_identity_checks_walk_each_degree_once(monkeypatch, field):
     calls.clear()
     passed, failures = manifest._identity_checks(m, 3, seed)
     assert (passed, failures) == (9, [])
-    assert len(met) == expected
-    assert len(calls) == m.type - 1 and 0 not in calls
+    assert len(met) == expected == 30
+    assert calls == [3 * 6, 3 * 4]
 
 
 def test_relative_intersection_validation():
