@@ -8,49 +8,59 @@ All functions are pure; Matrix and Subspace are immutable and safe to
 share between threads.
 
 Over GF(p) every elimination is `_line_steps`: a stack of equally shaped
-matrices is eliminated side by side, one line per step. It ranks the
-quotient trials of one type together (`_ranks`), gives the generators'
-derivative spaces their bases together (`_bases`; both along the shorter
-side) and intersects a whole level of generator subsets, or a single
-pair (`_meets`, by Zassenhaus, each distinct pair of a call once in
-either field); `_column_basis` reads a column basis off one pass on the
-live submatrix, the array without its zero rows and columns (no caller
-needs a row basis), and `_span` a canonical basis off one pass
-and a back-substitution. Its arrays are int64
-residues in [0, p) whenever p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`),
-so a product of two entries fits in int64, and object arrays of Python
-ints only for larger primes.
-`_dtype` makes that choice once, where a module's coefficient rows are
-stored (`modules.InverseSystemModule`), and every GF(p) array built from them
+matrices is eliminated side by side, one line per step. It has three
+readers:
+- `_independent_rows` gives, for each matrix of a stack, the ascending
+  indices of rows that form a basis of its row space, from one pass along
+  the stack's shorter side; it is the only place that picks an
+  orientation. A rank (`_ranks`, the quotient trials of one type ranked
+  together) is the number of those rows, a basis (`_bases`, the
+  generators' derivative spaces) is the rows themselves, and a column
+  basis (`_column_basis`, the frame) is the rows of the transposed live
+  submatrix, the array without its zero rows and columns.
+- `_meets` intersects a whole level of generator subsets, or a single
+  pair, by Zassenhaus, each distinct pair of a call once in either field.
+- `_span` gives a canonical basis, from one pass and a back-substitution.
+
+The arrays are int64 residues in [0, p) whenever p <= isqrt(2**63 - 1)
+(`_INT64_PRIME_LIMIT`), so a product of two entries fits in int64, and
+object arrays of Python ints only for larger primes. `_dtype` makes that
+choice once, where a module's coefficient rows are stored
+(`modules.InverseSystemModule`), and every GF(p) array built from them
 keeps it: catalecticant gathers, combinations (`_combine`, whose int64
 dot is guarded by an exact bound on its sums), bases and meets. The
 kernels read int64 input without a copy (`np.asarray`) and reduce it
 mod p, which also serves callers that pass negative entries.
+
 Over Q every rank, basis and intersection is first certified mod
-DEFAULT_PRIME by the stacked GF(p) pass, and only what the certificate
-leaves open gets `_echelon_int`, the fraction-free forward pass on
-integer rows, each eliminated row divided by its content; it is the only
-elimination over Q. All four certificates rest on
-rank mod p <= rank over Q <= min(rows, cols) for an integer matrix: a
-full rank mod p is the rank (`_ranks`), and its column basis is a
-basis over Q (`_column_basis`, where full is min(shape) of the live
-submatrix: the zero lines of a sparse catalecticant, such as a sharp
-family's, keep min(shape) of the whole array out of reach), a rank
-equal to the column count means the rows span Q^n (`_bases`), and
-rows of [a; b] independent mod p are independent over Q, so row(a) ∩
-row(b) is 0 (`_meets`). What a
-certificate leaves open gets one exact pass per distinct matrix of a
-call (`_ranks`, `_bases`, by `_once`) or per distinct pair (`_meets`),
-both keyed by shape and entries (`_key`). Duplicates get the very same
-result, and so do the duplicate pairs of a `_meets` call over GF(p), so
-callers must not mutate what these return. The exact answers never
-depend on p; only the time does. The kernels take integer rows only:
-every row the pipeline builds is one (the generators' coefficient rows
-are cleared to integers once, and catalecticants, combinations, meets
-and bases keep that). Fractions enter only through Matrix and Subspace,
-and are cleared there, once per row, by `_clear_row` (in `_span`, `rank`
-and `subspace_intersection`); Fraction appears again only in the
-back-substitution of a canonical basis.
+DEFAULT_PRIME by the GF(p) pass, on one fact: a nonzero minor mod p is
+a nonzero integer minor, so rank mod p <= rank over Q <= min(rows, cols)
+for an integer matrix. It has four consequences, the four certificates:
+- full rank: a rank mod p of min(rows, cols) is the rank (`_ranks`), and
+  then the rows `_independent_rows` picks in the transposed live
+  submatrix are a column basis over Q (`_column_basis`; the zero lines of
+  a sparse catalecticant, such as a sharp family's, keep min(shape) of
+  the whole array out of reach, not that of its live submatrix);
+- I_n: a rank equal to the column count n means the rows span Q^n, whose
+  basis is I_n (`_bases`);
+- own rows: a rank equal to the row count means the rows are independent,
+  so they are their own basis (`_bases`);
+- meet 0: rows of [a; b] independent mod p are independent over Q, so
+  row(a) ∩ row(b) is 0 (`_meets`).
+What a certificate leaves open gets `_echelon_int`, the fraction-free
+forward pass on integer rows, each eliminated row divided by its
+content; it is the only elimination over Q. It runs once per distinct
+matrix of a call (`_ranks`, `_bases`, by `_once`) or per distinct pair
+(`_meets`), both keyed by shape and entries (`_key`). Duplicates get the
+very same result, and so do the duplicate pairs of a `_meets` call over
+GF(p), so callers must not mutate what these return. The exact answers
+never depend on p; only the time does. The kernels take integer rows
+only: every row the pipeline builds is one (the generators' coefficient
+rows are cleared to integers once, and catalecticants, combinations,
+meets and bases keep that). Fractions enter only through Matrix and
+Subspace, and are cleared there, once per row, by `_clear_row` (in
+`_span`, `rank` and `subspace_intersection`); Fraction appears again
+only in the back-substitution of a canonical basis.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -263,23 +274,43 @@ def _line_steps(a: np.ndarray, p: int):
         piv = line[k, j]
         found = piv != 0
         yield line, j, found
-        if a.shape[1] and found.any():
+        # count_nonzero: a small array's any() costs several times more
+        if a.shape[1] and np.count_nonzero(found):
             piv[~found] = 1
             a = (piv[:, None, None] * a - a[k, :, j][:, :, None] * line[:, None, :]) % p
+
+
+def _independent_rows(a: np.ndarray, p: int) -> list[list[int]]:
+    """For each matrix of a 3-D stack of residues mod p, the ascending
+    indices of rows that form a basis of its row space, from one
+    `_line_steps` pass along the stack's shorter side.
+
+    Row by row, line k is row k less a combination of the earlier rows, so
+    it is nonzero exactly when row k is independent of them, and the rows
+    with a nonzero line are kept. Column by column (a tall stack), the
+    nonzero column lines L_1..L_r of a matrix A span col(A), and L_k is
+    zero at every earlier leading row j_i and nonzero at its own j_k: on
+    the rows J = {j_k} they are triangular with a nonzero diagonal, so
+    rank A[J] = r = rank A and the rows A[J], sorted, are kept.
+    """
+    tall = a.shape[1] > a.shape[2]
+    kept: list[list[int]] = [[] for _ in range(len(a))]
+    for k, (_, j, found) in enumerate(_line_steps(a.transpose(0, 2, 1) if tall else a, p)):
+        for rows, row, f in zip(kept, j.tolist() if tall else repeat(k), found.tolist()):
+            if f:
+                rows.append(row)
+    return [sorted(rows) for rows in kept] if tall else kept
 
 
 def _ranks(stack, field: FieldSpec) -> list[int]:
     """Ranks of a sequence of 2-D arrays of any shapes (or of a 3-D array).
 
     A sequence is first zero-padded to one shape, which keeps every rank.
-    Over GF(p) the matrices are eliminated side by side along their shorter
-    side by `_line_steps`: every nonzero line lowers the rank of what is
-    left by exactly one. Over Q the integer matrices are first ranked mod
-    DEFAULT_PRIME by that pass, and a full rank mod p is the rank over Q:
-    a nonzero r-by-r minor mod p is a nonzero integer minor, so rank mod p
-    <= rank over Q <= min(rows, cols) of the matrix before padding. Only a
-    matrix whose rank mod p falls short of that gets the fraction-free
-    forward pass, on its own rows and columns, once per distinct matrix.
+    Over GF(p) a rank is the number of rows `_independent_rows` keeps. Over
+    Q the integer matrices are first ranked mod DEFAULT_PRIME, and a full
+    rank there, min(rows, cols) of the matrix before padding, is the rank
+    over Q; only a matrix that falls short gets the fraction-free forward
+    pass, on its own rows and columns, once per distinct matrix.
     """
     dtype = _dtype(field)
     if isinstance(stack, np.ndarray) and stack.ndim == 3:
@@ -298,54 +329,31 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
             r if r == min(k, n) else exact(m[:k, :n])
             for r, (k, n), m in zip(mod, shapes, a)
         ]
-    p = field.prime
-    a = a % p
-    if a.size == 0:
-        return [0] * len(a)
-    if a.shape[1] > a.shape[2]:
-        a = a.transpose(0, 2, 1)
-    ranks = np.zeros(len(a), dtype=np.int64)
-    for _, _, found in _line_steps(a, p):
-        ranks += found
-    return ranks.tolist()
+    return list(map(len, _independent_rows(a % field.prime, field.prime)))
 
 
 def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
     """Basis rows of the row space of each matrix in a sequence of equally
     shaped matrices (or a 3-D array).
 
-    Over GF(p) the stack is eliminated along its shorter side by
-    `_line_steps`. A wide or square matrix keeps its nonzero lines, which
-    keep the row space and have distinct leading columns. A tall matrix A
-    keeps its own rows at the leading positions j_k of its nonzero column
-    lines L_1..L_r. For, the L_k span col(A), and L_k is zero at every
-    earlier j_i and nonzero at j_k: on the rows J = {j_k} they are
-    triangular with a nonzero diagonal, so rank A[J] = r = rank A and the
-    rows A[J] are a basis of row(A). Over Q a tall or square stack is first
-    ranked mod DEFAULT_PRIME, and a matrix of rank n mod p, n its column
-    count, gets the basis I_n (Python ints): rank mod p <= rank over Q <=
-    n, so its rows span Q^n. Every other matrix gets the fraction-free
-    forward pass, once per distinct matrix: duplicates share one result.
+    Over GF(p) the basis is the matrix's own rows that `_independent_rows`
+    keeps. Over Q every matrix is first ranked mod DEFAULT_PRIME: a matrix
+    of rank n there, n its column count, gets the basis I_n (Python ints),
+    and one of rank k, its row count, is its own basis. Every other matrix
+    gets the fraction-free forward pass, once per distinct matrix:
+    duplicates share one result.
     """
     if not field.is_modular:
         a = np.asarray(stack, dtype=object)
-        n = a.shape[2]
-        mod = [0] * len(a)
-        if a.shape[1] >= n:
-            mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        k, n = a.shape[1:]
+        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
         exact = _once(lambda m: _echelon_int(m)[0])
-        return [np.eye(n, dtype=object) if r == n else exact(m) for r, m in zip(mod, a)]
-    p = field.prime
-    a = np.asarray(stack, dtype=_dtype(field)) % p
-    k, nr, nc = a.shape
-    tall = nr > nc
-    kept: list[list] = [[] for _ in range(k)]
-    for line, j, found in _line_steps(a.transpose(0, 2, 1) if tall else a, p):
-        for i in found.nonzero()[0].tolist():
-            kept[i].append(j[i] if tall else line[i].copy())
-    if tall:
-        return [a[i, rows] for i, rows in enumerate(kept)]
-    return [np.array(rows, dtype=a.dtype).reshape(len(rows), nc) for rows in kept]
+        return [
+            np.eye(n, dtype=object) if r == n else m if r == k else exact(m)
+            for r, m in zip(mod, a)
+        ]
+    a = np.asarray(stack, dtype=_dtype(field)) % field.prime
+    return [m[rows] for m, rows in zip(a, _independent_rows(a, field.prime))]
 
 
 def _column_basis(a, field: FieldSpec) -> list[int]:
@@ -355,13 +363,11 @@ def _column_basis(a, field: FieldSpec) -> list[int]:
     column basis, and neither changes the rank, so a column basis of the
     live submatrix that is left, mapped back to a's columns, is one of a
     (an array with no zero line is its own live submatrix, and is not
-    copied). Over GF(p), one `_line_steps` pass along the live submatrix's
-    shorter side: a line is nonzero exactly when it is independent of the
-    earlier ones, so a tall array keeps its nonzero column lines and a
-    wide one the leading columns of its nonzero row lines. Over Q a rank
-    mod DEFAULT_PRIME equal to the smaller side of the live submatrix is
-    kept, as its columns then hold a minor nonzero mod p; otherwise the
-    fraction-free pass gives the pivot columns. A sparse catalecticant,
+    copied). The basis is `_independent_rows` of the live submatrix's
+    transpose, over GF(p) in its field and over Q mod DEFAULT_PRIME, where
+    it is kept when it is as long as the smaller side of the live
+    submatrix, as its columns then hold a minor nonzero mod p; otherwise
+    the fraction-free pass gives the pivot columns. A sparse catalecticant,
     such as a sharp family's, reaches min(live shape) mod p where it falls
     far short of min(shape), so its frame needs no exact pass.
     """
@@ -372,15 +378,10 @@ def _column_basis(a, field: FieldSpec) -> list[int]:
     rows, cols = nonzero.any(1), nonzero.any(0)
     live = a if rows.all() and cols.all() else a[rows][:, cols]
     if field.is_modular:
-        tall = live.shape[0] > live.shape[1]
-        steps = _line_steps((live.T if tall else live)[None], field.prime)
-        if tall:
-            basis = [k for k, (_, _, found) in enumerate(steps) if found[0]]
-        else:
-            basis = sorted(int(j[0]) for _, j, found in steps if found[0])
+        [basis] = _independent_rows(live.T[None], field.prime)
     else:
-        mod = (live % DEFAULT_PRIME).astype(np.int64)
-        basis = _column_basis(mod, _CERTIFICATE_FIELD)
+        mod = (live.T % DEFAULT_PRIME).astype(np.int64)
+        [basis] = _independent_rows(mod[None], DEFAULT_PRIME)
         if len(basis) != min(live.shape):
             basis = _echelon_int(live)[1]
     return basis if live is a else cols.nonzero()[0][basis].tolist()

@@ -155,7 +155,12 @@ class InverseSystemModule:
     denominator: int = 1
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=_dtype(self.field))
+        try:
+            rows = np.array(self.rows, dtype=_dtype(self.field))
+        except OverflowError:
+            # entries outside int64: reduced mod p in Python ints first
+            rows = np.array(self.rows, dtype=object) % self.field.prime
+            rows = rows.astype(_dtype(self.field))
         if self.field.is_modular:
             rows %= self.field.prime
         rows.flags.writeable = False

@@ -202,9 +202,30 @@ MUTANTS = (
     Mutant(
         "basis-certificate-one-short",
         "linalg.py",
-        "np.eye(n, dtype=object) if r == n else exact(m)",
-        "np.eye(n, dtype=object) if r >= n - 1 else exact(m)",
+        "np.eye(n, dtype=object) if r == n else",
+        "np.eye(n, dtype=object) if r >= n - 1 else",
         (LINALG + "test_rational_bases_certify_full_column_rank",),
+    ),
+    Mutant(
+        "own-rows-certificate-one-short",
+        "linalg.py",
+        "else m if r == k else exact(m)",
+        "else m if r >= k - 1 else exact(m)",
+        (LINALG + "test_rational_bases_certify_full_row_rank_with_the_rows_themselves",),
+    ),
+    Mutant(
+        "independent-tall-reads-step",
+        "linalg.py",
+        "j.tolist() if tall else repeat(k)",
+        "repeat(k)",
+        (LINALG + "test_independent_rows_of_hand_examples",),
+    ),
+    Mutant(
+        "independent-unsorted",
+        "linalg.py",
+        "return [sorted(rows) for rows in kept] if tall else kept",
+        "return kept",
+        (LINALG + "test_independent_rows_of_hand_examples",),
     ),
     Mutant(
         "column-certificate-one-short",

@@ -658,6 +658,69 @@ def test_stacked_bases_span_the_column_pass_rows(field, stack):
         assert _span(rows, n, field) == _span(want, n, field)
 
 
+def _residue_stack(stack, field):
+    """A 3-D residue stack in the field's array type, as the kernels get it."""
+    a = np.array(stack, dtype=object) % field.prime
+    return a.astype(linalg._dtype(field))
+
+
+@pytest.mark.parametrize("field", [MOD, BIG], ids=["gfp", "bigp"])
+def test_independent_rows_of_hand_examples(field):
+    def rows(*stack):
+        a = _residue_stack(stack, field)
+        assert a.dtype == (np.int64 if field == MOD else object)
+        return linalg._independent_rows(a, field.prime)
+
+    # tall: the basis rows are not the first two
+    assert rows([[1, 0], [2, 0], [0, 1]]) == [[0, 2]]
+    # tall: the leading rows come out as 1, then 0
+    assert rows([[0, 1], [1, 0], [1, 1]]) == [[0, 1]]
+    # square and wide, each with a dependent middle row
+    assert rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == [[0, 2]]
+    assert rows([[1, 2, 3, 4], [-1, -2, -3, -4], [0, 0, 1, 1]]) == [[0, 2]]
+    # one stack, a different basis in each matrix
+    assert rows([[0, 0], [1, 0], [0, 1]], [[1, 1], [2, 2], [0, 0]]) == [[1, 2], [0]]
+    # all-zero, zero-row, zero-column and empty stacks
+    empty = _residue_stack(np.zeros((2, 3, 2), dtype=object), field)
+    assert linalg._independent_rows(empty, field.prime) == [[], []]
+    for shape in [(2, 0, 3), (2, 3, 0), (0, 3, 2), (0, 2, 3)]:
+        a = np.zeros(shape, dtype=linalg._dtype(field))
+        assert linalg._independent_rows(a, field.prime) == [[]] * shape[0]
+
+
+@pytest.mark.parametrize("field", [MOD, FieldSpec.modular(3), BIG], ids=["gfp", "gf3", "bigp"])
+@PROPERTY
+@given(stack=_basis_stacks())
+def test_independent_rows_are_an_ascending_basis(field, stack):
+    a = _residue_stack(stack, field)
+    got = linalg._independent_rows(a, field.prime)
+    assert len(got) == len(a)
+    for rows, m in zip(got, a):
+        n = m.shape[1]
+        want = oracle.echelon(m, field)[0]
+        assert rows == sorted(set(rows))
+        assert len(rows) == len(want)
+        assert _span(m[rows], n, field) == _span(want, n, field)
+
+
+def test_rational_bases_certify_full_row_rank_with_the_rows_themselves(monkeypatch):
+    wide = [[1, 2, 0, 1], [0, 1, 1, 3]]
+    # the second row is the first plus p·e_2: rank 1 mod p, 2 over Q
+    trap = [wide[0], [1, 2, P, 1]]
+    # rank 1 over Q
+    dependent = [wide[0], [2, 4, 0, 2]]
+    calls = _count_exact_passes(monkeypatch)
+    [own] = _bases([wide], RAT)
+    assert own.tolist() == wide and own.dtype == object
+    assert calls == []
+    got = _bases([trap, dependent], RAT)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert [len(rows) for rows in got] == [2, 1]
+    for rows, a in zip(got, (trap, dependent)):
+        assert _span(rows, 4, RAT) == _span(a, 4, RAT)
+
+
 @st.composite
 def _index_cases(draw, field):
     """A matrix over field, tall, wide or square, with zero rows, rows

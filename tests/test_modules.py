@@ -475,6 +475,23 @@ def test_module_is_a_record_of_its_rows():
         InverseSystemModule(2, 2, MOD, np.zeros((0, 3), dtype=np.int64))
 
 
+@pytest.mark.parametrize("field", [FieldSpec(97), MOD], ids=["gf97", "gfp"])
+def test_module_rows_outside_int64_are_reduced_mod_p(field):
+    # entries beyond int64, as a list or an object array, reduced in Python
+    # ints into the int64 residues the rest of the module sees
+    p = field.prime
+    big = [[2**64 + 1, 0, 1], [0, 1, -(2**70)]]
+    want = [[x % p for x in row] for row in big]
+    for given in (big, np.array(big, dtype=object)):
+        m = InverseSystemModule(2, 2, field, given)
+        assert m.rows.dtype == np.int64 and not m.rows.flags.writeable
+        assert m.rows.tolist() == want
+        assert h_vector(m) == (1, 2, 2)
+    # p·2^64 is 0 mod p: the first row becomes the second
+    with pytest.raises(DependentGeneratorsError):
+        InverseSystemModule(2, 2, field, [[p * 2**64, 1, 0], [0, 1, 0]])
+
+
 def test_explicit_coefficients_agree_across_fields():
     # -1 reduces to p-1 and the generators' entries sit just below p too,
     # so an int64 product A·V of these would wrap around
