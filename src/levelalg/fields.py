@@ -14,8 +14,11 @@ from functools import lru_cache
 
 #: Default modulus: 2**31 - 1 (Mersenne prime). Products of two reduced
 #: scalars stay below 2**63, so arrays of them are int64 from the
-#: coefficient rows on (as for any p <= isqrt(2**63 - 1); see
-#: `linalg._dtype`), and every GF(p) kernel runs in int64.
+#: coefficient rows on (as for any p <= isqrt(2**63 - 1)), and every GF(p)
+#: kernel runs in int64. Over Q the storage rule is per value, not per
+#: field: rows are int64 while every entry is below 2**62 in absolute
+#: value and Python ints past it (`linalg._integer_array`); the mod-p
+#: certificates over Q reduce them modulo this prime.
 DEFAULT_PRIME = 2_147_483_647
 
 Scalar = int | Fraction

@@ -22,15 +22,22 @@ readers:
   pair, by Zassenhaus, each distinct pair of a call once in either field.
 - `_span` gives a canonical basis, from one pass and a back-substitution.
 
-The arrays are int64 residues in [0, p) whenever p <= isqrt(2**63 - 1)
-(`_INT64_PRIME_LIMIT`), so a product of two entries fits in int64, and
-object arrays of Python ints only for larger primes. `_dtype` makes that
-choice once, where a module's coefficient rows are stored
-(`modules.InverseSystemModule`), and every GF(p) array built from them
-keeps it: catalecticant gathers, combinations (`_combine`, whose int64
-dot is guarded by an exact bound on its sums), bases and meets. The
-kernels read int64 input without a copy (`np.asarray`) and reduce it
-mod p, which also serves callers that pass negative entries.
+An integer array is int64 where that is exact and an object array of
+Python ints otherwise, chosen from the values once, where a module's
+coefficient rows are stored (`_integer_array`, called by
+`modules.InverseSystemModule`). Over GF(p) the rows are residues in [0,
+p): int64 whenever p <= isqrt(2**63 - 1) (`_INT64_PRIME_LIMIT`), so a
+product of two entries fits in int64, and object for larger primes. Over
+Q they are int64 while every entry is below 2**62 in absolute value
+(`_INT64_RATIONAL_LIMIT`): the 0/1 and 10^6-sized rows of most modules,
+not a conic family's 120-200-bit rows. Every array built from the rows
+keeps their type: catalecticant gathers, combinations (`_combine`, whose
+int64 dot is guarded in both fields by an exact bound on its sums), bases
+and meets. `_dtype` names the type a kernel works in: over GF(p) the
+field's, to which the GF(p) kernels cast their input (int64 without a
+copy, `np.asarray`) before reducing it mod p, which also serves callers
+that pass negative entries; over Q the common type of its inputs, so
+int64 with object is object, and the exact pass returns Python ints.
 
 Over Q every rank, basis and intersection is first certified mod
 DEFAULT_PRIME by the GF(p) pass, on one fact: a nonzero minor mod p is
@@ -65,11 +72,12 @@ only in the back-substitution of a canonical basis.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -78,17 +86,54 @@ import numpy as np
 from .fields import DEFAULT_PRIME, FieldSpec, Scalar
 
 _INT64_PRIME_LIMIT = isqrt(2**63 - 1)
+# integers over Q are int64 below this in absolute value: a margin below
+# 2**63, so that an entry's negation and absolute value stay in int64
+_INT64_RATIONAL_LIMIT = 2**62
 # GF(DEFAULT_PRIME), the field of the mod-p certificates over Q
 _CERTIFICATE_FIELD = FieldSpec.modular(DEFAULT_PRIME)
 
 
-def _dtype(field: FieldSpec):
-    """The array type of the field's scalars: int64 over GF(p) for p <=
-    _INT64_PRIME_LIMIT, where residues below p multiply within int64, and
-    object (Python ints, or Fractions over Q) otherwise."""
-    if field.is_modular and field.prime <= _INT64_PRIME_LIMIT:
+def _dtype(field: FieldSpec, *arrays):
+    """The array type a kernel works in. Over GF(p) the field's: int64 for
+    p <= _INT64_PRIME_LIMIT, where residues below p multiply within int64,
+    and object (Python ints) otherwise. Over Q that of its integer inputs,
+    arrays or sequences: int64 when each reads as int64, object otherwise
+    and when none is given (a list of ints past int64 reads as float64 or
+    object)."""
+    if field.is_modular:
+        return np.int64 if field.prime <= _INT64_PRIME_LIMIT else object
+    if arrays and all(np.asarray(a).dtype == np.int64 for a in arrays):
         return np.int64
     return object
+
+
+def _integer_array(values, field: FieldSpec) -> np.ndarray:
+    """A new array of the integers `values`, of any integer type or size,
+    as the field's kernels take them: over GF(p) residues mod p in
+    `_dtype(field)`, over Q int64 while every entry is below
+    _INT64_RATIONAL_LIMIT in absolute value and Python ints in an object
+    array otherwise. Unsigned and object input is read exactly, through
+    Python ints; a float, Fraction or other non-integer entry raises
+    ValueError."""
+    a = np.asarray(values)
+    if a.dtype.kind == "i":
+        a = a.astype(np.int64, copy=False)
+    else:
+        # unsigned, object, or a list of ints past int64, which numpy reads
+        # as float64: read as Python ints, exactly
+        try:
+            ints = list(map(operator.index, np.array(values, dtype=object).ravel().tolist()))
+        except TypeError as exc:
+            raise ValueError(f"entries must be integers: {exc}") from None
+        a = np.array(ints, dtype=object).reshape(a.shape)
+    if field.is_modular:
+        dtype = _dtype(field)
+        # a big prime exceeds int64: the residues are taken in Python ints
+        a = (a.astype(object) if dtype is object else a) % field.prime
+        return a.astype(dtype, copy=False)
+    # max |entry| in Python ints: an int64 negation wraps at -2**63
+    fits = not a.size or max(int(a.max()), -int(a.min())) < _INT64_RATIONAL_LIMIT
+    return a.astype(np.int64 if fits else object)
 
 
 class AmbientMismatchError(ValueError):
@@ -207,23 +252,27 @@ def _once(f):
 
 def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
     """a·rows for a stack a of integer matrices with t columns and the t
-    coefficient rows of a module, in the rows' array type.
+    coefficient rows of a module.
 
-    Over Q the product is exact in Python ints. Over GF(p) the rows hold
-    residues in [0, p) and a, which may hold any integers, is reduced mod
-    p in Python ints first. Every entry of a·rows is then a sum of t
-    products of at most max(a)·(p - 1), so when t·max(a)·(p - 1) < 2**63
-    the int64 dot is exact; otherwise the dot runs on Python ints. Either
-    way the result is reduced mod p and has the rows' dtype.
+    Over GF(p) a, which may hold any integers, is reduced mod p in Python
+    ints first, and the product after it, in the rows' dtype. In either
+    field every entry of a·rows is a sum of t products of at most
+    max|a|·max|rows|, so when t·max|a|·max|rows| < 2**63, computed in
+    Python ints, the int64 dot of int64 rows is exact; otherwise the dot
+    runs on Python ints, and over Q its result is an object array. (np.abs
+    is exact on int64 rows: a module's are below 2**62 in absolute value,
+    and an int64 combination of them below 2**63.)
     """
     a = np.array(a, dtype=object)
-    if not field.is_modular:
-        return a.dot(rows)
-    p = field.prime
-    a %= p
-    if rows.dtype == np.int64 and len(rows) * a.max() * (p - 1) < 2**63:
-        return a.astype(np.int64).dot(rows) % p
-    return (a.dot(rows) % p).astype(rows.dtype)
+    if field.is_modular:
+        a %= field.prime
+    if rows.dtype == np.int64 and len(rows) * np.abs(a).max() * int(np.abs(rows).max()) < 2**63:
+        w = a.astype(np.int64).dot(rows)
+    else:
+        w = a.dot(rows)
+    if field.is_modular:
+        w = (w % field.prime).astype(rows.dtype, copy=False)
+    return w
 
 
 def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
@@ -307,23 +356,25 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
 
     A sequence is first zero-padded to one shape, which keeps every rank.
     Over GF(p) a rank is the number of rows `_independent_rows` keeps. Over
-    Q the integer matrices are first ranked mod DEFAULT_PRIME, and a full
-    rank there, min(rows, cols) of the matrix before padding, is the rank
-    over Q; only a matrix that falls short gets the fraction-free forward
-    pass, on its own rows and columns, once per distinct matrix.
+    Q the integer matrices, padded in their common type (`_dtype`), are
+    first ranked mod DEFAULT_PRIME, and a full rank there, min(rows, cols)
+    of the matrix before padding, is the rank over Q; only a matrix that
+    falls short gets the fraction-free forward pass, on its own rows and
+    columns, once per distinct matrix.
     """
-    dtype = _dtype(field)
     if isinstance(stack, np.ndarray) and stack.ndim == 3:
+        dtype = _dtype(field, stack)
         a, shapes = np.asarray(stack, dtype=dtype), [stack.shape[1:]] * len(stack)
     else:
+        dtype = _dtype(field, *stack)
         mats = [np.asarray(m, dtype=dtype) for m in stack]
         shapes = [(len(m), m.shape[-1]) for m in mats]
         a = np.zeros((len(mats), *map(max, zip((0, 0), *shapes))), dtype=dtype)
         for s, m, (k, n) in zip(a, mats, shapes):
             s[:k, :n] = m
     if not field.is_modular:
-        # Python ints reduced before the cast: entries may exceed int64
-        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        # an object array is reduced in Python ints before the cast
+        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64, copy=False), _CERTIFICATE_FIELD)
         exact = _once(lambda m: len(_echelon_int(m)[1]))
         return [
             r if r == min(k, n) else exact(m[:k, :n])
@@ -338,18 +389,18 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
 
     Over GF(p) the basis is the matrix's own rows that `_independent_rows`
     keeps. Over Q every matrix is first ranked mod DEFAULT_PRIME: a matrix
-    of rank n there, n its column count, gets the basis I_n (Python ints),
-    and one of rank k, its row count, is its own basis. Every other matrix
-    gets the fraction-free forward pass, once per distinct matrix:
-    duplicates share one result.
+    of rank n there, n its column count, gets the basis I_n, and one of
+    rank k, its row count, is its own basis, both in the stack's type
+    (`_dtype`). Every other matrix gets the fraction-free forward pass,
+    once per distinct matrix: duplicates share one result.
     """
     if not field.is_modular:
-        a = np.asarray(stack, dtype=object)
+        a = np.asarray(stack, dtype=_dtype(field, stack))
         k, n = a.shape[1:]
-        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64), _CERTIFICATE_FIELD)
+        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64, copy=False), _CERTIFICATE_FIELD)
         exact = _once(lambda m: _echelon_int(m)[0])
         return [
-            np.eye(n, dtype=object) if r == n else m if r == k else exact(m)
+            np.eye(n, dtype=a.dtype) if r == n else m if r == k else exact(m)
             for r, m in zip(mod, a)
         ]
     a = np.asarray(stack, dtype=_dtype(field)) % field.prime
@@ -371,7 +422,7 @@ def _column_basis(a, field: FieldSpec) -> list[int]:
     such as a sharp family's, reaches min(live shape) mod p where it falls
     far short of min(shape), so its frame needs no exact pass.
     """
-    a = np.asarray(a, dtype=_dtype(field))
+    a = np.asarray(a, dtype=_dtype(field, a))
     if field.is_modular:
         a = a % field.prime
     nonzero = a != 0
@@ -380,7 +431,7 @@ def _column_basis(a, field: FieldSpec) -> list[int]:
     if field.is_modular:
         [basis] = _independent_rows(live.T[None], field.prime)
     else:
-        mod = (live.T % DEFAULT_PRIME).astype(np.int64)
+        mod = (live.T % DEFAULT_PRIME).astype(np.int64, copy=False)
         [basis] = _independent_rows(mod[None], DEFAULT_PRIME)
         if len(basis) != min(live.shape):
             basis = _echelon_int(live)[1]
@@ -442,12 +493,12 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     Over Q the stack's left halves [a; b] are ranked mod DEFAULT_PRIME in
     one `_ranks` pass. A rank of rows(a) + rows(b) there makes the rows of
     [a; b] independent over Q too (rank mod p <= rank over Q), so x·a + y·b
-    = 0 forces x = y = 0, and the meet is 0: an empty (0, n) array. Any
-    other Z gets the fraction-free forward pass, whose rows with a
-    right-half pivot are the same kind of basis as over GF(p). A single
-    pair is a list of one pair: the overlap walk passes a whole level of
-    every degree, `subspace_intersection` and the subset chain of
-    `relative_intersection_dim` one pair at a time.
+    = 0 forces x = y = 0, and the meet is 0: an empty (0, n) array in the
+    pairs' common type (`_dtype`). Any other Z gets the fraction-free
+    forward pass, whose rows with a right-half pivot are the same kind of
+    basis as over GF(p). A single pair is a list of one pair: the overlap
+    walk passes a whole level of every degree, `subspace_intersection` and
+    the subset chain of `relative_intersection_dim` one pair at a time.
     """
     # the indices of each distinct pair, by the shape of its pair
     stacks: dict[tuple, dict[tuple, list[int]]] = {}
@@ -457,7 +508,7 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     out: list = [None] * len(pairs)
     for ((ka, n), (kb, _)), group in stacks.items():
         firsts = [pairs[idx[0]] for idx in group.values()]
-        z = np.zeros((len(firsts), ka + kb, 2 * n), dtype=_dtype(field))
+        z = np.zeros((len(firsts), ka + kb, 2 * n), dtype=_dtype(field, *chain(*firsts)))
         z[:, :ka, :n] = z[:, :ka, n:] = [a for a, _ in firsts]
         z[:, ka:, :n] = [b for _, b in firsts]
         if field.is_modular:
@@ -470,11 +521,11 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
                 np.array(rows, dtype=z.dtype).reshape(len(rows), n) for rows in kept
             ]
         else:
-            left = (z[:, :, :n] % DEFAULT_PRIME).astype(np.int64)
+            left = (z[:, :, :n] % DEFAULT_PRIME).astype(np.int64, copy=False)
             meets = []
             for r, zi in zip(_ranks(left, _CERTIFICATE_FIELD), z):
                 if r == ka + kb:
-                    meets.append(np.zeros((0, n), dtype=object))
+                    meets.append(np.zeros((0, n), dtype=z.dtype))
                 else:
                     ech, pivots = _echelon_int(zi)
                     meets.append(ech[bisect_left(pivots, n) :, n:])

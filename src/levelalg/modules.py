@@ -3,8 +3,10 @@
 A module here is t linearly independent forms of one degree e in r
 variables, held as their coefficient rows only: a read-only t-by-N_e array
 over the degree-e monomials in monomial order, int64 residues over GF(p)
-(Python ints above `linalg._INT64_PRIME_LIMIT`) and, over Q, Python ints
-that one common denominator divides back into the forms. The families,
+(Python ints above `linalg._INT64_PRIME_LIMIT`) and, over Q, integers
+that one common denominator divides back into the forms, stored by their
+values: int64 while every entry is below 2^62 in absolute value, Python
+ints in an object array otherwise (`linalg._integer_array`). The families,
 the re-mix and the quotient samples write and read those rows; Forms
 appear only at the edges, in `InverseSystemModule.from_forms`, the derived
 `generators`, and the module file format. The polynomial ring acts by
@@ -62,7 +64,7 @@ from itertools import islice
 import numpy as np
 
 from .fields import FieldSpec
-from .linalg import _bases, _column_basis, _combine, _dtype, _meets, _ranks
+from .linalg import _bases, _column_basis, _combine, _integer_array, _meets, _ranks
 from .polynomials import (
     Form,
     FormParseError,
@@ -141,10 +143,11 @@ class InverseSystemModule:
     held as their coefficient rows (see the module docstring).
 
     `rows` is t-by-N_e, N_e = space_dim(num_vars, socle_degree), in
-    monomial order; the module keeps a read-only copy in the field's array
-    type, reduced mod p over GF(p). Over Q the rows are integers and
-    `denominator` divides them back into the generators. A module hashes
-    and compares by identity.
+    monomial order, integers of any integer type and size (a non-integer
+    entry is a ValueError); the module keeps a read-only copy in the array
+    type `linalg._integer_array` picks, reduced mod p over GF(p). Over Q
+    `denominator` divides the rows back into the generators. A module
+    hashes and compares by identity.
     """
 
     num_vars: int
@@ -155,14 +158,7 @@ class InverseSystemModule:
     denominator: int = 1
 
     def __post_init__(self) -> None:
-        try:
-            rows = np.array(self.rows, dtype=_dtype(self.field))
-        except OverflowError:
-            # entries outside int64: reduced mod p in Python ints first
-            rows = np.array(self.rows, dtype=object) % self.field.prime
-            rows = rows.astype(_dtype(self.field))
-        if self.field.is_modular:
-            rows %= self.field.prime
+        rows = _integer_array(self.rows, self.field)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or not len(rows):

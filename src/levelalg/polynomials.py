@@ -389,8 +389,9 @@ def coefficient_rows(forms) -> tuple[np.ndarray, int]:
     every array built from them stays int64, and Python ints in an object
     array for larger primes; d is 1. Over Q they hold the coefficients
     times their least common denominator d, Python ints in an object
-    array: the same ranks and row spaces, and row / d gives the forms back
-    exactly.
+    array (a module stores them as int64 where they fit, see
+    `linalg._integer_array`): the same ranks and row spaces, and row / d
+    gives the forms back exactly.
     """
     num_vars, degree, field = _check_family(forms)
     terms = [(k, exps, c) for k, f in enumerate(forms) for exps, c in f.terms.items()]

@@ -164,12 +164,38 @@ MUTANTS = (
     Mutant(
         "overflow-guard-by-c",
         "linalg.py",
-        "len(rows) * a.max() * (p - 1) < 2**63",
-        "a.shape[1] * a.max() * (p - 1) < 2**63",
+        "len(rows) * np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
+        "a.shape[1] * np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
         (
             MODULES
             + "test_combinations_near_the_int64_prime_limit_fall_back_to_python_ints",
+            MODULES + "test_rational_combinations_past_int64_take_python_ints",
         ),
+    ),
+    Mutant(
+        "combine-guard-without-t",
+        "linalg.py",
+        "len(rows) * np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
+        "np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
+        (
+            MODULES
+            + "test_combinations_near_the_int64_prime_limit_fall_back_to_python_ints",
+            MODULES + "test_rational_combinations_past_int64_take_python_ints",
+        ),
+    ),
+    Mutant(
+        "q-bound-without-abs",
+        "linalg.py",
+        "fits = not a.size or max(int(a.max()), -int(a.min())) < _INT64_RATIONAL_LIMIT",
+        "fits = not a.size or int(a.max()) < _INT64_RATIONAL_LIMIT",
+        (MODULES + "test_rational_rows_are_int64_below_2_62_in_absolute_value",),
+    ),
+    Mutant(
+        "q-bound-past-int64",
+        "linalg.py",
+        "_INT64_RATIONAL_LIMIT = 2**62\n",
+        "_INT64_RATIONAL_LIMIT = 2**64\n",
+        (MODULES + "test_rational_rows_are_int64_below_2_62_in_absolute_value",),
     ),
     Mutant(
         "remix-builds-its-own-frame",
@@ -202,8 +228,8 @@ MUTANTS = (
     Mutant(
         "basis-certificate-one-short",
         "linalg.py",
-        "np.eye(n, dtype=object) if r == n else",
-        "np.eye(n, dtype=object) if r >= n - 1 else",
+        "np.eye(n, dtype=a.dtype) if r == n else",
+        "np.eye(n, dtype=a.dtype) if r >= n - 1 else",
         (LINALG + "test_rational_bases_certify_full_column_rank",),
     ),
     Mutant(

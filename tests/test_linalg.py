@@ -644,6 +644,28 @@ def _basis_stacks(draw):
     return stack
 
 
+@PROPERTY
+@given(stack=_basis_stacks(), pairs=_meet_cases(), data=st.data())
+def test_rational_kernels_give_int64_input_the_values_of_object_input(stack, pairs, data):
+    # the same small integers as int64 and as Python ints: the object path
+    # is the oracle, for ranks (stacked and ragged), bases, meets and
+    # column bases
+    def int64(a):
+        return a.astype(np.int64)
+
+    assert _ranks(int64(stack), RAT) == _ranks(stack, RAT)
+    ragged = [a[: len(a) - k % 2] for k, a in enumerate(stack)]
+    assert _ranks(list(map(int64, ragged)), RAT) == _ranks(ragged, RAT)
+    got, want = _bases(int64(stack), RAT), _bases(stack, RAT)
+    assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
+    got = _meets([(int64(a), int64(b)) for a, b in pairs], RAT)
+    want = _meets(pairs, RAT)
+    assert [rows.tolist() for rows in got] == [rows.tolist() for rows in want]
+    # the mod-p traps of a case, up to three, may multiply an entry past int64
+    a = data.draw(_index_cases(RAT).filter(lambda a: all(abs(x) < 2**62 for x in a.flat)))
+    assert _column_basis(int64(a), RAT) == _column_basis(a, RAT)
+
+
 @pytest.mark.parametrize("field", MEET_FIELDS, ids=MEET_IDS)
 @PROPERTY
 @given(stack=_basis_stacks())
@@ -710,8 +732,10 @@ def test_rational_bases_certify_full_row_rank_with_the_rows_themselves(monkeypat
     # rank 1 over Q
     dependent = [wide[0], [2, 4, 0, 2]]
     calls = _count_exact_passes(monkeypatch)
-    [own] = _bases([wide], RAT)
-    assert own.tolist() == wide and own.dtype == object
+    # the rows themselves, in the input's array type
+    for given in (np.array([wide]), np.array([wide], dtype=object)):
+        [own] = _bases(given, RAT)
+        assert own.tolist() == wide and own.dtype == given.dtype
     assert calls == []
     got = _bases([trap, dependent], RAT)
     assert len(calls) == 2
@@ -969,9 +993,13 @@ def test_rational_bases_certify_full_column_rank(monkeypatch):
     # rank 2 over Q: the last column is the sum of the others
     short = [row[:2] + [row[0] + row[1]] for row in tall[1]]
     calls = _count_exact_passes(monkeypatch)
+    # I_3 in the stack's array type: int64, or Python ints
     for stack in (tall, square):
-        got = _bases(stack, RAT)
-        assert [rows.tolist() for rows in got] == [np.eye(3, dtype=int).tolist()] * 3
+        for given in (np.array(stack), np.array(stack, dtype=object)):
+            got = _bases(given, RAT)
+            assert [rows.tolist() for rows in got] == [np.eye(3, dtype=int).tolist()] * 3
+            assert all(rows.dtype == given.dtype for rows in got)
+        # the object stack's, the last, holds Python ints
         assert all(type(x) is int for rows in got for x in rows.ravel())
     assert calls == []
     got = _bases([tall[2], scaled, short], RAT)

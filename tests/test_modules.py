@@ -454,7 +454,8 @@ def test_generators_come_back_exactly_as_given(field):
 
 def test_module_is_a_record_of_its_rows():
     # rows in any integer form, reduced mod p into a read-only copy of the
-    # field's array type; compared and hashed by identity
+    # field's array type, over Q int64 for entries this small; compared
+    # and hashed by identity
     given = np.array([[1, -1, 0], [0, 2, MOD.prime + 5]])
     m = InverseSystemModule(2, 2, MOD, given, label="rows")
     given[0, 0] = 7
@@ -465,7 +466,7 @@ def test_module_is_a_record_of_its_rows():
         parse_form("2*y1*y2 + 5*y2^2", 2, 2, MOD),
     )
     q = InverseSystemModule(2, 2, RAT, [[1, -1, 0], [0, 2, 5]], denominator=4)
-    assert q.rows.dtype == object and q.generators[0].terms == {
+    assert q.rows.dtype == np.int64 and q.generators[0].terms == {
         (2, 0): Fraction(1, 4), (1, 1): Fraction(-1, 4)
     }
     assert m != InverseSystemModule(2, 2, MOD, m.rows) and len({m, m}) == 1
@@ -490,6 +491,56 @@ def test_module_rows_outside_int64_are_reduced_mod_p(field):
     # p·2^64 is 0 mod p: the first row becomes the second
     with pytest.raises(DependentGeneratorsError):
         InverseSystemModule(2, 2, field, [[p * 2**64, 1, 0], [0, 1, 0]])
+
+
+def test_module_rows_are_read_exactly_and_must_be_integers():
+    # an unsigned entry past int64 is reduced exactly, not wrapped to -1,
+    # and kept exactly over Q, where it is past 2^62
+    unsigned = np.array([[2**64 - 1, 0, 1], [0, 1, 0]], dtype=np.uint64)
+    m = InverseSystemModule(2, 2, FieldSpec(97), unsigned)
+    assert m.rows.tolist() == [[60, 0, 1], [0, 1, 0]] and (2**64 - 1) % 97 == 60
+    q = InverseSystemModule(2, 2, RAT, unsigned)
+    assert q.rows.dtype == object and q.rows.tolist() == unsigned.tolist()
+    # a float entry is refused, not truncated (GF(97)) or kept (Q), and so
+    # is a Fraction
+    for field in (FieldSpec(97), RAT):
+        for given in ([[1.5, 0, 1], [0, 1, 0]], np.array([[1.5, 0, 1], [0, 1, 0]])):
+            with pytest.raises(ValueError, match="must be integers: 'float'"):
+                InverseSystemModule(2, 2, field, given)
+        with pytest.raises(ValueError, match="must be integers: 'Fraction'"):
+            InverseSystemModule(2, 2, field, [[Fraction(1, 2), 0, 1], [0, 1, 0]])
+
+
+def test_rational_rows_are_int64_below_2_62_in_absolute_value():
+    # NEGATIVE_TEXT's cubics with one coefficient set to a boundary value:
+    # int64 up to 2^62 - 1 in absolute value, Python ints from 2^62 on, and
+    # the h-vector and a quotient's are the oracle's either way
+    base = parse_module_file(NEGATIVE_TEXT, field_override=RAT).rows.tolist()
+    coefficients = [[1, 2, 3], [3, -1, 2]]
+    for value, dtype in (
+        (2**62 - 1, np.int64), (-(2**62 - 1), np.int64), (2**62, object), (-(2**62), object),
+    ):
+        rows = [row[:] for row in base]
+        rows[0][0] = value
+        m = InverseSystemModule(3, 3, RAT, rows)
+        assert m.rows.dtype == dtype, value
+        assert m.rows.tolist() == rows
+        assert h_vector(m) == oracle.h_vector(m.generators)
+        s = sample_generic_quotient(m, 2, coefficients=coefficients)
+        assert s.h == oracle.sample_generic_quotient(m, 2, coefficients=coefficients)[1]
+
+
+def test_rational_combinations_past_int64_take_python_ints():
+    # each product 2·(2^62 - 1) fits in int64, a sum of t = 2 of them does
+    # not: the combination runs on Python ints, exactly
+    x = 2**62 - 1
+    m = InverseSystemModule(2, 2, RAT, [[x, 0, 1], [x, 1, 0]])
+    assert m.rows.dtype == np.int64
+    w = _combine([[[2, 2]]], m.rows, RAT)
+    assert w.dtype == object and w.tolist() == [[[4 * x, 2, 2]]]
+    # a bound of 2·1·x < 2^63: the int64 dot
+    w = _combine([[[1, -1]]], m.rows, RAT)
+    assert w.dtype == np.int64 and w.tolist() == [[[0, -1, 1]]]
 
 
 def test_explicit_coefficients_agree_across_fields():
@@ -553,20 +604,32 @@ def test_combinations_near_the_int64_prime_limit_fall_back_to_python_ints():
 
 
 def test_array_types_are_chosen_once_per_field():
-    # int64 residues over GF(p) below the limit, object arrays above it and
-    # over Q; catalecticants, combinations, bases and meets keep the type
+    # over GF(p) int64 residues below the limit and object arrays above it;
+    # over Q int64 while every entry is below 2^62 in absolute value and
+    # object past it. Catalecticants, combinations, bases and meets keep
+    # the type they are given, and the exact pass over Q gives Python ints
     text = module_to_text(sharp_family(t=3, p=1, e=4, field=MOD))
-    for field, dtype in ((MOD, np.int64), (BIG, object), (RAT, object)):
-        m = parse_module_file(text, field_override=field)
+    small = parse_module_file(text, field_override=RAT)
+    wide = InverseSystemModule(small.num_vars, 4, RAT, small.rows.astype(object) * 2**62)
+    cases = [parse_module_file(text, field_override=f) for f in (MOD, BIG)] + [small, wide]
+    for m, dtype in zip(cases, (np.int64, object, np.int64, object)):
+        field = m.field
         assert m.rows.dtype == dtype
         assert _combine([[[1, 2, 3]], [[4, -5, 6]]], m.rows, field).dtype == dtype
         rows = catalecticant_rows(m.rows, m.num_vars, 4, 2)
         assert rows.dtype == dtype
         stack = rows.reshape(m.type, -1, rows.shape[1])
+        # ranks 2 of 10: over Q the exact pass gives these bases
+        exact = object if field == RAT else dtype
         bases = _bases(stack, field) + _bases(stack.transpose(0, 2, 1), field)
-        assert {b.dtype for b in bases} == {np.dtype(dtype)}
+        assert {b.dtype for b in bases} == {np.dtype(exact)}
         meets = _meets([(bases[0], bases[1]), (bases[0], bases[2])], field)
-        assert {b.dtype for b in meets} == {np.dtype(dtype)}
+        assert {b.dtype for b in meets} == {np.dtype(exact)}
+        # the generators are certified their own basis, and to meet in 0
+        [own] = _bases(m.rows[None], field)
+        [zero] = _meets([(m.rows[:1], m.rows[1:])], field)
+        assert own.tolist() == m.rows.tolist() and zero.shape == (0, m.rows.shape[1])
+        assert own.dtype == zero.dtype == dtype
 
 
 def test_remix_over_rationals_is_exactly_the_combination():
