@@ -67,7 +67,7 @@ def generic_quotient_bound(h: Sequence[int], t: int, c: int) -> HVector:
     h = _check_h(h, t)
     e = len(h) - 1
     if not 1 <= c <= t - 1:
-        raise ValueError(f"quotient type {c} out of range 1..{t - 1}")
+        raise ValueError(f"c={c} out of range 1..{t - 1}")
     denom = t * t - 1
     out = [1]
     for u in range(1, e + 1):
@@ -274,11 +274,11 @@ def _csv_cell(v) -> str:
 def verify_instance(
     m: InverseSystemModule, c: int, trials: int = 5, seed: int = 0
 ) -> VerificationReport:
-    """Compare the empirical generic type-c quotient against the bound."""
-    h = h_vector(m)
-    t = m.type
-    bound = generic_quotient_bound(h, t, c)
+    """Compare the empirical generic type-c quotient against the bound. A c
+    or trials out of range raises ValueError before anything is built."""
     samples = generic_quotient_trials(m, c, trials=trials, seed=seed)
+    h = h_vector(m)
+    bound = generic_quotient_bound(h, m.type, c)
     per_trial = tuple(s.h for s in samples)
     empirical = _entrywise_max(per_trial)
     satisfied = all(e >= b for e, b in zip(empirical, bound))

@@ -3,6 +3,10 @@
 Subcommands: hvector, quotient, bound, verify, combinatorics.
 Exit codes: 0 success, 1 verification failure, 2 input parse error,
 3 usage error.
+
+`main` is the one place that maps an error to its exit code: an
+InputError or OSError exits 2, any other ValueError 3, and a
+DegenerateSampleError 1. The subcommands raise, and return only 0 or 1.
 """
 
 from __future__ import annotations
@@ -120,13 +124,6 @@ def _cmd_hvector(args) -> int:
 
 def _cmd_quotient(args) -> int:
     m = _load_module(args.file, args.rational)
-    if not 1 <= args.c <= m.type - 1:
-        print(f"levelalg quotient: c={args.c} out of range 1..{m.type - 1}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.trials < 1:
-        print("levelalg quotient: --trials must be positive", file=sys.stderr)
-        return EXIT_USAGE
     rep = verify_instance(m, args.c, trials=args.trials, seed=args.seed)
     per_trial, emp = rep.per_trial, rep.empirical
     agree = all(h == per_trial[0] for h in per_trial)
@@ -153,22 +150,17 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_bound(args) -> int:
-    try:
-        h = _parse_int_list(args.h, "--h")
-        out: dict[str, object] = {}
-        direct = generic_quotient_bound(h, args.t, args.c)
-        out["direct"] = direct
-        if args.tighten:
-            try:
-                out["tightened"] = tighten_bound(h, direct, args.c)
-            except InfeasibleBoundError as exc:
-                out["tightened"] = f"infeasible ({exc})"
-        if args.chain:
-            path = _parse_int_list(args.chain, "--chain")
-            out["chained"] = chained_bound(h, args.t, path, tighten=args.tighten)
-    except ValueError as exc:
-        print(f"levelalg bound: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    h = _parse_int_list(args.h, "--h")
+    direct = generic_quotient_bound(h, args.t, args.c)
+    out: dict[str, object] = {"direct": direct}
+    if args.tighten:
+        try:
+            out["tightened"] = tighten_bound(h, direct, args.c)
+        except InfeasibleBoundError as exc:
+            out["tightened"] = f"infeasible ({exc})"
+    if args.chain is not None:
+        path = _parse_int_list(args.chain, "--chain")
+        out["chained"] = chained_bound(h, args.t, path, tighten=args.tighten)
     if args.json:
         print(json.dumps({
             k: (list(v) if isinstance(v, tuple) else v) for k, v in out.items()
@@ -237,8 +229,7 @@ def _cmd_combinatorics(args) -> int:
     if args.identities is not None:
         tmax = args.identities
         if tmax < 2:
-            print("levelalg combinatorics: TMAX must be at least 2", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("TMAX must be at least 2")
         bad = []
         for t in range(2, tmax + 1):
             for j in range(2, t + 1):
@@ -253,23 +244,15 @@ def _cmd_combinatorics(args) -> int:
         print("all pass")
         return EXIT_OK
     if args.expand is not None:
-        try:
-            pair = _parse_int_list(args.expand, "--expand")
-            if len(pair) != 2:
-                raise ValueError(f"malformed --expand: expected N,I, got {args.expand!r}")
-            n, i = pair
-            exp = macaulay_expansion(n, i)
-        except ValueError as exc:
-            print(f"levelalg combinatorics: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        pair = _parse_int_list(args.expand, "--expand")
+        if len(pair) != 2:
+            raise ValueError(f"malformed --expand: expected N,I, got {args.expand!r}")
+        n, i = pair
+        exp = macaulay_expansion(n, i)
         print(f"{exp}; growth {macaulay_growth(n, i)}")
         return EXIT_OK
-    try:
-        h = _parse_int_list(args.osequence, "--osequence")
-        verdict = is_o_sequence(h)
-    except ValueError as exc:
-        print(f"levelalg combinatorics: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    h = _parse_int_list(args.osequence, "--osequence")
+    verdict = is_o_sequence(h)
     if verdict.ok:
         print("true")
     else:
@@ -299,6 +282,9 @@ def main(argv=None) -> int:
     except DegenerateSampleError as exc:
         print(f"levelalg {args.command}: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except ValueError as exc:  # after InputError, which is a ValueError
+        print(f"levelalg {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -70,7 +70,7 @@ def truncated_gorenstein_conic(
         rng = random.Random(derive_seed(seed, "conic", attempt))
         points = rng.sample(range(1, _CONIC_POINT_RANGE + 1), s)
         lams = [random_coefficient(rng, field) for _ in range(s)]
-        rows = _conic_partials(points, lams, e, field)
+        rows = _conic_partials(points, lams, e)
         try:
             return InverseSystemModule(3, e, field, rows, label=f"conic-s{s}-e{e}")
         except DependentGeneratorsError:
@@ -78,22 +78,20 @@ def truncated_gorenstein_conic(
     raise DegenerateSampleError("no valid conic configuration in 100 attempts")
 
 
-def _conic_partials(points, lams, e: int, field: FieldSpec) -> list[list[int]]:
+def _conic_partials(points, lams, e: int) -> list[list[int]]:
     # Contraction lowers exponents with unit coefficients, so the power of
     # the linear form (1, s, s^2) is encoded without multinomial factors:
     # P_d(s) = sum over a+b+c=d of s^(b+2c) y1^a y2^b y3^c, which satisfies
     # x1.P_d = P_(d-1), x2.P_d = s P_(d-1), x3.P_d = s^2 P_(d-1). Generator
     # j is then x_j applied to sum_k lam_k P_(e+1)(s_k), i.e. sum_k lam_k
-    # s_k^(j-1) P_e(s_k): its coefficient rows, reduced mod p over GF(p).
+    # s_k^(j-1) P_e(s_k): its coefficient rows, in Python ints (the module
+    # reduces them mod p over GF(p)).
     monos = monomials_of_degree(3, e)
-    rows = [
+    return [
         [sum(lam * s_k ** (j + b + 2 * c) for s_k, lam in zip(points, lams))
          for _, b, c in monos]
         for j in range(3)
     ]
-    if field.is_modular:
-        rows = [[x % field.prime for x in row] for row in rows]
-    return rows
 
 
 def random_module(

@@ -23,13 +23,19 @@ DEFAULT_PRIME = 2_147_483_647
 
 Scalar = int | Fraction
 
+#: psi_13 (Sorenson and Webster, Math. Comp. 2017): the least strong
+#: pseudoprime to all of the first 13 prime bases, so Miller-Rabin on
+#: those bases is exact below it. A modulus is accepted only below it.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 @lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs and beyond."""
+    """Deterministic Miller-Rabin on the first 13 primes as bases: exact
+    for every n < PRIME_BOUND."""
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for q in small:
         if n % q == 0:
             return n == q
@@ -57,7 +63,14 @@ class FieldSpec:
     prime: int | None = None
 
     def __post_init__(self) -> None:
-        if self.prime is not None and not _is_prime(self.prime):
+        if self.prime is None:
+            return
+        if self.prime >= PRIME_BOUND:
+            raise ValueError(
+                f"modulus {self.prime} is not below {PRIME_BOUND}, "
+                "the bound below which primality is certified"
+            )
+        if not _is_prime(self.prime):
             raise ValueError(f"modulus {self.prime!r} is not a prime")
 
     @classmethod

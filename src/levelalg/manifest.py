@@ -27,6 +27,7 @@ from .fields import FieldSpec
 from .modules import (
     DegenerateSampleError,
     InputError,
+    _check_type,
     _draws,
     _overlap,
     _parse_int,
@@ -227,17 +228,13 @@ def run_manifest(
         inst_seed = inst.seed if inst.seed is not None else derive_seed(seed, index)
         try:
             m = build_family(inst.spec, field, seed=inst_seed)
+            c_list = inst.c_list if inst.c_list is not None else tuple(range(1, m.type))
+            for c in c_list:
+                _check_type(m, c)
         except (ValueError, DegenerateSampleError) as exc:
             raise InputError(str(exc), inst.line) from exc
         if inst.label:
             m = replace(m, label=inst.label)
-        t = m.type
-        c_list = inst.c_list if inst.c_list is not None else tuple(range(1, t))
-        for c in c_list:
-            if not 1 <= c <= t - 1:
-                raise InputError(
-                    f"c={c} out of range 1..{t - 1} for this instance", inst.line
-                )
         built.append((inst, inst_seed, m, c_list))
     for inst, inst_seed, m, c_list in built:
         for c in c_list:

@@ -349,7 +349,7 @@ def _random_matrix(
 
 def _check_type(m: InverseSystemModule, c: int) -> None:
     if not 1 <= c <= m.type - 1:
-        raise ValueError(f"quotient type {c} out of range 1..{m.type - 1}")
+        raise ValueError(f"c={c} out of range 1..{m.type - 1}")
 
 
 def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
@@ -426,7 +426,7 @@ def generic_quotient_trials(
     """
     _check_type(m, c)
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ValueError("trials must be positive")
     return _samples(m, c, [derive_seed(seed, "trial", k) for k in range(trials)])
 
 

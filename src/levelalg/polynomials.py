@@ -27,6 +27,7 @@ back into a Form.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -35,7 +36,7 @@ from math import comb, lcm
 import numpy as np
 
 from .fields import FieldSpec, Scalar
-from .linalg import Subspace, _dtype, _span
+from .linalg import Subspace, _integer_array, _span
 
 Exponents = tuple[int, ...]
 
@@ -239,105 +240,86 @@ class Form:
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>y)|(?P<sym>[\^*+-])|(?P<bad>\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
+    """The tokens of `text` as (kind, value, position), an integer's value
+    read as an int, then an ("end", "", len(text)) sentinel."""
     tokens = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
+        kind, value, at = m.lastgroup, m.group(), m.start()
         if kind == "bad":
-            raise FormParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((kind, m.group(), m.start()))
-    return tokens
+            raise FormParseError(f"unexpected character {value!r}", at)
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise FormParseError(
+                    f"integer literal of {len(value)} digits, more than the "
+                    f"{sys.get_int_max_str_digits()} allowed",
+                    at,
+                ) from None
+        tokens.append((kind, value, at))
+    return tokens + [("end", "", len(text))]
 
 
 def parse_form(text: str, num_vars: int, degree: int, field: FieldSpec) -> Form:
     """Parse an expression like ``y1^2*y2 + 3*y2^3 - y1*y2*y3``.
 
     Grammar: expression := ['-'] term (('+'|'-') term)*;
-    term := [integer '*']? factor ('*' factor)*;
+    term := [integer '*'] factor ('*' factor)*;
     factor := 'y' index ['^' exponent]. Indices are 1-based, whitespace is
     insignificant. Every term must have total degree `degree`. The integer
     coefficients of each monomial are summed, and the Form reduces them in
     its field; a form whose terms all cancel there is rejected.
     """
     tokens = _tokenize(text)
-    pos = 0
-    end = len(text)
+    if len(tokens) == 1:
+        raise FormParseError("empty expression", 0)
+    i = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, "", end)
-
-    def take(kind: str, what: str):
-        nonlocal pos
-        tk, val, at = peek()
-        if tk != kind:
+    def take(kind: str, what: str, value: str | None = None):
+        # the next token's value and position, if it is a `kind` (and one
+        # of the characters `value`), else "expected `what`" at it
+        nonlocal i
+        tk, val, at = tokens[i]
+        if tk != kind or value is not None and val not in value:
             raise FormParseError(f"expected {what}", at)
-        pos += 1
+        i += 1
         return val, at
 
-    def parse_factor() -> tuple[int, int, int]:
-        nonlocal pos
-        _, at = take("var", "a variable like y1")
-        val, iat = take("int", "a variable index")
-        index = int(val)
+    acc: dict[Exponents, int] = {}
+    sign, exps = 1, None
+    if tokens[0][1] == "-":
+        sign, i = -1, 1
+    while True:  # one factor per pass, after its term's start or a '*'
+        if exps is None:  # a term starts, with an optional "integer *"
+            coeff, term_at, exps = 1, tokens[i][2], [0] * num_vars
+            if tokens[i][0] == "int":
+                coeff, _ = take("int", "a coefficient")
+                take("sym", "'*' after a coefficient", "*")
+        take("var", "a variable like y1")
+        index, at = take("int", "a variable index")
         if not 1 <= index <= num_vars:
             raise FormParseError(
-                f"variable index {index} out of range 1..{num_vars}", iat
+                f"variable index {index} out of range 1..{num_vars}", at
             )
         exp = 1
-        tk, val, _ = peek()
-        if tk == "sym" and val == "^":
-            pos += 1
-            ev, _ = take("int", "an exponent")
-            exp = int(ev)
-        return index, exp, at
-
-    def parse_term() -> tuple[Exponents, int, int]:
-        nonlocal pos
-        coeff = 1
-        tk, val, at = peek()
-        term_at = at
-        if tk == "int":
-            coeff = int(val)
-            pos += 1
-            take("sym", "'*' after a coefficient")
-        exps = [0] * num_vars
-        index, exp, _ = parse_factor()
+        if tokens[i][1] == "^":
+            i += 1
+            exp, _ = take("int", "an exponent")
         exps[index - 1] += exp
-        while True:
-            tk, val, _ = peek()
-            if tk == "sym" and val == "*":
-                pos += 1
-                index, exp, _ = parse_factor()
-                exps[index - 1] += exp
-            else:
-                break
-        tdeg = sum(exps)
-        if tdeg != degree:
+        if tokens[i][1] == "*":
+            i += 1
+            continue
+        if sum(exps) != degree:
             raise FormParseError(
-                f"term has degree {tdeg}, expected {degree}", term_at
+                f"term has degree {sum(exps)}, expected {degree}", term_at
             )
-        return tuple(exps), coeff, term_at
-
-    if not tokens:
-        raise FormParseError("empty expression", 0)
-
-    acc: dict[Exponents, int] = {}
-    sign = 1
-    tk, val, _ = peek()
-    if tk == "sym" and val == "-":
-        sign = -1
-        pos += 1
-    while True:
-        exps, coeff, _ = parse_term()
-        acc[exps] = acc.get(exps, 0) + sign * coeff
-        tk, val, at = peek()
-        if tk is None:
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + sign * coeff
+        if tokens[i][0] == "end":
             break
-        if tk == "sym" and val in "+-":
-            sign = 1 if val == "+" else -1
-            pos += 1
-        else:
-            raise FormParseError("expected '+' or '-' between terms", at)
+        val, _ = take("sym", "'+' or '-' between terms", "+-")
+        sign, exps = (1 if val == "+" else -1), None
 
     form = Form(num_vars, degree, field, acc)
     if form.is_zero:
@@ -381,27 +363,28 @@ def _check_family(forms) -> tuple[int, int, FieldSpec]:
 
 def coefficient_rows(forms) -> tuple[np.ndarray, int]:
     """Dense coefficient rows of the forms, one row each, with every term
-    placed at its `monomial_rank`, in the array type of their field
-    (`linalg._dtype`), and the denominator d they are scaled by.
+    placed at its `monomial_rank`, in the array type that
+    `linalg._integer_array` picks for their term values, and the
+    denominator d they are scaled by.
 
     Over GF(p) the rows hold residues in [0, p): int64 for p <=
     `linalg._INT64_PRIME_LIMIT`, so a product of two fits in int64 and
     every array built from them stays int64, and Python ints in an object
     array for larger primes; d is 1. Over Q they hold the coefficients
-    times their least common denominator d, Python ints in an object
-    array (a module stores them as int64 where they fit, see
-    `linalg._integer_array`): the same ranks and row spaces, and row / d
-    gives the forms back exactly.
+    times their least common denominator d, int64 while each is below
+    2^62 in absolute value and Python ints in an object array otherwise:
+    the same ranks and row spaces, and row / d gives the forms back
+    exactly.
     """
     num_vars, degree, field = _check_family(forms)
     terms = [(k, exps, c) for k, f in enumerate(forms) for exps, c in f.terms.items()]
     den = 1 if field.is_modular else lcm(*(c.denominator for _, _, c in terms))
-    rows = np.zeros((len(forms), space_dim(num_vars, degree)), dtype=_dtype(field))
+    values = [c.numerator * (den // c.denominator) for *_, c in terms]
+    values = _integer_array(values, field)
+    rows = np.zeros((len(forms), space_dim(num_vars, degree)), dtype=values.dtype)
     if terms:
-        ks, exps, coeffs = zip(*terms)
-        rows[list(ks), monomial_rank(exps, degree)] = [
-            c.numerator * (den // c.denominator) for c in coeffs
-        ]
+        ks, exps, _ = zip(*terms)
+        rows[list(ks), monomial_rank(exps, degree)] = values
     return rows, den
 
 

@@ -322,12 +322,39 @@ MUTANTS = (
     Mutant(
         "parse-form-sums-abs",
         "polynomials.py",
-        "acc[exps] = acc.get(exps, 0) + sign * coeff",
-        "acc[exps] = acc.get(exps, 0) + abs(sign * coeff)",
+        "acc[key] = acc.get(key, 0) + sign * coeff",
+        "acc[key] = acc.get(key, 0) + abs(sign * coeff)",
         (
             "tests/test_polynomials.py::test_parse_leading_minus_and_products",
             "tests/test_polynomials.py::test_parse_cancellation_rejected",
         ),
+    ),
+    Mutant(
+        "coefficient-then-any-symbol",
+        "polynomials.py",
+        """take("sym", "'*' after a coefficient", "*")""",
+        """take("sym", "'*' after a coefficient")""",
+        (
+            "tests/test_polynomials.py::test_parse_requires_star_after_coefficient",
+            "tests/test_cli.py::test_hvector_malformed_expression_exits_two_naming_its_line",
+        ),
+    ),
+    Mutant(
+        "miller-rabin-without-base-41",
+        "fields.py",
+        "small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+        "small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)",
+        (
+            "tests/test_fields.py::test_moduli_are_certified_prime_below_psi_13",
+            "tests/test_cli.py::test_hvector_modulus_past_the_certified_bound_exits_two",
+        ),
+    ),
+    Mutant(
+        "modulus-past-psi-13-accepted",
+        "fields.py",
+        "if self.prime >= PRIME_BOUND:",
+        "if self.prime >= PRIME_BOUND**2:",
+        ("tests/test_fields.py::test_moduli_are_certified_prime_below_psi_13",),
     ),
 )
 

@@ -111,6 +111,37 @@ def test_hvector_repeated_header_exits_two(tmp_path, capsys, text, line):
     assert f"line {line}: repeated header" in err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # a coefficient is joined to its monomial by '*', never by a sign
+        ("F1: 2-y1^2", "expected '*' after a coefficient (at position 1)"),
+        # past Python's limit for integer strings: an input error, not a traceback
+        (f"F1: {'7' * 5000}*y1^2", "integer literal of 5000 digits, more than the"),
+    ],
+    ids=["coefficient-then-sign", "long-literal"],
+)
+def test_hvector_malformed_expression_exits_two_naming_its_line(
+    tmp_path, capsys, line, message
+):
+    f = tmp_path / "bad.mod"
+    f.write_text(f"vars: 2\ndegree: 2\n{line}\nF2: y2^2\n")
+    assert cli.main(["hvector", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"levelalg hvector: line 3: {message}")
+
+
+def test_hvector_modulus_past_the_certified_bound_exits_two(tmp_path, capsys):
+    # 399165290221 * 798330580441: a strong pseudoprime to every base up to 37
+    f = tmp_path / "psi12.mod"
+    f.write_text("vars: 2\ndegree: 2\nprime: 318665857834031151167461\nF1: y1^2\n")
+    assert cli.main(["hvector", str(f)]) == 2
+    assert "line 3: modulus 318665857834031151167461 is not a prime" in (
+        capsys.readouterr().err
+    )
+
+
 def test_hvector_many_variables(tmp_path, capsys):
     f = tmp_path / "wide.mod"
     f.write_text("vars: 1200\ndegree: 1\nF1: y1\n")
@@ -272,6 +303,13 @@ def test_bound_bad_inputs(capsys):
     assert cli.main(["bound", "--h", "1,3,3", "--t", "3", "--c", "3"]) == 3
     assert cli.main(["bound", "--h", "1,3,3", "--t", "3", "--c", "1",
                      "--chain", "3,2,x"]) == 3
+    capsys.readouterr()
+    # an empty --chain is malformed, as an empty --h is, not absent
+    for flag in ("--h", "--chain"):
+        argv = ["bound", "--h", "1,3,3", "--t", "3", "--c", "1", flag, ""]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"malformed {flag}: ''" in err
 
 
 # ------------------------------------------------------------------ verify

@@ -3,8 +3,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from levelalg.fields import DEFAULT_PRIME, FieldSpec, _is_prime
+from levelalg.fields import DEFAULT_PRIME, PRIME_BOUND, FieldSpec, _is_prime
+
+# Sorenson and Webster: the least strong pseudoprimes to all of the first
+# 12 and the first 13 prime bases
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
 
 
 def test_default_prime_is_the_mersenne_prime():
@@ -67,3 +73,18 @@ def test_large_prime_accepted():
     # exercises the Miller-Rabin check beyond trial division
     f = FieldSpec.modular(4294967311)
     assert f.prime == 4294967311
+
+
+def test_moduli_are_certified_prime_below_psi_13():
+    assert PRIME_BOUND == PSI_13
+    # psi_12 passes every base up to 37, and base 41 exposes it
+    assert PSI_12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="is not a prime"):
+        FieldSpec.modular(PSI_12)
+    for p in (2**61 - 1, 4294967311, sympy.prevprime(PSI_13)):
+        assert FieldSpec.modular(p).prime == p
+    # from psi_13 on the bases no longer certify a prime: refused, naming
+    # the bound, whether prime or not
+    for n in (PSI_13, sympy.nextprime(PSI_13)):
+        with pytest.raises(ValueError, match=f"not below {PSI_13}, the bound"):
+            FieldSpec.modular(n)

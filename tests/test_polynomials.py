@@ -163,8 +163,18 @@ def test_coefficient_vector_layout():
     g = Form(2, 2, RAT, {(2, 0): Fraction(1, 2), (1, 1): Fraction(-2, 3)})
     h = Form(2, 2, RAT, {(0, 2): 4})
     rows, den = coefficient_rows([g, h])
-    assert rows.dtype == object and rows.tolist() == [[3, -4, 0], [0, 0, 24]]
-    assert den == 6 and all(type(x) is int for x in rows.flat)
+    assert rows.dtype == np.int64 and rows.tolist() == [[3, -4, 0], [0, 0, 24]]
+    assert den == 6
+    # int64 while every scaled coefficient is below 2^62 in absolute value,
+    # Python ints in an object array from there
+    for top, dtype in ((2**62 - 1, np.int64), (-(2**62), object)):
+        big = Form(2, 2, RAT, {(2, 0): Fraction(top, 5), (0, 2): 1})
+        rows, den = coefficient_rows([big])
+        assert rows.dtype == dtype and rows.tolist() == [[top, 0, 5]] and den == 5
+    assert all(type(x) is int for x in rows.flat)
+    # a big prime's residues stay Python ints
+    rows, _ = coefficient_rows([Form(2, 2, BIG, {(2, 0): -1, (1, 1): 2})])
+    assert rows.dtype == object and rows.tolist() == [[BIG.prime - 1, 2, 0]]
 
 
 # ----------------------------------------------------------------- parsing
@@ -214,9 +224,29 @@ def test_parse_index_out_of_range():
 
 
 def test_parse_requires_star_after_coefficient():
-    with pytest.raises(FormParseError, match="after a coefficient") as err:
-        parse_form("2y1", 1, 1, MOD)
-    assert err.value.pos == 1
+    # a coefficient followed by any other symbol is not a product either
+    for text in ("2y1", "2-y1^2", "3+y1^2", "5^y1^2"):
+        with pytest.raises(FormParseError) as err:
+            parse_form(text, 1, len(text) // 3, MOD)
+        assert str(err.value) == "expected '*' after a coefficient (at position 1)"
+        assert err.value.pos == 1, text
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("y^2", "expected a variable index", 1),
+        ("y1^", "expected an exponent", 3),
+        ("y1^2 +", "expected a variable like y1", 6),
+        ("y1^2 + y3^2", "variable index 3 out of range 1..2", 8),
+        ("y1^2^2", "expected '+' or '-' between terms", 4),
+    ],
+)
+def test_parse_error_positions(text, message, pos):
+    with pytest.raises(FormParseError) as err:
+        parse_form(text, 2, 2, MOD)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
 
 
 def test_parse_empty_and_dangling():
