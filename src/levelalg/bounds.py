@@ -25,6 +25,7 @@ from typing import Sequence
 from .combinatorics import is_o_sequence
 from .modules import (
     InverseSystemModule,
+    _check_type,
     _entrywise_max,
     generic_quotient_trials,
     h_vector,
@@ -66,8 +67,7 @@ def generic_quotient_bound(h: Sequence[int], t: int, c: int) -> HVector:
         raise ValueError("parent type must be at least 2")
     h = _check_h(h, t)
     e = len(h) - 1
-    if not 1 <= c <= t - 1:
-        raise ValueError(f"c={c} out of range 1..{t - 1}")
+    _check_type(t, c)
     denom = t * t - 1
     out = [1]
     for u in range(1, e + 1):

@@ -40,34 +40,23 @@ that pass negative entries; over Q the common type of its inputs, so
 int64 with object is object, and the exact pass returns Python ints.
 
 Over Q every rank, basis and intersection is first certified mod
-DEFAULT_PRIME by the GF(p) pass, on one fact: a nonzero minor mod p is
-a nonzero integer minor, so rank mod p <= rank over Q <= min(rows, cols)
-for an integer matrix. It has four consequences, the four certificates:
-- full rank: a rank mod p of min(rows, cols) is the rank (`_ranks`), and
-  then the rows `_independent_rows` picks in the transposed live
-  submatrix are a column basis over Q (`_column_basis`; the zero lines of
-  a sparse catalecticant, such as a sharp family's, keep min(shape) of
-  the whole array out of reach, not that of its live submatrix);
-- I_n: a rank equal to the column count n means the rows span Q^n, whose
-  basis is I_n (`_bases`);
-- own rows: a rank equal to the row count means the rows are independent,
-  so they are their own basis (`_bases`);
-- meet 0: rows of [a; b] independent mod p are independent over Q, so
-  row(a) ∩ row(b) is 0 (`_meets`).
-What a certificate leaves open gets `_echelon_int`, the fraction-free
-forward pass on integer rows, each eliminated row divided by its
-content; it is the only elimination over Q. It runs once per distinct
-matrix of a call (`_ranks`, `_bases`, by `_once`) or per distinct pair
-(`_meets`), both keyed by shape and entries (`_key`). Duplicates get the
-very same result, and so do the duplicate pairs of a `_meets` call over
-GF(p), so callers must not mutate what these return. The exact answers
-never depend on p; only the time does. The kernels take integer rows
-only: every row the pipeline builds is one (the generators' coefficient
-rows are cleared to integers once, and catalecticants, combinations,
-meets and bases keep that). Fractions enter only through Matrix and
-Subspace, and are cleared there, once per row, by `_clear_row` (in
-`_span`, `rank` and `subspace_intersection`); Fraction appears again
-only in the back-substitution of a canonical basis.
+DEFAULT_PRIME by the GF(p) pass. `_certified_rows` is the one function
+that reduces a stack mod its prime to pick rows, in either field, and the
+one that says what those rows prove over Q. What a certificate leaves
+open gets `_echelon_int`, the fraction-free forward pass on integer rows,
+each eliminated row divided by its content; it is the only elimination
+over Q. It runs once per distinct matrix of a call
+(`_ranks`, `_bases`, by `_once`) or per distinct pair (`_meets`), both
+keyed by shape and entries (`_key`). Duplicates get the very same result,
+and so do the duplicate pairs of a `_meets` call over GF(p), so callers
+must not mutate what these return. The exact answers never depend on p;
+only the time does. The kernels take integer rows only: every row the
+pipeline builds is one (the generators' coefficient rows are cleared to
+integers once, and catalecticants, combinations, meets and bases keep
+that). Fractions enter only through Form, Matrix and Subspace, and are
+cleared there by `_clear`, the one rule that multiplies values by the lcm
+of their denominators; Fraction appears again only in the
+back-substitution of a canonical basis.
 """
 
 from __future__ import annotations
@@ -89,8 +78,6 @@ _INT64_PRIME_LIMIT = isqrt(2**63 - 1)
 # integers over Q are int64 below this in absolute value: a margin below
 # 2**63, so that an entry's negation and absolute value stay in int64
 _INT64_RATIONAL_LIMIT = 2**62
-# GF(DEFAULT_PRIME), the field of the mod-p certificates over Q
-_CERTIFICATE_FIELD = FieldSpec.modular(DEFAULT_PRIME)
 
 
 def _dtype(field: FieldSpec, *arrays):
@@ -184,12 +171,12 @@ class Subspace:
         return len(self.basis)
 
 
-def _clear_row(row: Sequence[int | Fraction]) -> list[int]:
-    """The row times the lcm of its denominators: integers, same span."""
-    den = lcm(*{x.denominator for x in row})
-    if den == 1:
-        return list(map(int, row))
-    return [x.numerator * (den // x.denominator) for x in row]
+def _clear(values) -> tuple[list[int], int]:
+    """Integers or Fractions (or numpy integers) times the lcm `den` of
+    their denominators, an integer's being 1: Python ints in the same
+    ratios, and den (1 for no values)."""
+    den = lcm(*(x.denominator for x in values))
+    return [int(x.numerator) * (den // x.denominator) for x in values], den
 
 
 def _echelon_int(rows):
@@ -292,7 +279,7 @@ def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
         pivots = [c for c, _ in lines]
         a = np.array([row for _, row in lines], dtype=a.dtype)
     else:
-        a, pivots = _echelon_int([_clear_row(row) for row in rows])
+        a, pivots = _echelon_int([_clear(row)[0] for row in rows])
         piv = np.array([Fraction(a[k, c]) for k, c in enumerate(pivots)], dtype=object)
         a = a / piv[:, None]
     for k in range(len(pivots) - 1, 0, -1):
@@ -351,20 +338,51 @@ def _independent_rows(a: np.ndarray, p: int) -> list[list[int]]:
     return [sorted(rows) for rows in kept] if tall else kept
 
 
+def _certified_rows(a: np.ndarray, shapes, field: FieldSpec) -> list[list[int] | None]:
+    """For each matrix of a 3-D integer stack, the ascending indices of
+    rows that form a basis of its row space, or None where only the exact
+    pass can tell; `shapes` gives each matrix's own (rows, cols) k × n,
+    before any zero padding.
+
+    The stack is reduced mod its prime, over GF(p) the field's and over Q
+    DEFAULT_PRIME, and `_independent_rows` picks the rows. Over GF(p) they
+    are the answer. Over Q they rest on one fact: a nonzero minor mod p is
+    a nonzero integer minor, so rank mod p <= rank over Q <= min(k, n) for
+    an integer matrix. So when min(k, n) rows are kept, they are a basis
+    over Q too, and otherwise the result is None. What the readers certify
+    with it:
+    - full rank: min(k, n) rows is the rank (`_ranks`), and in the
+      transposed live submatrix they are a column basis (`_column_basis`;
+      the zero lines of a sparse catalecticant, such as a sharp family's,
+      keep min(shape) of the whole array out of reach, not that of its
+      live submatrix);
+    - I_n: n rows span Q^n, whose basis is I_n (`_bases`);
+    - own rows: k rows are independent, so they are their own basis
+      (`_bases`);
+    - meet 0: with the left halves [a; b] of a Zassenhaus stack, all ka +
+      kb rows kept makes them independent over Q, so row(a) ∩ row(b) is 0
+      (`_meets`).
+    """
+    if field.is_modular:
+        return _independent_rows(a % field.prime, field.prime)
+    # the residues fit int64 whatever the stack's type
+    mod = (a % DEFAULT_PRIME).astype(np.int64, copy=False)
+    kept = _independent_rows(mod, DEFAULT_PRIME)
+    return [rows if len(rows) == min(shape) else None for rows, shape in zip(kept, shapes)]
+
+
 def _ranks(stack, field: FieldSpec) -> list[int]:
     """Ranks of a sequence of 2-D arrays of any shapes (or of a 3-D array).
 
-    A sequence is first zero-padded to one shape, which keeps every rank.
-    Over GF(p) a rank is the number of rows `_independent_rows` keeps. Over
-    Q the integer matrices, padded in their common type (`_dtype`), are
-    first ranked mod DEFAULT_PRIME, and a full rank there, min(rows, cols)
-    of the matrix before padding, is the rank over Q; only a matrix that
-    falls short gets the fraction-free forward pass, on its own rows and
-    columns, once per distinct matrix.
+    A sequence is first zero-padded to one shape, in the matrices' common
+    type (`_dtype`), which keeps every rank. A rank is the number of rows
+    `_certified_rows` keeps; over Q a matrix it leaves open gets the
+    fraction-free forward pass, on its own rows and columns, once per
+    distinct matrix.
     """
     if isinstance(stack, np.ndarray) and stack.ndim == 3:
-        dtype = _dtype(field, stack)
-        a, shapes = np.asarray(stack, dtype=dtype), [stack.shape[1:]] * len(stack)
+        a = np.asarray(stack, dtype=_dtype(field, stack))
+        shapes = [a.shape[1:]] * len(a)
     else:
         dtype = _dtype(field, *stack)
         mats = [np.asarray(m, dtype=dtype) for m in stack]
@@ -372,39 +390,36 @@ def _ranks(stack, field: FieldSpec) -> list[int]:
         a = np.zeros((len(mats), *map(max, zip((0, 0), *shapes))), dtype=dtype)
         for s, m, (k, n) in zip(a, mats, shapes):
             s[:k, :n] = m
-    if not field.is_modular:
-        # an object array is reduced in Python ints before the cast
-        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64, copy=False), _CERTIFICATE_FIELD)
-        exact = _once(lambda m: len(_echelon_int(m)[1]))
-        return [
-            r if r == min(k, n) else exact(m[:k, :n])
-            for r, (k, n), m in zip(mod, shapes, a)
-        ]
-    return list(map(len, _independent_rows(a % field.prime, field.prime)))
+    exact = _once(lambda m: len(_echelon_int(m)[1]))
+    kept = _certified_rows(a, shapes, field)
+    # a matrix is sliced out only for the exact pass: a view of every
+    # matrix costs the small GF(p) stacks of quotient trials microseconds
+    return [
+        exact(a[i, :k, :n]) if rows is None else len(rows)
+        for i, (rows, (k, n)) in enumerate(zip(kept, shapes))
+    ]
 
 
 def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
     """Basis rows of the row space of each matrix in a sequence of equally
-    shaped matrices (or a 3-D array).
+    shaped k × n matrices (or a 3-D array), in the stack's type (`_dtype`).
 
-    Over GF(p) the basis is the matrix's own rows that `_independent_rows`
-    keeps. Over Q every matrix is first ranked mod DEFAULT_PRIME: a matrix
-    of rank n there, n its column count, gets the basis I_n, and one of
-    rank k, its row count, is its own basis, both in the stack's type
-    (`_dtype`). Every other matrix gets the fraction-free forward pass,
-    once per distinct matrix: duplicates share one result.
+    Over GF(p) the basis is the matrix's own rows that `_certified_rows`
+    keeps. Over Q a matrix of which it keeps n rows gets the basis I_n, one
+    of which it keeps k rows is its own basis, and every other matrix gets
+    the fraction-free forward pass, once per distinct matrix: duplicates
+    share one result.
     """
-    if not field.is_modular:
-        a = np.asarray(stack, dtype=_dtype(field, stack))
-        k, n = a.shape[1:]
-        mod = _ranks((a % DEFAULT_PRIME).astype(np.int64, copy=False), _CERTIFICATE_FIELD)
-        exact = _once(lambda m: _echelon_int(m)[0])
-        return [
-            np.eye(n, dtype=a.dtype) if r == n else m if r == k else exact(m)
-            for r, m in zip(mod, a)
-        ]
-    a = np.asarray(stack, dtype=_dtype(field)) % field.prime
-    return [m[rows] for m, rows in zip(a, _independent_rows(a, field.prime))]
+    a = np.asarray(stack, dtype=_dtype(field, stack))
+    k, n = a.shape[1:]
+    exact = _once(lambda m: _echelon_int(m)[0])
+    return [
+        m[rows] if field.is_modular
+        else exact(m) if rows is None
+        else np.eye(n, dtype=a.dtype) if len(rows) == n
+        else m
+        for m, rows in zip(a, _certified_rows(a, [(k, n)] * len(a), field))
+    ]
 
 
 def _column_basis(a, field: FieldSpec) -> list[int]:
@@ -414,33 +429,26 @@ def _column_basis(a, field: FieldSpec) -> list[int]:
     column basis, and neither changes the rank, so a column basis of the
     live submatrix that is left, mapped back to a's columns, is one of a
     (an array with no zero line is its own live submatrix, and is not
-    copied). The basis is `_independent_rows` of the live submatrix's
-    transpose, over GF(p) in its field and over Q mod DEFAULT_PRIME, where
-    it is kept when it is as long as the smaller side of the live
-    submatrix, as its columns then hold a minor nonzero mod p; otherwise
-    the fraction-free pass gives the pivot columns. A sparse catalecticant,
-    such as a sharp family's, reaches min(live shape) mod p where it falls
-    far short of min(shape), so its frame needs no exact pass.
+    copied). The basis is the `_certified_rows` of the live submatrix's
+    transpose; over Q one it leaves open gets the pivot columns of the
+    fraction-free pass. A sparse catalecticant, such as a sharp family's,
+    reaches min(live shape) mod p where it falls far short of min(shape),
+    so its frame needs no exact pass. (Over GF(p) an entry divisible by p
+    may keep its line live; the line is zero mod p, so no basis takes it.)
     """
     a = np.asarray(a, dtype=_dtype(field, a))
-    if field.is_modular:
-        a = a % field.prime
     nonzero = a != 0
     rows, cols = nonzero.any(1), nonzero.any(0)
     live = a if rows.all() and cols.all() else a[rows][:, cols]
-    if field.is_modular:
-        [basis] = _independent_rows(live.T[None], field.prime)
-    else:
-        mod = (live.T % DEFAULT_PRIME).astype(np.int64, copy=False)
-        [basis] = _independent_rows(mod[None], DEFAULT_PRIME)
-        if len(basis) != min(live.shape):
-            basis = _echelon_int(live)[1]
+    [basis] = _certified_rows(live.T[None], [live.T.shape], field)
+    if basis is None:
+        basis = _echelon_int(live)[1]
     return basis if live is a else cols.nonzero()[0][basis].tolist()
 
 
 def rank(m: Matrix) -> int:
     """Rank of the matrix over its field."""
-    rows = m.entries if m.field.is_modular else list(map(_clear_row, m.entries))
+    rows = [_clear(row)[0] for row in m.entries]
     a = np.array(rows, dtype=_dtype(m.field)).reshape(1, m.rows, m.cols)
     return _ranks(a, m.field)[0]
 
@@ -490,15 +498,15 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
     whole left half, and every later line is zero at that pivot column, so
     the combination's left half cannot vanish.
 
-    Over Q the stack's left halves [a; b] are ranked mod DEFAULT_PRIME in
-    one `_ranks` pass. A rank of rows(a) + rows(b) there makes the rows of
-    [a; b] independent over Q too (rank mod p <= rank over Q), so x·a + y·b
-    = 0 forces x = y = 0, and the meet is 0: an empty (0, n) array in the
-    pairs' common type (`_dtype`). Any other Z gets the fraction-free
-    forward pass, whose rows with a right-half pivot are the same kind of
-    basis as over GF(p). A single pair is a list of one pair: the overlap
-    walk passes a whole level of every degree, `subspace_intersection` and
-    the subset chain of `relative_intersection_dim` one pair at a time.
+    Over Q the stack's left halves [a; b] go to `_certified_rows`. When it
+    keeps all rows(a) + rows(b) of them, they are independent over Q, so
+    x·a + y·b = 0 forces x = y = 0, and the meet is 0: an empty (0, n)
+    array in the pairs' common type (`_dtype`). Any other Z gets the
+    fraction-free forward pass, whose rows with a right-half pivot are the
+    same kind of basis as over GF(p). A single pair is a list of one pair:
+    the overlap walk passes a whole level of every degree,
+    `subspace_intersection` and the subset chain of
+    `relative_intersection_dim` one pair at a time.
     """
     # the indices of each distinct pair, by the shape of its pair
     stacks: dict[tuple, dict[tuple, list[int]]] = {}
@@ -521,10 +529,10 @@ def _meets(pairs, field: FieldSpec) -> list[np.ndarray]:
                 np.array(rows, dtype=z.dtype).reshape(len(rows), n) for rows in kept
             ]
         else:
-            left = (z[:, :, :n] % DEFAULT_PRIME).astype(np.int64, copy=False)
             meets = []
-            for r, zi in zip(_ranks(left, _CERTIFICATE_FIELD), z):
-                if r == ka + kb:
+            certified = _certified_rows(z[:, :, :n], [(ka + kb, n)] * len(z), field)
+            for rows, zi in zip(certified, z):
+                if len(rows or ()) == ka + kb:
                     meets.append(np.zeros((0, n), dtype=z.dtype))
                 else:
                     ech, pivots = _echelon_int(zi)
@@ -542,10 +550,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     _check_pair(a, b)
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient, a.field)
-    a_rows, b_rows = a.basis, b.basis
-    if not a.field.is_modular:
-        a_rows = [_clear_row(row) for row in a_rows]
-        b_rows = [_clear_row(row) for row in b_rows]
-    pair = (np.array(a_rows, dtype=object), np.array(b_rows, dtype=object))
+    pair = [np.array([_clear(row)[0] for row in s.basis], dtype=object) for s in (a, b)]
     rows = _meets([pair], a.field)[0]
     return _span(rows, a.ambient, a.field)

@@ -230,7 +230,7 @@ def run_manifest(
             m = build_family(inst.spec, field, seed=inst_seed)
             c_list = inst.c_list if inst.c_list is not None else tuple(range(1, m.type))
             for c in c_list:
-                _check_type(m, c)
+                _check_type(m.type, c)
         except (ValueError, DegenerateSampleError) as exc:
             raise InputError(str(exc), inst.line) from exc
         if inst.label:

@@ -347,9 +347,11 @@ def _random_matrix(
     )
 
 
-def _check_type(m: InverseSystemModule, c: int) -> None:
-    if not 1 <= c <= m.type - 1:
-        raise ValueError(f"c={c} out of range 1..{m.type - 1}")
+def _check_type(t: int, c: int) -> None:
+    """Raise ValueError unless a type-t module has type-c quotients: 1 <= c
+    <= t - 1."""
+    if not 1 <= c <= t - 1:
+        raise ValueError(f"c={c} out of range 1..{t - 1}")
 
 
 def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
@@ -404,7 +406,7 @@ def sample_generic_quotient(
     matrix skips the sampling; a 0/1 selection matrix, for instance, picks
     out a plain subset of the generators.
     """
-    _check_type(m, c)
+    _check_type(m.type, c)
     if coefficients is None:
         return _samples(m, c, [seed])[0]
     rows = tuple(tuple(int(x) for x in row) for row in coefficients)
@@ -424,7 +426,7 @@ def generic_quotient_trials(
     Trial k equals sample_generic_quotient(m, c, derive_seed(seed, "trial",
     k)), bit for bit, but all trials are drawn and ranked side by side.
     """
-    _check_type(m, c)
+    _check_type(m.type, c)
     if trials < 1:
         raise ValueError("trials must be positive")
     return _samples(m, c, [derive_seed(seed, "trial", k) for k in range(trials)])
@@ -491,18 +493,17 @@ def _overlap(degrees: list[list[np.ndarray]], field: FieldSpec):
     """One pair per entry of degrees, each the t spaces of one degree
     (`_single_spaces`): the alternating sum of `inclusion_exclusion_sum`,
     and the list of the relative dimensions D_u(q) of
-    `relative_intersection_dim` for the nonzero prefixes {0..q-1}, q = 2,
-    3, ... (the sizes the subset recount weighs). All come from one walk
-    over the subsets of every degree at once, and one `_relative_dims`
-    call ranks the prefixes of every degree.
+    `relative_intersection_dim` for the prefixes {0..q-1}, q = 2, 3, ...,
+    that meet in nonzero rows (the sizes the subset recount weighs). All
+    come from one walk over the subsets of every degree at once, and one
+    `_relative_dims` call ranks the prefixes of every degree.
 
     The spaces are in frame coordinates, so their column count is h_u, and
     they span all of it. Two caps settle a degree before the walk, with no
     meet: if the dimensions add up to h_u the sum is direct, every meet is
     0, and the pair is (0, []); if every space has dimension h_u, every
-    subset meets in the whole space, so the sum is (t-1)·h_u, and each
-    prefix {0..q-1} hands on the rows of space 0, which `_relative_dims`
-    gives D_u 0 below q = t and h_u at q = t (no rank when t = 2).
+    subset meets in the whole space, so the sum is (t-1)·h_u, and the
+    prefixes are those of a prefix pruned at {0} (below): no rank.
 
     The other degrees are walked level by level in lexicographic order.
     Level q holds, for every degree, the rows of each q-subset's
@@ -510,15 +511,18 @@ def _overlap(degrees: list[list[np.ndarray]], field: FieldSpec):
     after its last generator, are all met in one `_meets` call, whatever
     their degree. A zero intersection is dropped, since every superset
     then contributes 0, and a level is freed once its children are met.
-    If all m children of T keep dim I_T, then I_T ⊆ S_j
-    for each such j (nested spaces of equal dimension are equal), so every
+    If all m children of T keep dim I_T, then I_T ⊆ S_j for each such j
+    (nested spaces of equal dimension are equal), so every
     descendant meets in I_T: the children are not expanded, and the
     grandchildren and deeper add Σ_{k>=2} C(m,k)·(-1)^(q+k)·dim I_T =
     (-1)^q·dim I_T·(m-1). A q-subset whose last generator is q - 1 is the
-    prefix {0..q-1}; a pruned prefix T hands its rows to every prefix
-    longer than its child, and once one prefix meets in 0 so do all longer
-    ones, their D_u is 0 and the list stops. D_u(1) is left out: it would
-    rank all t spaces together, and no caller reads it. On the sharp
+    prefix {0..q-1}. Below a pruned prefix T = {0..q-1}, I_T ⊆ S_j for
+    every j >= q, so every longer prefix meets in I_T: one of size below t
+    has D_u 0, as I_T lies in the next space, and is handed no rows, and
+    the size-t prefix, with nothing to mod out, has D_u = dim I_T and is
+    handed I_T; neither takes a rank. Once one prefix meets in 0 so do all
+    longer ones, their D_u is 0 and the list stops. D_u(1) is left out: it
+    would rank all t spaces together, and no caller reads it. On the sharp
     families every triple keeps the meet of its pairs, so the walk meets
     the C(t,2) + C(t,3) pairs and triples of a degree, not its 2^t - t - 1
     subsets.
@@ -533,7 +537,7 @@ def _overlap(degrees: list[list[np.ndarray]], field: FieldSpec):
             continue
         if all(dim == h for dim in dims):
             totals[d] = (len(spaces) - 1) * h
-            prefixes[d] = [spaces[0]] * (len(spaces) - 1)
+            prefixes[d] = [spaces[0][:0]] * (len(spaces) - 2) + [spaces[0]]
         else:
             level += [(d, s, j) for j, s in enumerate(spaces)]
     q = 1  # the size of the subsets in level; their children count (-1)^(q+1)
@@ -552,7 +556,7 @@ def _overlap(degrees: list[list[np.ndarray]], field: FieldSpec):
                 # every descendant meets in s: the deeper ones in closed form
                 totals[d] += (-1) ** q * len(s) * (len(kids) - 1)
                 if last == q - 1:
-                    prefixes[d] += [s] * (len(degrees[d]) - q - 1)
+                    prefixes[d][-1:] = [s[:0]] * (len(degrees[d]) - q - 1) + [s]
             else:
                 below += [(d, meet, j) for j, meet in kids if len(meet)]
         level = below

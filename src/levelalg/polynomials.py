@@ -19,24 +19,27 @@ monomial b of the lower degree: one gather through a table cached per
 in the package, apply_operator's included, is built.
 
 `Form` is the sparse, exact form of the text and API edges: what
-`parse_form` reads and `Form.to_text` writes. `coefficient_rows` turns
-forms into the dense rows a module holds, and `form_from_row` turns a row
-back into a Form.
+`parse_form` reads and `Form.to_text` writes. Like every value type of the
+package it is a frozen dataclass, which reduces its coefficients in its
+field once, when it is made. `coefficient_rows` turns forms into the dense
+rows a module holds, and `form_from_row` turns a row back into a Form.
+`coefficient_rows` and `to_text` clear denominators with `linalg._clear`.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
 from .fields import FieldSpec, Scalar
-from .linalg import Subspace, _integer_array, _span
+from .linalg import Subspace, _clear, _integer_array, _span
 
 Exponents = tuple[int, ...]
 
@@ -67,7 +70,15 @@ def space_dim(num_vars: int, degree: int) -> int:
 
 def check_space_dim(num_vars: int, degree: int) -> None:
     """Raise ValueError when the degree-`degree` forms in `num_vars`
-    variables span more than MAX_SPACE_DIM monomials."""
+    variables span more than MAX_SPACE_DIM monomials, or the degrees 0..e
+    are more than MAX_SPACE_DIM: the h-vector and the num_vars × (e + 1)
+    table of `_positions` have e + 1 entries a row. (N_e >= e + 1 for two
+    or more variables, so only one variable reaches the second bound.)"""
+    if degree + 1 > MAX_SPACE_DIM:
+        raise ValueError(
+            f"degree {degree} is more than the {MAX_SPACE_DIM - 1} "
+            "this tool builds tables for"
+        )
     dim = space_dim(num_vars, degree)
     if dim > MAX_SPACE_DIM:
         raise ValueError(
@@ -142,71 +153,48 @@ def monomial_rank(exps, degree: int) -> np.ndarray:
     return _positions(lambda k: s[..., k], s.shape[-1], degree)
 
 
+@dataclass(frozen=True, slots=True)
 class Form:
     """Homogeneous polynomial with exact coefficients, stored sparsely.
 
-    `terms` maps exponent tuples to nonzero field scalars. A Form with no
-    terms is the zero form of its declared degree; those arise from
-    operator actions but are rejected as module generators.
+    `terms` maps exponent tuples to nonzero field scalars: the given
+    coefficients reduced in the field, the zero ones dropped. A Form with
+    no terms is the zero form of its declared degree; those arise from
+    operator actions but are rejected as module generators. Forms compare
+    and hash by their four fields.
     """
 
-    __slots__ = ("num_vars", "degree", "field", "terms", "_hash")
+    num_vars: int
+    degree: int
+    field: FieldSpec
+    terms: dict[Exponents, Scalar]
 
-    def __init__(
-        self,
-        num_vars: int,
-        degree: int,
-        field: FieldSpec,
-        terms: dict[Exponents, int | Fraction],
-    ):
-        if num_vars < 1:
+    def __post_init__(self) -> None:
+        if self.num_vars < 1:
             raise ValueError("need at least one variable")
-        if degree < 0:
+        if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         reduced: dict[Exponents, Scalar] = {}
-        for exps, coeff in terms.items():
+        for exps, coeff in self.terms.items():
             exps = tuple(exps)
-            if len(exps) != num_vars:
+            if len(exps) != self.num_vars:
                 raise ValueError(f"exponent tuple {exps} has wrong length")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            if sum(exps) != degree:
+            if sum(exps) != self.degree:
                 raise ValueError(
-                    f"monomial {exps} has degree {sum(exps)}, form declares {degree}"
+                    f"monomial {exps} has degree {sum(exps)}, form declares {self.degree}"
                 )
-            if c := field.reduce(coeff):
+            if c := self.field.reduce(coeff):
                 reduced[exps] = c
-        self.num_vars = num_vars
-        self.degree = degree
-        self.field = field
-        self.terms = reduced
-        self._hash = None
+        object.__setattr__(self, "terms", reduced)
+
+    def __hash__(self) -> int:
+        return hash((self.num_vars, self.degree, self.field, frozenset(self.terms.items())))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (
-            self.num_vars == other.num_vars
-            and self.degree == other.degree
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
-                (
-                    self.num_vars,
-                    self.degree,
-                    self.field,
-                    frozenset(self.terms.items()),
-                )
-            )
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Form({self.to_text()!r}, vars={self.num_vars}, degree={self.degree})"
@@ -215,14 +203,10 @@ class Form:
         """Expression in the module-file grammar (integer coefficients)."""
         if self.is_zero:
             return "0"
-        coeffs = dict(self.terms)
-        if not self.field.is_modular:
-            den = lcm(*(c.denominator for c in coeffs.values()))
-            coeffs = {m: c * den for m, c in coeffs.items()}
-        ranks = monomial_rank(list(coeffs), self.degree).tolist()
+        values, _ = _clear(self.terms.values())
+        ranks = monomial_rank(list(self.terms), self.degree).tolist()
         pieces: list[str] = []
-        for _, exps in sorted(zip(ranks, coeffs)):
-            c = int(coeffs[exps])
+        for _, exps, c in sorted(zip(ranks, self.terms, values)):
             mono = "*".join(
                 f"y{i + 1}^{e}" if e > 1 else f"y{i + 1}"
                 for i, e in enumerate(exps)
@@ -378,8 +362,7 @@ def coefficient_rows(forms) -> tuple[np.ndarray, int]:
     """
     num_vars, degree, field = _check_family(forms)
     terms = [(k, exps, c) for k, f in enumerate(forms) for exps, c in f.terms.items()]
-    den = 1 if field.is_modular else lcm(*(c.denominator for _, _, c in terms))
-    values = [c.numerator * (den // c.denominator) for *_, c in terms]
+    values, den = _clear([c for *_, c in terms])
     values = _integer_array(values, field)
     rows = np.zeros((len(forms), space_dim(num_vars, degree)), dtype=values.dtype)
     if terms:

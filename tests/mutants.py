@@ -71,8 +71,8 @@ MUTANTS = (
     Mutant(
         "meet-certificate-one-short",
         "linalg.py",
-        "                if r == ka + kb:\n",
-        "                if r >= ka + kb - 1:\n",
+        "                if len(rows or ()) == ka + kb:\n",
+        "                if len(rows or ()) >= ka + kb - 1:\n",
         (
             LINALG + "test_rational_meets_run_one_exact_pass_per_distinct_open_pair",
             LINALG + "test_meets_of_repeated_and_mod_p_dependent_pairs",
@@ -111,11 +111,22 @@ MUTANTS = (
     Mutant(
         "prefix-padding-one-long",
         "modules.py",
-        "prefixes[d] += [s] * (len(degrees[d]) - q - 1)",
-        "prefixes[d] += [s] * (len(degrees[d]) - q)",
+        "prefixes[d][-1:] = [s[:0]] * (len(degrees[d]) - q - 1) + [s]",
+        "prefixes[d][-1:] = [s[:0]] * (len(degrees[d]) - q) + [s]",
         (
             MODULES + "test_walk_over_all_degrees_matches_the_per_degree_oracle",
             MODULES + "test_overlap_statistics_match_the_subset_oracle",
+        ),
+    ),
+    Mutant(
+        # below a pruned prefix the size-t prefix has D_u = dim I_T, not 0
+        "size-t-prefix-handed-empty",
+        "modules.py",
+        "prefixes[d][-1:] = [s[:0]] * (len(degrees[d]) - q - 1) + [s]",
+        "prefixes[d][-1:] = [s[:0]] * (len(degrees[d]) - q - 1) + [s[:0]]",
+        (
+            MODULES + "test_overlap_statistics_match_the_subset_oracle",
+            MODULES + "test_overlap_ranks_exactly_the_nonzero_prefix_meets",
         ),
     ),
     Mutant(
@@ -144,8 +155,8 @@ MUTANTS = (
     Mutant(
         "rank-certificate-below-full",
         "linalg.py",
-        "r if r == min(k, n) else exact(m[:k, :n])",
-        "r if r <= min(k, n) else exact(m[:k, :n])",
+        "rows if len(rows) == min(shape) else None",
+        "rows if len(rows) <= min(shape) else None",
         (
             LINALG + "test_ragged_stacks_of_any_shapes",
             LINALG + "test_rational_ranks_and_bases_eliminate_each_distinct_matrix_once",
@@ -228,15 +239,16 @@ MUTANTS = (
     Mutant(
         "basis-certificate-one-short",
         "linalg.py",
-        "np.eye(n, dtype=a.dtype) if r == n else",
-        "np.eye(n, dtype=a.dtype) if r >= n - 1 else",
+        "else np.eye(n, dtype=a.dtype) if len(rows) == n\n",
+        "else np.eye(n, dtype=a.dtype) if len(rows) >= n - 1\n",
         (LINALG + "test_rational_bases_certify_full_column_rank",),
     ),
     Mutant(
         "own-rows-certificate-one-short",
         "linalg.py",
-        "else m if r == k else exact(m)",
-        "else m if r >= k - 1 else exact(m)",
+        # certifies own rows when one is short of the row count
+        "_certified_rows(a, [(k, n)] * len(a), field)",
+        "_certified_rows(a, [(k - 1, n)] * len(a), field)",
         (LINALG + "test_rational_bases_certify_full_row_rank_with_the_rows_themselves",),
     ),
     Mutant(
@@ -256,15 +268,15 @@ MUTANTS = (
     Mutant(
         "column-certificate-one-short",
         "linalg.py",
-        "        if len(basis) != min(live.shape):\n",
-        "        if len(basis) < min(live.shape) - 1:\n",
+        "_certified_rows(live.T[None], [live.T.shape], field)",
+        "_certified_rows(live.T[None], [np.subtract(live.T.shape, 1)], field)",
         (LINALG + "test_rational_column_basis_certifies_full_rank_mod_p_only",),
     ),
     Mutant(
         "column-certificate-by-full-shape",
         "linalg.py",
-        "        if len(basis) != min(live.shape):\n",
-        "        if len(basis) != min(a.shape):\n",
+        "_certified_rows(live.T[None], [live.T.shape], field)",
+        "_certified_rows(live.T[None], [a.T.shape], field)",
         (LINALG + "test_rational_sharp_frames_take_no_exact_pass",),
     ),
     Mutant(
@@ -273,6 +285,31 @@ MUTANTS = (
         "    return basis if live is a else cols.nonzero()[0][basis].tolist()\n",
         "    return basis\n",
         (LINALG + "test_column_basis_maps_the_live_columns_back_past_zero_lines",),
+    ),
+    Mutant(
+        "clear-by-max-denominator",
+        "linalg.py",
+        "den = lcm(*(x.denominator for x in values))",
+        "den = max((x.denominator for x in values), default=1)",
+        (LINALG + "test_clear_scales_by_the_lcm_of_the_denominators",),
+    ),
+    Mutant(
+        "form-keeps-unreduced-terms",
+        "polynomials.py",
+        '        object.__setattr__(self, "terms", reduced)\n',
+        "",
+        (
+            "tests/test_polynomials.py::"
+            "test_parsed_built_and_module_forms_are_equal_and_hash_alike",
+        ),
+    ),
+    Mutant(
+        # named against the unit test alone: the CLI test would allocate
+        "degree-bound-removed",
+        "polynomials.py",
+        "    if degree + 1 > MAX_SPACE_DIM:\n",
+        "    if False:\n",
+        ("tests/test_polynomials.py::test_a_degree_past_the_bound_is_refused",),
     ),
     Mutant(
         "exponents-not-reversed",

@@ -164,6 +164,22 @@ def test_hvector_space_over_the_bound_exits_two_before_any_table(tmp_path, capsy
     assert "line 2" in err and "288720400 monomials" in err
 
 
+def test_hvector_degree_over_the_bound_exits_two_before_any_table(tmp_path, capsys):
+    # one monomial in one variable, but 10^8 + 1 degrees: refused from the
+    # header alone, where an h-vector or position table would take ~800 MB
+    f = tmp_path / "degree.mod"
+    f.write_text("vars: 1\ndegree: 100000000\nF1: y1^100000000\n")
+    tracemalloc.start()
+    try:
+        assert cli.main(["hvector", str(f)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+    err = capsys.readouterr().err
+    assert "line 1: degree 100000000 is more than the 999999" in err
+
+
 def test_hvector_round_trips_serializer(tmp_path, capsys):
     m = sharp_family(2, 2, 4, FieldSpec.modular())
     f = tmp_path / "sharp.mod"

@@ -27,6 +27,7 @@ from levelalg.linalg import (
     Matrix,
     Subspace,
     _bases,
+    _clear,
     _column_basis,
     _meets,
     _ranks,
@@ -686,6 +687,17 @@ def _residue_stack(stack, field):
     return a.astype(linalg._dtype(field))
 
 
+def test_clear_scales_by_the_lcm_of_the_denominators():
+    assert _clear([3, -4, 0]) == ([3, -4, 0], 1)
+    assert _clear([Fraction(1, 2), Fraction(-2, 3)]) == ([3, -4], 6)
+    # a mix: 4 and 6 have the lcm 12, not their product or the larger
+    assert _clear([Fraction(1, 4), 5, Fraction(-1, 6)]) == ([3, 60, -2], 12)
+    assert _clear([]) == ([], 1)
+    # numpy integers come back as Python ints, past int64 once scaled
+    ints, den = _clear(np.array([2**62, -1], dtype=np.int64))
+    assert (ints, den) == ([2**62, -1], 1) and all(type(x) is int for x in ints)
+
+
 @pytest.mark.parametrize("field", [MOD, BIG], ids=["gfp", "bigp"])
 def test_independent_rows_of_hand_examples(field):
     def rows(*stack):
@@ -1001,6 +1013,9 @@ def test_rational_bases_certify_full_column_rank(monkeypatch):
             assert all(rows.dtype == given.dtype for rows in got)
         # the object stack's, the last, holds Python ints
         assert all(type(x) is int for rows in got for x in rows.ravel())
+    # two rows of three columns, one short of I_3: their own basis
+    [own] = _bases([tall[2][:2]], RAT)
+    assert own.tolist() == tall[2][:2]
     assert calls == []
     got = _bases([tall[2], scaled, short], RAT)
     assert len(calls) == 2

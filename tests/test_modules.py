@@ -7,7 +7,6 @@ small catalecticant blocks, computed by hand in the comments.
 
 import random
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -815,11 +814,42 @@ def test_overlap_statistics_match_the_subset_oracle(field):
             assert (total, yielded + zeros) == (want, dims[1:]), (m.label, m.type, u)
 
 
+def _walk_prefixes(m, u):
+    """What the overlap walk hands `_relative_dims` for the prefixes
+    {0..q-1}, q = 2, 3, ..., from the oracle's spaces: the oracle's I_q,
+    or None for empty rows. The list runs up to the first prefix that
+    meets in 0. Once a nonzero prefix q' lies in every S_j, j >= q' (q' =
+    1 included), each longer prefix meets in I_q' and has D_u 0 below
+    size t, handed empty, and dim I_q' at size t, handed I_q'."""
+    spaces = oracle._spaces(m, u)
+    t, inter, out = len(spaces), spaces[0], []
+    for q in range(1, t + 1):
+        if q > 1:
+            inter = oracle.subspace_intersection(inter, spaces[q - 1])
+            if not inter.dim:
+                break
+            out.append(inter)
+        if q < t and all(
+            oracle.subspace_intersection(inter, s).dim == inter.dim for s in spaces[q:]
+        ):
+            return out + [None] * (t - 1 - q) + [inter]
+    return out
+
+
+def _ranked_prefixes(m, u):
+    """The number of prefixes the walk ranks in degree u, from the oracle:
+    a prefix q < t is ranked iff I_q != 0 and no shorter prefix q' has I_q'
+    in every S_j, j >= q'."""
+    return sum(s is not None for s in _walk_prefixes(m, u)[: m.type - 2])
+
+
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
     # the walk hands on the meet of {0..q-1}, q >= 2, while it is nonzero,
-    # and nothing once a prefix meets in 0; its rows are in frame
-    # coordinates, so the oracle's prefix spaces are restricted to J_u
+    # and nothing once a prefix meets in 0; below a prefix that lies in
+    # every later space it hands empty rows, whose oracle D_u is 0, and
+    # that prefix's rows at size t. Its rows are in frame coordinates, so
+    # the oracle's prefix spaces are restricted to J_u
     from levelalg.linalg import _span
 
     handed = []
@@ -833,16 +863,16 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
     for build in OVERLAP_CASES:
         m = build(field)
         for u in range(1, m.socle_degree):
-            spaces = oracle._spaces(m, u)
-            prefixes = [
-                reduce(oracle.subspace_intersection, spaces[:q]) for q in range(2, m.type + 1)
-            ]
             handed.clear()
             modules._overlap(modules._single_spaces(m, [u], m.rows), m.field)
-            want = [s for s in prefixes if s.dim]
+            want = _walk_prefixes(m, u)
             assert len(handed) == len(want), (m.type, u)
             frame = m._frame[u]
-            for rows, s in zip(handed, want):
+            for q, (rows, s) in enumerate(zip(handed, want), start=2):
+                if s is None:
+                    assert len(rows) == 0, (m.type, u, q)
+                    assert oracle.relative_intersection_dim(m, q, u) == 0, (m.type, u, q)
+                    continue
                 restricted = _span([[x[j] for j in frame] for x in s.basis], len(frame), field)
                 assert restricted.dim == s.dim, (m.type, u)
                 assert _span(rows, len(frame), field) == restricted, (m.type, u)
@@ -851,8 +881,8 @@ def test_overlap_ranks_exactly_the_nonzero_prefix_meets(monkeypatch, field):
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_reading_one_degrees_relative_dims_costs_one_stacked_rank(monkeypatch, field):
     # one walk ranks every [I_q; S_q] and S_q of the degree in one `_ranks`
-    # call; the size-t prefix needs none, and nor does a degree whose
-    # {0, 1} meets in 0
+    # call; the size-t prefix needs none, nor does a prefix below one that
+    # lies in every later space, nor a degree whose {0, 1} meets in 0
     calls = []
     ranks = modules._ranks
 
@@ -870,7 +900,7 @@ def test_reading_one_degrees_relative_dims_costs_one_stacked_rank(monkeypatch, f
             calls.clear()
             [(_, dims)] = modules._overlap(modules._single_spaces(m, [u], m.rows), m.field)
             read.append(dims)
-            below_t = min(len(read[-1]), m.type - 2)
+            below_t = _ranked_prefixes(m, u)
             assert calls == ([2 * below_t] if below_t else []), (m.type, u)
             ranked += bool(below_t)
             below.append(below_t)
@@ -1088,7 +1118,7 @@ def test_relative_intersection_dim_matches_the_oracle_on_every_subset():
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
 def test_inclusion_exclusion_sum_ranks_at_most_once(monkeypatch, field):
     # the sum is read off the walk's meets; the walk's one stacked rank,
-    # of the nonzero prefixes below t, is all the ranking it adds
+    # of the prefixes below t it hands rows, is all the ranking it adds
     calls = []
     ranks = modules._ranks
 
@@ -1100,12 +1130,7 @@ def test_inclusion_exclusion_sum_ranks_at_most_once(monkeypatch, field):
     monkeypatch.setattr(modules, "_ranks", counting)
     for m in cases:
         for u in range(1, m.socle_degree):
-            spaces = oracle._spaces(m, u)
-            below_t = sum(
-                1
-                for q in range(2, m.type)
-                if reduce(oracle.subspace_intersection, spaces[:q]).dim
-            )
+            below_t = _ranked_prefixes(m, u)
             calls.clear()
             assert inclusion_exclusion_sum(m, u) == oracle.inclusion_exclusion_sum(m, u)
             assert calls == ([2 * below_t] if below_t else []), (m.type, u)

@@ -1,6 +1,7 @@
 """Monomial order and rank, form parsing, contraction, catalecticants;
 classical differentiation against the oracle's."""
 
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,6 +23,7 @@ from levelalg.polynomials import (
     _gather_table,
     apply_operator,
     catalecticant_rows,
+    check_space_dim,
     coefficient_rows,
     derivative_space,
     monomial_rank,
@@ -79,6 +81,17 @@ def test_monomials_of_many_variables_and_the_space_bound(monkeypatch):
         monomials_of_degree(1200, 3)
     with pytest.raises(ValueError, match="288720400 monomials"):
         _exponents(1200, 3)
+
+
+def test_a_degree_past_the_bound_is_refused():
+    # one variable has one monomial in every degree, but the h-vector and
+    # the position table of a degree e have e + 1 entries
+    check_space_dim(1, MAX_SPACE_DIM - 1)
+    # two variables reach N_e = e + 1 = MAX_SPACE_DIM at the same degree
+    check_space_dim(2, MAX_SPACE_DIM - 1)
+    for degree in (MAX_SPACE_DIM, 10**8):
+        with pytest.raises(ValueError, match=f"^degree {degree} is more than the 999999 "):
+            check_space_dim(1, degree)
 
 
 def test_exponent_arrays_are_the_sorted_tuples_and_read_only():
@@ -153,6 +166,28 @@ def test_form_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Form(2, 3, RAT, {(3, 0): 1, (0, 3): -1})
+
+
+def test_forms_are_frozen():
+    f = Form(2, 2, MOD, {(2, 0): 1})
+    for name, value in (("num_vars", 3), ("degree", 3), ("field", RAT), ("terms", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, value)
+    assert f == Form(2, 2, MOD, {(2, 0): 1})
+
+
+@pytest.mark.parametrize("field", [MOD, RAT, BIG], ids=["gfp", "q", "bigp"])
+def test_parsed_built_and_module_forms_are_equal_and_hash_alike(field):
+    parsed = parse_form("3*y1^2*y2 - y2^3 + 7*y1*y2*y3", 3, 3, field)
+    # the constructor reduces its coefficients and drops the zero ones
+    p = field.prime or 0
+    built = Form(3, 3, field, {
+        (2, 1, 0): 3 + p, (0, 3, 0): -1 - p, (1, 1, 1): 7, (0, 0, 3): p,
+    })
+    [generator] = InverseSystemModule.from_forms([parsed], field).generators
+    assert parsed == built == generator
+    assert hash(parsed) == hash(built) == hash(generator)
+    assert built.terms == {(2, 1, 0): 3, (0, 3, 0): field.reduce(-1), (1, 1, 1): 7}
 
 
 def test_coefficient_vector_layout():
