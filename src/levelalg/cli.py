@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from functools import cache
@@ -175,54 +176,39 @@ def _cmd_bound(args) -> int:
 def _cmd_verify(args) -> int:
     text = _read_text(args.manifest)
     field = FieldSpec.rational() if args.rational else FieldSpec.modular()
-    manifest = parse_manifest(text)
-    summary, reports = run_manifest(manifest, field=field, seed=args.seed)
-    payload_rows = [r.to_json_dict() for r in reports]
+    summary, reports = run_manifest(parse_manifest(text), field=field, seed=args.seed)
+    s = summary
+    summary_line = (
+        f"instances={s.instances} satisfied={s.satisfied} violated={s.violated} "
+        f"tight={s.tight_instances} identities={s.identity_checks_passed}+"
+        f"{s.identity_checks_failed}- wall={s.wall_time:.2f}s seed={s.seed}"
+    )
     if args.format == "json":
         rendered = json.dumps(
-            {"summary": summary.to_json_dict(), "reports": payload_rows}, indent=2
+            {"summary": s.to_json_dict(), "reports": [r.to_json_dict() for r in reports]},
+            indent=2,
         )
     elif args.format == "csv":
-        import io
-
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(report_csv_row(r))
+        csv.writer(buf).writerows([CSV_COLUMNS, *map(report_csv_row, reports)])
         rendered = buf.getvalue()
     else:
-        lines = []
-        for r in reports:
-            status = "ok" if r.satisfied else "VIOLATED"
-            lines.append(
-                f"{r.label} c={r.c}: bound {' '.join(map(str, r.bound))} | "
-                f"empirical {' '.join(map(str, r.empirical))} [{status}]"
-            )
-        for f in summary.identity_failures:
-            lines.append(
-                f"{f.label} u={f.u}: identity {f.identity} FAILED "
-                f"(lhs {f.lhs}, rhs {f.rhs})"
-            )
-        s = summary
-        lines.append(
-            f"instances={s.instances} satisfied={s.satisfied} violated={s.violated} "
-            f"tight={s.tight_instances} identities={s.identity_checks_passed}+"
-            f"{s.identity_checks_failed}- wall={s.wall_time:.2f}s seed={s.seed}"
-        )
-        rendered = "\n".join(lines) + "\n"
+        lines = [
+            f"{r.label} c={r.c}: bound {' '.join(map(str, r.bound))} | "
+            f"empirical {' '.join(map(str, r.empirical))} "
+            f"[{'ok' if r.satisfied else 'VIOLATED'}]"
+            for r in reports
+        ] + [
+            f"{f.label} u={f.u}: identity {f.identity} FAILED (lhs {f.lhs}, rhs {f.rhs})"
+            for f in s.identity_failures
+        ]
+        rendered = "\n".join([*lines, summary_line]) + "\n"
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
-        print(f"wrote {args.out}")
-        s = summary
-        print(
-            f"instances={s.instances} satisfied={s.satisfied} violated={s.violated} "
-            f"identities={s.identity_checks_passed}+{s.identity_checks_failed}-"
-        )
+        print(f"wrote {args.out}\n{summary_line}")
     else:
-        print(rendered, end="" if rendered.endswith("\n") else "\n")
-    failed = summary.violated > 0 or summary.identity_checks_failed > 0
-    return EXIT_VERIFICATION if failed else EXIT_OK
+        print(rendered.removesuffix("\n"))
+    return EXIT_VERIFICATION if s.violated or s.identity_checks_failed else EXIT_OK
 
 
 def _cmd_combinatorics(args) -> int:

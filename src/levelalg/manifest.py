@@ -28,9 +28,11 @@ from .modules import (
     DegenerateSampleError,
     InputError,
     _check_type,
+    _content_lines,
     _draws,
     _overlap,
     _parse_int,
+    _parse_positive,
     _single_spaces,
     derive_seed,
     empirical_generic_h,
@@ -42,12 +44,12 @@ from .families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec, build_family
 @dataclass(frozen=True)
 class ManifestInstance:
     spec: FamilySpec
-    c_list: tuple[int, ...] | None  # None = all admissible types
-    trials: int
-    seed: int | None
-    label: str
-    identities: bool
     line: int
+    c_list: tuple[int, ...] | None = None  # None = all admissible types
+    trials: int = 5
+    seed: int | None = None  # None = derived from the run seed
+    label: str = ""
+    identities: bool = True
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,11 @@ class IdentityFailure:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """The counts of one `run_manifest` run. `satisfied`, `violated` and
+    `tight_instances` count (instance, c) reports, not instances: an
+    instance verified at two types adds two. A report is tight when its
+    empirical h-vector equals the bound in every degree."""
+
     instances: int
     satisfied: int
     violated: int
@@ -88,77 +95,71 @@ class RunSummary:
         return out | {"wallTime": round(self.wall_time, 3), "seed": self.seed}
 
 
-_CONTROL_KEYS = ("c", "trials", "seed", "label", "identities")
+def _c_list(value: str) -> tuple[int, ...]:
+    try:
+        c_list = tuple(int(x) for x in value.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad c list {value!r}") from exc
+    if len(set(c_list)) != len(c_list):
+        raise ValueError(f"repeated type in c list {value!r}")
+    return c_list
+
+
+def _on_off(value: str) -> bool:
+    if value not in ("on", "off"):
+        raise ValueError("identities must be on or off")
+    return value == "on"
+
+
+def _float(value: str, what: str) -> float:
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise ValueError(f"bad {what} {value!r}") from exc
+
+
+#: The per-instance keys beyond the family parameters, each with the
+#: ManifestInstance field it sets and the reader of its value.
+_CONTROLS = {
+    "c": ("c_list", _c_list),
+    "trials": ("trials", lambda value: _parse_positive(value, "trials")),
+    "seed": ("seed", lambda value: _parse_int(value, "seed")),
+    "label": ("label", str),
+    "identities": ("identities", _on_off),
+}
 
 
 def parse_manifest(text: str) -> tuple[ManifestInstance, ...]:
     instances = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        family = tokens[0]
-        if family not in FAMILY_NAMES:
-            raise InputError(
-                f"unknown family {family!r}; known: {', '.join(FAMILY_NAMES)}", lineno
-            )
+    for lineno, line in _content_lines(text):
+        family, *tokens = line.split()
         params: dict[str, object] = {}
-        c_list = None
-        trials = 5
-        seed = None
-        label = ""
-        identities = True
+        fields: dict[str, object] = {}
         seen: set[str] = set()
-        for tok in tokens[1:]:
-            if "=" not in tok:
-                raise InputError(f"expected key=value, got {tok!r}", lineno)
-            key, _, value = tok.partition("=")
-            if key in seen:
-                raise InputError(f"repeated key {key!r}", lineno)
-            seen.add(key)
-            if key == "c":
-                try:
-                    c_list = tuple(int(x) for x in value.split(","))
-                except ValueError as exc:
-                    raise InputError(f"bad c list {value!r}", lineno) from exc
-                if len(set(c_list)) != len(c_list):
-                    raise InputError(f"repeated type in c list {value!r}", lineno)
-            elif key == "trials":
-                trials = _parse_int(value, "trials", lineno)
-                if trials < 1:
-                    raise InputError("trials must be positive", lineno)
-            elif key == "seed":
-                seed = _parse_int(value, "seed", lineno)
-            elif key == "label":
-                label = value
-            elif key == "identities":
-                if value not in ("on", "off"):
-                    raise InputError("identities must be on or off", lineno)
-                identities = value == "on"
-            elif key not in FAMILY_PARAMS[family]:
-                known = ", ".join(FAMILY_PARAMS[family] + _CONTROL_KEYS)
-                raise InputError(
-                    f"unknown key {key!r} for {family}; known: {known}", lineno
-                )
-            elif key == "density":
-                try:
-                    params[key] = float(value)
-                except ValueError as exc:
-                    raise InputError(f"bad density {value!r}", lineno) from exc
-            else:
-                params[key] = _parse_int(value, key, lineno)
-        instances.append(
-            ManifestInstance(
-                spec=FamilySpec.of(family, **params),
-                c_list=c_list,
-                trials=trials,
-                seed=seed,
-                label=label,
-                identities=identities,
-                line=lineno,
-            )
-        )
+        try:
+            if family not in FAMILY_NAMES:
+                known = ", ".join(FAMILY_NAMES)
+                raise ValueError(f"unknown family {family!r}; known: {known}")
+            for tok in tokens:
+                if "=" not in tok:
+                    raise ValueError(f"expected key=value, got {tok!r}")
+                key, _, value = tok.partition("=")
+                if key in seen:
+                    raise ValueError(f"repeated key {key!r}")
+                seen.add(key)
+                if key in _CONTROLS:
+                    name, read = _CONTROLS[key]
+                    fields[name] = read(value)
+                elif key not in FAMILY_PARAMS[family]:
+                    known = ", ".join(FAMILY_PARAMS[family] + tuple(_CONTROLS))
+                    raise ValueError(f"unknown key {key!r} for {family}; known: {known}")
+                else:
+                    read = _float if key == "density" else _parse_int
+                    params[key] = read(value, key)
+        except ValueError as exc:
+            raise InputError(str(exc), lineno) from exc
+        spec = FamilySpec.of(family, **params)
+        instances.append(ManifestInstance(spec, lineno, **fields))
     if not instances:
         raise InputError("manifest has no instances", 1)
     return tuple(instances)
@@ -219,10 +220,6 @@ def run_manifest(
     if field is None:
         field = FieldSpec.modular()
     start = time.monotonic()
-    reports: list[VerificationReport] = []
-    satisfied = violated = tight_instances = 0
-    id_passed = 0
-    id_failures: list[IdentityFailure] = []
     built = []
     for index, inst in enumerate(manifest):
         inst_seed = inst.seed if inst.seed is not None else derive_seed(seed, index)
@@ -236,27 +233,26 @@ def run_manifest(
         if inst.label:
             m = replace(m, label=inst.label)
         built.append((inst, inst_seed, m, c_list))
+    reports: list[VerificationReport] = []
+    id_passed = 0
+    id_failures: list[IdentityFailure] = []
     for inst, inst_seed, m, c_list in built:
-        for c in c_list:
-            rep = verify_instance(
+        reports += [
+            verify_instance(
                 m, c, trials=inst.trials, seed=derive_seed(inst_seed, "verify", c)
             )
-            reports.append(rep)
-            if rep.satisfied:
-                satisfied += 1
-            else:
-                violated += 1
-            if len(rep.tight_degrees) == len(rep.h):
-                tight_instances += 1
+            for c in c_list
+        ]
         if inst.identities:
             p, f = _identity_checks(m, inst.trials, inst_seed)
             id_passed += p
             id_failures += f
+    satisfied = sum(r.satisfied for r in reports)
     summary = RunSummary(
         instances=len(manifest),
         satisfied=satisfied,
-        violated=violated,
-        tight_instances=tight_instances,
+        violated=len(reports) - satisfied,
+        tight_instances=sum(len(r.tight_degrees) == len(r.h) for r in reports),
         identity_checks_passed=id_passed,
         identity_checks_failed=len(id_failures),
         wall_time=time.monotonic() - start,

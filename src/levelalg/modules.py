@@ -97,12 +97,26 @@ class InputError(ValueError):
         self.line = line
 
 
-def _parse_int(value: str, what: str, line: int) -> int:
-    """The integer `value` spells, or an InputError on its line."""
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) for each line of `text` that is neither
+    blank nor a '#' comment: the lines both input formats read."""
+    lines = (raw.strip() for raw in text.splitlines())
+    return [(n, line) for n, line in enumerate(lines, start=1) if line[:1] not in ("", "#")]
+
+
+def _parse_int(value: str, what: str) -> int:
+    """The integer `value` spells, or a ValueError naming `what`."""
     try:
         return int(value)
     except ValueError as exc:
-        raise InputError(f"{what} must be an integer, got {value!r}", line) from exc
+        raise ValueError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _parse_positive(value: str, what: str) -> int:
+    n = _parse_int(value, what)
+    if n < 1:
+        raise ValueError(f"{what} must be positive")
+    return n
 
 
 def derive_seed(*parts) -> int:
@@ -627,65 +641,60 @@ def relative_intersection_dim(
 # ---------------------------------------------------------------------------
 # module files
 
+#: The module-file headers, each with the reader of its value.
+_HEADERS = {
+    "vars": lambda value: _parse_positive(value, "vars"),
+    "degree": lambda value: _parse_positive(value, "degree"),
+    "prime": lambda value: (
+        FieldSpec.rational() if value == "rational"
+        else FieldSpec.modular(_parse_int(value, "prime"))
+    ),
+}
+
+
 def parse_module_file(
     text: str, field_override: FieldSpec | None = None
 ) -> InverseSystemModule:
     """Read a module from its text format.
 
     Header lines `vars: r`, `degree: e`, `prime: p` (or `prime: rational`),
-    then one `F<k>: <expression>` line per generator, numbered from 1.
-    Blank lines and lines starting with '#' are skipped; a repeated header
-    is an error. A field override reinterprets the integer literals over
-    that field instead of the header's. Dependent generators are reported
-    on the line of the first one in the span of the earlier ones.
+    then one `F<k>: <expression>` line per generator, k decimal digits
+    numbering them from 1. Blank lines and lines starting with '#' are
+    skipped; a malformed line, a repeated header included, is an
+    InputError on that line. A field override reinterprets the integer
+    literals over that field instead of the header's. Dependent generators
+    are reported on the line of the first one in the span of the earlier
+    ones.
     """
-    num_vars = degree = None
+    values: dict[str, object] = {}
     header_lines: dict[str, int] = {}
-    field: FieldSpec | None = None
     gen_texts: list[tuple[int, str, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise InputError("expected 'key: value'", lineno)
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key in ("vars", "degree", "prime"):
-            if key in header_lines:
-                raise InputError(
-                    f"repeated header {key!r}, first on line {header_lines[key]}",
-                    lineno,
-                )
-            header_lines[key] = lineno
-        if key == "vars":
-            num_vars = _parse_positive(value, "vars", lineno)
-        elif key == "degree":
-            degree = _parse_positive(value, "degree", lineno)
-        elif key == "prime":
-            if value == "rational":
-                field = FieldSpec.rational()
+    for lineno, line in _content_lines(text):
+        try:
+            if ":" not in line:
+                raise ValueError("expected 'key: value'")
+            key, _, value = (part.strip() for part in line.partition(":"))
+            if key in _HEADERS:
+                if key in header_lines:
+                    raise ValueError(
+                        f"repeated header {key!r}, first on line {header_lines[key]}"
+                    )
+                header_lines[key] = lineno
+                values[key] = _HEADERS[key](value)
+            elif key[:1] == "F" and key[1:].isdecimal():
+                gen_texts.append((int(key[1:]), value, lineno))
             else:
-                prime = _parse_int(value, "prime", lineno)
-                try:
-                    field = FieldSpec.modular(prime)
-                except ValueError as exc:
-                    raise InputError(str(exc), lineno) from exc
-        elif key.startswith("F") and key[1:].isdigit():
-            gen_texts.append((int(key[1:]), value, lineno))
-        else:
-            raise InputError(f"unknown key {key!r}", lineno)
-    if num_vars is None or degree is None:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise InputError(str(exc), lineno) from exc
+    if "vars" not in values or "degree" not in values:
         raise InputError("missing 'vars' or 'degree' header", 1)
+    num_vars, degree = values["vars"], values["degree"]
     try:
         check_space_dim(num_vars, degree)
     except ValueError as exc:
         raise InputError(str(exc), header_lines["vars"]) from exc
-    if field_override is not None:
-        field = field_override
-    elif field is None:
-        field = FieldSpec.modular()
+    field = field_override or values.get("prime") or FieldSpec.modular()
     if not gen_texts:
         raise InputError("no generator lines", 1)
     expected = list(range(1, len(gen_texts) + 1))
@@ -711,13 +720,6 @@ def parse_module_file(
     except ValueError as exc:  # a modulus p <= e: the prime's, or the degree's
         line = header_lines.get("prime", header_lines["degree"])
         raise InputError(str(exc), line) from exc
-
-
-def _parse_positive(value: str, what: str, lineno: int) -> int:
-    n = _parse_int(value, what, lineno)
-    if n < 1:
-        raise InputError(f"{what} must be positive", lineno)
-    return n
 
 
 def module_to_text(m: InverseSystemModule) -> str:

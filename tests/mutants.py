@@ -393,6 +393,34 @@ MUTANTS = (
         "if self.prime >= PRIME_BOUND**2:",
         ("tests/test_fields.py::test_moduli_are_certified_prime_below_psi_13",),
     ),
+    Mutant(
+        # a reader's ValueError escapes the line wrapper: exit 3, no line
+        "module-file-wrapper-too-narrow",
+        "modules.py",
+        "        except ValueError as exc:\n"
+        "            raise InputError(str(exc), lineno) from exc\n",
+        "        except InputError as exc:\n"
+        "            raise InputError(str(exc), lineno) from exc\n",
+        (
+            "tests/test_cli.py::test_hvector_label_that_int_refuses_exits_two_on_its_line",
+        ),
+    ),
+    Mutant(
+        "manifest-wrapper-too-narrow",
+        "manifest.py",
+        "        except ValueError as exc:\n"
+        "            raise InputError(str(exc), lineno) from exc\n",
+        "        except InputError as exc:\n"
+        "            raise InputError(str(exc), lineno) from exc\n",
+        ("tests/test_manifest.py::test_parse_manifest_errors",),
+    ),
+    Mutant(
+        "tight-count-one-degree-short",
+        "manifest.py",
+        "sum(len(r.tight_degrees) == len(r.h) for r in reports)",
+        "sum(len(r.tight_degrees) == len(r.h) - 1 for r in reports)",
+        ("tests/test_manifest.py::test_run_manifest_counts",),
+    ),
 )
 
 

@@ -112,6 +112,20 @@ def test_hvector_repeated_header_exits_two(tmp_path, capsys, text, line):
 
 
 @pytest.mark.parametrize(
+    "label", ["F\u00b2", "F" + "1" * 5000], ids=["superscript", "past-digit-limit"]
+)
+def test_hvector_label_that_int_refuses_exits_two_on_its_line(tmp_path, capsys, label):
+    # '²' passes str.isdigit but not int(); 5,000 digits pass both tests
+    # but exceed int()'s default digit limit
+    f = tmp_path / "label.mod"
+    f.write_text(f"vars: 2\ndegree: 2\n{label}: y1^2\n", encoding="utf-8")
+    assert cli.main(["hvector", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("levelalg hvector: line 3: ")
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         # a coefficient is joined to its monomial by '*', never by a sign
@@ -340,6 +354,14 @@ def test_verify_text_format(manifest_file, capsys):
     )
     assert len(out) == 4  # three reports plus the summary line
     assert out[-1].startswith("instances=2 satisfied=3 violated=0")
+
+
+def test_verify_out_prints_the_text_reports_summary_line(manifest_file, tmp_path, capsys):
+    report = tmp_path / "report.txt"
+    assert cli.main(["verify", manifest_file, "--seed", "1", "--out", str(report)]) == 0
+    last = report.read_text(encoding="utf-8").splitlines()[-1]
+    assert last.startswith("instances=2 satisfied=3 violated=0 tight=")
+    assert capsys.readouterr().out == f"wrote {report}\n{last}\n"
 
 
 def test_verify_json_format(manifest_file, capsys):

@@ -140,10 +140,11 @@ def test_run_manifest_counts():
     assert summary.satisfied + summary.violated == 5
     assert summary.satisfied == 5
     assert summary.violated == 0
-    # sharp is tight in every degree for both c; identity checks ran for
-    # the two instances with identities on (2 inner degrees and 3 inner
-    # degrees, 3 checks each)
-    assert summary.tight_instances >= 2
+    # tight counts (instance, c) reports: sharp is tight in every degree
+    # for both c, random-sparse for its one c, and monomial for neither
+    # (c=2 misses u=2 alone); identity checks ran for the two instances
+    # with identities on (2 inner degrees and 3 inner degrees, 3 checks each)
+    assert summary.tight_instances == 3
     assert summary.identity_checks_passed + summary.identity_checks_failed == 15
     assert summary.identity_checks_failed == 0
     assert summary.seed == 0

@@ -1298,6 +1298,10 @@ def test_parse_module_file_errors_carry_line_numbers():
     with pytest.raises(InputError) as err:
         parse_module_file("vars: 2\ndegree: 3\ncolor: blue\nF1: y1^3\n")
     assert err.value.line == 3
+    # a generator label is F and decimal digits: '²' is a digit, not decimal
+    with pytest.raises(InputError, match="unknown key 'F²'") as err:
+        parse_module_file("vars: 2\ndegree: 3\nF²: y1^3\n")
+    assert err.value.line == 3
     with pytest.raises(InputError, match="missing"):
         parse_module_file("degree: 3\nF1: y1^3\n")
     with pytest.raises(InputError, match="no generator"):
