@@ -8,6 +8,7 @@ Pure integer arithmetic throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -62,11 +63,13 @@ def macaulay_expansion(n: int, i: int) -> BinomialExpansion:
     return BinomialExpansion(n, i, tuple(parts))
 
 
+@lru_cache(maxsize=4096)
 def macaulay_growth(n: int, i: int) -> int:
     """Maximal value in the next degree allowed after n in degree i.
 
     Written n^<i>: shift every part C(n_k, k) of the greedy expansion to
-    C(n_k + 1, k + 1) and re-sum. By convention 0^<i> = 0.
+    C(n_k + 1, k + 1) and re-sum. By convention 0^<i> = 0. Memoized: the
+    bound machinery asks for few distinct (n, i), many times over.
     """
     if n == 0:
         return 0

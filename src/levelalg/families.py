@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from .modules import (
     DegenerateSampleError,
     DependentGeneratorsError,
     InverseSystemModule,
+    _coefficients,
     derive_seed,
-    random_coefficient,
 )
 from .polynomials import check_space_dim, monomial_rank, monomials_of_degree, space_dim
 
@@ -69,7 +70,7 @@ def truncated_gorenstein_conic(
     for attempt in range(100):
         rng = random.Random(derive_seed(seed, "conic", attempt))
         points = rng.sample(range(1, _CONIC_POINT_RANGE + 1), s)
-        lams = [random_coefficient(rng, field) for _ in range(s)]
+        lams = list(islice(_coefficients(rng, field), s))
         rows = _conic_partials(points, lams, e)
         try:
             return InverseSystemModule(3, e, field, rows, label=f"conic-s{s}-e{e}")
@@ -119,12 +120,12 @@ def random_module(
     check_space_dim(r, e)
     for attempt in range(50):
         rng = random.Random(derive_seed(seed, "random-module", attempt))
-        draw = rng.random
+        draw, coefficients = rng.random, _coefficients(rng, field)
         rows = []
         for _ in range(t):
             for _ in range(50):
                 row = [
-                    random_coefficient(rng, field) if draw() < density else 0
+                    next(coefficients) if draw() < density else 0
                     for _ in range(dim)
                 ]
                 if any(row):

@@ -8,8 +8,12 @@ All functions are pure; Matrix and Subspace are immutable and safe to
 share between threads.
 
 Over GF(p) every elimination is `_line_steps`: a stack of equally shaped
-matrices is eliminated side by side, one line per step. It has three
-readers:
+matrices is eliminated side by side, one line per step. A stack of one
+matrix (a frame's column basis, a module's own rank, a canonical basis or
+a single pair's meet, and the certificates over Q of each) takes the same
+steps on the matrix alone, with 2-D arrays and a Python scalar pivot
+(`_matrix_steps`), and yields the same lines; the stacked loop
+(`_stack_steps`) is its oracle in the tests. It has three readers:
 - `_independent_rows` gives, for each matrix of a stack, the ascending
   indices of rows that form a basis of its row space, from one pass along
   the stack's shorter side; it is the only place that picks an
@@ -239,24 +243,27 @@ def _once(f):
 
 def _combine(a, rows: np.ndarray, field: FieldSpec) -> np.ndarray:
     """a·rows for a stack a of integer matrices with t columns and the t
-    coefficient rows of a module.
+    coefficient rows of a module. a is either an int64 array whose entries
+    are below 2**62 in absolute value, as the random draws are, taken as it
+    is, or any integers, read exactly in an object array of Python ints.
 
-    Over GF(p) a, which may hold any integers, is reduced mod p in Python
-    ints first, and the product after it, in the rows' dtype. In either
-    field every entry of a·rows is a sum of t products of at most
-    max|a|·max|rows|, so when t·max|a|·max|rows| < 2**63, computed in
-    Python ints, the int64 dot of int64 rows is exact; otherwise the dot
-    runs on Python ints, and over Q its result is an object array. (np.abs
-    is exact on int64 rows: a module's are below 2**62 in absolute value,
-    and an int64 combination of them below 2**63.)
+    Over GF(p) a is reduced mod p first, in int64 for p <=
+    _INT64_PRIME_LIMIT and in Python ints otherwise, and the product after
+    it, in the rows' dtype. In either field every entry of a·rows is a sum
+    of t products of at most max|a|·max|rows|, so when t·max|a|·max|rows| <
+    2**63, computed in Python ints, the int64 dot of int64 rows is exact;
+    otherwise the dot runs on Python ints, and over Q its result is an
+    object array. (np.abs is exact on int64 rows: a module's are below
+    2**62 in absolute value, and an int64 combination of them below 2**63.)
     """
-    a = np.array(a, dtype=object)
+    if not (isinstance(a, np.ndarray) and a.dtype == np.int64):
+        a = np.array(a, dtype=object)
     if field.is_modular:
-        a %= field.prime
-    if rows.dtype == np.int64 and len(rows) * np.abs(a).max() * int(np.abs(rows).max()) < 2**63:
-        w = a.astype(np.int64).dot(rows)
+        a = (a if _dtype(field) is np.int64 else a.astype(object)) % field.prime
+    if rows.dtype == np.int64 and len(rows) * int(np.abs(a).max()) * int(np.abs(rows).max()) < 2**63:
+        w = a.astype(np.int64, copy=False).dot(rows)
     else:
-        w = a.dot(rows)
+        w = a.astype(object, copy=False).dot(rows)
     if field.is_modular:
         w = (w % field.prime).astype(rows.dtype, copy=False)
     return w
@@ -291,6 +298,14 @@ def _span(rows, ambient: int, field: FieldSpec) -> Subspace:
     return Subspace(ambient, tuple(map(tuple, a.tolist())), tuple(pivots), field)
 
 
+# the j of a zero line and the found flags of `_matrix_steps`, shared by
+# every step and read-only
+_NO_PIVOT = np.zeros(1, dtype=np.intp)
+_NOT_FOUND = np.zeros(1, dtype=bool)
+_FOUND = np.ones(1, dtype=bool)
+_NO_PIVOT.flags.writeable = _NOT_FOUND.flags.writeable = _FOUND.flags.writeable = False
+
+
 def _line_steps(a: np.ndarray, p: int):
     """Eliminate a stack of equally shaped matrices over GF(p), one line of
     each per step, all side by side.
@@ -302,7 +317,37 @@ def _line_steps(a: np.ndarray, p: int):
     leaves its matrix as it is (piv = 1, row[j]·line = 0), and a step whose
     line is zero in every matrix changes nothing. Entries stay below p, so
     products stay below p² and int64 holds them for p <= _INT64_PRIME_LIMIT.
+
+    A stack of one matrix takes the same steps on the matrix alone
+    (`_matrix_steps`), with the same integers and the same triples: the
+    stacked step costs as much for one matrix as for five, and the frame,
+    a module's own rank and the certificates over Q each eliminate one.
     """
+    if len(a) == 1:
+        return _matrix_steps(a[0], p)
+    return _stack_steps(a, p)
+
+
+def _matrix_steps(a: np.ndarray, p: int):
+    """`_line_steps` on a single 2-D matrix a, yielding its lines as 1-row
+    views and j and found as arrays of one entry. The first nonzero column
+    comes from line.nonzero(), the pivot is a Python scalar, the column
+    below it a basic index, and the update an outer product."""
+    for _ in range(len(a)):
+        line, a = a[:1], a[1:]
+        nz = line[0].nonzero()[0]
+        if not nz.size:
+            yield line, _NO_PIVOT, _NOT_FOUND
+            continue
+        j = nz[:1]
+        yield line, j, _FOUND
+        if len(a):
+            col = a[:, j[0]]
+            a = (int(line[0, j[0]]) * a - np.multiply.outer(col, line[0])) % p
+
+
+def _stack_steps(a: np.ndarray, p: int):
+    """`_line_steps` on a 3-D stack, every matrix side by side."""
     k = np.arange(len(a))
     for _ in range(a.shape[1]):
         line, a = a[:, 0], a[:, 1:]

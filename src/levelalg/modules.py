@@ -56,10 +56,11 @@ their pairs and triples per degree, not 2^t - t - 1.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -127,28 +128,34 @@ def derive_seed(*parts) -> int:
 
 def random_coefficient(rng: random.Random, field: FieldSpec) -> int:
     """Nonzero integer coefficient: [1, min(10^6, p-1)] over GF(p), so that
-    it is nonzero modulo p too, and [-10^6, 10^6] over Q.
+    it is nonzero modulo p too, and [-10^6, 10^6] over Q. The first draw of
+    `_coefficients`."""
+    return next(_coefficients(rng, field))
+
+
+def _coefficients(rng: random.Random, field: FieldSpec):
+    """The endless stream of random coefficients drawn from rng, each as
+    `random_coefficient` draws it alone; its range, bit count and
+    rejection are set up once per stream. A draw takes rng's bits only when
+    it is read, so draws may interleave with rng's other calls.
 
     The draws are those of rng.randint(1, min(10^6, p-1)), and over Q of
     rng.randint(-10^6, 10^6) redrawn while zero, bit for bit: randint(a, b)
     is a + the first getrandbits(k) below n = b - a + 1, k = n.bit_length()
-    (CPython's `_randbelow`), here without its three Python frames.
+    (CPython's `_randbelow`), here without its three Python frames. Every
+    draw fits in int64.
     """
     getrandbits = rng.getrandbits
     if field.is_modular:
-        n = min(COEFF_RANGE, field.prime - 1)
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return 1 + r
-    n = 2 * COEFF_RANGE + 1
+        low, n = 1, min(COEFF_RANGE, field.prime - 1)
+    else:
+        low, n = -COEFF_RANGE, 2 * COEFF_RANGE + 1
     k = n.bit_length()
     while True:
         r = getrandbits(k)
-        # r == COEFF_RANGE is the zero draw, redrawn like an r >= n
-        if r < n and r != COEFF_RANGE:
-            return r - COEFF_RANGE
+        # r == -low is the zero draw over Q, redrawn like an r >= n
+        if r < n and r != -low:
+            yield low + r
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,14 +358,19 @@ def _single_spaces(m: InverseSystemModule, us, w: np.ndarray) -> list[list[np.nd
     return [spaces[u] for u in us]
 
 
-def _random_matrix(
-    seed: int, label: str, attempt: int, rows: int, cols: int, field: FieldSpec
-) -> tuple[tuple[int, ...], ...]:
-    rng = random.Random(derive_seed(seed, label, attempt))
-    return tuple(
-        tuple(random_coefficient(rng, field) for _ in range(cols))
-        for _ in range(rows)
+def _random_matrices(
+    seeds, label: str, attempt: int, rows: int, cols: int, field: FieldSpec
+) -> np.ndarray:
+    """For each seed, attempt `attempt`'s rows-by-cols matrix of random
+    coefficients, drawn row by row from the `_coefficients` of
+    random.Random(derive_seed(seed, label, attempt)): one int64 array of
+    shape (len(seeds), rows, cols)."""
+    size = rows * cols
+    draws = chain.from_iterable(
+        islice(_coefficients(random.Random(derive_seed(seed, label, attempt)), field), size)
+        for seed in seeds
     )
+    return np.fromiter(draws, np.int64, len(seeds) * size).reshape(len(seeds), rows, cols)
 
 
 def _check_type(t: int, c: int) -> None:
@@ -370,14 +382,16 @@ def _check_type(t: int, c: int) -> None:
 
 def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
     """For each seed, a random c-by-t coefficient matrix A whose
-    combinations W = A·F are independent, with that W.
+    combinations W = A·F are independent, as tuples of Python ints, with
+    that W.
 
     Attempt k of a seed is seeded by derive_seed(seed, label, k), up to 100
     attempts. Round k draws attempt k of every seed not yet served and
     keeps those whose W has rank c, in one stacked rank; so each seed sees
-    the attempts 0, 1, ... it would see alone. For c = 1 no rank is taken:
-    a row of nonzero draws (nonzero mod p too, see `random_coefficient`)
-    times the t independent rows of m is never zero.
+    the attempts 0, 1, ... it would see alone. A round's matrices are one
+    int64 array (`_random_matrices`), combined as it is. For c = 1 no rank
+    is taken: a row of nonzero draws (nonzero mod p too, see
+    `random_coefficient`) times the t independent rows of m is never zero.
     """
     t = m.type
     draws: dict[int, tuple] = {}
@@ -385,10 +399,14 @@ def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
         pending = [k for k in range(len(seeds)) if k not in draws]
         if not pending:
             break
-        a = [_random_matrix(seeds[k], label, attempt, c, t, m.field) for k in pending]
+        a = _random_matrices([seeds[k] for k in pending], label, attempt, c, t, m.field)
         w = _combine(a, m.rows, m.field)
         ranks = _ranks(w, m.field) if c > 1 else [1] * len(pending)
-        draws.update((k, x) for k, x, r in zip(pending, zip(a, w), ranks) if r == c)
+        draws.update(
+            (k, (tuple(map(tuple, ak.tolist())), wk))
+            for k, ak, wk, r in zip(pending, a, w, ranks)
+            if r == c
+        )
     if len(draws) < len(seeds):
         raise DegenerateSampleError(
             f"no independent {c}-of-{t} combination found in 100 attempts"
@@ -405,6 +423,16 @@ def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
     return [QuotientSample(c, a, seed, h) for (a, _), seed, h in zip(draws, seeds, hs)]
 
 
+def _explicit_coefficient(x) -> int:
+    """An explicit coefficient as a Python int, read exactly by
+    operator.index (a numpy scalar through .item()), or a ValueError naming
+    it: a float such as 1.5 is refused, never truncated."""
+    try:
+        return operator.index(x.item() if isinstance(x, np.generic) else x)
+    except TypeError:
+        raise ValueError(f"coefficients must be integers, got {x!r}") from None
+
+
 def sample_generic_quotient(
     m: InverseSystemModule,
     c: int,
@@ -418,12 +446,14 @@ def sample_generic_quotient(
     "quotient", k)) until the combinations W = A·F are independent; h is
     then read off the catalecticants of W. An explicit `coefficients`
     matrix skips the sampling; a 0/1 selection matrix, for instance, picks
-    out a plain subset of the generators.
+    out a plain subset of the generators. Its entries are integers of any
+    size, Python or numpy, or bools, read exactly; any other entry is a
+    ValueError.
     """
     _check_type(m.type, c)
     if coefficients is None:
         return _samples(m, c, [seed])[0]
-    rows = tuple(tuple(int(x) for x in row) for row in coefficients)
+    rows = tuple(tuple(map(_explicit_coefficient, row)) for row in coefficients)
     if len(rows) != c or any(len(r) != m.type for r in rows):
         raise ValueError(f"coefficient matrix must be {c}x{m.type}")
     w = _combine([rows], m.rows, m.field)

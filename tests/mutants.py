@@ -175,8 +175,8 @@ MUTANTS = (
     Mutant(
         "overflow-guard-by-c",
         "linalg.py",
-        "len(rows) * np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
-        "a.shape[1] * np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
+        "len(rows) * int(np.abs(a).max()) * int(np.abs(rows).max()) < 2**63",
+        "a.shape[1] * int(np.abs(a).max()) * int(np.abs(rows).max()) < 2**63",
         (
             MODULES
             + "test_combinations_near_the_int64_prime_limit_fall_back_to_python_ints",
@@ -186,8 +186,8 @@ MUTANTS = (
     Mutant(
         "combine-guard-without-t",
         "linalg.py",
-        "len(rows) * np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
-        "np.abs(a).max() * int(np.abs(rows).max()) < 2**63",
+        "len(rows) * int(np.abs(a).max()) * int(np.abs(rows).max()) < 2**63",
+        "int(np.abs(a).max()) * int(np.abs(rows).max()) < 2**63",
         (
             MODULES
             + "test_combinations_near_the_int64_prime_limit_fall_back_to_python_ints",
@@ -413,6 +413,31 @@ MUTANTS = (
         "        except InputError as exc:\n"
         "            raise InputError(str(exc), lineno) from exc\n",
         ("tests/test_manifest.py::test_parse_manifest_errors",),
+    ),
+    Mutant(
+        "one-matrix-step-unreduced",
+        "linalg.py",
+        "a = (int(line[0, j[0]]) * a - np.multiply.outer(col, line[0])) % p\n",
+        "a = int(line[0, j[0]]) * a - np.multiply.outer(col, line[0])\n",
+        (LINALG + "test_one_matrix_steps_equal_the_stacked_steps_on_fixed_matrices",),
+    ),
+    Mutant(
+        # a basis still, but not the rows the stacked loop keeps
+        "one-matrix-pivot-at-last-nonzero",
+        "linalg.py",
+        "        j = nz[:1]\n",
+        "        j = nz[-1:]\n",
+        (LINALG + "test_one_matrix_steps_equal_the_stacked_steps_on_fixed_matrices",),
+    ),
+    Mutant(
+        "draw-range-ignores-the-prime",
+        "modules.py",
+        "low, n = 1, min(COEFF_RANGE, field.prime - 1)",
+        "low, n = 1, COEFF_RANGE",
+        (
+            MODULES + "test_draws_are_successive_random_coefficients",
+            MODULES + "test_random_coefficient_default_prime_draws_unchanged",
+        ),
     ),
     Mutant(
         "tight-count-one-degree-short",

@@ -5,6 +5,7 @@ the closed-form helpers are checked against pure counting.
 """
 
 import random
+from math import comb
 
 import pytest
 
@@ -162,3 +163,22 @@ def test_expansion_value_roundtrip_object():
     e = BinomialExpansion(4, 2, ((3, 2), (1, 1)))
     assert e.value() == 4
     assert str(e) == "C(3,2)+C(1,1)"
+
+
+def test_memoized_growth_equals_the_expansion_sum():
+    # the cache is bounded, and a read from it gives what the expansion
+    # gives: n <= 500 and i <= 12 are more pairs than it holds
+    def uncached(n, i):
+        if n == 0:
+            return 0
+        return sum(comb(m + 1, k + 1) for m, k in macaulay_expansion(n, i).parts)
+
+    assert macaulay_growth.cache_info().maxsize == 4096
+    pairs = [(n, i) for i in range(1, 13) for n in range(501)]
+    # the second pass, in reverse, starts with the pairs still cached
+    for order in (pairs, pairs[::-1]):
+        hits = macaulay_growth.cache_info().hits
+        for n, i in order:
+            assert macaulay_growth(n, i) == uncached(n, i), (n, i)
+    assert macaulay_growth.cache_info().hits > hits
+    assert macaulay_growth.cache_info().currsize <= 4096

@@ -1026,3 +1026,131 @@ def test_rational_bases_certify_full_column_rank(monkeypatch):
         assert rows.shape == (len(want), 3)
         assert _span(rows, 3, RAT) == _span(want, 3, RAT)
     assert [len(rows) for rows in got] == [3, 3, 2]
+
+
+# ------------------------------------------------- the one-matrix step
+#
+# A stack of one matrix is eliminated by `_matrix_steps`, a 2-D loop beside
+# the stacked one; the stacked loop, `_stack_steps`, is its oracle.
+
+ONE_MATRIX_FIELDS = [MOD, FieldSpec.modular(7), BIG]
+ONE_MATRIX_IDS = ["gfp", "gf7", "bigp"]
+
+# singular mod 7 only
+SINGULAR_MOD_7 = np.array([[1, 2], [4, 1]], dtype=object)
+# tall, with a basis that a pivot at the last nonzero column picks otherwise
+TALL = np.array([[1, 0], [0, 1], [1, 1]], dtype=object)
+# 0 x n, n x 0, 1 x n, n x 1, all-zero, tall, wide and square
+ONE_MATRICES = [
+    np.zeros((0, 3), dtype=object),
+    np.zeros((3, 0), dtype=object),
+    np.zeros((0, 0), dtype=object),
+    np.array([[0, 2, 0, 5]], dtype=object),
+    np.array([[0], [3], [0], [1]], dtype=object),
+    np.zeros((3, 4), dtype=object),
+    SINGULAR_MOD_7,
+    TALL,
+    np.array([[0, 1], [1, 0], [1, 1], [2, 3], [0, 0]], dtype=object),
+    np.array([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 0, 1, 1, 6]], dtype=object),
+    np.array([[0, 0, 1], [1, 1, 1], [1, 1, 0], [0, 0, 0]], dtype=object),
+    np.array([[-1, 3, 0], [1, -3, 2], [2, 1, 1]], dtype=object),
+]
+
+
+def _one_matrix(m, field):
+    """m's residues in the field's array type, as the kernels get them."""
+    return _residue_stack(np.asarray(m, dtype=object)[None], field)[0]
+
+
+def _triples(steps):
+    return [(line.tolist(), j.tolist(), found.tolist()) for line, j, found in steps]
+
+
+@st.composite
+def _one_matrix_cases(draw, cols=None):
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    # mostly zeros, so that lines vanish and pivots move right
+    entries = st.sampled_from([0, 0, 0, 1, -1, 2, 3, 6])
+    cells = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    m = np.array(cells, dtype=object).reshape(rows, cols)
+    if rows > 2 and draw(st.booleans()):
+        m[-1] = 2 * m[0] - m[1]
+    return m
+
+
+def _check_one_matrix(m, field):
+    p, a = field.prime, _one_matrix(m, field)
+    # the same triples, step by step (a matrix with no column has no line
+    # the stacked step can take; `_independent_rows` never hands it one)
+    if a.shape[1]:
+        got = _triples(linalg._line_steps(a[None], p))
+        assert got == _triples(linalg._stack_steps(a[None], p)), m.tolist()
+    # the same rows, in either orientation, as in a stack of two
+    for one in (a, a.T):
+        [want, _] = linalg._independent_rows(np.stack([one, one]), p)
+        assert linalg._independent_rows(one[None], p) == [want], m.tolist()
+
+
+@pytest.mark.parametrize("field", ONE_MATRIX_FIELDS, ids=ONE_MATRIX_IDS)
+def test_one_matrix_steps_equal_the_stacked_steps_on_fixed_matrices(field):
+    for m in ONE_MATRICES:
+        _check_one_matrix(m, field)
+    # the pivot is the first nonzero column: the tall matrix keeps rows 0, 1
+    a = _one_matrix(TALL, field)
+    assert linalg._independent_rows(a[None], field.prime) == [[0, 1]]
+    # singular mod 7 only: a step without the reduction would keep both rows
+    a = _one_matrix(SINGULAR_MOD_7, field)
+    want = [0] if field.prime == 7 else [0, 1]
+    assert linalg._independent_rows(a[None], field.prime) == [want]
+
+
+@pytest.mark.parametrize("field", ONE_MATRIX_FIELDS, ids=ONE_MATRIX_IDS)
+@PROPERTY
+@given(m=_one_matrix_cases())
+def test_one_matrix_steps_equal_the_stacked_steps(field, m):
+    _check_one_matrix(m, field)
+
+
+def _on_the_stacked_loop(f, *args):
+    """f(*args) with every elimination on the stacked loop, a one-matrix
+    stack included: what these kernels gave before the one-matrix step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_line_steps", linalg._stack_steps)
+        return f(*args)
+
+
+@pytest.mark.parametrize("field", ONE_MATRIX_FIELDS, ids=ONE_MATRIX_IDS)
+@PROPERTY
+@given(a=_one_matrix_cases(), data=st.data())
+def test_spans_and_single_pair_meets_equal_the_stacked_loops(field, a, data):
+    n = a.shape[1]
+    b = _one_matrix(data.draw(_one_matrix_cases(cols=n)), field)
+    a = _one_matrix(a, field)
+    assert _span(a, n, field) == _on_the_stacked_loop(_span, a, n, field)
+    if n and len(a) and len(b):
+        [got] = _meets([(a, b)], field)
+        [want] = _on_the_stacked_loop(_meets, [(a, b)], field)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_one_matrix_rational_certificates_equal_the_stacked_loops():
+    # entries that are multiples of DEFAULT_PRIME, past int64, and a
+    # singular matrix: the certificate over Q reduces each mod p, and a
+    # stack of one must keep the rows a stack of two keeps
+    p = linalg.DEFAULT_PRIME
+    cases = [
+        np.array([[p, 1], [0, p]], dtype=object),
+        np.array([[2**70, 1, 0], [3, 2**65, 1]], dtype=object),
+        np.array([[1, 2], [2, 4], [3, 7]], dtype=np.int64),
+        np.array([[1, 2, 3], [2, 4, 6]], dtype=np.int64),
+        *ONE_MATRICES,
+    ]
+    for m in cases:
+        if not m.size:
+            continue
+        shape = [m.shape]
+        got = linalg._certified_rows(m[None], shape, RAT)
+        assert got == [linalg._certified_rows(np.stack([m, m]), shape * 2, RAT)[0]]
+        assert got == _on_the_stacked_loop(linalg._certified_rows, m[None], shape, RAT)
+        assert _ranks([m], RAT) == [sympy.Matrix(m.tolist()).rank()]

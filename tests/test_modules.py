@@ -681,6 +681,77 @@ def test_random_coefficient_default_prime_draws_unchanged():
     assert rng.getstate() == ref.getstate()
 
 
+# over Q this seed's first attempt draws randint(-10^6, 10^6) == 0 at its
+# fifth draw, which the rule redraws
+ZERO_REDRAW_SEED = 294303
+
+
+def _successive_draws(seed, attempt, c, t, field):
+    """Attempt `attempt` of a quotient seed: c rows of t successive
+    random_coefficient calls on one seeded random.Random."""
+    rng = random.Random(derive_seed(seed, "quotient", attempt))
+    return tuple(tuple(random_coefficient(rng, field) for _ in range(t)) for _ in range(c))
+
+
+@pytest.mark.parametrize(
+    "field", [MOD, FieldSpec.modular(101), RAT], ids=["gfp", "gf101", "q"]
+)
+def test_draws_are_successive_random_coefficients(field):
+    # each round's matrices are drawn into one int64 array; the accepted
+    # coefficients are tuples of Python ints, those of successive
+    # random_coefficient calls, in the range the field allows
+    m = random_module(3, 3, 3, 0.6, 2, field)
+    seeds = [ZERO_REDRAW_SEED, 0, 1, 2, 3]
+    draws = modules._draws(m, 2, seeds, "quotient")
+    for (a, w), seed in zip(draws, seeds):
+        assert type(a) is tuple and all(type(row) is tuple for row in a)
+        assert all(type(x) is int for row in a for x in row)
+        assert a == oracle.sample_generic_quotient(m, 2, seed)[0]
+        assert np.array_equal(w, _combine([a], m.rows, field)[0])
+        low, high = (1, min(10**6, field.prime - 1)) if field.is_modular else (-(10**6), 10**6)
+        assert all(low <= x <= high and x for row in a for x in row), a
+    assert draws[0][0] == _successive_draws(ZERO_REDRAW_SEED, 0, 2, 3, field)
+    if not field.is_modular:
+        rng = random.Random(derive_seed(ZERO_REDRAW_SEED, "quotient", 0))
+        assert [rng.randint(-(10**6), 10**6) for _ in range(6)][4] == 0
+    for s in generic_quotient_trials(m, 2, trials=4, seed=3):
+        assert all(type(x) is int for row in s.coefficients for x in row)
+        assert s.coefficients == oracle.sample_generic_quotient(m, 2, s.seed)[0]
+
+
+def test_random_modules_draw_the_recorded_rows():
+    # density 0.6 at seed 11: rng.random() and the coefficient draws
+    # interleave on one random.Random
+    want = {
+        MOD: [[0, 114614, 364798, 0], [271946, 0, 0, 0]],
+        FieldSpec.modular(101): [[0, 14, 45, 0], [34, 0, 0, 0]],
+        RAT: [[0, -770773, -270406, 0], [-456110, 0, 0, 0]],
+    }
+    for field, rows in want.items():
+        assert random_module(2, 3, 2, 0.6, 11, field).rows.tolist() == rows
+
+
+def test_explicit_coefficients_are_read_exactly():
+    # int() truncated 1.5 to 1, so [[1.5, 0, 1]] gave the h of [[1, 0, 1]];
+    # every entry is now read by operator.index, as module rows are
+    m = parse_module_file(NEGATIVE_TEXT)
+    for bad in (1.5, np.float64(1.5), 2.0, Fraction(3, 2), "1", None):
+        with pytest.raises(ValueError) as exc:
+            sample_generic_quotient(m, 1, coefficients=[[bad, 0, 1]])
+        assert str(exc.value) == f"coefficients must be integers, got {bad!r}"
+    # bools and Python or numpy integers of any size are Python ints
+    for given, want in (
+        ([[True, False, 1]], ((1, 0, 1),)),
+        ([[np.int64(-3), np.uint64(2**63), 2**70]], ((-3, 2**63, 2**70),)),
+        (np.array([[1, 0, 1]], dtype=np.int8), ((1, 0, 1),)),
+        (np.array([[True, False, True]]), ((1, 0, 1),)),
+    ):
+        s = sample_generic_quotient(m, 1, coefficients=given)
+        assert s.coefficients == want
+        assert all(type(x) is int for row in s.coefficients for x in row)
+        assert s.h == sample_generic_quotient(m, 1, coefficients=want).h
+
+
 def test_remix_preserves_module():
     m = sharp_family(t=3, p=1, e=4, field=MOD)
     r = remix_generators(m, seed=3)
