@@ -35,7 +35,6 @@ from .modules import (
     _parse_positive,
     _single_spaces,
     derive_seed,
-    empirical_generic_h,
     h_vector,
 )
 from .families import FAMILY_NAMES, FAMILY_PARAMS, FamilySpec, build_family
@@ -165,21 +164,24 @@ def parse_manifest(text: str) -> tuple[ManifestInstance, ...]:
     return tuple(instances)
 
 
-def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailure]]:
+def _identity_checks(m, seed: int) -> tuple[int, list[IdentityFailure]]:
     """Run the per-degree identity checks on re-mixed generators; returns
     the number passed and a record of each failure.
 
     Three checks per inner degree u: the type-count identity
     sum = t*H_u - h_u, the subset recount sum = sum_j (j-1) C(t,j) D_u(j),
     and the overlap lower bound H_u >= h_{e-u} - sum, on the rows W that
-    `remix_generators` draws, never built as a module. The sums and every
-    D_u(j) of all degrees come from one `_overlap` walk over the degrees
-    together; the D_u(j) it does not list are 0 and add nothing to the
-    recount. The walk settles a degree whose spaces add up to h_u, or are
-    each all of it, with no meet, as in every inner degree of the type-2
-    lines of perfbench/manifest.txt. On the sharp families it meets only
-    the pairs and triples of each degree: every larger subset meets in
-    the line its triples share.
+    `remix_generators` draws, never built as a module. Each row W_k is a
+    random type-1 combination of the generators, so H_u is the largest
+    dimension of the t spaces M_u(W_k) that `_single_spaces` gathers: t
+    type-1 samples, whatever the instance's trials. The sums and every
+    D_u(j) of all degrees come from one `_overlap` walk over the same
+    spaces, the degrees together; the D_u(j) it does not list are 0 and
+    add nothing to the recount. The walk settles a degree whose spaces add
+    up to h_u, or are each all of it, with no meet, as in every inner
+    degree of the type-2 lines of perfbench/manifest.txt. On the sharp
+    families it meets only the pairs and triples of each degree: every
+    larger subset meets in the line its triples share.
     """
     t = m.type
     e = m.socle_degree
@@ -187,19 +189,19 @@ def _identity_checks(m, trials: int, seed: int) -> tuple[int, list[IdentityFailu
         return 0, []
     [(_, w)] = _draws(m, t, [derive_seed(seed, "identity-mix")], "remix")
     h = h_vector(m)
-    emp = empirical_generic_h(m, 1, trials=trials, seed=derive_seed(seed, "identity-emp"))
     passed = 0
     failures: list[IdentityFailure] = []
     degrees = range(1, e)
-    walks = _overlap(_single_spaces(m, degrees, w), m.field)
-    for u, (sigma, dims) in zip(degrees, walks):
-        type_count = t * emp[u] - h[u]
+    spaces = _single_spaces(m, degrees, w)
+    for u, singles, (sigma, dims) in zip(degrees, spaces, _overlap(spaces, m.field)):
+        emp = max(len(s) for s in singles)
+        type_count = t * emp - h[u]
         recount = sum((j - 1) * binomial(t, j) * d for j, d in enumerate(dims, start=2))
         bound = h[e - u] - sigma
         for identity, lhs, rhs, ok in (
             ("type-count", sigma, type_count, sigma == type_count),
             ("recount", sigma, recount, sigma == recount),
-            ("overlap-bound", emp[u], bound, emp[u] >= bound),
+            ("overlap-bound", emp, bound, emp >= bound),
         ):
             if ok:
                 passed += 1
@@ -244,7 +246,7 @@ def run_manifest(
             for c in c_list
         ]
         if inst.identities:
-            p, f = _identity_checks(m, inst.trials, inst_seed)
+            p, f = _identity_checks(m, inst_seed)
             id_passed += p
             id_failures += f
     satisfied = sum(r.satisfied for r in reports)

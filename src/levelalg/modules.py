@@ -44,9 +44,11 @@ its caps in every degree (generic level algebras are compressed), so two
 critical degrees are ranked first and the degrees left open after them
 second (`_graded_ranks`). The re-mix that the identity
 checks of `levelalg verify` walk is rows too: W = A·F with A t-by-t,
-whose spaces `_single_spaces` gathers through the parent's frame, and
-whose generator subsets `_overlap` walks for every inner degree in one
-pass. A degree whose spaces add up to h_u, or are each all of it, is
+whose spaces `_single_spaces` gathers through the parent's frame, whose
+rows, each a random type-1 combination, are the checks' type-1 samples
+(the largest of the t space dimensions in each degree), and whose
+generator subsets `_overlap` walks for every inner degree in one pass.
+A degree whose spaces add up to h_u, or are each all of it, is
 settled with no meet; elsewhere a subset whose children all keep its
 intersection stops the walk below it, as every descendant meets in that
 intersection too, so the sharp families take the C(t,2) + C(t,3) meets of

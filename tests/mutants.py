@@ -446,6 +446,20 @@ MUTANTS = (
         "sum(len(r.tight_degrees) == len(r.h) - 1 for r in reports)",
         ("tests/test_manifest.py::test_run_manifest_counts",),
     ),
+    Mutant(
+        "identity-emp-smallest-remix-row",
+        "manifest.py",
+        "emp = max(len(s) for s in singles)",
+        "emp = min(len(s) for s in singles)",
+        ("tests/test_manifest.py::test_identity_checks_take_the_largest_remix_row",),
+    ),
+    Mutant(
+        "identity-emp-first-remix-row",
+        "manifest.py",
+        "emp = max(len(s) for s in singles)",
+        "emp = len(singles[0])",
+        ("tests/test_manifest.py::test_identity_checks_take_the_largest_remix_row",),
+    ),
 )
 
 

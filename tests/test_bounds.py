@@ -199,10 +199,10 @@ def test_penultimate_predicate():
 # ------------------------------------------------------------- overlap ...
 
 
-def _overlap_bound_failures(m, seed, trials=5):
+def _overlap_bound_failures(m, seed):
     """The overlap-bound failures `levelalg verify` records for m, which
     checks H_u >= h_{e-u} - (inclusion-exclusion sum) at every inner u."""
-    passed, failures = manifest._identity_checks(m, trials, seed)
+    passed, failures = manifest._identity_checks(m, seed)
     assert passed + len(failures) == 3 * (m.socle_degree - 1)
     return [f for f in failures if f.identity == "overlap-bound"]
 

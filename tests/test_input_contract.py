@@ -2,7 +2,9 @@
 
 Whatever lines a module file or a manifest holds, `levelalg hvector` exits
 0 or 2 and `levelalg verify` 0, 1 or 2, no exception escapes `cli.main`,
-and every exit 2 names its line. The lines are drawn from fixed lists of
+every exit 2 names its line, and every exit 1 of `verify` says why: a
+`[VIOLATED]` report or a failed identity on stdout, or a degenerate
+sample on stderr. The lines are drawn from fixed lists of
 valid and malformed headers, labels, keys, values and family tokens, all
 small: no family parameter beyond what the lists hold, and at most one
 trial per type.
@@ -63,24 +65,34 @@ MANIFEST_LINES = st.builds(
     st.lists(st.sampled_from(KEY_TOKENS), max_size=3),
 )
 
+# a report line of a violated bound, or of a failed identity check
+FAILED_CHECK = re.compile(
+    r"\[VIOLATED\]$|^\S+ u=\d+: identity \S+ FAILED \(lhs -?\d+, rhs -?\d+\)$", re.M
+)
+
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
 
-def _run(command: str, lines: list[str]) -> tuple[int, str]:
-    """`levelalg <command>` on a file of `lines`: its exit code and stderr."""
+def _run(command: str, lines: list[str]) -> tuple[int, str, str]:
+    """`levelalg <command>` on a file of `lines`: its exit code, stdout and
+    stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main([command, str(path)])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-def _check_exit(command: str, code: int, err: str, allowed: tuple[int, ...]) -> None:
+def _check_exit(command: str, code: int, out: str, err: str, allowed) -> None:
     assert code in allowed, err
     if code == 2:
         assert re.match(rf"levelalg {command}: line \d+: ", err), err
+    if code == 1:
+        assert FAILED_CHECK.search(out) or re.match(
+            rf"levelalg {command}: no independent \d+-of-\d+ combination ", err
+        ), (out, err)
 
 
 @FUZZ
@@ -91,14 +103,16 @@ def _check_exit(command: str, code: int, err: str, allowed: tuple[int, ...]) -> 
 @example(["vars: 2", "degree: 2", LONG_LABEL + ": y1^2"])
 @example(["vars: 2", "degree: 3", "prime: 97", "F1: y1^3 + y2^3", "F2: y1*y2^2"])
 def test_module_file_input_exits_zero_or_names_its_line(lines):
-    code, err = _run("hvector", lines)
-    _check_exit("hvector", code, err, (0, 2))
+    code, out, err = _run("hvector", lines)
+    _check_exit("hvector", code, out, err, (0, 2))
 
 
 @FUZZ
 @given(st.lists(MANIFEST_LINES | st.sampled_from(("", "# a comment")), max_size=6))
 @example(["sharp t=2 e=2 c=1 trials=1", "sharp t=2 e=2 t²=1"])
 @example(["# a comment", "sharp t=3 p=1 e=3 c=1,2 trials=1", "monomial r=2 e=2 t=2 trials=1"])
+# a conic whose type-count identity fails at u=3: exit 1, said on stdout
+@example(["truncated-gorenstein-conic s=5 e=4 c=1 trials=1"])
 def test_manifest_input_exits_zero_one_or_names_its_line(lines):
-    code, err = _run("verify", lines)
-    _check_exit("verify", code, err, (0, 1, 2))
+    code, out, err = _run("verify", lines)
+    _check_exit("verify", code, out, err, (0, 1, 2))

@@ -26,7 +26,6 @@ from levelalg.modules import (
     InputError,
     InverseSystemModule,
     derive_seed,
-    empirical_generic_h,
     h_vector,
     inclusion_exclusion_sum,
     relative_intersection_dim,
@@ -205,14 +204,21 @@ def test_run_manifest_identities_sharp_exact():
     assert summary.identity_checks_passed == 9  # 3 inner degrees x 3 checks
 
 
-def _checks_on_the_remixed_module(m, trials, seed):
+def _checks_on_the_remixed_module(m, seed):
     """`_identity_checks` on the module `remix_generators` builds, with the
-    sum from `inclusion_exclusion_sum` and every D_u(j) from
-    `relative_intersection_dim`."""
+    sum from `inclusion_exclusion_sum`, every D_u(j) from
+    `relative_intersection_dim`, and H_u the entrywise maximum of the
+    h-vectors of its generators, each a module of its own."""
     t, e = m.type, m.socle_degree
     g = remix_generators(m, derive_seed(seed, "identity-mix"))
     h = h_vector(m)
-    emp = empirical_generic_h(m, 1, trials, derive_seed(seed, "identity-emp"))
+    emp = [
+        max(col)
+        for col in zip(*(
+            h_vector(InverseSystemModule(g.num_vars, e, g.field, g.rows[k : k + 1]))
+            for k in range(t)
+        ))
+    ]
     passed, failures = 0, []
     for u in range(1, e):
         sigma = inclusion_exclusion_sum(g, u)
@@ -274,14 +280,56 @@ def test_identity_checks_on_remix_rows_match_the_remixed_module(monkeypatch, fie
     failed = 0
     for k, m in enumerate(cases):
         seed = 5 + k
-        want = _checks_on_the_remixed_module(m, 2, seed)
+        want = _checks_on_the_remixed_module(m, seed)
         built = _count_constructions(monkeypatch)
-        got = _identity_checks(m, 2, seed)
+        got = _identity_checks(m, seed)
         monkeypatch.undo()
         assert not built, m.label
         assert got == want, m.label
         failed += len(got[1])
     assert failed
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_identity_checks_draw_the_remix_alone_and_rank_no_quotient(monkeypatch, field):
+    # H_u is read off the re-mix rows: a second draw, or a graded rank of
+    # its own, would change no integer, so only this count sees it
+    drawn, graded = [], []
+    draws, graded_ranks = modules._draws, modules._graded_ranks
+
+    def drawing(m, c, seeds, label):
+        drawn.append(label)
+        return draws(m, c, seeds, label)
+
+    monkeypatch.setattr(modules, "_draws", drawing)
+    monkeypatch.setattr(manifest, "_draws", drawing)
+    monkeypatch.setattr(
+        modules, "_graded_ranks", lambda w, m: graded.append(w) or graded_ranks(w, m)
+    )
+    m = random_module(3, 4, 3, 0.5, 1, field)
+    _identity_checks(m, 5)
+    assert drawn == ["remix"] and graded == []
+
+
+@pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
+def test_identity_checks_take_the_largest_remix_row(monkeypatch, field):
+    # a re-mix A = I of y1^3 and y1*y2*y3, whose rows span spaces of
+    # dimension 1 and 3 in degrees 1 and 2: H = (1, 3, 3, 1), neither the
+    # smaller row nor the first one; h = (1, 3, 4, 2), and the two spaces
+    # meet in the line of y1 in degree 1 and in 0 in degree 2
+    m = InverseSystemModule.from_forms(
+        (Form(3, 3, field, {(3, 0, 0): 1}), Form(3, 3, field, {(1, 1, 1): 1})),
+        field,
+        label="cube-and-product",
+    )
+    monkeypatch.setattr(manifest, "_draws", lambda m, c, seeds, label: [(None, m.rows)])
+    assert _identity_checks(m, 0) == (
+        4,
+        [
+            IdentityFailure("cube-and-product", 1, "type-count", 1, 3),
+            IdentityFailure("cube-and-product", 2, "type-count", 0, 2),
+        ],
+    )
 
 
 @pytest.mark.parametrize("field", [MOD, RAT], ids=["gfp", "q"])
@@ -324,7 +372,7 @@ def test_type_two_benchmark_lines_are_settled_by_the_caps(monkeypatch, field):
     for k, inst in lines:
         seed = derive_seed(0, k)
         m = build_family(inst.spec, field, seed=seed)
-        passed, failures = _identity_checks(m, inst.trials, seed)
+        passed, failures = _identity_checks(m, seed)
         assert failures == [], inst.line
         checks += passed
     assert checks == 3 * (4 + 3 + 3 + 5)

@@ -1285,7 +1285,7 @@ def test_identity_checks_walk_each_degree_once(monkeypatch, field):
     expected = sum(_walk_meets(g, u) for u in range(1, m.socle_degree))
     met.clear()
     calls.clear()
-    passed, failures = manifest._identity_checks(m, 3, seed)
+    passed, failures = manifest._identity_checks(m, seed)
     assert (passed, failures) == (9, [])
     assert len(met) == expected == 30
     assert calls == [3 * 6, 3 * 4]
