@@ -7,12 +7,17 @@ module with h-vector h:
     bound_u = ceil( ((t-c) h_{e-u} + (ct-1) h_u) / (t^2 - 1) ).
 
 Degree 0 contributes 1 and degree e contributes exactly c; at t = 2,
-c = 1 it is Iarrobino's pencil bound ceil((h_u + h_{e-u}) / 3). On top of
-that sit three full-codimension predicates on h, an O-sequence
-feasibility test for candidate quotient h-vectors (the candidate and the
-reversed difference must both be admissible Hilbert functions), a greedy
-tightening loop, chaining along a descending type path, and the report of
-one verified instance, with its JSON and CSV renderings. The overlap
+c = 1 it is Iarrobino's pencil bound ceil((h_u + h_{e-u}) / 3). At u = 1
+it implies both full-codimension conclusions: wherever a generic
+Gorenstein (c = 1) or type-(t-1) quotient must keep all h_1 variables,
+the bound is at least h_1. On top of it sit a low-codimension predicate
+on h, an O-sequence feasibility test for candidate quotient h-vectors
+(the candidate and the reversed difference must both be admissible
+Hilbert functions), a greedy tightening loop, chaining along a descending
+type path, and the report of one verified instance, with its JSON and
+CSV renderings. Every h, candidate, type and path entry is read exactly,
+as explicit coefficients are (`modules._explicit_coefficient`): a float
+is a ValueError, never truncated. The overlap
 bound H_u >= h_{e-u} - (inclusion-exclusion sum) is checked at every
 degree by `levelalg verify` (see `manifest._identity_checks`).
 """
@@ -27,6 +32,7 @@ from .modules import (
     InverseSystemModule,
     _check_type,
     _entrywise_max,
+    _explicit_coefficient,
     generic_quotient_trials,
     h_vector,
 )
@@ -45,7 +51,7 @@ def _ceil_div(a: int, b: int) -> int:
 def _check_h(h: Sequence[int], t: int | None = None) -> HVector:
     """h as a tuple of ints, checked to be an h-vector, and to end in the
     parent type t when one is given."""
-    h = tuple(int(x) for x in h)
+    h = tuple(_explicit_coefficient(x, "h-vector entries") for x in h)
     if len(h) < 2:
         raise ValueError("an h-vector needs at least degrees 0 and e")
     if h[0] != 1:
@@ -63,6 +69,7 @@ def generic_quotient_bound(h: Sequence[int], t: int, c: int) -> HVector:
     Requires h to end in its type t >= 2 and 1 <= c <= t-1. The last entry
     of the bound is exactly c.
     """
+    t, c = (_explicit_coefficient(x, "types") for x in (t, c))
     if t < 2:
         raise ValueError("parent type must be at least 2")
     h = _check_h(h, t)
@@ -74,20 +81,6 @@ def generic_quotient_bound(h: Sequence[int], t: int, c: int) -> HVector:
         num = (t - c) * h[e - u] + (c * t - 1) * h[u]
         out.append(_ceil_div(num, denom))
     return tuple(out)
-
-
-def has_full_codim_gorenstein(h: Sequence[int], t: int) -> bool:
-    """h_{e-1} >= t*(r-1) with r = h_1: guarantees a generic Gorenstein
-    quotient that still involves all r variables (its h_1 equals r)."""
-    h = _check_h(h, t)
-    return h[-2] >= t * (h[1] - 1)
-
-
-def has_full_codim_type_drop(h: Sequence[int], t: int) -> bool:
-    """h_{e-1} >= -t^2 + r*t + 2 with r = h_1: same conclusion for the
-    generic type-(t-1) quotient."""
-    h = _check_h(h, t)
-    return h[-2] >= -t * t + h[1] * t + 2
 
 
 def penultimate_bound_holds(h: Sequence[int], t: int) -> bool:
@@ -103,8 +96,10 @@ def penultimate_bound_holds(h: Sequence[int], t: int) -> bool:
 def _first_violation(h: HVector, L: Sequence[int], c: int) -> tuple[bool, int] | None:
     """Check the candidate L as `quotient_feasible` does and return its
     first failed O-sequence test: (False, d) when L fails at degree d, else
-    (True, d) when the reversed difference h - L does, else None."""
-    L = tuple(int(x) for x in L)
+    (True, d) when the reversed difference h - L does, else None. c is
+    only compared with L's last entry, an int: a c equal to no int fails
+    that test, and c reaches no result."""
+    L = tuple(_explicit_coefficient(x, "candidate entries") for x in L)
     if len(L) != len(h):
         raise ValueError(f"length mismatch: {len(L)} vs {len(h)}")
     if L[-1] != c:
@@ -146,7 +141,7 @@ def tighten_bound(h: Sequence[int], L: Sequence[int], c: int) -> HVector:
     means no feasible vector exists and is an InfeasibleBoundError.
     """
     h = _check_h(h)
-    cur = [int(x) for x in L]
+    cur = [_explicit_coefficient(x, "candidate entries") for x in L]
     e = len(h) - 1
     while (found := _first_violation(h, cur, c)) is not None:
         in_difference, d = found
@@ -186,7 +181,7 @@ def chained_bound(
     entrywise max with the direct one-step bound.
     """
     h = _check_h(h)
-    path = [int(x) for x in path]
+    path = [_explicit_coefficient(x, "path entries") for x in path]
     if len(path) < 2:
         raise ValueError("path needs at least two types")
     if path[0] != t:
@@ -198,15 +193,10 @@ def chained_bound(
         raise ValueError("path must end at type >= 1")
     direct = generic_quotient_bound(h, t, path[-1])
     cur: HVector = h
-    cur_t = t
-    first = True
-    for nxt in path[1:]:
-        step = generic_quotient_bound(cur, cur_t, nxt)
-        if tighten and first and cur_t - nxt == 1:
-            step = tighten_bound(cur, step, nxt)
-        cur = step
-        cur_t = nxt
-        first = False
+    for a, b in zip(path, path[1:]):
+        step = generic_quotient_bound(cur, a, b)
+        # a == t only at the first step, the one whose parent is exact
+        cur = tighten_bound(cur, step, b) if tighten and a == t == b + 1 else step
     return tuple(max(a, b) for a, b in zip(direct, cur))
 
 

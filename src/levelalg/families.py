@@ -95,6 +95,19 @@ def _conic_partials(points, lams, e: int) -> list[list[int]]:
     ]
 
 
+def _check_size(r: int, e: int, t: int) -> int:
+    """The dimension of the space of degree-e forms in r variables, once r,
+    e and t are positive, t is at most it and the space passes
+    `check_space_dim`; else a ValueError."""
+    if e < 1 or r < 1 or t < 1:
+        raise ValueError("r, e, t must be positive")
+    dim = space_dim(r, e)
+    if t > dim:
+        raise ValueError(f"type {t} exceeds the space dimension {dim}")
+    check_space_dim(r, e)
+    return dim
+
+
 def random_module(
     r: int,
     e: int,
@@ -112,12 +125,7 @@ def random_module(
     """
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
-    if e < 1 or r < 1 or t < 1:
-        raise ValueError("r, e, t must be positive")
-    dim = space_dim(r, e)
-    if t > dim:
-        raise ValueError(f"type {t} exceeds the space dimension {dim}")
-    check_space_dim(r, e)
+    dim = _check_size(r, e, t)
     for attempt in range(50):
         rng = random.Random(derive_seed(seed, "random-module", attempt))
         draw, coefficients = rng.random, _coefficients(rng, field)
@@ -149,12 +157,7 @@ def monomial_module(
 ) -> InverseSystemModule:
     """t distinct random degree-e monomials (independent by construction),
     sampled by their positions in monomial order."""
-    if e < 1 or r < 1 or t < 1:
-        raise ValueError("r, e, t must be positive")
-    dim = space_dim(r, e)
-    if t > dim:
-        raise ValueError(f"type {t} exceeds the space dimension {dim}")
-    check_space_dim(r, e)
+    dim = _check_size(r, e, t)
     rng = random.Random(derive_seed(seed, "monomial-module"))
     rows = np.zeros((t, dim), dtype=np.int64)
     rows[range(t), rng.sample(range(dim), t)] = 1

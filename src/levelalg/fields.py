@@ -8,6 +8,7 @@ serialization behave without surprises. No floating point anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -65,6 +66,12 @@ class FieldSpec:
     def __post_init__(self) -> None:
         if self.prime is None:
             return
+        # read exactly: 7.0 or "7" is no modulus, and a numpy integer is
+        # stored as the Python int it equals
+        try:
+            object.__setattr__(self, "prime", operator.index(self.prime))
+        except TypeError:
+            raise ValueError(f"modulus {self.prime!r} is not an integer") from None
         if self.prime >= PRIME_BOUND:
             raise ValueError(
                 f"modulus {self.prime} is not below {PRIME_BOUND}, "

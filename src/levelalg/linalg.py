@@ -19,7 +19,8 @@ steps on the matrix alone, with 2-D arrays and a Python scalar pivot
   the stack's shorter side; it is the only place that picks an
   orientation. A rank (`_ranks`, the quotient trials of one type ranked
   together) is the number of those rows, a basis (`_bases`, the
-  generators' derivative spaces) is the rows themselves, and a column
+  generators' derivative spaces) is the rows themselves, or I_n when n of
+  them span the whole space, and a column
   basis (`_column_basis`, the frame) is the rows of the transposed live
   submatrix, the array without its zero rows and columns.
 - `_meets` intersects a whole level of generator subsets, or a single
@@ -449,20 +450,19 @@ def _bases(stack, field: FieldSpec) -> list[np.ndarray]:
     """Basis rows of the row space of each matrix in a sequence of equally
     shaped k × n matrices (or a 3-D array), in the stack's type (`_dtype`).
 
-    Over GF(p) the basis is the matrix's own rows that `_certified_rows`
-    keeps. Over Q a matrix of which it keeps n rows gets the basis I_n, one
-    of which it keeps k rows is its own basis, and every other matrix gets
-    the fraction-free forward pass, once per distinct matrix: duplicates
-    share one result.
+    One rule for both fields: the rows that `_certified_rows` keeps are the
+    basis, and n kept rows span the whole space, whose basis is I_n. Only a
+    matrix it leaves open, which happens over Q alone, gets the
+    fraction-free forward pass, once per distinct matrix: duplicates share
+    one result.
     """
     a = np.asarray(stack, dtype=_dtype(field, stack))
     k, n = a.shape[1:]
     exact = _once(lambda m: _echelon_int(m)[0])
     return [
-        m[rows] if field.is_modular
-        else exact(m) if rows is None
+        exact(m) if rows is None
         else np.eye(n, dtype=a.dtype) if len(rows) == n
-        else m
+        else m[rows]
         for m, rows in zip(a, _certified_rows(a, [(k, n)] * len(a), field))
     ]
 

@@ -80,7 +80,7 @@ from .polynomials import (
     space_dim,
 )
 
-COEFF_RANGE = 10**6  # bound of the random coefficients; see random_coefficient
+COEFF_RANGE = 10**6  # bound of the random coefficients; see _coefficients
 
 
 class DependentGeneratorsError(ValueError):
@@ -128,18 +128,13 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
-def random_coefficient(rng: random.Random, field: FieldSpec) -> int:
-    """Nonzero integer coefficient: [1, min(10^6, p-1)] over GF(p), so that
-    it is nonzero modulo p too, and [-10^6, 10^6] over Q. The first draw of
-    `_coefficients`."""
-    return next(_coefficients(rng, field))
-
-
 def _coefficients(rng: random.Random, field: FieldSpec):
-    """The endless stream of random coefficients drawn from rng, each as
-    `random_coefficient` draws it alone; its range, bit count and
-    rejection are set up once per stream. A draw takes rng's bits only when
-    it is read, so draws may interleave with rng's other calls.
+    """The endless stream of random coefficients drawn from rng, the one
+    draw rule of the package: nonzero integers in [1, min(10^6, p-1)] over
+    GF(p), so that each is nonzero modulo p too, and in [-10^6, 10^6] over
+    Q. Its range, bit count and rejection are set up once per stream. A
+    draw takes rng's bits only when it is read, so draws may interleave
+    with rng's other calls.
 
     The draws are those of rng.randint(1, min(10^6, p-1)), and over Q of
     rng.randint(-10^6, 10^6) redrawn while zero, bit for bit: randint(a, b)
@@ -393,7 +388,7 @@ def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
     the attempts 0, 1, ... it would see alone. A round's matrices are one
     int64 array (`_random_matrices`), combined as it is. For c = 1 no rank
     is taken: a row of nonzero draws (nonzero mod p too, see
-    `random_coefficient`) times the t independent rows of m is never zero.
+    `_coefficients`) times the t independent rows of m is never zero.
     """
     t = m.type
     draws: dict[int, tuple] = {}
@@ -425,14 +420,14 @@ def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
     return [QuotientSample(c, a, seed, h) for (a, _), seed, h in zip(draws, seeds, hs)]
 
 
-def _explicit_coefficient(x) -> int:
-    """An explicit coefficient as a Python int, read exactly by
-    operator.index (a numpy scalar through .item()), or a ValueError naming
-    it: a float such as 1.5 is refused, never truncated."""
+def _explicit_coefficient(x, what: str = "coefficients") -> int:
+    """An explicit integer as a Python int, read exactly by operator.index
+    (a numpy scalar through .item()), or a ValueError naming it and `what`
+    it is: a float such as 1.5 is refused, never truncated."""
     try:
         return operator.index(x.item() if isinstance(x, np.generic) else x)
     except TypeError:
-        raise ValueError(f"coefficients must be integers, got {x!r}") from None
+        raise ValueError(f"{what} must be integers, got {x!r}") from None
 
 
 def sample_generic_quotient(

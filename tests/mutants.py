@@ -440,6 +440,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "bound-h-read-by-int",
+        "bounds.py",
+        'h = tuple(_explicit_coefficient(x, "h-vector entries") for x in h)',
+        "h = tuple(int(x) for x in h)",
+        ("tests/test_bounds.py::test_bound_layer_reads_integers_exactly",),
+    ),
+    Mutant(
+        "modulus-read-by-int",
+        "fields.py",
+        'object.__setattr__(self, "prime", operator.index(self.prime))',
+        'object.__setattr__(self, "prime", int(self.prime))',
+        ("tests/test_fields.py::test_modulus_is_read_exactly",),
+    ),
+    Mutant(
         "tight-count-one-degree-short",
         "manifest.py",
         "sum(len(r.tight_degrees) == len(r.h) for r in reports)",

@@ -28,6 +28,9 @@ stacked one replaced: a column-by-column forward pass of one Zassenhaus
 matrix. Over GF(p) that pass is `echelon_mod`, the column-by-column
 elimination the package's stacked line steps replaced.
 
+The oracle's quotient and re-mix draws go through `random.randint`
+(`random_coefficient`), not the package's draw rule.
+
 `graded_ranks` keeps the full-width quotient ranks the frame replaced:
 each quotient catalecticant gathered through the whole table of C_{e-u},
 over every degree-u monomial, instead of the parent's frame.
@@ -68,7 +71,6 @@ from levelalg.modules import (
     DependentGeneratorsError,
     _relative_dims,
     derive_seed,
-    random_coefficient,
 )
 from levelalg.polynomials import (
     Form,
@@ -220,6 +222,19 @@ def combine_forms(generators, coeffs, field):
 def _independent(forms, field):
     rows = [_dense(f) for f in forms]
     return rank(Matrix.from_rows(rows, field)) == len(forms)
+
+
+def random_coefficient(rng, field):
+    """One random coefficient as the package first drew it, through
+    random.randint: [1, min(10^6, p-1)] over GF(p), and [-10^6, 10^6]
+    redrawn while zero over Q. The package's draw rule
+    (`modules._coefficients`) takes the same bits without randint."""
+    if field.is_modular:
+        return rng.randint(1, min(10**6, field.prime - 1))
+    while True:
+        v = rng.randint(-(10**6), 10**6)
+        if v:
+            return v
 
 
 def sample_generic_quotient(m, c, seed=0, coefficients=None):

@@ -7,6 +7,7 @@ bound_u = ceil(((t-c) h_{e-u} + (ct-1) h_u) / (t^2 - 1)).
 import random
 from fractions import Fraction
 
+import numpy as np
 import oracle
 import pytest
 
@@ -17,8 +18,6 @@ from levelalg.bounds import (
     VerificationReport,
     chained_bound,
     generic_quotient_bound,
-    has_full_codim_gorenstein,
-    has_full_codim_type_drop,
     penultimate_bound_holds,
     quotient_feasible,
     report_csv_row,
@@ -92,6 +91,26 @@ def test_bound_validation():
             generic_quotient_bound((1, 3, 3), 3, c)
 
 
+def test_bound_layer_reads_integers_exactly():
+    # int() truncated 3.9 and 3.2, so this h gave the bound (1, 2, 2, 1), a
+    # path entry 2.9 ran the path (2, 1), and types 2.0, 1.0 gave floats
+    with pytest.raises(ValueError, match="h-vector entries must be integers, got 3.9"):
+        generic_quotient_bound((1, 3.9, 3.2, 2), 2, 1)
+    with pytest.raises(ValueError, match="path entries must be integers, got 2.9"):
+        chained_bound((1, 3, 3, 2), 2, (2.9, 1))
+    with pytest.raises(ValueError, match="types must be integers, got 2.0"):
+        generic_quotient_bound((1, 3, 3, 2), 2.0, 1.0)
+    with pytest.raises(ValueError, match="candidate entries must be integers, got 6.5"):
+        tighten_bound(H733, (1, 3, 4, 6.5, 5, 4, 2), 2)
+    with pytest.raises(ValueError, match="candidate entries must be integers"):
+        quotient_feasible((1, 2, 2), (1, "1", 1), 1)
+    # numpy integers are integers, read as Python ints
+    got = generic_quotient_bound(np.array(H733), np.int64(3), np.int32(2))
+    assert got == (1, 3, 4, 6, 5, 4, 2) and all(type(x) is int for x in got)
+    got = chained_bound(np.array(H733), 3, np.arange(3, 0, -1), tighten=True)
+    assert got == (1, 3, 4, 4, 4, 3, 1) and all(type(x) is int for x in got)
+
+
 def test_bound_c1_collapses_to_average_formula():
     rng = random.Random(77)
     for _ in range(40):
@@ -146,24 +165,54 @@ def test_pencil_symmetry_and_deficiency_form():
 # -------------------------------------------------------------- structural
 
 
+# The two full-codimension conclusions: a generic quotient keeps all r =
+# h_1 variables when h_{e-1} >= t (r - 1) (Gorenstein, c = 1) or when
+# h_{e-1} >= -t^2 + r t + 2 (type drop, c = t - 1). The bound at u = 1
+# implies both, so each is read as H_1 >= h_1 forced by the bound.
+
+
+def _forces_h1(h, t, c):
+    return generic_quotient_bound(h, t, c)[1] >= h[1]
+
+
 def test_full_codim_gorenstein_predicate():
-    assert has_full_codim_gorenstein((1, 2, 2, 2), 2)
-    assert has_full_codim_gorenstein((1, 3, 6, 2), 2)
-    assert not has_full_codim_gorenstein((1, 4, 4, 3), 3)  # 4 < 3*3
+    assert _forces_h1((1, 2, 2, 2), 2, 1)
+    assert _forces_h1((1, 3, 6, 2), 2, 1)
+    # 4 < 3*3, and the bound leaves H_1 at 2
+    assert generic_quotient_bound((1, 4, 4, 3), 3, 1)[1] == 2
     with pytest.raises(ValueError):
-        has_full_codim_gorenstein((1, 4, 4, 3), 2)
+        _forces_h1((1, 4, 4, 3), 2, 1)
 
 
 def test_full_codim_type_drop_predicate():
     # t=2, r=3: threshold -4 + 6 + 2 = 4
-    assert has_full_codim_type_drop((1, 3, 4, 2), 2)
-    assert not has_full_codim_type_drop((1, 3, 3, 2), 2)
+    assert _forces_h1((1, 3, 4, 2), 2, 1)
+    assert not _forces_h1((1, 3, 3, 2), 2, 1)
     # t=3, r=8: threshold -9 + 24 + 2 = 17
-    assert not has_full_codim_type_drop((1, 8, 8, 8, 3), 3)
+    assert not _forces_h1((1, 8, 8, 8, 3), 3, 2)
     # r = t: threshold is always 2
-    assert has_full_codim_type_drop((1, 3, 2, 3), 3)
+    assert _forces_h1((1, 3, 2, 3), 3, 2)
     with pytest.raises(ValueError):
-        has_full_codim_type_drop((1, 3, 3, 2), 3)
+        _forces_h1((1, 3, 3, 2), 3, 2)
+
+
+def test_full_codim_hypotheses_force_h1_through_the_bound():
+    # at c = 1 the bound is at least h_1 - t/(t+1), at c = t - 1 at least
+    # h_1 - (t^2-2)/(t^2-1): both above h_1 - 1, and the bound is a ceiling
+    rng = random.Random(14)
+    gor = drop = 0
+    for _ in range(3000):
+        e = rng.randint(2, 7)
+        t = rng.randint(2, 6)
+        h = (1,) + tuple(rng.randint(1, 15) for _ in range(e - 1)) + (t,)
+        r = h[1]
+        if h[-2] >= t * (r - 1):
+            gor += 1
+            assert _forces_h1(h, t, 1), h
+        if h[-2] >= -t * t + r * t + 2:
+            drop += 1
+            assert _forces_h1(h, t, t - 1), h
+    assert gor > 100 and drop > 100
 
 
 def test_full_codim_conclusions_hold_empirically():
@@ -176,7 +225,7 @@ def test_full_codim_conclusions_hold_empirically():
     m = InverseSystemModule.from_forms(gens, MOD, label="pencil-one-point")
     h = h_vector(m)
     assert h == (1, 2, 2, 2)
-    assert has_full_codim_gorenstein(h, 2)
+    assert _forces_h1(h, 2, 1)
     assert empirical_generic_h(m, 1, trials=3, seed=2)[1] == h[1]
 
     # dense quartic pencil: h = (1,3,6,6,2) passes the type-drop
@@ -184,7 +233,7 @@ def test_full_codim_conclusions_hold_empirically():
     d = random_module(3, 4, 2, 1.0, 3, MOD)
     hd = h_vector(d)
     assert hd == (1, 3, 6, 6, 2)
-    assert has_full_codim_type_drop(hd, 2)
+    assert _forces_h1(hd, 2, 1)
     assert empirical_generic_h(d, 1, trials=3, seed=2)[1] == hd[1]
 
 

@@ -428,6 +428,26 @@ def test_verify_walks_a_wide_sharp_line_in_pairs_and_triples(monkeypatch, capsys
     assert calls == [2 * 66, 2 * 220]
 
 
+# the known type-count failures, one record per failed check, the same in
+# both fields; CI pins them through the installed command as well
+KNOWN_IDENTITY_FAILURES = [
+    "conic-s5-e4 u=3: identity type-count FAILED (lhs 3, rhs 4)",
+    "conic-s7-e3 u=2: identity type-count FAILED (lhs 3, rhs 4)",
+    "random-r3-e3-t3-d1-s5 u=2: identity type-count FAILED (lhs 0, rhs 3)",
+    "monomial-r3-e4-t3-s7438520176602755083 u=2: identity type-count FAILED (lhs 4, rhs 5)",
+    "monomial-r3-e4-t3-s7438520176602755083 u=3: identity type-count FAILED (lhs 4, rhs 5)",
+    "monomial-r3-e4-t3-s1373947566745113384 u=3: identity type-count FAILED (lhs 0, rhs 3)",
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["--rational"]], ids=["gfp", "q"])
+def test_verify_exits_one_with_the_known_identity_failures(flags, capsys):
+    rc = cli.main(["verify", str(DATA / "identity-failures.txt"), *flags])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if " FAILED " in line] == KNOWN_IDENTITY_FAILURES
+
+
 def test_verify_bad_manifest(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("weird t=2\n")

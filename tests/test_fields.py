@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -50,6 +51,16 @@ def test_rational_field_takes_no_modulus():
     assert not f.is_modular
     assert f.prime is None and f == FieldSpec(None)
     assert FieldSpec(7) == FieldSpec.modular(7) != f
+
+
+def test_modulus_is_read_exactly():
+    # 7.0 was accepted as a modulus, and its reduce(10) returned 3.0
+    for bad in (7.0, "7", 7.5, Fraction(7)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            FieldSpec(bad)
+    f = FieldSpec(np.int64(7))
+    assert type(f.prime) is int and f == FieldSpec(7)
+    assert f.reduce(10) == 3 and type(f.reduce(10)) is int
 
 
 def test_modular_reduce_canonical_range():

@@ -7,7 +7,9 @@ every exit 2 names its line, and every exit 1 of `verify` says why: a
 sample on stderr. The lines are drawn from fixed lists of
 valid and malformed headers, labels, keys, values and family tokens, all
 small: no family parameter beyond what the lists hold, and at most one
-trial per type.
+trial per type. Most such manifests exit 2, so a second test builds
+manifests of whole valid lines from small parameter ranges, which reach
+the bounds and identity checks and exit 0 or 1, never 2.
 """
 
 import io
@@ -65,6 +67,21 @@ MANIFEST_LINES = st.builds(
     st.lists(st.sampled_from(KEY_TOKENS), max_size=3),
 )
 
+# whole valid lines, each family's parameters from small ranges, and one
+# trial per type: such a manifest reads in full, so it never exits 2
+VALID_LINES = st.one_of(
+    st.builds("sharp t={} e={} trials=1".format, st.integers(2, 3), st.integers(2, 3)),
+    st.builds(
+        "{} r={} e={} t={} trials=1".format,
+        st.sampled_from(("monomial", "random-dense")),
+        st.integers(2, 3), st.integers(2, 3), st.integers(2, 3),
+    ),
+    st.builds(
+        "truncated-gorenstein-conic s={} e={} trials=1".format,
+        st.sampled_from((3, 4, 5)), st.sampled_from((3, 4)),
+    ),
+)
+
 # a report line of a violated bound, or of a failed identity check
 FAILED_CHECK = re.compile(
     r"\[VIOLATED\]$|^\S+ u=\d+: identity \S+ FAILED \(lhs -?\d+, rhs -?\d+\)$", re.M
@@ -116,3 +133,10 @@ def test_module_file_input_exits_zero_or_names_its_line(lines):
 def test_manifest_input_exits_zero_one_or_names_its_line(lines):
     code, out, err = _run("verify", lines)
     _check_exit("verify", code, out, err, (0, 1, 2))
+
+
+@FUZZ
+@given(st.lists(VALID_LINES, min_size=1, max_size=3))
+def test_valid_manifest_exits_zero_or_one(lines):
+    code, out, err = _run("verify", lines)
+    _check_exit("verify", code, out, err, (0, 1))

@@ -7,7 +7,7 @@ small catalecticant blocks, computed by hand in the comments.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import oracle
@@ -35,7 +35,6 @@ from levelalg.modules import (
     inclusion_exclusion_sum,
     module_to_text,
     parse_module_file,
-    random_coefficient,
     relative_intersection_dim,
     remix_generators,
     sample_generic_quotient,
@@ -262,7 +261,7 @@ def test_seeded_samples_match_the_oracle():
 def _first_draw(m, c, seed):
     rng = random.Random(derive_seed(seed, "quotient", 0))
     return tuple(
-        tuple(random_coefficient(rng, m.field) for _ in range(m.type))
+        tuple(oracle.random_coefficient(rng, m.field) for _ in range(m.type))
         for _ in range(c)
     )
 
@@ -642,41 +641,40 @@ def test_remix_over_rationals_is_exactly_the_combination():
         assert remix_generators(m, seed).generators == oracle.remix_generators(m, seed)
 
 
+def _first_coefficients(rng, field, n):
+    """n random coefficients, each the first draw of its own stream on rng,
+    as a caller drawing one coefficient at a time would draw them."""
+    return [next(modules._coefficients(rng, field)) for _ in range(n)]
+
+
 def test_random_coefficient_never_zero_modulo_a_small_prime():
     rng = random.Random(5)
-    draws = [random_coefficient(rng, FieldSpec.modular(97)) for _ in range(5000)]
+    draws = list(islice(modules._coefficients(rng, FieldSpec.modular(97)), 5000))
     assert all(1 <= x <= 96 for x in draws)
     assert len(set(draws)) == 96
-    assert {random_coefficient(rng, FieldSpec.modular(2)) for _ in range(50)} == {1}
-
-
-def _randint_coefficient(rng, field):
-    """random_coefficient as it was written: through random.randint."""
-    if field.is_modular:
-        return rng.randint(1, min(10**6, field.prime - 1))
-    while True:
-        v = rng.randint(-(10**6), 10**6)
-        if v:
-            return v
+    assert set(_first_coefficients(rng, FieldSpec.modular(2), 50)) == {1}
 
 
 def test_random_coefficient_default_prime_draws_unchanged():
     # ranges {1}, [1, 16] (a power of two, drawn from 5 bits, not 4),
     # [1, 96] and [1, 10^6] over GF(p), [-10^6, 10^6] over Q, and the same
-    # state after the draws: the same bits were consumed
+    # state after the draws: the same bits were consumed, whether the
+    # coefficients come from one stream or each from a stream of its own
     small = [FieldSpec.modular(p) for p in (2, 17, 97)]
     for field in (*small, MOD, BIG, RAT):
         for seed in range(100):
             rng, ref = random.Random(seed), random.Random(seed)
-            assert [random_coefficient(rng, field) for _ in range(60)] == [
-                _randint_coefficient(ref, field) for _ in range(60)
-            ], (field, seed)
+            got = list(islice(modules._coefficients(rng, field), 30))
+            got += _first_coefficients(rng, field, 30)
+            assert got == [oracle.random_coefficient(ref, field) for _ in range(60)], (
+                field, seed
+            )
             assert rng.getstate() == ref.getstate()
     # seed 118 draws randint(-10^6, 10^6) == 0 at its 13,806th draw, so
     # this run goes through the zero redraw
     rng, ref = random.Random(118), random.Random(118)
-    assert [random_coefficient(rng, RAT) for _ in range(14000)] == [
-        _randint_coefficient(ref, RAT) for _ in range(14000)
+    assert list(islice(modules._coefficients(rng, RAT), 14000)) == [
+        oracle.random_coefficient(ref, RAT) for _ in range(14000)
     ]
     assert rng.getstate() == ref.getstate()
 
@@ -688,9 +686,12 @@ ZERO_REDRAW_SEED = 294303
 
 def _successive_draws(seed, attempt, c, t, field):
     """Attempt `attempt` of a quotient seed: c rows of t successive
-    random_coefficient calls on one seeded random.Random."""
+    randint coefficients (`oracle.random_coefficient`) on one seeded
+    random.Random."""
     rng = random.Random(derive_seed(seed, "quotient", attempt))
-    return tuple(tuple(random_coefficient(rng, field) for _ in range(t)) for _ in range(c))
+    return tuple(
+        tuple(oracle.random_coefficient(rng, field) for _ in range(t)) for _ in range(c)
+    )
 
 
 @pytest.mark.parametrize(
@@ -698,8 +699,8 @@ def _successive_draws(seed, attempt, c, t, field):
 )
 def test_draws_are_successive_random_coefficients(field):
     # each round's matrices are drawn into one int64 array; the accepted
-    # coefficients are tuples of Python ints, those of successive
-    # random_coefficient calls, in the range the field allows
+    # coefficients are tuples of Python ints, those of successive randint
+    # coefficients, in the range the field allows
     m = random_module(3, 3, 3, 0.6, 2, field)
     seeds = [ZERO_REDRAW_SEED, 0, 1, 2, 3]
     draws = modules._draws(m, 2, seeds, "quotient")
