@@ -42,7 +42,11 @@ on (R/Ann F)_{e-u}^c, stays injective in every lower operator degree, as
 multiplying by every x^γ of degree u'-u shows. A generic quotient sits at
 its caps in every degree (generic level algebras are compressed), so two
 critical degrees are ranked first and the degrees left open after them
-second (`_graded_ranks`). The re-mix that the identity
+second (`_graded_ranks`). The injectivity of a full row rank reaches the
+constants too, so a rank at a row cap proves W's c rows independent: a
+draw is kept on its own graded ranks, and only a draw with no such rank
+takes a rank of W (`_draws`); a rank at the full cap h_u proves nothing,
+as a dependent W can reach it. The re-mix that the identity
 checks of `levelalg verify` walk is rows too: W = A·F with A t-by-t,
 whose spaces `_single_spaces` gathers through the parent's frame, whose
 rows, each a random type-1 combination, are the checks' type-1 samples
@@ -278,11 +282,15 @@ def _by_shape(m: InverseSystemModule, us, gather, kernel) -> dict:
     return out
 
 
-def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]]:
-    """h-vectors of the modules generated by each w[k], c independent
-    coefficient rows in the ring of m, gathered through m's frame. h_0 = 1
-    and h_e = c need no rank, and for one form h_u = h_{e-u}, since C_{e-u}
-    and C_u are transposes.
+def _graded_ranks(
+    w: np.ndarray, m: InverseSystemModule
+) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """h-vectors of the modules generated by each w[k], c coefficient rows
+    in the ring of m, gathered through m's frame, and for each w[k]
+    whether a rank it took met a row cap: a proof that its c rows are
+    independent. h_0 = 1 and h_e = c need no rank, and for one form h_u =
+    h_{e-u}, since C_{e-u} and C_u are transposes. The h-vector is that
+    of w[k] only when its rows are independent.
 
     The rank at u of W's table, c·h_{e-u}(m) rows by h_u(m) columns, is at
     most either side, and a rank at either cap settles a run of degrees
@@ -295,6 +303,10 @@ def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]
       u'-u, so x^γ g_k ∘ F = 0; the forms g_k∘F of degree u' have no
       nonzero contraction of order u'-u, so they are 0 and g_k ∈ Ann F: the
       rank at u' is c·h_{e-u'}(m).
+    The second rule reaches degree e, u' = e, too: constants a_k with Σ
+    a_k W_k = 0 are 0, so W's rows are independent. The first proves
+    nothing of the kind, as a dependent W can span all of P_u.
+
     So the first round ranks, for every trial, the two critical degrees,
     the largest u with c·h_{e-u} >= h_u and the smallest u with c·h_{e-u}
     <= h_u, and every degree whose frame table shares their shape (the
@@ -317,6 +329,7 @@ def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]
     shapes = {tables[u].shape for u in critical}
     pick = [u for u in degrees if tables[u].shape in shapes]
     h = [[1, *[None] * (e - 1), c] for _ in range(k)]
+    capped = [False] * k
 
     def gather(u):
         return w[:, :, tables[u]].reshape(k, -1, tables[u].shape[1])
@@ -324,17 +337,18 @@ def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]
     while pick:
         ranks = _by_shape(m, pick, gather, lambda a: _ranks(a, m.field))
         for u in pick:
-            for row, r in zip(h, ranks[u]):
+            for i, (row, r) in enumerate(zip(h, ranks[u])):
                 row[u] = r
                 if r == full[u]:
                     row[1:u] = full[1:u]
                 if r == rows[u]:
                     row[u + 1 : top + 1] = rows[u + 1 :]
+                    capped[i] = True
         pick = [u for u in degrees if any(row[u] is None for row in h)]
     for row in h:
         for u in range(top + 1, e):
             row[u] = row[e - u]
-    return [tuple(row) for row in h]
+    return [tuple(row) for row in h], capped
 
 
 @lru_cache(maxsize=4096)
@@ -377,18 +391,27 @@ def _check_type(t: int, c: int) -> None:
         raise ValueError(f"c={c} out of range 1..{t - 1}")
 
 
-def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
+def _draws(
+    m: InverseSystemModule, c: int, seeds, label: str, graded: bool = False
+) -> list[tuple]:
     """For each seed, a random c-by-t coefficient matrix A whose
     combinations W = A·F are independent, as tuples of Python ints, with
-    that W.
+    that W, or with W's h-vector when `graded`.
 
     Attempt k of a seed is seeded by derive_seed(seed, label, k), up to 100
     attempts. Round k draws attempt k of every seed not yet served and
-    keeps those whose W has rank c, in one stacked rank; so each seed sees
-    the attempts 0, 1, ... it would see alone. A round's matrices are one
-    int64 array (`_random_matrices`), combined as it is. For c = 1 no rank
-    is taken: a row of nonzero draws (nonzero mod p too, see
-    `_coefficients`) times the t independent rows of m is never zero.
+    keeps those whose W is independent; so each seed sees the attempts 0,
+    1, ... it would see alone. A round's matrices are one int64 array
+    (`_random_matrices`), combined as it is. When `graded`, the round is
+    ranked through `_graded_ranks` first, and a W whose ranks met a row
+    cap is independent by that proof. Every other W of the round takes a
+    rank of its c rows, in one stacked call: a W at its caps, as a generic
+    one is, needs none where some inner degree has c·h_{e-u}(m) <= h_u(m),
+    while on the sharp families, c·h_{e-u}(m) > h_u(m) in every inner
+    degree, every W takes one. A dependent W is redrawn at its next
+    attempt, as without the proof. For c = 1 no rank is taken: a row of
+    nonzero draws (nonzero mod p too, see `_coefficients`) times the t
+    independent rows of m is never zero.
     """
     t = m.type
     draws: dict[int, tuple] = {}
@@ -398,11 +421,16 @@ def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
             break
         a = _random_matrices([seeds[k] for k in pending], label, attempt, c, t, m.field)
         w = _combine(a, m.rows, m.field)
-        ranks = _ranks(w, m.field) if c > 1 else [1] * len(pending)
+        values, proved = _graded_ranks(w, m) if graded else (w, [False] * len(w))
+        kept = [c == 1 or p for p in proved]
+        unproved = [i for i, ok in enumerate(kept) if not ok]
+        if unproved:
+            for i, r in zip(unproved, _ranks(w[unproved], m.field)):
+                kept[i] = r == c
         draws.update(
-            (k, (tuple(map(tuple, ak.tolist())), wk))
-            for k, ak, wk, r in zip(pending, a, w, ranks)
-            if r == c
+            (k, (tuple(map(tuple, ak.tolist())), v))
+            for k, ak, v, ok in zip(pending, a, values, kept)
+            if ok
         )
     if len(draws) < len(seeds):
         raise DegenerateSampleError(
@@ -412,12 +440,11 @@ def _draws(m: InverseSystemModule, c: int, seeds, label: str) -> list[tuple]:
 
 
 def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
-    """One random type-c quotient per seed: the `_draws` labelled
-    "quotient", then the h-vectors of all accepted W in one stacked rank
-    per degree."""
-    draws = _draws(m, c, seeds, "quotient")
-    hs = _graded_ranks(np.stack([w for _, w in draws]), m)
-    return [QuotientSample(c, a, seed, h) for (a, _), seed, h in zip(draws, seeds, hs)]
+    """One random type-c quotient per seed: the graded `_draws` labelled
+    "quotient". Each round's h-vectors come from one `_graded_ranks` call,
+    whose row-cap proofs spare most generic draws a rank of their own."""
+    draws = _draws(m, c, seeds, "quotient", graded=True)
+    return [QuotientSample(c, a, seed, h) for (a, h), seed in zip(draws, seeds)]
 
 
 def _explicit_coefficient(x, what: str = "coefficients") -> int:
@@ -456,7 +483,7 @@ def sample_generic_quotient(
     w = _combine([rows], m.rows, m.field)
     if _ranks(w, m.field)[0] != c:
         raise DependentGeneratorsError(f"{c} combinations span a smaller space")
-    return QuotientSample(c, rows, seed, _graded_ranks(w, m)[0])
+    return QuotientSample(c, rows, seed, _graded_ranks(w, m)[0][0])
 
 
 def generic_quotient_trials(

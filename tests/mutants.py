@@ -230,6 +230,32 @@ MUTANTS = (
         (MODULES + "test_selections_that_miss_the_caps_equal_the_full_width_ranks",),
     ),
     Mutant(
+        # a dependent W can span all of P_u: only a row cap proves
+        "proof-by-full-cap",
+        "modules.py",
+        "                if r == full[u]:\n                    row[1:u] = full[1:u]\n",
+        "                if r == full[u]:\n"
+        "                    row[1:u] = full[1:u]\n"
+        "                    capped[i] = True\n",
+        (MODULES + "test_a_dependent_draw_at_the_full_cap_is_redrawn",),
+    ),
+    Mutant(
+        "fallback-rank-skipped",
+        "modules.py",
+        "kept = [c == 1 or p for p in proved]",
+        "kept = [True for p in proved]",
+        (MODULES + "test_a_dependent_draw_at_the_full_cap_is_redrawn",),
+    ),
+    Mutant(
+        # later rounds reuse the h-vectors and proofs of attempt 0
+        "proof-kept-from-a-rejected-attempt",
+        "modules.py",
+        "        values, proved = _graded_ranks(w, m) if graded else (w, [False] * len(w))\n",
+        "        if not attempt or not graded:\n"
+        "            values, proved = _graded_ranks(w, m) if graded else (w, [False] * len(w))\n",
+        (MODULES + "test_a_dependent_draw_at_the_full_cap_is_redrawn",),
+    ),
+    Mutant(
         "frame-stop-rule-off-by-one",
         "modules.py",
         "            if rows.shape[1] - len(frame[u]) < r:\n",

@@ -352,10 +352,14 @@ def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape
     w = np.concatenate([draws, _combine(_selections(m.type, 2), m.rows, MOD)])
     want = oracle.graded_ranks(w, m)
     ranked.clear()
-    assert modules._graded_ranks(w, m) == want
-    # the draws reach h_2 = 6, and so settle degree 1; some selections do not
+    hs, proved = modules._graded_ranks(w, m)
+    assert hs == want
+    # the draws reach h_2 = 6, and so settle degree 1; some selections do
+    # not. 6 is the row cap c·h_1 too, the only one a rank can meet here,
+    # so exactly the trials that reach it are proved independent
     open_ = [i for i, h in enumerate(want) if h[2] < 6]
     assert 0 < len(open_) < len(w) and open_[0] >= len(draws)
+    assert proved == [h[2] == 6 for h in want]
     assert len(ranked) == 2
     for a, u in zip(ranked, (2, 1)):
         sub = tables[u]
@@ -373,13 +377,13 @@ def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape
     for c in (1, 2, 3):
         w = np.stack([w for _, w in modules._draws(m, c, [0, 1, 2, 3], "quotient")])
         ranked.clear()
-        assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
+        assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m)
         assert 1 <= len(ranked) <= 2 and all(len(a) == len(w) for a in ranked), c
     sharp = sharp_family(t=4, p=1, e=4, field=MOD)
     w = np.stack([w for _, w in modules._draws(sharp, 2, [0, 1], "quotient")])
     ranked.clear()
     based.clear()
-    assert modules._graded_ranks(w, sharp) == oracle.graded_ranks(w, sharp)
+    assert modules._graded_ranks(w, sharp)[0] == oracle.graded_ranks(w, sharp)
     modules._single_spaces(sharp, range(1, 4), sharp.rows)
     assert (len(ranked), len(based)) == (1, 1)
 
@@ -1528,7 +1532,7 @@ def test_graded_ranks_and_frame_equal_the_per_degree_passes(field, data):
     # the ranks settled from the caps, and J_u below the first full degree,
     # equal what a pass at every degree gives
     m, w = data.draw(_graded_cases(field))
-    assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
+    assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m)
     r, e = m.num_vars, m.socle_degree
     for u in range(1, e):
         rows = catalecticant_rows(m.rows, r, e, e - u)
@@ -1543,10 +1547,100 @@ def test_selections_that_miss_the_caps_equal_the_full_width_ranks(field):
         m = monomial_module(2, 6, 5, seed, field)
         for c in (2, 3, 4):
             w = _combine(_selections(m.type, c), m.rows, field)
-            assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m), (seed, c)
+            assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m), (seed, c)
     # h = (1, 3, 6, 10, 15, 9, 3): pairs of these sparse ternary sextics
     # reach the row cap low, and the degrees above it get c·h_(e-u), which
     # this lopsided h tells apart from c·h_u
     m = random_module(3, 6, 3, 0.3, 0, field)
     w = _combine(_selections(3, 2), m.rows, field)
-    assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
+    assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m)
+
+
+def _acceptance_ranks(monkeypatch):
+    """The stacks `_ranks` is handed outside `_graded_ranks` from now on:
+    the ranks that test a draw's independence on its own."""
+    outside, inside = [], []
+    ranks, graded_ranks = modules._ranks, modules._graded_ranks
+
+    def ranking(a, field):
+        if not inside:
+            outside.append(np.array(a))
+        return ranks(a, field)
+
+    def grading(w, m):
+        inside.append(w)
+        try:
+            return graded_ranks(w, m)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(modules, "_ranks", ranking)
+    monkeypatch.setattr(modules, "_graded_ranks", grading)
+    return outside
+
+
+@pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
+def test_generic_draws_are_proved_independent_by_their_graded_ranks(monkeypatch, field):
+    # h = (1, 3, 6, 9, 3): at c = 2 the row cap c·h_1 = 6 lies below h_3 = 9,
+    # and a generic W reaches it, so no draw takes a rank of its own. (A
+    # dependent first draw is ranked: over GF(7) trial 4 of seed 1 draws
+    # two proportional rows; the trials of seed 0 draw none.)
+    m = random_module(3, 4, 3, 0.5, 0, field)
+    assert h_vector(m) == (1, 3, 6, 9, 3)
+    accepted = _acceptance_ranks(monkeypatch)
+    samples = generic_quotient_trials(m, 2, trials=5, seed=0)
+    assert sample_generic_quotient(m, 2, seed=2).h == (1, 3, 6, 6, 2)
+    assert accepted == []
+    for s in samples:
+        assert (s.coefficients, s.h) == oracle.sample_generic_quotient(m, 2, s.seed)
+
+
+@pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
+def test_sharp_draws_take_one_rank_each(monkeypatch, field):
+    # h = (1, 5, 5, 5, 4): c·h_(e-u) = 10 > h_u = 5 in every inner degree,
+    # so no rank meets a row cap, and every trial's W is ranked once, in
+    # one stacked call
+    m = sharp_family(t=4, p=1, e=4, field=field)
+    assert h_vector(m) == (1, 5, 5, 5, 4)
+    accepted = _acceptance_ranks(monkeypatch)
+    samples = generic_quotient_trials(m, 2, trials=4, seed=0)
+    assert len(accepted) == 1
+    want = _combine([s.coefficients for s in samples], m.rows, field)
+    assert np.array_equal(accepted[0], want)
+    for s in samples:
+        assert (s.coefficients, s.h) == oracle.sample_generic_quotient(m, 2, s.seed)
+
+
+@pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
+def test_a_dependent_draw_at_the_full_cap_is_redrawn(monkeypatch, field):
+    # attempt 0 of seed 7 is patched to two equal rows: W = (W_1, W_1) has
+    # the rank h_2 = 6 of one generic quartic, which reaches the full cap
+    # h_2(F) and settles h_1 = 3 = h_1(F), but not the row cap 6 at u = 3.
+    # That proves nothing, the rank of W is 1, and the seed is redrawn:
+    # it gives the oracle's sample of attempt 1, and the other seeds theirs
+    m = random_module(3, 4, 3, 0.5, 0, field)
+    draw = modules._random_matrices
+    dependent = _successive_draws(7, 0, 1, 3, field) * 2
+
+    def patched(seeds, label, attempt, rows, cols, field):
+        a = draw(seeds, label, attempt, rows, cols, field)
+        for k, seed in enumerate(seeds):
+            if (seed, label, attempt) == (7, "quotient", 0):
+                a[k] = dependent
+        return a
+
+    [h], [proved] = modules._graded_ranks(_combine([dependent], m.rows, field), m)
+    assert h[1:3] == h_vector(m)[1:3] and not proved
+    with pytest.raises(DependentGeneratorsError):
+        oracle.sample_generic_quotient(m, 2, coefficients=dependent)
+    redrawn = oracle.sample_generic_quotient(
+        m, 2, coefficients=_successive_draws(7, 1, 2, 3, field)
+    )
+    assert redrawn[1] == (1, 3, 6, 6, 2)
+    monkeypatch.setattr(modules, "_random_matrices", patched)
+    s = sample_generic_quotient(m, 2, seed=7)
+    assert (s.coefficients, s.h) == redrawn
+    samples = modules._samples(m, 2, [7, 3, 4])
+    assert (samples[0].coefficients, samples[0].h) == redrawn
+    for s in samples[1:]:
+        assert (s.coefficients, s.h) == oracle.sample_generic_quotient(m, 2, s.seed)
