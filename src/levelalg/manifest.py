@@ -27,12 +27,12 @@ from .fields import FieldSpec
 from .modules import (
     DegenerateSampleError,
     InputError,
+    _check_trials,
     _check_type,
     _content_lines,
     _draws,
     _overlap,
     _parse_int,
-    _parse_positive,
     _single_spaces,
     derive_seed,
     h_vector,
@@ -121,7 +121,7 @@ def _float(value: str, what: str) -> float:
 #: ManifestInstance field it sets and the reader of its value.
 _CONTROLS = {
     "c": ("c_list", _c_list),
-    "trials": ("trials", lambda value: _parse_positive(value, "trials")),
+    "trials": ("trials", lambda value: _check_trials(_parse_int(value, "trials"))),
     "seed": ("seed", lambda value: _parse_int(value, "seed")),
     "label": ("label", str),
     "identities": ("identities", _on_off),

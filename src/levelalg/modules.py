@@ -42,16 +42,16 @@ on (R/Ann F)_{e-u}^c, stays injective in every lower operator degree, as
 multiplying by every x^γ of degree u'-u shows. A generic quotient sits at
 its caps in every degree (generic level algebras are compressed), so two
 critical degrees are ranked first and the degrees left open after them
-second (`_graded_ranks`). The injectivity of a full row rank reaches the
-constants too, so a rank at a row cap proves W's c rows independent: a
-draw is kept on its own graded ranks, and only a draw with no such rank
-takes a rank of W (`_draws`); a rank at the full cap h_u proves nothing,
-as a dependent W can reach it. The re-mix that the identity
-checks of `levelalg verify` walk is rows too: W = A·F with A t-by-t,
-whose spaces `_single_spaces` gathers through the parent's frame, whose
-rows, each a random type-1 combination, are the checks' type-1 samples
-(the largest of the t space dimensions in each degree), and whose
-generator subsets `_overlap` walks for every inner degree in one pass.
+second (`_graded_ranks`). A W of rank c' < c spans a module of c' forms,
+so dim M_u(W) <= c'·h_{e-u}(F) <= (c-1)·h_{e-u}(F) in every degree: a draw
+whose h-vector exceeds (c-1)·h_{e-u}(F) in some inner degree u is
+independent, and only the other draws take a rank of W (`_draws`). The
+re-mix that the identity checks of `levelalg verify` walk is rows too: W =
+A·F with A t-by-t, whose spaces `_single_spaces` gathers through the
+parent's frame, whose rows, each a random type-1 combination, are the
+checks' type-1 samples (the largest of the t space dimensions in each
+degree), and whose generator subsets `_overlap` walks for every inner
+degree in one pass.
 A degree whose spaces add up to h_u, or are each all of it, is
 settled with no meet; elsewhere a subset whose children all keep its
 intersection stops the walk below it, as every descendant meets in that
@@ -85,6 +85,7 @@ from .polynomials import (
 )
 
 COEFF_RANGE = 10**6  # bound of the random coefficients; see _coefficients
+MAX_TRIALS = 1000  # the most quotient trials of one call; see _check_trials
 
 
 class DependentGeneratorsError(ValueError):
@@ -282,15 +283,14 @@ def _by_shape(m: InverseSystemModule, us, gather, kernel) -> dict:
     return out
 
 
-def _graded_ranks(
-    w: np.ndarray, m: InverseSystemModule
-) -> tuple[list[tuple[int, ...]], list[bool]]:
+def _graded_ranks(w: np.ndarray, m: InverseSystemModule) -> list[tuple[int, ...]]:
     """h-vectors of the modules generated by each w[k], c coefficient rows
-    in the ring of m, gathered through m's frame, and for each w[k]
-    whether a rank it took met a row cap: a proof that its c rows are
-    independent. h_0 = 1 and h_e = c need no rank, and for one form h_u =
-    h_{e-u}, since C_{e-u} and C_u are transposes. The h-vector is that
-    of w[k] only when its rows are independent.
+    in the ring of m, gathered through m's frame. h_0 = 1 and h_e = c need
+    no rank, and for one form h_u = h_{e-u}, since C_{e-u} and C_u are
+    transposes. The inner entries are the dimensions of M_u(w[k]) for
+    any w[k]; h_e = c is w[k]'s only when its rows are independent, and
+    `_draws` reads that off the inner entries: a w[k] of rank c' < c
+    spans c' forms, so its H_u is at most (c-1)·h_{e-u}(m).
 
     The rank at u of W's table, c·h_{e-u}(m) rows by h_u(m) columns, is at
     most either side, and a rank at either cap settles a run of degrees
@@ -303,9 +303,9 @@ def _graded_ranks(
       u'-u, so x^γ g_k ∘ F = 0; the forms g_k∘F of degree u' have no
       nonzero contraction of order u'-u, so they are 0 and g_k ∈ Ann F: the
       rank at u' is c·h_{e-u'}(m).
-    The second rule reaches degree e, u' = e, too: constants a_k with Σ
-    a_k W_k = 0 are 0, so W's rows are independent. The first proves
-    nothing of the kind, as a dependent W can span all of P_u.
+    A dependent W never meets a row cap: if Σ a_k W_k = 0, the rows
+    x^β∘W_k of one β in J_{e-u} sum to 0 with the weights a_k. So the
+    inner entries are dimensions of M_u(W) whatever W is.
 
     So the first round ranks, for every trial, the two critical degrees,
     the largest u with c·h_{e-u} >= h_u and the smallest u with c·h_{e-u}
@@ -329,7 +329,6 @@ def _graded_ranks(
     shapes = {tables[u].shape for u in critical}
     pick = [u for u in degrees if tables[u].shape in shapes]
     h = [[1, *[None] * (e - 1), c] for _ in range(k)]
-    capped = [False] * k
 
     def gather(u):
         return w[:, :, tables[u]].reshape(k, -1, tables[u].shape[1])
@@ -337,18 +336,17 @@ def _graded_ranks(
     while pick:
         ranks = _by_shape(m, pick, gather, lambda a: _ranks(a, m.field))
         for u in pick:
-            for i, (row, r) in enumerate(zip(h, ranks[u])):
+            for row, r in zip(h, ranks[u]):
                 row[u] = r
                 if r == full[u]:
                     row[1:u] = full[1:u]
                 if r == rows[u]:
                     row[u + 1 : top + 1] = rows[u + 1 :]
-                    capped[i] = True
         pick = [u for u in degrees if any(row[u] is None for row in h)]
     for row in h:
         for u in range(top + 1, e):
             row[u] = row[e - u]
-    return [tuple(row) for row in h], capped
+    return [tuple(row) for row in h]
 
 
 @lru_cache(maxsize=4096)
@@ -384,6 +382,16 @@ def _random_matrices(
     return np.fromiter(draws, np.int64, len(seeds) * size).reshape(len(seeds), rows, cols)
 
 
+def _check_trials(trials: int) -> int:
+    """trials, or a ValueError unless 1 <= trials <= MAX_TRIALS: every
+    trial is a derived seed and a c-by-N_e row stack held at once."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    return trials
+
+
 def _check_type(t: int, c: int) -> None:
     """Raise ValueError unless a type-t module has type-c quotients: 1 <= c
     <= t - 1."""
@@ -403,17 +411,19 @@ def _draws(
     keeps those whose W is independent; so each seed sees the attempts 0,
     1, ... it would see alone. A round's matrices are one int64 array
     (`_random_matrices`), combined as it is. When `graded`, the round is
-    ranked through `_graded_ranks` first, and a W whose ranks met a row
-    cap is independent by that proof. Every other W of the round takes a
-    rank of its c rows, in one stacked call: a W at its caps, as a generic
-    one is, needs none where some inner degree has c·h_{e-u}(m) <= h_u(m),
-    while on the sharp families, c·h_{e-u}(m) > h_u(m) in every inner
-    degree, every W takes one. A dependent W is redrawn at its next
-    attempt, as without the proof. For c = 1 no rank is taken: a row of
-    nonzero draws (nonzero mod p too, see `_coefficients`) times the t
-    independent rows of m is never zero.
+    ranked through `_graded_ranks` first, and a W whose H_u exceeds
+    (c-1)·h_{e-u}(m) in some inner degree u is independent: a W of rank
+    c' < c spans c' forms, so H_u(W) <= c'·h_{e-u}(m) in every degree.
+    Every other W of the round, and every W of an ungraded round, takes a
+    rank of its c rows, in one stacked call. A W at its caps, as a generic
+    one is, needs none where some inner degree has h_u(m) > (c-1)·h_{e-u}(m),
+    every nonzero W at c = 1 and e >= 2 among them; on the sharp families,
+    h_u(m) <= (c-1)·h_{e-u}(m) in every inner degree for c >= 2, every W
+    takes one. A dependent W is redrawn at its next attempt.
     """
-    t = m.type
+    t, e = m.type, m.socle_degree
+    # a W of rank c' < c spans c' forms: H_u(W) <= c'·h_{e-u}(m) <= caps[u]
+    caps = {u: (c - 1) * len(m._frame[e - u]) for u in range(1, e)} if graded else {}
     draws: dict[int, tuple] = {}
     for attempt in range(100):
         pending = [k for k in range(len(seeds)) if k not in draws]
@@ -421,8 +431,8 @@ def _draws(
             break
         a = _random_matrices([seeds[k] for k in pending], label, attempt, c, t, m.field)
         w = _combine(a, m.rows, m.field)
-        values, proved = _graded_ranks(w, m) if graded else (w, [False] * len(w))
-        kept = [c == 1 or p for p in proved]
+        values = _graded_ranks(w, m) if graded else w
+        kept = [any(h[u] > cap for u, cap in caps.items()) for h in values]
         unproved = [i for i, ok in enumerate(kept) if not ok]
         if unproved:
             for i, r in zip(unproved, _ranks(w[unproved], m.field)):
@@ -442,7 +452,8 @@ def _draws(
 def _samples(m: InverseSystemModule, c: int, seeds) -> list[QuotientSample]:
     """One random type-c quotient per seed: the graded `_draws` labelled
     "quotient". Each round's h-vectors come from one `_graded_ranks` call,
-    whose row-cap proofs spare most generic draws a rank of their own."""
+    and a draw whose H_u exceeds (c-1)·h_{e-u}(m) in some inner degree u
+    is independent by them, with no rank of its own."""
     draws = _draws(m, c, seeds, "quotient", graded=True)
     return [QuotientSample(c, a, seed, h) for (a, h), seed in zip(draws, seeds)]
 
@@ -483,7 +494,7 @@ def sample_generic_quotient(
     w = _combine([rows], m.rows, m.field)
     if _ranks(w, m.field)[0] != c:
         raise DependentGeneratorsError(f"{c} combinations span a smaller space")
-    return QuotientSample(c, rows, seed, _graded_ranks(w, m)[0][0])
+    return QuotientSample(c, rows, seed, _graded_ranks(w, m)[0])
 
 
 def generic_quotient_trials(
@@ -495,8 +506,7 @@ def generic_quotient_trials(
     k)), bit for bit, but all trials are drawn and ranked side by side.
     """
     _check_type(m.type, c)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(trials)
     return _samples(m, c, [derive_seed(seed, "trial", k) for k in range(trials)])
 
 

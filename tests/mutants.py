@@ -230,29 +230,52 @@ MUTANTS = (
         (MODULES + "test_selections_that_miss_the_caps_equal_the_full_width_ranks",),
     ),
     Mutant(
-        # a dependent W can span all of P_u: only a row cap proves
-        "proof-by-full-cap",
+        # a dependent W can sit on (c-1)·h_(e-u): only an entry above it proves
+        "proof-at-the-bound",
         "modules.py",
-        "                if r == full[u]:\n                    row[1:u] = full[1:u]\n",
-        "                if r == full[u]:\n"
-        "                    row[1:u] = full[1:u]\n"
-        "                    capped[i] = True\n",
+        "kept = [any(h[u] > cap for",
+        "kept = [any(h[u] >= cap for",
         (MODULES + "test_a_dependent_draw_at_the_full_cap_is_redrawn",),
+    ),
+    Mutant(
+        # the socle entry is the declared c, never a rank, and it always
+        # exceeds its cap (c-1)·h_0 = c - 1: every draw would be kept
+        "proof-reads-the-socle",
+        "modules.py",
+        "for u in range(1, e)} if graded else {}",
+        "for u in range(1, e)} | {e: c - 1} if graded else {}",
+        (MODULES + "test_a_dependent_draw_at_the_full_cap_is_redrawn",),
+    ),
+    Mutant(
+        # (c-1)·h_u(F) >= h_u(F) for c >= 2: no H_u exceeds it, no proof
+        "proof-caps-from-h_u",
+        "modules.py",
+        "caps = {u: (c - 1) * len(m._frame[e - u])",
+        "caps = {u: (c - 1) * len(m._frame[u])",
+        (MODULES + "test_generic_draws_are_proved_independent_by_their_graded_ranks",),
+    ),
+    Mutant(
+        # the row cap: sound, but at c = 1 no H_u exceeds h_(e-u)(F)
+        "proof-caps-by-c",
+        "modules.py",
+        "caps = {u: (c - 1) * len(",
+        "caps = {u: c * len(",
+        (MODULES + "test_one_form_draws_take_no_rank_and_stay_the_same",),
     ),
     Mutant(
         "fallback-rank-skipped",
         "modules.py",
-        "kept = [c == 1 or p for p in proved]",
-        "kept = [True for p in proved]",
+        "kept = [any(h[u] > cap for u, cap in caps.items()) for h in values]",
+        "kept = [True for h in values]",
         (MODULES + "test_a_dependent_draw_at_the_full_cap_is_redrawn",),
     ),
     Mutant(
-        # later rounds reuse the h-vectors and proofs of attempt 0
+        # later rounds reuse the h-vectors of attempt 0
         "proof-kept-from-a-rejected-attempt",
         "modules.py",
-        "        values, proved = _graded_ranks(w, m) if graded else (w, [False] * len(w))\n",
+        "        values = _graded_ranks(w, m) if graded else w\n",
         "        if not attempt or not graded:\n"
-        "            values, proved = _graded_ranks(w, m) if graded else (w, [False] * len(w))\n",
+        "            values = _graded_ranks(w, m) if graded else w\n",
         (MODULES + "test_a_dependent_draw_at_the_full_cap_is_redrawn",),
     ),
     Mutant(

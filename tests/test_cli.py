@@ -275,6 +275,10 @@ def test_quotient_bad_trials(module_file, capsys):
     assert cli.main(["quotient", module_file, "--type", "1",
                      "--trials", "0"]) == 3
     assert "positive" in capsys.readouterr().err
+    # refused before any seed is derived: a huge count once hung
+    for trials in ("1001", "99999999999999999999999"):
+        assert cli.main(["quotient", module_file, "--type", "1", "--trials", trials]) == 3
+        assert "trials must be at most 1000" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- bound
@@ -488,6 +492,15 @@ def test_verify_unknown_key_exits_two(tmp_path, capsys):
     assert cli.main(["verify", str(f)]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err and "bogus" in err
+
+
+def test_verify_trials_past_the_cap_exit_two_before_any_instance_runs(tmp_path, capsys):
+    f = tmp_path / "bad.txt"
+    f.write_text("sharp t=3 p=1 e=3 c=1\nsharp t=3 p=1 e=3 trials=1001\n")
+    assert cli.main(["verify", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 2: trials must be at most 1000, got 1001" in err
 
 
 def test_verify_repeated_key_exits_two(tmp_path, capsys):

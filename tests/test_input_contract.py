@@ -54,7 +54,7 @@ FAMILY_TOKENS = (
 KEY_TOKENS = (
     "t=2", "t=3", "t=0", "t=x", "t=", "p=1", "e=2", "e=3", "e=-1", "r=2", "r=3",
     "s=3", "density=0.5", "density=thin", "c=1", "c=1,2", "c=2,1", "c=1,1",
-    "c=3", "c=x", "trials=1", "trials=0", "seed=5", "seed=x",
+    "c=3", "c=x", "trials=1", "trials=0", "trials=1001", "seed=5", "seed=x",
     "seed=" + "1" * 5000, "label=a", "identities=off", "identities=maybe",
     "bogus=1", "oops", "=1", "t²=2",
 )

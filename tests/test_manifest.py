@@ -23,6 +23,7 @@ from levelalg.manifest import (
     run_manifest,
 )
 from levelalg.modules import (
+    MAX_TRIALS,
     InputError,
     InverseSystemModule,
     derive_seed,
@@ -84,6 +85,12 @@ def test_parse_manifest_errors():
         parse_manifest("sharp t=3 e=3 c=1;2\n")
     with pytest.raises(InputError, match="trials must be positive"):
         parse_manifest("sharp t=3 e=3 trials=0\n")
+    # the cap is read, never run: a huge count once passed and then hung
+    assert parse_manifest(f"sharp t=3 e=3 trials={MAX_TRIALS}\n")[0].trials == MAX_TRIALS
+    for trials in (MAX_TRIALS + 1, 10**23 - 1):
+        with pytest.raises(InputError, match=f"trials must be at most {MAX_TRIALS}") as err:
+            parse_manifest(f"sharp t=3 e=3\nsharp t=3 e=3 trials={trials}\n")
+        assert err.value.line == 2
     with pytest.raises(InputError, match="must be an integer"):
         parse_manifest("sharp t=x e=3\n")
     with pytest.raises(InputError, match="on or off"):

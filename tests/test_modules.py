@@ -7,7 +7,7 @@ small catalecticant blocks, computed by hand in the comments.
 
 import random
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 
 import numpy as np
 import oracle
@@ -24,6 +24,7 @@ from levelalg.families import (
 )
 from levelalg.fields import DEFAULT_PRIME, FieldSpec
 from levelalg.modules import (
+    COEFF_RANGE,
     DegenerateSampleError,
     DependentGeneratorsError,
     InverseSystemModule,
@@ -218,6 +219,9 @@ def test_trials_and_empirical_h():
     assert only.h == samples[0].h
     with pytest.raises(ValueError):
         generic_quotient_trials(m, 1, trials=0)
+    # refused before any seed is derived
+    with pytest.raises(ValueError, match="trials must be at most 1000, got 1001"):
+        generic_quotient_trials(m, 1, trials=modules.MAX_TRIALS + 1)
 
 
 def test_empirical_h_monotone_in_trials_and_bounded_by_parent():
@@ -295,9 +299,11 @@ def test_batched_trials_match_the_oracle_per_trial():
 
 
 def test_one_form_draws_take_no_rank_and_stay_the_same(monkeypatch):
-    # c = 1: a row of nonzero draws times independent rows is never zero,
-    # so the first attempt is accepted without a rank, and A and W are
-    # those of the ranked draw loop (the oracle), from GF(2) to Q
+    # c = 1: a nonzero W has H_u >= 1 > 0 = (c-1)·h_(e-u) in every inner
+    # degree, so for e >= 2 the graded first attempt is accepted without a
+    # rank of its own; the GF(2) linear forms (e = 1) have no inner degree
+    # and take one. A and W are those of the ranked draw loop (the oracle),
+    # graded or not, from GF(2) to Q
     gf2 = FieldSpec.modular(2)
     cases = [
         InverseSystemModule.from_forms(
@@ -312,14 +318,15 @@ def test_one_form_draws_take_no_rank_and_stay_the_same(monkeypatch):
     ]
     assert BIG.prime > _INT64_PRIME_LIMIT
     seeds = [derive_seed(1, "trial", k) for k in range(6)]
-
-    def refuse(*args):
-        raise AssertionError("a rank for c = 1")
-
-    monkeypatch.setattr(modules, "_ranks", refuse)
+    accepted = _acceptance_ranks(monkeypatch)
     for m in cases:
-        for (a, w), seed in zip(modules._draws(m, 1, seeds, "quotient"), seeds):
-            assert a == oracle.sample_generic_quotient(m, 1, seed)[0], m.field
+        accepted.clear()
+        graded = modules._draws(m, 1, seeds, "quotient", graded=True)
+        assert len(accepted) == (m.socle_degree == 1), m.field
+        draws = modules._draws(m, 1, seeds, "quotient")
+        for (a, h), (a_w, w), seed in zip(graded, draws, seeds):
+            assert (a, h) == oracle.sample_generic_quotient(m, 1, seed), m.field
+            assert a_w == a, m.field
             assert w.dtype == m.rows.dtype, m.field
             assert np.array_equal(w, _combine([a], m.rows, m.field)[0]), m.field
 
@@ -352,14 +359,19 @@ def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape
     w = np.concatenate([draws, _combine(_selections(m.type, 2), m.rows, MOD)])
     want = oracle.graded_ranks(w, m)
     ranked.clear()
-    hs, proved = modules._graded_ranks(w, m)
+    hs = modules._graded_ranks(w, m)
     assert hs == want
     # the draws reach h_2 = 6, and so settle degree 1; some selections do
-    # not. 6 is the row cap c·h_1 too, the only one a rank can meet here,
-    # so exactly the trials that reach it are proved independent
+    # not. The bound (c-1)·h_(e-u) is h_2 = 6 at u = 1, above every H_1 <=
+    # h_1 = 3, and h_1 = 3 at u = 2, so exactly the trials with H_2 > 3 are
+    # proved independent: the draws, at the row cap 6, and some selections
     open_ = [i for i, h in enumerate(want) if h[2] < 6]
     assert 0 < len(open_) < len(w) and open_[0] >= len(draws)
-    assert proved == [h[2] == 6 for h in want]
+    caps = {u: len(m._frame[3 - u]) for u in degrees}
+    assert caps == {1: 6, 2: 3}
+    proved = [any(h[u] > cap for u, cap in caps.items()) for h in hs]
+    assert proved == [h[2] > 3 for h in want]
+    assert 0 < sum(proved[len(draws):]) < len(open_)
     assert len(ranked) == 2
     for a, u in zip(ranked, (2, 1)):
         sub = tables[u]
@@ -377,13 +389,13 @@ def test_degrees_share_a_rank_or_basis_call_only_when_their_tables_share_a_shape
     for c in (1, 2, 3):
         w = np.stack([w for _, w in modules._draws(m, c, [0, 1, 2, 3], "quotient")])
         ranked.clear()
-        assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m)
+        assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
         assert 1 <= len(ranked) <= 2 and all(len(a) == len(w) for a in ranked), c
     sharp = sharp_family(t=4, p=1, e=4, field=MOD)
     w = np.stack([w for _, w in modules._draws(sharp, 2, [0, 1], "quotient")])
     ranked.clear()
     based.clear()
-    assert modules._graded_ranks(w, sharp)[0] == oracle.graded_ranks(w, sharp)
+    assert modules._graded_ranks(w, sharp) == oracle.graded_ranks(w, sharp)
     modules._single_spaces(sharp, range(1, 4), sharp.rows)
     assert (len(ranked), len(based)) == (1, 1)
 
@@ -1494,11 +1506,9 @@ GRADED_IDS = ["gfp", "gf7", "bigp", "q"]
 
 
 @st.composite
-def _graded_cases(draw, field):
+def _graded_modules(draw, field):
     """A random, monomial, sharp or conic module over field, of socle
-    degree at most 6 (below the modulus 7), a type c and a stack of
-    type-c trials: generic draws, which sit at the caps, and 0/1
-    selections of c generators, which may miss them."""
+    degree at most 6 (below the modulus 7)."""
     kind = draw(st.sampled_from(["random", "monomial", "sharp", "conic"]))
     seed = draw(st.integers(0, 99))
     r, e = draw(st.integers(2, 3)), draw(st.integers(2, 6))
@@ -1506,13 +1516,24 @@ def _graded_cases(draw, field):
         if kind == "random":
             t = draw(st.integers(2, min(4, space_dim(r, e))))
             density = draw(st.sampled_from([0.3, 0.6, 1.0]))
-            m = random_module(r, e, t, density, seed, field)
-        elif kind == "monomial":
-            m = monomial_module(r, e, draw(st.integers(2, min(5, space_dim(r, e)))), seed, field)
-        elif kind == "sharp":
-            m = sharp_family(draw(st.integers(2, 4)), 1, min(e, 4), field)
-        else:
-            m = truncated_gorenstein_conic(draw(st.integers(3, 6)), max(e, 3), field, seed)
+            return random_module(r, e, t, density, seed, field)
+        if kind == "monomial":
+            t = draw(st.integers(2, min(5, space_dim(r, e))))
+            return monomial_module(r, e, t, seed, field)
+        if kind == "sharp":
+            return sharp_family(draw(st.integers(2, 4)), 1, min(e, 4), field)
+        return truncated_gorenstein_conic(draw(st.integers(3, 6)), max(e, 3), field, seed)
+    except DegenerateSampleError:
+        assume(False)
+
+
+@st.composite
+def _graded_cases(draw, field):
+    """A module of `_graded_modules`, a type c and a stack of type-c
+    trials: generic draws, which sit at the caps, and 0/1 selections of c
+    generators, which may miss them."""
+    m = draw(_graded_modules(field))
+    try:
         c = draw(st.integers(1, m.type - 1))
         seeds = draw(st.lists(st.integers(0, 2**32), max_size=3))
         picks = draw(st.lists(st.sampled_from(_selections(m.type, c)), max_size=3))
@@ -1532,7 +1553,7 @@ def test_graded_ranks_and_frame_equal_the_per_degree_passes(field, data):
     # the ranks settled from the caps, and J_u below the first full degree,
     # equal what a pass at every degree gives
     m, w = data.draw(_graded_cases(field))
-    assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m)
+    assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
     r, e = m.num_vars, m.socle_degree
     for u in range(1, e):
         rows = catalecticant_rows(m.rows, r, e, e - u)
@@ -1547,13 +1568,60 @@ def test_selections_that_miss_the_caps_equal_the_full_width_ranks(field):
         m = monomial_module(2, 6, 5, seed, field)
         for c in (2, 3, 4):
             w = _combine(_selections(m.type, c), m.rows, field)
-            assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m), (seed, c)
+            assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m), (seed, c)
     # h = (1, 3, 6, 10, 15, 9, 3): pairs of these sparse ternary sextics
     # reach the row cap low, and the degrees above it get c·h_(e-u), which
     # this lopsided h tells apart from c·h_u
     m = random_module(3, 6, 3, 0.3, 0, field)
     w = _combine(_selections(3, 2), m.rows, field)
-    assert modules._graded_ranks(w, m)[0] == oracle.graded_ranks(w, m)
+    assert modules._graded_ranks(w, m) == oracle.graded_ranks(w, m)
+
+
+@st.composite
+def _dependent_cases(draw, field):
+    """A module of `_graded_modules` with t >= 3, a type c >= 2 and a
+    dependent c-by-t matrix A: c - 1 rows of random coefficients and a
+    random combination of them, in a shuffled order."""
+    m = draw(_graded_modules(field))
+    assume(m.type >= 3)
+    c = draw(st.integers(2, m.type - 1))
+    coefficient = st.integers(-COEFF_RANGE, COEFF_RANGE)
+    rows = draw(st.lists(st.lists(coefficient, min_size=m.type, max_size=m.type),
+                         min_size=c - 1, max_size=c - 1))
+    mix = draw(st.lists(st.integers(-9, 9), min_size=c - 1, max_size=c - 1))
+    rows.append([sum(x * row[j] for x, row in zip(mix, rows)) for j in range(m.type)])
+    return m, c, draw(st.permutations(rows))
+
+
+@pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
+@PROPERTY
+@given(data=st.data())
+def test_a_dependent_draw_stays_within_the_bound_and_is_redrawn(field, data):
+    # a W of rank c' < c spans c' forms, so H_u(W) <= (c-1)·h_(e-u)(F) in
+    # every inner degree: no dependent A is kept on its h-vector, and one
+    # drawn at attempt 0 is redrawn at the first attempt whose W has rank c
+    m, c, a = data.draw(_dependent_cases(field))
+    e, t = m.socle_degree, m.type
+    w = _combine([a], m.rows, field)
+    assert modules._ranks(w, field)[0] < c
+    [h] = modules._graded_ranks(w, m)
+    assert all(h[u] <= (c - 1) * len(m._frame[e - u]) for u in range(1, e)), h
+    draw = modules._random_matrices
+
+    def patched(seeds, label, attempt, rows, cols, field):
+        out = draw(seeds, label, attempt, rows, cols, field)
+        if attempt == 0:
+            out[:] = a
+        return out
+
+    seed = data.draw(st.integers(0, 2**32))
+    later = (draw([seed], "quotient", k, c, t, field)[0] for k in count(1))
+    want = next(b for b in later if modules._ranks(_combine([b], m.rows, field), field)[0] == c)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modules, "_random_matrices", patched)
+        [(got, got_h)] = modules._draws(m, c, [seed], "quotient", graded=True)
+    assert np.array_equal(got, want)
+    assert got_h == oracle.graded_ranks(_combine([want], m.rows, field), m)[0]
 
 
 def _acceptance_ranks(monkeypatch):
@@ -1581,8 +1649,8 @@ def _acceptance_ranks(monkeypatch):
 
 @pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
 def test_generic_draws_are_proved_independent_by_their_graded_ranks(monkeypatch, field):
-    # h = (1, 3, 6, 9, 3): at c = 2 the row cap c·h_1 = 6 lies below h_3 = 9,
-    # and a generic W reaches it, so no draw takes a rank of its own. (A
+    # h = (1, 3, 6, 9, 3): at c = 2 a generic W has H_3 = c·h_1 = 6, above
+    # the bound (c-1)·h_1 = 3, so no draw takes a rank of its own. (A
     # dependent first draw is ranked: over GF(7) trial 4 of seed 1 draws
     # two proportional rows; the trials of seed 0 draw none.)
     m = random_module(3, 4, 3, 0.5, 0, field)
@@ -1597,9 +1665,9 @@ def test_generic_draws_are_proved_independent_by_their_graded_ranks(monkeypatch,
 
 @pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
 def test_sharp_draws_take_one_rank_each(monkeypatch, field):
-    # h = (1, 5, 5, 5, 4): c·h_(e-u) = 10 > h_u = 5 in every inner degree,
-    # so no rank meets a row cap, and every trial's W is ranked once, in
-    # one stacked call
+    # h = (1, 5, 5, 5, 4): (c-1)·h_(e-u) = 5 = h_u in every inner degree,
+    # so no H_u exceeds it, and every trial's W is ranked once, in one
+    # stacked call
     m = sharp_family(t=4, p=1, e=4, field=field)
     assert h_vector(m) == (1, 5, 5, 5, 4)
     accepted = _acceptance_ranks(monkeypatch)
@@ -1614,10 +1682,11 @@ def test_sharp_draws_take_one_rank_each(monkeypatch, field):
 @pytest.mark.parametrize("field", GRADED_FIELDS, ids=GRADED_IDS)
 def test_a_dependent_draw_at_the_full_cap_is_redrawn(monkeypatch, field):
     # attempt 0 of seed 7 is patched to two equal rows: W = (W_1, W_1) has
-    # the rank h_2 = 6 of one generic quartic, which reaches the full cap
-    # h_2(F) and settles h_1 = 3 = h_1(F), but not the row cap 6 at u = 3.
-    # That proves nothing, the rank of W is 1, and the seed is redrawn:
-    # it gives the oracle's sample of attempt 1, and the other seeds theirs
+    # H = (1, 3, 6, 3, 2), the ranks of one generic quartic. H_2 = 6 reaches
+    # the full cap h_2(F) and settles h_1 = 3 = h_1(F), but no inner entry
+    # exceeds (c-1)·h_(e-u)(F) = (9, 6, 3): H_2 and H_3 sit on it. That
+    # proves nothing, the rank of W is 1, and the seed is redrawn: it
+    # gives the oracle's sample of attempt 1, and the other seeds theirs
     m = random_module(3, 4, 3, 0.5, 0, field)
     draw = modules._random_matrices
     dependent = _successive_draws(7, 0, 1, 3, field) * 2
@@ -1629,8 +1698,10 @@ def test_a_dependent_draw_at_the_full_cap_is_redrawn(monkeypatch, field):
                 a[k] = dependent
         return a
 
-    [h], [proved] = modules._graded_ranks(_combine([dependent], m.rows, field), m)
-    assert h[1:3] == h_vector(m)[1:3] and not proved
+    [h] = modules._graded_ranks(_combine([dependent], m.rows, field), m)
+    caps = [h_vector(m)[4 - u] for u in range(1, 4)]
+    assert h[1:3] == h_vector(m)[1:3] and h == (1, 3, 6, 3, 2) and caps == [9, 6, 3]
+    assert all(x <= cap for x, cap in zip(h[1:4], caps)) and h[2] == caps[1]
     with pytest.raises(DependentGeneratorsError):
         oracle.sample_generic_quotient(m, 2, coefficients=dependent)
     redrawn = oracle.sample_generic_quotient(
